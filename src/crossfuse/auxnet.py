@@ -6,11 +6,17 @@ K-layer convolution stack over the thresholded similarity graph refines them.
 The architecture is small and fixed, so the reverse pass is written out by
 hand: every block caches what its backward needs during a train-mode forward.
 Eval-mode forwards use running statistics, cache nothing, and are reentrant.
+
+Categorical attribute rows repeat heavily (a handful of age/occupation
+combinations cover every user), so the MLP runs on the distinct rows of its
+input only and gathers its output back to every node; its batch norms weight
+each distinct row by how often it occurs.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +48,41 @@ def load_dense_matrix(path) -> np.ndarray:
     return data.reshape(rows, dim).astype(np.float64)
 
 
+def _indicator(index: np.ndarray, size: int) -> sp.csr_matrix:
+    """(size, len(index)) 0/1 matrix whose product with a (len(index), d)
+    array sums the rows sharing an index, adding them in their original order
+    exactly as ``np.add.at`` does."""
+    order = np.argsort(index, kind="stable")
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=size), out=indptr[1:])
+    return sp.csr_matrix((np.ones(len(index)), order, indptr), shape=(size, len(index)))
+
+
+@dataclass(frozen=True)
+class DistinctRows:
+    """An attribute matrix as its distinct rows plus the map back to all rows.
+
+    ``values[inverse]`` is the original matrix; ``counts`` holds how many
+    original rows each distinct row stands for, and ``scatter @ d`` sums a
+    per-row array over each distinct row's occurrences."""
+
+    values: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray
+    scatter: sp.csr_matrix
+
+
+def distinct_rows(x: np.ndarray) -> DistinctRows:
+    """Group the rows of ``x``; done once per input, not per forward."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("expected a 2-d attribute matrix")
+    values, inverse, counts = np.unique(x, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    return DistinctRows(values, inverse, counts.astype(np.float64),
+                        _indicator(inverse, len(values)))
+
+
 class Affine:
     """y = x @ W + b."""
 
@@ -69,7 +110,11 @@ class Affine:
 class BatchNorm:
     """Per-feature normalization; batch statistics in train mode, running
     statistics in eval mode.  Variance is the biased (1/N) estimate in both
-    the normalization and the running update."""
+    the normalization and the running update.
+
+    With ``counts`` each input row stands for ``counts[k]`` identical rows of
+    the batch: the moments are count-weighted, and backward takes and returns
+    gradients summed over each row's copies."""
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, name: str = "bn"):
         self.gamma = Param(np.ones(dim), f"{name}.gamma")
@@ -80,12 +125,14 @@ class BatchNorm:
         self.eps = eps
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool,
+                counts: np.ndarray | None = None) -> np.ndarray:
         if train:
-            if x.shape[0] < 2:
+            n = x.shape[0] if counts is None else counts.sum()
+            if n < 2:
                 raise ValueError("batch normalization needs at least 2 rows in train mode")
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
+            mu = np.average(x, axis=0, weights=counts)
+            var = np.average(np.square(x - mu), axis=0, weights=counts)
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
@@ -94,16 +141,20 @@ class BatchNorm:
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu) * inv_std
         if train:
-            self._cache = (xhat, inv_std)
+            self._cache = (xhat, inv_std, counts)
         return self.gamma.value * xhat + self.beta.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._cache
-        n = xhat.shape[0]
+        xhat, inv_std, counts = self._cache
+        if counts is None:
+            n, c = xhat.shape[0], 1.0
+        else:
+            n, c = counts.sum(), counts[:, None]
         self.gamma.grad += (dy * xhat).sum(axis=0)
         self.beta.grad += dy.sum(axis=0)
         dxhat = dy * self.gamma.value
-        return (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        return (inv_std / n) * (n * dxhat - c * dxhat.sum(axis=0)
+                                - c * xhat * (dxhat * xhat).sum(axis=0))
 
     def params(self):
         return [self.gamma, self.beta]
@@ -131,6 +182,9 @@ class AuxEncoder:
     ``layer_dims`` chains from the one-hot width down to the embedding
     dimension; with a single entry pair the encoder collapses to one affine
     map with no normalization or activation.
+
+    The blocks run on the distinct input rows only (see :class:`DistinctRows`),
+    so the cost scales with distinct attribute rows, not with nodes.
     """
 
     def __init__(self, layer_dims, rng: np.random.Generator,
@@ -145,6 +199,7 @@ class AuxEncoder:
             self.blocks.append(BatchNorm(dims[l + 1], bn_momentum, bn_eps, f"{name}.{l}"))
             self.blocks.append(Relu())
         self.blocks.append(Affine(dims[-2], dims[-1], rng, f"{name}.{len(dims) - 2}"))
+        self._rows: DistinctRows | None = None
 
     @property
     def in_dim(self) -> int:
@@ -154,17 +209,28 @@ class AuxEncoder:
     def out_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def forward(self, x: np.ndarray, mode: str = "train") -> np.ndarray:
+    def forward(self, x: np.ndarray | DistinctRows, mode: str = "train") -> np.ndarray:
+        """Output for every row of ``x``; a plain matrix is grouped here, so
+        callers that run many forwards on one input group it once with
+        :func:`distinct_rows` and pass that instead."""
         train = _check_mode(mode)
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"encoder expects width {self.in_dim}, got {x.shape[1]}")
-        h = x
+        rows = x if isinstance(x, DistinctRows) else distinct_rows(x)
+        if rows.values.shape[1] != self.in_dim:
+            raise ValueError(f"encoder expects width {self.in_dim}, got {rows.values.shape[1]}")
+        if train:
+            self._rows = rows
+        h = rows.values
         for block in self.blocks:
-            h = block.forward(h, train)
-        return h
+            if isinstance(block, BatchNorm):
+                h = block.forward(h, train, rows.counts)
+            else:
+                h = block.forward(h, train)
+        return h[rows.inverse]
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d = d_out
+        """Accumulate parameter gradients from the per-row output gradient;
+        returns the gradient with respect to the distinct input rows."""
+        d = self._rows.scatter @ d_out
         for block in reversed(self.blocks):
             d = block.backward(d)
         return d
@@ -241,17 +307,6 @@ def _check_mode(mode: str) -> bool:
     return mode == "train"
 
 
-def mlp_forward(enc: AuxEncoder, x: np.ndarray, mode: str = "train") -> np.ndarray:
-    """Functional alias for :meth:`AuxEncoder.forward`."""
-    return enc.forward(x, mode)
-
-
-def gcn_forward(stack: AuxGcnStack, sim: sp.spmatrix, h: np.ndarray,
-                mode: str = "train") -> np.ndarray:
-    """Functional alias for :meth:`AuxGcnStack.forward`."""
-    return stack.forward(sim, h, mode)
-
-
 class AuxiliaryExtractor:
     """One side (users or items) of the attribute pipeline: MLP then GCN."""
 
@@ -262,7 +317,8 @@ class AuxiliaryExtractor:
         self.gcn = gcn
         self.output: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, sim: sp.spmatrix, mode: str = "train") -> np.ndarray:
+    def forward(self, x: np.ndarray | DistinctRows, sim: sp.spmatrix,
+                mode: str = "train") -> np.ndarray:
         a = self.gcn.forward(sim, self.encoder.forward(x, mode), mode)
         if mode == "train":
             self.output = a
@@ -322,10 +378,8 @@ def squared_score_loss(a_users: np.ndarray, a_items: np.ndarray,
     ai = a_items[i]
     e = np.einsum("ij,ij->i", au, ai) - r
     loss = float(np.sum(e * e))
-    dAu = np.zeros_like(a_users)
-    dAv = np.zeros_like(a_items)
-    np.add.at(dAu, u, (2.0 * e)[:, None] * ai)
-    np.add.at(dAv, i, (2.0 * e)[:, None] * au)
+    dAu = _indicator(u, len(a_users)) @ ((2.0 * e)[:, None] * ai)
+    dAv = _indicator(i, len(a_items)) @ ((2.0 * e)[:, None] * au)
     return loss, dAu, dAv
 
 

@@ -276,11 +276,17 @@ def _load_aux(out: Path, args) -> tuple[np.ndarray | None, np.ndarray | None]:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, preset=args.preset)
+    bcfg, tcfg, fcfg = cfg.backbone_config(), cfg.train_config(), cfg.fusion_config()
+    try:
+        bcfg.validate()
+        tcfg.validate()
+        fcfg.validate(dim=bcfg.dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _out_dir(cfg)
     ds = _load_dataset(out)
     adj = load_graph(out / "adjacency.graph")
     a_users, a_items = _load_aux(out, args)
-    fcfg = cfg.fusion_config()
     if fcfg.active and a_users is None:
         raise PipelineOrderError("stage-2 training needs stage-1 products; run "
                                  "`crossfuse train-aux` first or pass --aux-users/--aux-items")
@@ -288,8 +294,7 @@ def cmd_train(args) -> int:
     table = init_embeddings(ds.n + ds.m, cfg.dim, cfg.seed)
     log = TrainingLog()
     state, model, w_params, epochs_run = _run_stage2_loop(
-        ds, adj, table, a_users, a_items, cfg.backbone_config(), cfg.train_config(),
-        fcfg, None, log)
+        ds, adj, table, a_users, a_items, bcfg, tcfg, fcfg, None, log)
     if np.isfinite(state.best_metric):
         table.values[...] = state.best_values
     ckpt = pack_stage2_state(state, cfg.snapshot(), a_users, a_items)
@@ -332,7 +337,9 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(ckpt_path)
 
     from .backbone import EmbeddingTable, LightGCN
-    table = EmbeddingTable(ckpt.tensors["table"])
+    # score the table training selected, as `train` and `train_stage2` restore it
+    selected = "best_table" if np.isfinite(ckpt.meta["best_metric"]) else "table"
+    table = EmbeddingTable(ckpt.tensors[selected])
     model = LightGCN(adj, ds.n, cfg.backbone_config())
     feats = model.forward(table)
     a_users = ckpt.tensors.get("aux_users")

@@ -165,12 +165,15 @@ def _check_cross_fusion_grad(inst: Instance, rng, fd_tol) -> CheckResult:
                        err, fd_tol)
 
 
-def _check_stage1_param_grads(inst: Instance, rng, fd_tol) -> CheckResult:
+def _stage1_fd_error(inst: Instance, rng, x_u: np.ndarray, x_v: np.ndarray) -> float:
+    """Worst relative error of every stage-1 parameter gradient against
+    central differences, for the given attribute rows."""
     d = inst.g_users.shape[1]
-    x_u = rng.normal(size=(inst.ds.n, 6))
-    x_v = rng.normal(size=(inst.ds.m, 6))
-    user_net = auxnet.build_extractor(6, d, hidden=[5], gcn_layers=1, rng=rng, name="u")
-    item_net = auxnet.build_extractor(6, d, hidden=[5], gcn_layers=1, rng=rng, name="v")
+    x_u, x_v = auxnet.distinct_rows(x_u), auxnet.distinct_rows(x_v)
+    user_net = auxnet.build_extractor(x_u.values.shape[1], d, hidden=[5], gcn_layers=1, rng=rng,
+                                      name="u")
+    item_net = auxnet.build_extractor(x_v.values.shape[1], d, hidden=[5], gcn_layers=1, rng=rng,
+                                      name="v")
 
     user_net.forward(x_u, inst.sim_u, "train")
     item_net.forward(x_v, inst.sim_v, "train")
@@ -188,8 +191,32 @@ def _check_stage1_param_grads(inst: Instance, rng, fd_tol) -> CheckResult:
     for p in user_net.params() + item_net.params():
         fd = central_difference(loss, p.value)
         worst = max(worst, max_rel_error(p.grad, fd))
+    return worst
+
+
+def _check_stage1_param_grads(inst: Instance, rng, fd_tol) -> CheckResult:
+    x_u = rng.normal(size=(inst.ds.n, 6))
+    x_v = rng.normal(size=(inst.ds.m, 6))
     return CheckResult("attribute-pipeline loss: all parameter gradients vs finite differences",
-                       worst, fd_tol)
+                       _stage1_fd_error(inst, rng, x_u, x_v), fd_tol)
+
+
+def _repeated_one_hot(count: int, rng) -> np.ndarray:
+    """Two one-hot fields of 3 categories each, with the category pair drawn
+    from 4 fixed pairs, so any ``count`` > 4 rows repeat."""
+    pairs = np.array([[0, 0], [0, 1], [1, 2], [2, 0]])[rng.integers(0, 4, size=count)]
+    x = np.zeros((count, 6))
+    x[np.arange(count), pairs[:, 0]] = 1.0
+    x[np.arange(count), 3 + pairs[:, 1]] = 1.0
+    return x
+
+
+def _check_stage1_repeated_rows(inst: Instance, rng, fd_tol) -> CheckResult:
+    x_u = _repeated_one_hot(inst.ds.n, rng)
+    x_v = _repeated_one_hot(inst.ds.m, rng)
+    return CheckResult("attribute-pipeline loss on repeated one-hot rows: all parameter "
+                       "gradients vs finite differences",
+                       _stage1_fd_error(inst, rng, x_u, x_v), fd_tol)
 
 
 def _check_fused_objective_grad(inst: Instance, rng, fd_tol) -> CheckResult:
@@ -331,6 +358,7 @@ def run_suite(seed: int = 0, n: int = 8, m: int = 12, d: int = 4,
         _check_concat_grad(inst, rng, fd_tol),
         _check_weighted_sum_grad(inst, rng, fd_tol),
         _check_temporal_grad(inst, rng, fd_tol),
+        _check_stage1_repeated_rows(inst, rng, fd_tol),
     ]
     results.extend(_check_closed_forms(inst, rng, exact_tol))
     return results

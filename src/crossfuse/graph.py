@@ -155,10 +155,10 @@ def check_csr(mat: sp.csr_matrix) -> None:
         raise ValueError("matrix stores non-finite values")
     if np.any(mat.data == 0):
         raise ValueError("matrix stores explicit zeros")
-    for r in range(mat.shape[0]):
-        cols = mat.indices[mat.indptr[r]:mat.indptr[r + 1]]
-        if len(cols) > 1 and not np.all(np.diff(cols) > 0):
-            raise ValueError(f"row {r} has unsorted or duplicate column indices")
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    bad = np.flatnonzero((rows[1:] == rows[:-1]) & (np.diff(mat.indices) <= 0))
+    if len(bad):
+        raise ValueError(f"row {rows[bad[0]]} has unsorted or duplicate column indices")
 
 
 # ---------------------------------------------------------------------------

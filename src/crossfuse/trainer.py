@@ -152,9 +152,12 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
 
     Implicit datasets get each batch padded 1:1 with zero-rated sampled
     negatives so the squared-error objective has a non-degenerate optimum.
-    The returned matrices are marked read-only.
+    The attribute rows are grouped into distinct rows once, before the
+    minibatch loop.  The returned matrices are marked read-only.
     """
     cfg.validate()
+    user_rows = auxnet.distinct_rows(user_x)
+    item_rows = auxnet.distinct_rows(item_x)
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg.optimizer, user_net.params() + item_net.params(), cfg.eta1)
     triplets = ds.triplets(TRAIN)
@@ -171,8 +174,8 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
                 batch = _pad_with_negatives(ds, batch, rng)
             user_net.zero_grad()
             item_net.zero_grad()
-            user_net.forward(user_x, sim_user, "train")
-            item_net.forward(item_x, sim_item, "train")
+            user_net.forward(user_rows, sim_user, "train")
+            item_net.forward(item_rows, sim_item, "train")
             loss = auxnet.stage1_loss_and_grad(user_net, item_net, batch)
             if not np.isfinite(loss):
                 raise DivergenceError(stage=1, epoch=epoch)
@@ -181,8 +184,8 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
         log.add(EpochRecord(stage=1, epoch=epoch, loss=epoch_loss,
                             wall_time=time.perf_counter() - t0))
 
-    a_users = user_net.forward(user_x, sim_user, "eval")
-    a_items = item_net.forward(item_x, sim_item, "eval")
+    a_users = user_net.forward(user_rows, sim_user, "eval")
+    a_items = item_net.forward(item_rows, sim_item, "eval")
     a_users.flags.writeable = False
     a_items.flags.writeable = False
     return Stage1Result(a_users, a_items, log, user_net, item_net)

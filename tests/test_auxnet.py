@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from crossfuse.auxnet import (Affine, AuxEncoder, AuxGcnStack, build_extractor,
-                              gcn_forward, load_dense_matrix, mlp_forward,
-                              save_dense_matrix, squared_score_loss,
-                              stage1_loss_and_grad)
+from crossfuse.auxnet import (Affine, AuxEncoder, AuxGcnStack, BatchNorm, build_extractor,
+                              distinct_rows, load_dense_matrix, save_dense_matrix,
+                              squared_score_loss, stage1_loss_and_grad)
 
 
 def loop_graph(weights: np.ndarray) -> sp.csr_matrix:
@@ -82,6 +81,122 @@ class TestEncoder:
             assert np.all(bn.running_var > 0)
 
 
+def repeated_one_hot(rng, rows: int, pairs: int) -> np.ndarray:
+    """Two one-hot fields of 4 categories each, with the category pair drawn
+    from ``pairs`` fixed ones, so rows repeat whenever rows > pairs."""
+    pool = rng.integers(0, 4, size=(pairs, 2))[rng.integers(0, pairs, size=rows)]
+    x = np.zeros((rows, 8))
+    x[np.arange(rows), pool[:, 0]] = 1.0
+    x[np.arange(rows), 4 + pool[:, 1]] = 1.0
+    return x
+
+
+def reference_encoder_forward(enc: AuxEncoder, x: np.ndarray):
+    """Train-mode forward over every row, as the encoder computed before it
+    grouped rows: batch moments from ``mean``/``var`` over all N rows."""
+    cache = []
+    h = x
+    for block in enc.blocks:
+        if isinstance(block, Affine):
+            cache.append(h)
+            h = h @ block.w.value + block.b.value
+        elif isinstance(block, BatchNorm):
+            mu, var = h.mean(axis=0), h.var(axis=0)
+            block.running_mean = (1 - block.momentum) * block.running_mean + block.momentum * mu
+            block.running_var = (1 - block.momentum) * block.running_var + block.momentum * var
+            inv_std = 1.0 / np.sqrt(var + block.eps)
+            xhat = (h - mu) * inv_std
+            cache.append((xhat, inv_std))
+            h = block.gamma.value * xhat + block.beta.value
+        else:
+            cache.append(h > 0)
+            h = np.maximum(h, 0.0)
+    return h, cache
+
+
+def reference_encoder_backward(enc: AuxEncoder, cache, d: np.ndarray) -> None:
+    for block, saved in zip(reversed(enc.blocks), reversed(cache)):
+        if isinstance(block, Affine):
+            block.w.grad += saved.T @ d
+            block.b.grad += d.sum(axis=0)
+            d = d @ block.w.value.T
+        elif isinstance(block, BatchNorm):
+            xhat, inv_std = saved
+            n = xhat.shape[0]
+            block.gamma.grad += (d * xhat).sum(axis=0)
+            block.beta.grad += d.sum(axis=0)
+            dxhat = d * block.gamma.value
+            d = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
+                                 - xhat * (dxhat * xhat).sum(axis=0))
+        else:
+            d = d * saved
+
+
+class TestDistinctRows:
+    def test_grouping_reconstructs_and_scatters_like_add_at(self):
+        rng = np.random.default_rng(0)
+        x = repeated_one_hot(rng, 30, 4)
+        rows = distinct_rows(x)
+        assert len(rows.values) <= 4
+        assert np.array_equal(rows.values[rows.inverse], x)
+        assert np.array_equal(rows.counts, np.bincount(rows.inverse))
+        d = rng.normal(size=(30, 3))
+        expect = np.zeros((len(rows.values), 3))
+        np.add.at(expect, rows.inverse, d)
+        assert np.array_equal(rows.scatter @ d, expect)
+
+    @pytest.mark.parametrize("repeated", [True, False])
+    def test_one_step_matches_per_row_reference(self, repeated):
+        rng = np.random.default_rng(11)
+        n, m, d = 40, 30, 4
+        if repeated:
+            x_u, x_v = repeated_one_hot(rng, n, 5), repeated_one_hot(rng, m, 3)
+            assert len(distinct_rows(x_u).values) < n and len(distinct_rows(x_v).values) < m
+        else:
+            x_u, x_v = rng.normal(size=(n, 8)), rng.normal(size=(m, 8))
+        off = np.triu((rng.random((n, n)) < 0.1) * rng.random((n, n)), 1)
+        sim_u = loop_graph(off + off.T)
+        sim_v = loop_graph(np.zeros((m, m)))
+        batch = np.column_stack([rng.integers(0, n, 60), rng.integers(0, m, 60),
+                                 rng.random(60)])
+
+        def nets():
+            r = np.random.default_rng(5)
+            return (build_extractor(8, d, [6, 5], 1, r, name="u"),
+                    build_extractor(8, d, [6, 5], 1, r, name="v"))
+
+        user_net, item_net = nets()
+        user_net.forward(x_u, sim_u, "train")
+        item_net.forward(x_v, sim_v, "train")
+        stage1_loss_and_grad(user_net, item_net, batch)
+
+        ref_u, ref_v = nets()
+        sides = []
+        for net, x, sim in ((ref_u, x_u, sim_u), (ref_v, x_v, sim_v)):
+            h, cache = reference_encoder_forward(net.encoder, x)
+            net.output = net.gcn.forward(sim, h, "train")
+            sides.append((net, cache))
+        _, dAu, dAv = squared_score_loss(ref_u.output, ref_v.output, batch)
+        for (net, cache), d_a in zip(sides, (dAu, dAv)):
+            reference_encoder_backward(net.encoder, cache, net.gcn.backward(d_a))
+
+        for got, ref in ((user_net, ref_u), (item_net, ref_v)):
+            assert np.max(np.abs(got.output - ref.output)) <= 1e-10
+            scale = max(np.max(np.abs(p.grad)) for p in ref.params())
+            for p, q in zip(got.params(), ref.params()):
+                assert np.max(np.abs(p.grad - q.grad)) <= 1e-10 * scale, p.name
+            for bn, bn_ref in zip(got.encoder.batch_norms() + got.gcn.batch_norms(),
+                                  ref.encoder.batch_norms() + ref.gcn.batch_norms()):
+                assert np.max(np.abs(bn.running_mean - bn_ref.running_mean)) <= 1e-12
+                assert np.max(np.abs(bn.running_var - bn_ref.running_var)) <= 1e-12
+
+    def test_identical_rows_count_toward_batch_size(self):
+        enc = AuxEncoder([4, 3, 2], np.random.default_rng(0))
+        out = enc.forward(np.ones((3, 4)), "train")
+        assert out.shape == (3, 2)
+        assert np.array_equal(out[0], out[2])
+
+
 class TestGcnStack:
     def test_self_loop_only_node(self):
         rng = np.random.default_rng(0)
@@ -137,16 +252,6 @@ class TestGcnStack:
         sim = sp.csr_matrix(np.array([[1.0, 0.2], [0.2, 0.0]]))
         with pytest.raises(ValueError, match="self-loops"):
             stack.forward(sim, np.ones((2, 2)), "train")
-
-    def test_functional_aliases(self):
-        rng = np.random.default_rng(0)
-        enc = AuxEncoder([3, 2], rng)
-        x = rng.normal(size=(4, 3))
-        assert np.allclose(mlp_forward(enc, x, "eval"), enc.forward(x, "eval"))
-        stack = AuxGcnStack(2, 0, rng)
-        sim = loop_graph(np.zeros((4, 4)))
-        h = np.ascontiguousarray(x[:, :2])
-        assert gcn_forward(stack, sim, h, "eval") is h
 
 
 class TestStage1Loss:
@@ -209,6 +314,20 @@ class TestStage1Loss:
         b = build_extractor(3, 2, [3], 0, rng)
         with pytest.raises(ValueError, match="forward"):
             stage1_loss_and_grad(a, b, [[0, 0, 1.0]])
+
+    def test_gradient_scatter_equals_add_at(self):
+        rng = np.random.default_rng(3)
+        a_u, a_v = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        batch = np.column_stack([rng.integers(0, 5, 200), rng.integers(0, 4, 200),
+                                 rng.random(200)])
+        _, dAu, dAv = squared_score_loss(a_u, a_v, batch)
+        u, i = batch[:, 0].astype(np.int64), batch[:, 1].astype(np.int64)
+        e = np.einsum("ij,ij->i", a_u[u], a_v[i]) - batch[:, 2]
+        expect_u, expect_v = np.zeros_like(a_u), np.zeros_like(a_v)
+        np.add.at(expect_u, u, (2.0 * e)[:, None] * a_v[i])
+        np.add.at(expect_v, i, (2.0 * e)[:, None] * a_u[u])
+        assert np.array_equal(dAu, expect_u)
+        assert np.array_equal(dAv, expect_v)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

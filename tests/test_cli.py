@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from crossfuse import synthetic
 from crossfuse.cli import main
-from crossfuse.trainer import load_checkpoint
+from crossfuse.trainer import Checkpoint, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,19 @@ class TestPipeline:
         kl = json.loads((out / "kl.json").read_text())
         assert kl["kl"] >= 0.0
 
+    def test_evaluate_scores_the_best_validation_table(self, workspace, tmp_path):
+        out, cfg = workspace["out"], str(workspace["config"])
+        ckpt = load_checkpoint(out / "model.ckpt")
+        assert np.isfinite(ckpt.meta["best_metric"])
+        assert not np.array_equal(ckpt.tensors["table"], ckpt.tensors["best_table"])
+        best_only = tmp_path / "best_only.ckpt"
+        save_checkpoint(best_only, Checkpoint(ckpt.meta, {**ckpt.tensors,
+                                                          "table": ckpt.tensors["best_table"]}))
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(best_only)]) == 0
+        expect = json.loads((out / "metrics.json").read_text())
+        assert main(["evaluate", "--config", cfg]) == 0
+        assert json.loads((out / "metrics.json").read_text()) == expect
+
     def test_manifest_contents(self, workspace):
         doc = json.loads((workspace["out"] / "manifest_train.json").read_text())
         assert doc["command"] == "train"
@@ -165,6 +179,13 @@ class TestExitCodes:
         cfg.write_text("[train]\nepochs = 1\n", encoding="utf-8")
         assert main(["prepare", "--config", str(cfg)]) == 2
 
+    def test_bad_fusion_variant_in_train_is_config_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text(workspace["config"].read_text().replace(
+            "[fusion]\n", "[fusion]\nvariant = bogus\n"), encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "config error: unknown fusion variant 'bogus'" in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[paths]\ninteractions = {tmp_path}/absent.tsv\n"
@@ -174,8 +195,8 @@ class TestExitCodes:
     def test_verify_gradients_passes(self, capsys):
         assert main(["verify-gradients", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 12
-        assert "all 12 gradient checks passed" in out
+        assert out.count("PASS") == 13
+        assert "all 13 gradient checks passed" in out
 
     def test_verify_gradients_fails_with_impossible_tolerance(self, capsys):
         assert main(["verify-gradients", "--seed", "7", "--exact-tol", "1e-18"]) == 4

@@ -36,8 +36,8 @@ def test_random_instance_is_well_formed():
 def test_suite_passes_and_is_complete():
     results = run_suite(seed=123)
     names = [r.name for r in results]
-    assert len(results) == 12
-    assert len(set(names)) == 12
+    assert len(results) == 13
+    assert len(set(names)) == 13
     for r in results:
         assert r.passed, f"{r.name}: {r.max_error}"
 

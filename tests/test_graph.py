@@ -194,3 +194,26 @@ class TestPersistence:
         assert set(R.data.tolist()) == {1.0}
         assert R.shape == (6, 8)
         check_csr(R)
+
+
+class TestCheckCsr:
+    @staticmethod
+    def raw_csr(indptr, indices, shape=(4, 5)):
+        # built from raw arrays so scipy neither sorts nor merges the indices
+        return sp.csr_matrix((np.ones(len(indices)), np.array(indices), np.array(indptr)),
+                             shape=shape)
+
+    def test_accepts_sorted_rows_across_row_boundaries(self):
+        # row 0 ends at column 4 and row 2 starts at column 0; row 1 is empty
+        check_csr(self.raw_csr([0, 2, 2, 4, 5], [1, 4, 0, 3, 2]))
+        check_csr(sp.csr_matrix((3, 3)))
+
+    def test_unsorted_indices_name_the_first_bad_row(self):
+        mat = self.raw_csr([0, 1, 1, 3, 5], [2, 4, 1, 3, 0])
+        with pytest.raises(ValueError, match="row 2 has unsorted"):
+            check_csr(mat)
+
+    def test_duplicate_indices_rejected(self):
+        mat = self.raw_csr([0, 1, 3, 3, 3], [0, 2, 2])
+        with pytest.raises(ValueError, match="row 1 has unsorted or duplicate"):
+            check_csr(mat)
