@@ -3,13 +3,13 @@
 A propagation-only backbone: layer-0 embeddings are repeatedly multiplied by
 the normalized bipartite adjacency and the per-layer results are combined
 with fixed layer weights.  The pairwise ranking loss pushes observed items
-above sampled negatives, with gradients backpropagated through the retained
-propagation layers into the layer-0 table.
+above sampled negatives, with gradients backpropagated through the same
+propagation chain into the layer-0 table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -95,11 +95,10 @@ def init_embeddings(count: int, dim: int, seed: int) -> EmbeddingTable:
 
 @dataclass
 class GraphFeatures:
-    """Combined propagation output with per-layer activations retained."""
+    """Combined propagation output, split into user and item rows."""
 
     values: np.ndarray
     num_users: int
-    layers: list[np.ndarray] = field(default_factory=list)
 
     @property
     def users(self) -> np.ndarray:
@@ -121,7 +120,11 @@ class Backbone(Protocol):
 
 
 class LightGCN:
-    """Parameter-free propagation: features = sum_k alpha_k * adj^k @ E0."""
+    """Parameter-free propagation: features = sum_k alpha_k * adj^k @ E0.
+
+    The adjacency must be symmetric (the normalized bipartite graph is), so
+    the backward pass multiplies by ``adj`` itself in place of its transpose.
+    """
 
     def __init__(self, adj: sp.csr_matrix, num_users: int, cfg: BackboneConfig):
         cfg.validate()
@@ -130,7 +133,8 @@ class LightGCN:
         if not 0 < num_users < adj.shape[0]:
             raise ValueError("num_users must split the adjacency into two non-empty blocks")
         self.adj = adj.tocsr()
-        self.adj_t = self.adj.T.tocsr()
+        if (self.adj != self.adj.T).nnz:
+            raise ValueError("adjacency must be symmetric")
         self.num_users = num_users
         self.cfg = cfg
         self.alphas = cfg.resolved_alphas()
@@ -139,22 +143,21 @@ class LightGCN:
         if table.count != self.adj.shape[0]:
             raise ValueError(f"embedding table has {table.count} rows, adjacency expects "
                              f"{self.adj.shape[0]}")
-        layers = [table.values]
-        for _ in range(self.cfg.num_layers):
-            layers.append(np.asarray(self.adj @ layers[-1]))
-        values = self.alphas[0] * layers[0]
-        for k in range(1, len(layers)):
-            values = values + self.alphas[k] * layers[k]
-        return GraphFeatures(values=values, num_users=self.num_users, layers=layers)
+        cur = table.values
+        values = self.alphas[0] * cur
+        for k in range(1, self.cfg.num_layers + 1):
+            cur = np.asarray(self.adj @ cur)
+            values += self.alphas[k] * cur
+        return GraphFeatures(values=values, num_users=self.num_users)
 
     def backward(self, d_features: np.ndarray) -> np.ndarray:
         """Pull a gradient on the combined features back to the layer-0 table
-        via the transpose chain sum_k alpha_k (adj^T)^k."""
+        via the transpose chain sum_k alpha_k (adj^T)^k, with adj^T = adj."""
         out = self.alphas[0] * d_features
         cur = d_features
         for k in range(1, self.cfg.num_layers + 1):
-            cur = np.asarray(self.adj_t @ cur)
-            out = out + self.alphas[k] * cur
+            cur = np.asarray(self.adj @ cur)
+            out += self.alphas[k] * cur
         return out
 
 

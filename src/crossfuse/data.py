@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -504,26 +504,56 @@ def split_dataset(ds: InteractionDataset, ratios: tuple[float, float, float],
     return ds.with_split(split)
 
 
-class NegativeSamples(NamedTuple):
-    items: np.ndarray
-    exhausted: bool
+def _replay(rng: np.random.Generator, state: dict, m: int, count: int) -> None:
+    """Put ``rng`` where ``count`` scalar ``integers(0, m)`` calls from ``state``
+    would leave it; one ``size=count`` call consumes the stream identically."""
+    rng.bit_generator.state = state
+    rng.integers(0, m, size=count)
 
 
-def sample_negatives(ds: InteractionDataset, u: int, count: int,
-                     rng: np.random.Generator) -> NegativeSamples:
-    """Draw items the user has not interacted with in the train split.
+def sample_negatives(ds: InteractionDataset, users: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One uniform unseen train item for each listed user, in order.
 
-    Sampling is uniform over the complement of the user's train items,
-    without replacement within one call whenever the pool is large enough.
-    A user who has interacted with every item yields an empty, flagged
-    result.
+    Per user: up to 64 rejection draws of ``rng.integers(0, m)``, then a
+    uniform choice from the exact complement of the user's train items.  The
+    draws are taken in blocks from a snapshot of ``rng`` and the stream is
+    replayed to the number actually used, so the result and the final state
+    of ``rng`` are exactly those of drawing row by row.  A user who has every
+    item in train raises :class:`DataError`.
     """
-    pos = ds.train_items(u)
-    mask = np.ones(ds.m, dtype=bool)
-    mask[pos] = False
-    pool = np.flatnonzero(mask)
-    if len(pool) == 0:
-        return NegativeSamples(np.empty(0, dtype=np.int64), True)
-    replace = len(pool) < count
-    picked = rng.choice(pool, size=count, replace=replace)
-    return NegativeSamples(picked.astype(np.int64), False)
+    users = np.asarray(users, dtype=np.int64).tolist()
+    m = ds.m
+    item_sets = ds._ensure_adjacency()[2]
+    # Room for rejections (about 7% of draws on the desk data), so one block
+    # usually covers the batch; a short block is topped up, never redrawn.
+    slack = len(users) // 8 + 16
+    start = rng.bit_generator.state
+    block = rng.integers(0, m, size=len(users) + slack).tolist()
+    used = 0
+    out = []
+    for k, u in enumerate(users):
+        pos = item_sets[u]
+        if len(pos) >= m:
+            _replay(rng, start, m, used)
+            raise DataError(f"user {u} has interacted with every item; "
+                            f"no negative can be sampled")
+        tries = 0
+        while True:
+            if used == len(block):
+                block += rng.integers(0, m, size=len(users) - k + slack).tolist()
+            i = block[used]
+            used += 1
+            if i not in pos:
+                break
+            tries += 1
+            if tries == 64:
+                _replay(rng, start, m, used)
+                i = int(rng.choice(np.setdiff1d(np.arange(m), ds.train_items(u))))
+                start = rng.bit_generator.state
+                block = rng.integers(0, m, size=len(users) - k - 1 + slack).tolist()
+                used = 0
+                break
+        out.append(i)
+    _replay(rng, start, m, used)
+    return np.array(out, dtype=np.int64)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import auxnet, fusion
 from .backbone import Backbone, BackboneConfig, EmbeddingTable, LightGCN
-from .data import TRAIN, VALIDATION, InteractionDataset
+from .data import TRAIN, VALIDATION, InteractionDataset, sample_negatives
 from .evaluate import ranking_metrics, recommend_all
 from .optim import Param, make_optimizer
 
@@ -103,23 +103,11 @@ class TrainingLog:
                 fh.write(f"{r.stage}\t{r.epoch}\t{r.loss!r}\t{val}\t{r.wall_time:.3f}\n")
 
 
-def _sample_negative(ds: InteractionDataset, u: int, rng: np.random.Generator) -> int:
-    """One uniform unseen item via rejection; exact-pool fallback for dense users."""
-    pos = ds.train_item_set(u)
-    if len(pos) >= ds.m:
-        raise ValueError(f"user {u} has interacted with every item")
-    for _ in range(64):
-        i = int(rng.integers(0, ds.m))
-        if i not in pos:
-            return i
-    pool = np.setdiff1d(np.arange(ds.m), ds.train_items(u))
-    return int(rng.choice(pool))
-
-
 def _pad_with_negatives(ds: InteractionDataset, batch: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
     """1:1 zero-rated negative rows appended to a (u, i, r) batch."""
-    negs = np.array([[u, _sample_negative(ds, int(u), rng), 0.0] for u, _, _ in batch])
+    negs = np.column_stack([batch[:, 0], sample_negatives(ds, batch[:, 0], rng),
+                            np.zeros(len(batch))])
     return np.concatenate([batch, negs], axis=0)
 
 
@@ -225,8 +213,7 @@ def _make_ranked_batch(ds, triplets, idx, rng) -> np.ndarray:
     out = np.empty((len(rows), 3), dtype=np.int64)
     out[:, 0] = rows[:, 0].astype(np.int64)
     out[:, 1] = rows[:, 1].astype(np.int64)
-    for k, u in enumerate(out[:, 0]):
-        out[k, 2] = _sample_negative(ds, int(u), rng)
+    out[:, 2] = sample_negatives(ds, out[:, 0], rng)
     return out
 
 
@@ -271,7 +258,8 @@ def _run_stage2_loop(ds, adj, table, a_users, a_items, bcfg, cfg, fcfg,
     opt = make_optimizer(cfg.optimizer, params, cfg.eta2)
     rng = np.random.default_rng(cfg.seed)
     triplets = ds.triplets(TRAIN)
-    val_users = sorted(set(ds.users[ds.split_indices(VALIDATION)].tolist()))
+    val_truth = _split_truth(ds, VALIDATION)
+    val_users = sorted(val_truth)
 
     start_epoch = 0
     best_values = table.values.copy()
@@ -324,7 +312,7 @@ def _run_stage2_loop(ds, adj, table, a_users, a_items, bcfg, cfg, fcfg,
                 a_users, a_items,
                 tuple(p.value for p in w_params) if w_params else None)
             recs = recommend_all(eff_u, eff_v, ds, 10, val_users)
-            report = ranking_metrics(recs, _split_truth(ds, VALIDATION), [10])
+            report = ranking_metrics(recs, val_truth, [10])
             val_metric = report.means["ndcg"][10]
             if val_metric > best_metric:
                 best_metric = val_metric

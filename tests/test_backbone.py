@@ -99,14 +99,11 @@ class TestLightGCNForward:
             oracle = oracle + alphas[k] * (power @ dG)
         assert np.max(np.abs(model.backward(dG) - oracle)) <= 1e-10
 
-    def test_per_layer_activations_retained(self, tiny_dataset):
-        adj = normalize_bipartite(tiny_dataset)
-        cfg = BackboneConfig(dim=2, num_layers=2)
-        model = LightGCN(adj, tiny_dataset.n, cfg)
-        table = init_embeddings(adj.shape[0], 2, seed=0)
-        feats = model.forward(table)
-        assert len(feats.layers) == 3
-        assert feats.layers[0] is table.values
+    def test_asymmetric_adjacency_rejected(self, tiny_dataset):
+        adj = normalize_bipartite(tiny_dataset).tolil()
+        adj[0, tiny_dataset.n] *= 2.0
+        with pytest.raises(ValueError, match="symmetric"):
+            LightGCN(adj.tocsr(), tiny_dataset.n, BackboneConfig(dim=2, num_layers=1))
 
 
 class TestBprLoss:

@@ -192,6 +192,18 @@ class TestExitCodes:
                        f"output_dir = {tmp_path}/out\n", encoding="utf-8")
         assert main(["prepare", "--config", str(cfg)]) == 3
 
+    def test_user_with_every_item_is_data_error(self, tmp_path, capsys):
+        # Users with fewer rows than splits stay in train, so "a" holds both items.
+        (tmp_path / "log.tsv").write_text("a\tx\t1\na\ty\t1\nb\tx\t1\nc\ty\t1\n",
+                                          encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[paths]\ninteractions = {tmp_path}/log.tsv\n"
+                       f"output_dir = {tmp_path}/out\n[fusion]\nvariant = none\n"
+                       f"[train]\nepochs = 1\n", encoding="utf-8")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "has interacted with every item" in capsys.readouterr().err
+
     def test_verify_gradients_passes(self, capsys):
         assert main(["verify-gradients", "--seed", "7"]) == 0
         out = capsys.readouterr().out

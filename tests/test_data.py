@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfuse.data import (TEST, TRAIN, VALIDATION, DataError,
                             InteractionDataset, InteractionSchema, encode_auxiliary,
@@ -192,33 +194,123 @@ class TestSplitDataset:
             split_dataset(ds, (0.0, 0.5, 0.5), seed=0)
 
 
+def per_row_negatives(ds, users, rng):
+    """Reference sampler: one scalar draw at a time, row by row, exactly as the
+    training loop drew before sampling was batched.  Returns the negatives,
+    the number of rejection draws and the number of exact-pool fallbacks."""
+    out, draws, fallbacks = [], 0, 0
+    for u in users:
+        pos = ds.train_item_set(int(u))
+        if len(pos) >= ds.m:
+            raise ValueError(f"user {u} has interacted with every item")
+        for _ in range(64):
+            i = int(rng.integers(0, ds.m))
+            draws += 1
+            if i not in pos:
+                break
+        else:
+            fallbacks += 1
+            pool = np.setdiff1d(np.arange(ds.m), ds.train_items(int(u)))
+            i = int(rng.choice(pool))
+        out.append(i)
+    return np.array(out, dtype=np.int64), draws, fallbacks
+
+
+def assert_replays_per_row(ds, users, seed):
+    """The batched sampler returns the per-row negatives and leaves the
+    generator in the per-row end state; returns the reference's counts."""
+    ref_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    expected, draws, fallbacks = per_row_negatives(ds, users, ref_rng)
+    got = sample_negatives(ds, np.asarray(users, dtype=np.int64), rng)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return draws, fallbacks
+
+
+def dataset_from_sets(m, held):
+    """All-train implicit dataset where user u holds the items in held[u]."""
+    users = [u for u, items in enumerate(held) for _ in items]
+    items = [i for items in held for i in sorted(items)]
+    return InteractionDataset(n=len(held), m=m, users=np.array(users), items=np.array(items),
+                              ratings=np.ones(len(users)),
+                              split=np.zeros(len(users), dtype=np.int8))
+
+
+@st.composite
+def sampling_cases(draw):
+    m = draw(st.integers(2, 40))
+    n = draw(st.integers(1, 6))
+    held = [draw(st.sets(st.integers(0, m - 1), max_size=m - 1)) for _ in range(n)]
+    if not any(held):
+        held[0] = {0}
+    users = draw(st.lists(st.integers(0, n - 1), max_size=60))
+    return dataset_from_sets(m, held), users, draw(st.integers(0, 2**32 - 1))
+
+
 class TestSampleNegatives:
     def test_negatives_avoid_seen_items(self, tiny_dataset):
         rng = np.random.default_rng(0)
-        seen = set(tiny_dataset.train_items(0).tolist())
+        users = np.repeat(np.arange(tiny_dataset.n), 5)
         for _ in range(20):
-            out = sample_negatives(tiny_dataset, 0, 3, rng)
-            assert not out.exhausted
-            assert not (set(out.items.tolist()) & seen)
-
-    def test_without_replacement_within_call(self, tiny_dataset):
-        rng = np.random.default_rng(1)
-        out = sample_negatives(tiny_dataset, 0, 5, rng)  # pool size 5
-        assert len(set(out.items.tolist())) == 5
-
-    def test_full_user_flagged(self):
-        users = np.array([0, 0, 1])
-        items = np.array([0, 1, 0])
-        ds = InteractionDataset(n=2, m=2, users=users, items=items,
-                                ratings=np.ones(3), split=np.zeros(3, dtype=np.int8))
-        out = sample_negatives(ds, 0, 1, np.random.default_rng(0))
-        assert out.exhausted
-        assert len(out.items) == 0
+            out = sample_negatives(tiny_dataset, users, rng)
+            assert len(out) == len(users)
+            for u, i in zip(users, out):
+                assert 0 <= i < tiny_dataset.m
+                assert i not in tiny_dataset.train_item_set(int(u))
 
     def test_deterministic_given_seed(self, tiny_dataset):
-        a = sample_negatives(tiny_dataset, 2, 4, np.random.default_rng(9))
-        b = sample_negatives(tiny_dataset, 2, 4, np.random.default_rng(9))
-        assert np.array_equal(a.items, b.items)
+        users = np.array([2, 2, 0, 5, 2])
+        a = sample_negatives(tiny_dataset, users, np.random.default_rng(9))
+        b = sample_negatives(tiny_dataset, users, np.random.default_rng(9))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sparse_users_replay_per_row_stream(self, tiny_dataset, seed):
+        users = np.random.default_rng(100 + seed).integers(0, tiny_dataset.n, size=50)
+        assert_replays_per_row(tiny_dataset, users, seed)
+
+    def test_fallback_mid_batch_replays_per_row_stream(self):
+        held = [set(range(199)), {3, 7}, {0}, set(range(0, 200, 2))]
+        ds = dataset_from_sets(200, held)
+        # A sparse user after each fallback takes the next draw, so a fallback
+        # one draw early or late shows in the outputs.
+        users = [1, 0, 2, 0, 3, 0, 1, 0, 2, 0, 3]
+        _, fallbacks = assert_replays_per_row(ds, users, seed=0)
+        assert fallbacks > 0
+
+    def test_empty_user_list_draws_nothing(self, tiny_dataset):
+        rng = np.random.default_rng(3)
+        out = sample_negatives(tiny_dataset, np.empty(0, dtype=np.int64), rng)
+        assert out.shape == (0,) and out.dtype == np.int64
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+    def test_block_refill_replays_per_row_stream(self):
+        # Users holding 3/4 of the items reject about three draws in four, so
+        # the draws run well past one block of len(users) plus slack.
+        rng = np.random.default_rng(5)
+        held = [set(rng.choice(40, size=30, replace=False).tolist()) for _ in range(10)]
+        ds = dataset_from_sets(40, held)
+        users = rng.integers(0, 10, size=200)
+        draws, _ = assert_replays_per_row(ds, users, seed=11)
+        assert draws > 2 * len(users)
+
+    def test_full_user_is_data_error(self):
+        ds = dataset_from_sets(2, [{0, 1}, {0}])
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match="user 0 has interacted with every item"):
+            sample_negatives(ds, np.array([1, 0, 1]), rng)
+        # The rows before the full user were drawn, as row by row.
+        ref_rng = np.random.default_rng(0)
+        per_row_negatives(ds, [1], ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(sampling_cases())
+    def test_replays_per_row_stream_on_random_datasets(self, case):
+        ds, users, seed = case
+        assert_replays_per_row(ds, users, seed)
 
 
 class TestDatasetInvariants:
