@@ -3,14 +3,13 @@
 A propagation-only backbone: layer-0 embeddings are repeatedly multiplied by
 the normalized bipartite adjacency and the per-layer results are combined
 with fixed layer weights.  The pairwise ranking loss pushes observed items
-above sampled negatives, with gradients backpropagated through the same
-propagation chain into the layer-0 table.
+above sampled negatives; its feature-level gradient is pulled back through the
+same propagation chain into the layer-0 table by ``LightGCN.backward``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,52 +44,12 @@ class BackboneConfig:
         self.resolved_alphas()
 
 
-class EmbeddingTable:
-    """Dense per-node vectors with a same-shape gradient buffer."""
-
-    def __init__(self, values: np.ndarray):
-        self._param = Param(values, name="embeddings")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._param.value
-
-    @values.setter
-    def values(self, arr: np.ndarray) -> None:
-        self._param.value = np.asarray(arr, dtype=np.float64)
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self._param.grad
-
-    @grad.setter
-    def grad(self, arr: np.ndarray) -> None:
-        self._param.grad = np.asarray(arr, dtype=np.float64)
-
-    @property
-    def count(self) -> int:
-        return self._param.value.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self._param.value.shape[1]
-
-    def zero_grad(self) -> None:
-        self._param.zero_grad()
-
-    def params(self) -> list[Param]:
-        return [self._param]
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.values.copy())
-
-
-def init_embeddings(count: int, dim: int, seed: int) -> EmbeddingTable:
-    """Fresh table with entries drawn from a normal(0, 0.01) distribution."""
+def init_embeddings(count: int, dim: int, seed: int) -> Param:
+    """Fresh layer-0 table with entries drawn from a normal(0, 0.01) distribution."""
     if count < 1 or dim < 1:
         raise ValueError("count and dim must be >= 1")
     rng = np.random.default_rng(seed)
-    return EmbeddingTable(rng.normal(0.0, 0.01, size=(count, dim)))
+    return Param(rng.normal(0.0, 0.01, size=(count, dim)), "embeddings")
 
 
 @dataclass
@@ -107,16 +66,6 @@ class GraphFeatures:
     @property
     def items(self) -> np.ndarray:
         return self.values[self.num_users:]
-
-
-class Backbone(Protocol):
-    """Graph feature extractors plug in behind this forward/backward pair."""
-
-    num_users: int
-
-    def forward(self, table: EmbeddingTable) -> GraphFeatures: ...
-
-    def backward(self, d_features: np.ndarray) -> np.ndarray: ...
 
 
 class LightGCN:
@@ -139,11 +88,11 @@ class LightGCN:
         self.cfg = cfg
         self.alphas = cfg.resolved_alphas()
 
-    def forward(self, table: EmbeddingTable) -> GraphFeatures:
-        if table.count != self.adj.shape[0]:
-            raise ValueError(f"embedding table has {table.count} rows, adjacency expects "
-                             f"{self.adj.shape[0]}")
-        cur = table.values
+    def forward(self, table: Param) -> GraphFeatures:
+        if table.value.shape[0] != self.adj.shape[0]:
+            raise ValueError(f"embedding table has {table.value.shape[0]} rows, adjacency "
+                             f"expects {self.adj.shape[0]}")
+        cur = table.value
         values = self.alphas[0] * cur
         for k in range(1, self.cfg.num_layers + 1):
             cur = np.asarray(self.adj @ cur)
@@ -204,16 +153,3 @@ def bpr_loss_and_feature_grad(users_feat: np.ndarray, items_feat: np.ndarray,
     np.add.at(dV, ineg, -c[:, None] * gu)
     return loss, dU, dV
 
-
-def bpr_loss_and_grad(model: Backbone, feats: GraphFeatures, table: EmbeddingTable,
-                      batch, lambda_reg: float | None = None) -> float:
-    """Ranking loss plus squared-norm regularizer on the layer-0 table;
-    gradients accumulate into the table's buffer through the propagation."""
-    lam = model.cfg.lambda_reg if lambda_reg is None else lambda_reg
-    loss, dU, dV = bpr_loss_and_feature_grad(feats.users, feats.items, batch)
-    dG = np.concatenate([dU, dV], axis=0)
-    table.grad += model.backward(dG)
-    if lam:
-        loss += lam * float(np.sum(table.values ** 2))
-        table.grad += 2.0 * lam * table.values
-    return loss

@@ -20,17 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, auxnet, fusion, gradcheck
-from .backbone import init_embeddings
+from .backbone import LightGCN, init_embeddings
 from .config import ConfigError, RunConfig, load_config
 from .data import (DataError, InteractionDataset, InteractionSchema, encode_auxiliary,
-                   load_interactions, make_fields, split_dataset, write_remap_table, TEST)
+                   load_interactions, make_fields, split_dataset, split_truth,
+                   write_remap_table, TEST)
 from .evaluate import (category_kl, ranking_metrics, recommend_all,
                        write_report_json, write_report_text)
 from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
                     load_graph, normalize_bipartite, save_graph)
-from .trainer import (DivergenceError, PipelineOrderError, TrainingLog,
-                      load_checkpoint, pack_stage2_state, save_checkpoint,
-                      train_stage1, train_stage2, _run_stage2_loop, _split_truth)
+from .optim import Param
+from .trainer import (Checkpoint, DivergenceError, PipelineOrderError, load_checkpoint,
+                      pack_stage2_state, save_checkpoint, train_stage1, train_stage2)
 
 
 class UsageError(Exception):
@@ -255,7 +256,6 @@ def cmd_train_aux(args) -> int:
     auxnet.save_dense_matrix(out / "aux_users.mat", result.user_features)
     auxnet.save_dense_matrix(out / "aux_items.mat", result.item_features)
     state = {**result.user_net.state_arrays("user"), **result.item_net.state_arrays("item")}
-    from .trainer import Checkpoint
     save_checkpoint(out / "aux_state.ckpt",
                     Checkpoint(meta={"kind": "stage1", "config": cfg.snapshot()},
                                tensors=state))
@@ -276,13 +276,7 @@ def _load_aux(out: Path, args) -> tuple[np.ndarray | None, np.ndarray | None]:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, preset=args.preset)
-    bcfg, tcfg, fcfg = cfg.backbone_config(), cfg.train_config(), cfg.fusion_config()
-    try:
-        bcfg.validate()
-        tcfg.validate()
-        fcfg.validate(dim=bcfg.dim)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fcfg = cfg.fusion_config()
     out = _out_dir(cfg)
     ds = _load_dataset(out)
     adj = load_graph(out / "adjacency.graph")
@@ -292,17 +286,14 @@ def cmd_train(args) -> int:
                                  "`crossfuse train-aux` first or pass --aux-users/--aux-items")
 
     table = init_embeddings(ds.n + ds.m, cfg.dim, cfg.seed)
-    log = TrainingLog()
-    state, model, w_params, epochs_run = _run_stage2_loop(
-        ds, adj, table, a_users, a_items, bcfg, tcfg, fcfg, None, log)
-    if np.isfinite(state.best_metric):
-        table.values[...] = state.best_values
-    ckpt = pack_stage2_state(state, cfg.snapshot(), a_users, a_items)
+    result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone_config(),
+                          cfg.train_config(), fcfg)
+    ckpt = pack_stage2_state(result.state, cfg.snapshot(), a_users, a_items)
     save_checkpoint(out / "model.ckpt", ckpt)
-    log.write(out / "train_log.tsv")
+    result.log.write(out / "train_log.tsv")
     _write_manifest(out, "train", cfg, [Path(args.config)])
-    best = state.best_metric if np.isfinite(state.best_metric) else float("nan")
-    print(f"stage 2 done: {epochs_run} epochs, best validation ndcg@10 {best:.6g}")
+    best = result.best_metric if np.isfinite(result.best_metric) else float("nan")
+    print(f"stage 2 done: {result.epochs_run} epochs, best validation ndcg@10 {best:.6g}")
     return 0
 
 
@@ -336,10 +327,9 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{ckpt_path} not found; run `crossfuse train` first")
     ckpt = load_checkpoint(ckpt_path)
 
-    from .backbone import EmbeddingTable, LightGCN
-    # score the table training selected, as `train` and `train_stage2` restore it
+    # score the table training selected, as `train_stage2` restores it
     selected = "best_table" if np.isfinite(ckpt.meta["best_metric"]) else "table"
-    table = EmbeddingTable(ckpt.tensors[selected])
+    table = Param(ckpt.tensors[selected], "embeddings")
     model = LightGCN(adj, ds.n, cfg.backbone_config())
     feats = model.forward(table)
     a_users = ckpt.tensors.get("aux_users")
@@ -351,7 +341,7 @@ def cmd_evaluate(args) -> int:
     eff_u, eff_v = fusion.effective_features(cfg.variant, feats.users, feats.items,
                                              a_users, a_items, weights)
 
-    truth = _split_truth(ds, TEST)
+    truth = split_truth(ds, TEST)
     recs = recommend_all(eff_u, eff_v, ds, max(cfg.topn), sorted(truth))
     report = ranking_metrics(recs, truth, cfg.topn, keep_per_user=args.per_user)
     write_report_text(report, out / "metrics.tsv")
@@ -387,6 +377,7 @@ def cmd_ablate(args) -> int:
     if a_users is None:
         raise PipelineOrderError("ablation needs stage-1 products; run `crossfuse train-aux`")
 
+    truth = split_truth(ds, TEST)
     rows = []
     for variant in ("cross", "concat", "plain-sum", "weighted-sum", "none"):
         vcfg = cfg.fusion_config()
@@ -398,7 +389,6 @@ def cmd_ablate(args) -> int:
         weights = tuple(result.fusion_weights) if result.fusion_weights else None
         eff_u, eff_v = fusion.effective_features(variant, feats.users, feats.items,
                                                  a_users, a_items, weights)
-        truth = _split_truth(ds, TEST)
         recs = recommend_all(eff_u, eff_v, ds, max(cfg.topn), sorted(truth))
         report = ranking_metrics(recs, truth, cfg.topn)
         row = {"variant": variant}

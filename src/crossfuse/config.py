@@ -181,7 +181,8 @@ GRIDS = {
 
 
 def load_config(path: str | Path, preset: str | None = None) -> RunConfig:
-    """Parse a sectioned key = value file; unknown keys are errors."""
+    """Parse a sectioned key = value file; unknown keys and values the
+    backbone, train or fusion configs reject are errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
@@ -202,6 +203,12 @@ def load_config(path: str | Path, preset: str | None = None) -> RunConfig:
                 setattr(cfg, attr, parse(raw))
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r} ({exc})") from exc
+    try:
+        cfg.backbone_config().validate()
+        cfg.train_config().validate()
+        cfg.fusion_config().validate(dim=cfg.dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 

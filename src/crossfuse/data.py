@@ -504,6 +504,16 @@ def split_dataset(ds: InteractionDataset, ratios: tuple[float, float, float],
     return ds.with_split(split)
 
 
+def split_truth(ds: InteractionDataset, tag: int) -> dict[int, set[int]]:
+    """Each user's items in one split, keyed by user index; users without
+    an interaction in the split are absent."""
+    idx = ds.split_indices(tag)
+    truth: dict[int, set[int]] = {}
+    for u, i in zip(ds.users[idx].tolist(), ds.items[idx].tolist()):
+        truth.setdefault(u, set()).add(i)
+    return truth
+
+
 def _replay(rng: np.random.Generator, state: dict, m: int, count: int) -> None:
     """Put ``rng`` where ``count`` scalar ``integers(0, m)`` calls from ``state``
     would leave it; one ``size=count`` call consumes the stream identically."""

@@ -5,7 +5,8 @@ computed per pair: r_a = a_u.a_i, r_c1 = g_u.a_i, r_c2 = a_u.g_i.  Fusion
 minimizes (r_a - r_c1)^2 and (r_a - r_c2)^2 so the two feature spaces agree
 on predictions instead of coordinates; no new parameters are introduced.
 The module also carries the concatenation and (weighted) summation baseline
-losses, a temporal variant that couples consecutive-period embeddings, and
+losses, the one stage-2 objective and step every variant trains through, a
+temporal variant that couples consecutive-period embeddings, and
 independently coded closed-form gradients used to cross-check every backward
 pass.
 """
@@ -16,14 +17,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import Backbone, EmbeddingTable, GraphFeatures, bpr_loss_and_feature_grad
+from .backbone import GraphFeatures, LightGCN, bpr_loss_and_feature_grad
+from .optim import Param
 
 VARIANTS = ("cross", "concat", "plain-sum", "weighted-sum", "none")
 
 
 @dataclass
 class FusionConfig:
-    """Fusion variant, loss weights, and the stage-2 graph-loss flavor."""
+    """Fusion variant, loss weights, and the stage-2 graph-loss flavor.
+
+    ``include_negatives`` applies to ``graph_loss = "bpr"`` only: it adds each
+    (user, sampled negative) pair to the cross terms.  Under ``"mse"`` the
+    batch already holds the zero-rated padded negatives as rows, so they
+    always enter the cross terms and the flag changes nothing.  The baselines
+    (concat, plain-sum, weighted-sum) always train on rated rows and ignore
+    both ``graph_loss`` and the flag.
+    """
 
     variant: str = "cross"
     lambda1: float = 0.05
@@ -53,6 +63,12 @@ class FusionConfig:
     @property
     def active(self) -> bool:
         return self.variant != "none"
+
+    @property
+    def rated(self) -> bool:
+        """Whether batches are (user, item, rating) rows rather than
+        (user, positive, negative) triplets."""
+        return self.variant in ("concat", "plain-sum", "weighted-sum") or self.graph_loss == "mse"
 
 
 def parameter_count(cfg: FusionConfig, dim: int) -> int:
@@ -134,65 +150,6 @@ def mse_graph_loss(g_users: np.ndarray, g_items: np.ndarray, batch
     return loss, dGu, dGv
 
 
-def fused_mse_feature_grad(g_users, g_items, a_users, a_items, batch,
-                           lambda1: float, lambda2: float
-                           ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Full squared-error objective (graph loss plus weighted score-agreement
-    terms) with gradients at the feature level."""
-    cfg = FusionConfig(variant="cross", lambda1=lambda1, lambda2=lambda2, graph_loss="mse")
-    loss, dGu, dGv = mse_graph_loss(g_users, g_items, batch)
-    l1, l2, cGu, cGv = cross_fusion_loss(g_users, g_items, a_users, a_items, batch, cfg)
-    return loss + lambda1 * l1 + lambda2 * l2, dGu + cGu, dGv + cGv
-
-
-def fused_objective_grad(model: Backbone, feats: GraphFeatures, table: EmbeddingTable,
-                         a_users: np.ndarray | None, a_items: np.ndarray | None,
-                         batch, cfg: FusionConfig | None,
-                         lambda_reg: float | None = None) -> float:
-    """Stage-2 objective: graph loss plus the configured fusion terms.
-
-    ``batch`` rows are (user, positive, negative) for the pairwise graph loss
-    and (user, item, rating) for the squared-error flavor.  Gradients
-    accumulate into the embedding table through the backbone propagation; the
-    auxiliary features never receive gradient.
-    """
-    lam = model.cfg.lambda_reg if lambda_reg is None else lambda_reg
-    fusion_on = cfg is not None and cfg.active
-    if fusion_on and (a_users is None or a_items is None):
-        raise ValueError("fusion requires the stage-1 auxiliary features")
-    if fusion_on and a_users.shape[1] != feats.values.shape[1]:
-        raise ValueError("auxiliary and graph feature dimensions differ")
-
-    if cfg is not None and cfg.graph_loss == "mse":
-        loss, dU, dV = mse_graph_loss(feats.users, feats.items, batch)
-        pairs = np.asarray(batch)[:, :2]
-    else:
-        loss, dU, dV = bpr_loss_and_feature_grad(feats.users, feats.items, batch)
-        arr = np.asarray(batch).astype(np.int64)
-        pairs = arr[:, :2]
-        if fusion_on and cfg.include_negatives:
-            pairs = np.concatenate([pairs, arr[:, [0, 2]]], axis=0)
-
-    if fusion_on:
-        if cfg.variant == "cross":
-            if cfg.lambda1 or cfg.lambda2:
-                l1, l2, cU, cV = cross_fusion_loss(feats.users, feats.items,
-                                                   a_users, a_items, pairs, cfg)
-                loss += cfg.lambda1 * l1 + cfg.lambda2 * l2
-                dU = dU + cU
-                dV = dV + cV
-        else:
-            raise ValueError(f"variant {cfg.variant!r} trains through its own loss, "
-                             "not the fused objective")
-
-    dG = np.concatenate([dU, dV], axis=0)
-    table.grad += model.backward(dG)
-    if lam:
-        loss += lam * float(np.sum(table.values ** 2))
-        table.grad += 2.0 * lam * table.values
-    return loss
-
-
 def effective_features(variant: str, g_users: np.ndarray, g_items: np.ndarray,
                        a_users: np.ndarray | None, a_items: np.ndarray | None,
                        weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +221,81 @@ def weighted_sum_fusion_loss(g_users, g_items, a_users, a_items, batch, weights
     dW3 = (coef * pu).T @ a_items[i]
     dW4 = (coef * pu).T @ g_items[i]
     return loss, dGu, dGv, [dW1, dW2, dW3, dW4]
+
+
+# ---------------------------------------------------------------------------
+# The stage-2 objective and step
+# ---------------------------------------------------------------------------
+
+def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
+                      a_users: np.ndarray | None, a_items: np.ndarray | None,
+                      batch, cfg: FusionConfig | None, weights=None
+                      ) -> tuple[float, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The configured variant's stage-2 objective at the feature level.
+
+    Returns (loss, dG_users, dG_items, dW): the graph loss plus the fusion
+    terms, their gradients with respect to the graph features, and the
+    weight-matrix gradients (empty except for weighted summation).  ``cfg``
+    None trains the plain backbone.  ``batch`` rows are (user, positive,
+    negative) for the pairwise graph loss and (user, item, rating) when
+    ``cfg.rated``.  The auxiliary features never receive gradient.
+    """
+    variant = cfg.variant if cfg is not None else "none"
+    if variant != "none" and (a_users is None or a_items is None):
+        raise ValueError("fusion requires the stage-1 auxiliary features")
+    if variant != "none" and a_users.shape[1] != g_users.shape[1]:
+        raise ValueError("auxiliary and graph feature dimensions differ")
+
+    if variant == "concat":
+        loss, dU, dV = concat_fusion_loss(g_users, g_items, a_users, a_items, batch)
+        return loss, dU, dV, []
+    if variant in ("plain-sum", "weighted-sum"):
+        if variant == "plain-sum" or weights is None:
+            weights = identity_weights(g_users.shape[1])
+        loss, dU, dV, dW = weighted_sum_fusion_loss(g_users, g_items, a_users, a_items,
+                                                    batch, weights)
+        return loss, dU, dV, dW if variant == "weighted-sum" else []
+    if variant not in ("cross", "none"):
+        raise ValueError(f"unknown fusion variant {variant!r}")
+
+    if cfg is not None and cfg.graph_loss == "mse":
+        loss, dU, dV = mse_graph_loss(g_users, g_items, batch)
+    else:
+        loss, dU, dV = bpr_loss_and_feature_grad(g_users, g_items, batch)
+    if variant == "cross" and (cfg.lambda1 or cfg.lambda2):
+        arr = np.asarray(batch)
+        pairs = arr[:, :2]
+        if cfg.graph_loss == "bpr" and cfg.include_negatives:
+            pairs = np.concatenate([pairs, arr[:, [0, 2]]], axis=0)
+        l1, l2, cU, cV = cross_fusion_loss(g_users, g_items, a_users, a_items, pairs, cfg)
+        loss += cfg.lambda1 * l1 + cfg.lambda2 * l2
+        dU = dU + cU
+        dV = dV + cV
+    return loss, dU, dV, []
+
+
+def fused_objective_grad(model: LightGCN, feats: GraphFeatures, table: Param,
+                         a_users: np.ndarray | None, a_items: np.ndarray | None,
+                         batch, cfg: FusionConfig | None,
+                         w_params: list[Param] | None = None) -> float:
+    """One stage-2 step for every variant: the feature-level objective, the
+    backward pass through the propagation into the layer-0 table, and the
+    squared-norm regularizer on that table.
+
+    Weighted summation reads its matrices from ``w_params`` and accumulates
+    their gradients there.  Returns the total loss.
+    """
+    weights = tuple(p.value for p in w_params) if w_params else None
+    loss, dU, dV, dW = feature_objective(feats.users, feats.items, a_users, a_items,
+                                         batch, cfg, weights)
+    for p, g in zip(w_params or [], dW):
+        p.grad += g
+    table.grad += model.backward(np.concatenate([dU, dV], axis=0))
+    lam = model.cfg.lambda_reg
+    if lam:
+        loss += lam * float(np.sum(table.value ** 2))
+        table.grad += 2.0 * lam * table.value
+    return loss
 
 
 # ---------------------------------------------------------------------------

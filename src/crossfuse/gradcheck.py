@@ -15,9 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import auxnet, fusion
-from .backbone import BackboneConfig, EmbeddingTable, LightGCN, bpr_loss_and_grad
+from .backbone import BackboneConfig, LightGCN
 from .data import InteractionDataset
 from .graph import build_similarity_graph, interaction_matrix, normalize_bipartite
+from .optim import Param
 
 FD_TOL = 1e-5
 EXACT_TOL = 1e-10
@@ -132,18 +133,18 @@ def random_instance(seed: int, n: int = 8, m: int = 12, d: int = 4) -> Instance:
 def _check_bpr_embedding_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     cfg = BackboneConfig(dim=inst.g_users.shape[1], num_layers=2, lambda_reg=0.01)
     model = LightGCN(inst.adj, inst.ds.n, cfg)
-    table = EmbeddingTable(rng.normal(size=(inst.ds.n + inst.ds.m, cfg.dim)))
+    table = Param(rng.normal(size=(inst.ds.n + inst.ds.m, cfg.dim)))
     feats = model.forward(table)
     table.zero_grad()
-    bpr_loss_and_grad(model, feats, table, inst.ranked)
+    fusion.fused_objective_grad(model, feats, table, None, None, inst.ranked, None)
 
     def loss():
         f = model.forward(table)
         u, ip, ineg = inst.ranked[:, 0], inst.ranked[:, 1], inst.ranked[:, 2]
         x = np.einsum("ij,ij->i", f.users[u], f.items[ip] - f.items[ineg])
-        return float(np.logaddexp(0.0, -x).sum()) + cfg.lambda_reg * float(np.sum(table.values ** 2))
+        return float(np.logaddexp(0.0, -x).sum()) + cfg.lambda_reg * float(np.sum(table.value ** 2))
 
-    fd = central_difference(loss, table.values)
+    fd = central_difference(loss, table.value)
     return CheckResult("ranking loss: embedding gradient vs finite differences",
                        max_rel_error(table.grad, fd), fd_tol)
 
@@ -223,7 +224,7 @@ def _check_fused_objective_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     d = inst.g_users.shape[1]
     cfg = BackboneConfig(dim=d, num_layers=2, lambda_reg=0.005)
     model = LightGCN(inst.adj, inst.ds.n, cfg)
-    table = EmbeddingTable(rng.normal(size=(inst.ds.n + inst.ds.m, d)))
+    table = Param(rng.normal(size=(inst.ds.n + inst.ds.m, d)))
     fcfg = fusion.FusionConfig(variant="cross", lambda1=0.4, lambda2=0.2)
 
     feats = model.forward(table)
@@ -239,9 +240,9 @@ def _check_fused_objective_grad(inst: Instance, rng, fd_tol) -> CheckResult:
         l1, l2, _, _ = fusion.cross_fusion_loss(f.users, f.items, inst.a_users,
                                                 inst.a_items, inst.ranked[:, :2], fcfg)
         total += fcfg.lambda1 * l1 + fcfg.lambda2 * l2
-        return total + cfg.lambda_reg * float(np.sum(table.values ** 2))
+        return total + cfg.lambda_reg * float(np.sum(table.value ** 2))
 
-    fd = central_difference(loss, table.values)
+    fd = central_difference(loss, table.value)
     return CheckResult("combined objective: embedding gradient vs finite differences",
                        max_rel_error(table.grad, fd), fd_tol)
 
@@ -321,8 +322,9 @@ def _check_closed_forms(inst: Instance, rng, exact_tol) -> list[CheckResult]:
     out.append(CheckResult("graph squared-error update direction: closed form vs backward",
                            max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), exact_tol))
 
-    _, dGu, dGv = fusion.fused_mse_feature_grad(inst.g_users, inst.g_items, inst.a_users,
-                                                inst.a_items, inst.rated, lam1, lam2)
+    mse_cfg = fusion.FusionConfig(variant="cross", lambda1=lam1, lambda2=lam2, graph_loss="mse")
+    _, dGu, dGv, _ = fusion.feature_objective(inst.g_users, inst.g_items, inst.a_users,
+                                              inst.a_items, inst.rated, mse_cfg)
     eGu, eGv = fusion.fused_mse_grad_analytic(inst.g_users, inst.g_items, inst.a_users,
                                               inst.a_items, inst.rated, lam1, lam2)
     out.append(CheckResult("fused squared-error update direction: closed form vs backward",

@@ -2,12 +2,12 @@
 
 Stage 1 fits the attribute pipeline with the squared-error objective and
 freezes its output feature matrices.  Stage 2 trains the graph backbone
-against those frozen features, with the fused objective for the cross
-variant or the corresponding baseline loss for the concatenation and
-summation variants, tracking validation NDCG@10 for model selection and
-early stopping.  Both stages are deterministic functions of (data, config,
-seed); checkpoints capture parameters, optimizer moments, and the random
-stream so a resumed run is bit-for-bit the uninterrupted one.
+against those frozen features through one step shared by every fusion
+variant (the variants differ only in their feature-level objective),
+tracking validation NDCG@10 for model selection and early stopping.  Both
+stages are deterministic functions of (data, config, seed); checkpoints
+capture parameters, optimizer moments, and the random stream so a resumed
+run is bit-for-bit the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import auxnet, fusion
-from .backbone import Backbone, BackboneConfig, EmbeddingTable, LightGCN
-from .data import TRAIN, VALIDATION, InteractionDataset, sample_negatives
+from .backbone import BackboneConfig, LightGCN
+from .data import TRAIN, VALIDATION, InteractionDataset, sample_negatives, split_truth
 from .evaluate import ranking_metrics, recommend_all
 from .optim import Param, make_optimizer
 
@@ -111,14 +111,6 @@ def _pad_with_negatives(ds: InteractionDataset, batch: np.ndarray,
     return np.concatenate([batch, negs], axis=0)
 
 
-def _split_truth(ds: InteractionDataset, tag: int) -> dict[int, set]:
-    idx = ds.split_indices(tag)
-    truth: dict[int, set] = {}
-    for u, i in zip(ds.users[idx], ds.items[idx]):
-        truth.setdefault(int(u), set()).add(int(i))
-    return truth
-
-
 # ---------------------------------------------------------------------------
 # Stage 1
 # ---------------------------------------------------------------------------
@@ -184,16 +176,6 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Stage2Result:
-    table: EmbeddingTable
-    model: Backbone
-    log: TrainingLog
-    best_metric: float
-    epochs_run: int
-    fusion_weights: list[np.ndarray] | None = None
-
-
-@dataclass
 class Stage2State:
     """Everything stage 2 needs to continue mid-run."""
 
@@ -208,6 +190,20 @@ class Stage2State:
     fusion_weights: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+@dataclass
+class Stage2Result:
+    """The trained table (best-validation values restored), the model, the
+    log, and ``state``: the resumable state as the last epoch left it."""
+
+    table: Param
+    model: LightGCN
+    log: TrainingLog
+    best_metric: float
+    epochs_run: int
+    state: Stage2State
+    fusion_weights: list[np.ndarray] | None = None
+
+
 def _make_ranked_batch(ds, triplets, idx, rng) -> np.ndarray:
     rows = triplets[idx]
     out = np.empty((len(rows), 3), dtype=np.int64)
@@ -217,130 +213,7 @@ def _make_ranked_batch(ds, triplets, idx, rng) -> np.ndarray:
     return out
 
 
-def _baseline_step(model, feats, table, a_users, a_items, batch, fcfg,
-                   w_params: list[Param] | None) -> float:
-    """Objective and gradients for the concatenation / summation variants;
-    the same embedding regularizer as the fused objective is applied."""
-    if fcfg.variant == "concat":
-        loss, dU, dV = fusion.concat_fusion_loss(feats.users, feats.items,
-                                                 a_users, a_items, batch)
-    else:
-        weights = tuple(p.value for p in w_params) if w_params else fusion.identity_weights(table.dim)
-        loss, dU, dV, dW = fusion.weighted_sum_fusion_loss(feats.users, feats.items,
-                                                           a_users, a_items, batch, weights)
-        if w_params:
-            for p, g in zip(w_params, dW):
-                p.grad += g
-    dG = np.concatenate([dU, dV], axis=0)
-    table.grad += model.backward(dG)
-    lam = model.cfg.lambda_reg
-    if lam:
-        loss += lam * float(np.sum(table.values ** 2))
-        table.grad += 2.0 * lam * table.values
-    return loss
-
-
-def _run_stage2_loop(ds, adj, table, a_users, a_items, bcfg, cfg, fcfg,
-                     resume: Stage2State | None, log: TrainingLog
-                     ) -> tuple[Stage2State, Backbone, list[Param] | None, int]:
-    """The single stage-2 loop, shared by full runs and checkpoint captures."""
-    model = LightGCN(adj.tocsr(), ds.n, bcfg)
-    fusion_on = fcfg is not None and fcfg.active
-    baseline = fusion_on and fcfg.variant in ("concat", "plain-sum", "weighted-sum")
-    rated_mode = baseline or (fcfg is not None and fcfg.graph_loss == "mse")
-
-    w_params: list[Param] | None = None
-    if fusion_on and fcfg.variant == "weighted-sum":
-        init = fcfg.weights if fcfg.weights is not None else fusion.identity_weights(bcfg.dim)
-        w_params = [Param(w, f"fusion.w{k + 1}") for k, w in enumerate(init)]
-
-    params = table.params() + (w_params or [])
-    opt = make_optimizer(cfg.optimizer, params, cfg.eta2)
-    rng = np.random.default_rng(cfg.seed)
-    triplets = ds.triplets(TRAIN)
-    val_truth = _split_truth(ds, VALIDATION)
-    val_users = sorted(val_truth)
-
-    start_epoch = 0
-    best_values = table.values.copy()
-    best_metric = -np.inf
-    stale = 0
-    if resume is not None:
-        start_epoch = resume.epoch
-        table.values[...] = resume.table_values
-        opt.load_state(resume.opt_meta, resume.opt_tensors)
-        rng.bit_generator.state = resume.rng_state
-        best_values = resume.best_values.copy()
-        best_metric = resume.best_metric
-        stale = resume.stale_epochs
-        if w_params:
-            for p in w_params:
-                p.value[...] = resume.fusion_weights[p.name]
-
-    epochs_run = start_epoch
-    for epoch in range(start_epoch + 1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        perm = rng.permutation(len(triplets))
-        epoch_loss = 0.0
-        for lo in range(0, len(perm), cfg.batch_size):
-            idx = perm[lo:lo + cfg.batch_size]
-            if rated_mode:
-                batch = triplets[idx]
-                if ds.implicit:
-                    batch = _pad_with_negatives(ds, batch, rng)
-            else:
-                batch = _make_ranked_batch(ds, triplets, idx, rng)
-            for p in params:
-                p.zero_grad()
-            feats = model.forward(table)
-            if baseline:
-                loss = _baseline_step(model, feats, table, a_users, a_items,
-                                      batch, fcfg, w_params)
-            else:
-                loss = fusion.fused_objective_grad(model, feats, table,
-                                                   a_users, a_items, batch, fcfg)
-            if not np.isfinite(loss):
-                raise DivergenceError(stage=2, epoch=epoch)
-            opt.step()
-            epoch_loss += loss
-
-        val_metric = float("nan")
-        if val_users:
-            feats = model.forward(table)
-            eff_u, eff_v = fusion.effective_features(
-                fcfg.variant if fusion_on else "none", feats.users, feats.items,
-                a_users, a_items,
-                tuple(p.value for p in w_params) if w_params else None)
-            recs = recommend_all(eff_u, eff_v, ds, 10, val_users)
-            report = ranking_metrics(recs, val_truth, [10])
-            val_metric = report.means["ndcg"][10]
-            if val_metric > best_metric:
-                best_metric = val_metric
-                best_values = table.values.copy()
-                stale = 0
-            else:
-                stale += 1
-        epochs_run = epoch
-        log.add(EpochRecord(stage=2, epoch=epoch, loss=epoch_loss, val_metric=val_metric,
-                            wall_time=time.perf_counter() - t0))
-        if cfg.patience is not None and val_users and stale > cfg.patience:
-            break
-
-    state = Stage2State(
-        epoch=epochs_run,
-        table_values=table.values.copy(),
-        opt_meta=opt.state(),
-        opt_tensors={k: v.copy() for k, v in opt.state_tensors().items()},
-        rng_state=rng.bit_generator.state,
-        best_values=best_values,
-        best_metric=best_metric,
-        stale_epochs=stale,
-        fusion_weights={p.name: p.value.copy() for p in (w_params or [])},
-    )
-    return state, model, w_params, epochs_run
-
-
-def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: EmbeddingTable,
+def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
                  a_users: np.ndarray | None, a_items: np.ndarray | None,
                  bcfg: BackboneConfig, cfg: TrainConfig,
                  fcfg: fusion.FusionConfig | None,
@@ -348,9 +221,12 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: EmbeddingTable
     """Train the backbone against the frozen auxiliary features.
 
     Each epoch draws one negative per positive (or pads zero-rated negatives
-    for the squared-error objectives), optimizes the configured variant, and
-    scores validation NDCG@10; the best-validation table is restored at the
-    end.  Refuses to start with fusion enabled but no stage-1 products.
+    for the squared-error objectives), takes ``fusion.fused_objective_grad``
+    steps on the configured variant, and scores validation NDCG@10; the
+    best-validation table is restored at the end.  ``resume`` continues from
+    a saved state; a run with ``cfg.epochs = k`` leaves in ``result.state``
+    the state to resume from after epoch k.  Refuses to start with fusion
+    enabled but no stage-1 products.
     """
     cfg.validate()
     bcfg.validate()
@@ -363,26 +239,97 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: EmbeddingTable
     if fusion_on and a_users.shape[1] != bcfg.dim:
         raise ValueError(f"auxiliary dimension {a_users.shape[1]} != backbone dim {bcfg.dim}")
 
+    model = LightGCN(adj.tocsr(), ds.n, bcfg)
+    variant = fcfg.variant if fcfg is not None else "none"
+    rated = fcfg is not None and fcfg.rated
+    w_params: list[Param] | None = None
+    if variant == "weighted-sum":
+        init = fcfg.weights if fcfg.weights is not None else fusion.identity_weights(bcfg.dim)
+        w_params = [Param(w, f"fusion.w{k + 1}") for k, w in enumerate(init)]
+
+    params = [table] + (w_params or [])
+    opt = make_optimizer(cfg.optimizer, params, cfg.eta2)
+    rng = np.random.default_rng(cfg.seed)
+    triplets = ds.triplets(TRAIN)
+    val_truth = split_truth(ds, VALIDATION)
+    val_users = sorted(val_truth)
     log = TrainingLog()
-    state, model, w_params, epochs_run = _run_stage2_loop(
-        ds, adj, table, a_users, a_items, bcfg, cfg, fcfg, resume, log)
-    if np.isfinite(state.best_metric):
-        table.values[...] = state.best_values
-    return Stage2Result(table=table, model=model, log=log,
-                        best_metric=state.best_metric, epochs_run=epochs_run,
+
+    start_epoch = 0
+    best_values = table.value.copy()
+    best_metric = -np.inf
+    stale = 0
+    if resume is not None:
+        start_epoch = resume.epoch
+        table.value[...] = resume.table_values
+        opt.load_state(resume.opt_meta, resume.opt_tensors)
+        rng.bit_generator.state = resume.rng_state
+        best_values = resume.best_values.copy()
+        best_metric = resume.best_metric
+        stale = resume.stale_epochs
+        for p in w_params or []:
+            p.value[...] = resume.fusion_weights[p.name]
+
+    epochs_run = start_epoch
+    for epoch in range(start_epoch + 1, cfg.epochs + 1):
+        t0 = time.perf_counter()
+        perm = rng.permutation(len(triplets))
+        epoch_loss = 0.0
+        for lo in range(0, len(perm), cfg.batch_size):
+            idx = perm[lo:lo + cfg.batch_size]
+            if rated:
+                batch = triplets[idx]
+                if ds.implicit:
+                    batch = _pad_with_negatives(ds, batch, rng)
+            else:
+                batch = _make_ranked_batch(ds, triplets, idx, rng)
+            for p in params:
+                p.zero_grad()
+            feats = model.forward(table)
+            loss = fusion.fused_objective_grad(model, feats, table, a_users, a_items,
+                                               batch, fcfg, w_params)
+            if not np.isfinite(loss):
+                raise DivergenceError(stage=2, epoch=epoch)
+            opt.step()
+            epoch_loss += loss
+
+        val_metric = float("nan")
+        if val_users:
+            feats = model.forward(table)
+            eff_u, eff_v = fusion.effective_features(
+                variant, feats.users, feats.items, a_users, a_items,
+                tuple(p.value for p in w_params) if w_params else None)
+            recs = recommend_all(eff_u, eff_v, ds, 10, val_users)
+            report = ranking_metrics(recs, val_truth, [10])
+            val_metric = report.means["ndcg"][10]
+            if val_metric > best_metric:
+                best_metric = val_metric
+                best_values = table.value.copy()
+                stale = 0
+            else:
+                stale += 1
+        epochs_run = epoch
+        log.add(EpochRecord(stage=2, epoch=epoch, loss=epoch_loss, val_metric=val_metric,
+                            wall_time=time.perf_counter() - t0))
+        if cfg.patience is not None and val_users and stale > cfg.patience:
+            break
+
+    state = Stage2State(
+        epoch=epochs_run,
+        table_values=table.value.copy(),
+        opt_meta=opt.state(),
+        opt_tensors={k: v.copy() for k, v in opt.state_tensors().items()},
+        rng_state=rng.bit_generator.state,
+        best_values=best_values,
+        best_metric=best_metric,
+        stale_epochs=stale,
+        fusion_weights={p.name: p.value.copy() for p in (w_params or [])},
+    )
+    if np.isfinite(best_metric):
+        table.value[...] = best_values
+    return Stage2Result(table=table, model=model, log=log, best_metric=best_metric,
+                        epochs_run=epochs_run, state=state,
                         fusion_weights=[p.value for p in w_params] if w_params else None)
-
-
-def train_stage2_capture(ds, adj, table, a_users, a_items, bcfg, cfg, fcfg,
-                         stop_after: int, resume: Stage2State | None = None
-                         ) -> tuple[Stage2State, TrainingLog]:
-    """Run the stage-2 loop up to ``stop_after`` epochs and hand back the
-    resumable state (best-validation values are not restored)."""
-    partial = TrainConfig(**{**cfg.__dict__, "epochs": stop_after})
-    log = TrainingLog()
-    state, _, _, _ = _run_stage2_loop(ds, adj, table, a_users, a_items, bcfg,
-                                      partial, fcfg, resume, log)
-    return state, log
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ variants; it is module-scoped and shared between the two tests.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +16,12 @@ import pytest
 from conftest import make_random_dataset
 from crossfuse import auxnet, fusion, gradcheck, synthetic
 from crossfuse.backbone import BackboneConfig, LightGCN, init_embeddings
-from crossfuse.data import TEST, split_dataset
+from crossfuse.data import TEST, split_dataset, split_truth
 from crossfuse.evaluate import category_kl, rank_topn, ranking_metrics, recommend_all
 from crossfuse.graph import (build_similarity_graph, interaction_matrix,
                              normalize_bipartite)
-from crossfuse.trainer import (TrainConfig, _split_truth, load_checkpoint,
-                               pack_stage2_state, save_checkpoint, train_stage1,
-                               train_stage2, train_stage2_capture,
+from crossfuse.trainer import (TrainConfig, load_checkpoint, pack_stage2_state,
+                               save_checkpoint, train_stage1, train_stage2,
                                unpack_stage2_state)
 
 
@@ -89,11 +89,11 @@ def test_criterion_3_propagation_matches_dense_oracle():
             feats = model.forward(table)
             A = adj.toarray()
             alphas = cfg.resolved_alphas()
-            oracle = alphas[0] * table.values
+            oracle = alphas[0] * table.value
             power = np.eye(A.shape[0])
             for k in range(1, layers + 1):
                 power = A @ power
-                oracle = oracle + alphas[k] * (power @ table.values)
+                oracle = oracle + alphas[k] * (power @ table.value)
             worst = max(worst, float(np.max(np.abs(feats.values - oracle))))
     ok = worst <= 1e-10
     report(3, ok, f"propagation vs dense power sums on graphs up to 50 nodes, "
@@ -154,7 +154,7 @@ def _desk_prepare(seed):
                      seed=seed, patience=None)
     s1 = train_stage1(ds, user_net, item_net, data.user_features.values,
                       data.item_features.values, sim_u, sim_v, t1)
-    return data, ds, adj, s1, _split_truth(ds, TEST)
+    return data, ds, adj, s1, split_truth(ds, TEST)
 
 
 def _desk_variant(ds, adj, s1, truth, seed, variant, lam1, lam2):
@@ -254,7 +254,7 @@ def test_criterion_8_reduction_identities():
     s1 = train_stage1(ds, nets[0], nets[1], data.user_features.values,
                       data.item_features.values, sim_u, sim_v, cfg)
     bcfg = BackboneConfig(dim=8, num_layers=1)
-    truth = _split_truth(ds, TEST)
+    truth = split_truth(ds, TEST)
 
     metrics = {}
     for tag, fcfg, (au, av) in (
@@ -278,7 +278,7 @@ def test_criterion_8_reduction_identities():
     model = LightGCN(adj, ds.n, cfg0)
     table = init_embeddings(adj.shape[0], 8, seed=3)
     feats = model.forward(table)
-    raw_u, raw_v = table.values[:ds.n], table.values[ds.n:]
+    raw_u, raw_v = table.value[:ds.n], table.value[ds.n:]
     mf_rank = all(
         np.array_equal(rank_topn(feats.users, feats.items, u, 10),
                        rank_topn(raw_u, raw_v, u, 10))
@@ -341,7 +341,7 @@ seed = 11
                         patience=None)
     bcfg = BackboneConfig(dim=8, num_layers=1)
     fcfg = fusion.FusionConfig(variant="cross", lambda1=0.4, lambda2=0.2)
-    truth = _split_truth(ds, TEST)
+    truth = split_truth(ds, TEST)
 
     def stage1():
         rng = np.random.default_rng(18)
@@ -363,9 +363,8 @@ seed = 11
 
     s1b = stage1()
     half_table = init_embeddings(ds.n + ds.m, 8, seed=4)
-    state, _ = train_stage2_capture(ds, adj, half_table, s1b.user_features,
-                                    s1b.item_features, bcfg, cfg10, fcfg,
-                                    stop_after=5)
+    state = train_stage2(ds, adj, half_table, s1b.user_features, s1b.item_features,
+                         bcfg, replace(cfg10, epochs=5), fcfg).state
     ckpt_path = tmp_path / "mid.ckpt"
     save_checkpoint(ckpt_path, pack_stage2_state(state, {"stopped_at": 5}))
     resumed_state = unpack_stage2_state(load_checkpoint(ckpt_path))

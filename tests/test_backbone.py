@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_dataset
-from crossfuse.backbone import (BackboneConfig, EmbeddingTable, LightGCN,
-                                bpr_loss_and_feature_grad, bpr_loss_and_grad,
+from crossfuse.backbone import (BackboneConfig, LightGCN, bpr_loss_and_feature_grad,
                                 init_embeddings, log_sigmoid_loss, sigmoid)
+from crossfuse.fusion import fused_objective_grad
 from crossfuse.graph import normalize_bipartite
+from crossfuse.optim import Param
 
 
 def dense_combined(adj, e0, alphas):
@@ -26,17 +27,17 @@ def dense_combined(adj, e0, alphas):
 class TestInitEmbeddings:
     def test_shape(self):
         table = init_embeddings(5, 4, seed=0)
-        assert table.values.shape == (5, 4)
+        assert table.value.shape == (5, 4)
         assert table.grad.shape == (5, 4)
 
     def test_deterministic(self):
         a = init_embeddings(7, 3, seed=11)
         b = init_embeddings(7, 3, seed=11)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.value, b.value)
 
     def test_distribution(self):
         table = init_embeddings(2500, 40, seed=1)  # 1e5 entries
-        flat = table.values.ravel()
+        flat = table.value.ravel()
         assert abs(flat.mean()) <= 3 * 0.01 / math.sqrt(flat.size)
         assert abs(flat.std() - 0.01) <= 0.05 * 0.01
 
@@ -52,14 +53,14 @@ class TestLightGCNForward:
         model = LightGCN(adj, tiny_dataset.n, cfg)
         table = init_embeddings(adj.shape[0], 3, seed=0)
         feats = model.forward(table)
-        assert np.allclose(feats.values, 0.5 * table.values)
+        assert np.allclose(feats.values, 0.5 * table.value)
 
     def test_single_pair_hand_propagation(self):
         ds = make_random_dataset(0, n=1, m=1, lo=1, hi=2)
         adj = normalize_bipartite(ds)
         cfg = BackboneConfig(dim=2, num_layers=1, alphas=np.array([0.5, 0.5]))
         model = LightGCN(adj, 1, cfg)
-        table = EmbeddingTable(np.array([[2.0, 0.0], [0.0, 4.0]]))
+        table = Param(np.array([[2.0, 0.0], [0.0, 4.0]]))
         feats = model.forward(table)
         assert np.allclose(feats.users[0], 0.5 * np.array([2.0, 0.0]) + 0.5 * np.array([0.0, 4.0]))
 
@@ -71,7 +72,7 @@ class TestLightGCNForward:
         model = LightGCN(adj, ds.n, cfg)
         table = init_embeddings(adj.shape[0], 5, seed=layers)
         feats = model.forward(table)
-        oracle = dense_combined(adj, table.values, cfg.resolved_alphas())
+        oracle = dense_combined(adj, table.value, cfg.resolved_alphas())
         assert np.max(np.abs(feats.values - oracle)) <= 1e-10
 
     def test_forward_linear_in_input(self, tiny_dataset):
@@ -80,8 +81,8 @@ class TestLightGCNForward:
         model = LightGCN(adj, tiny_dataset.n, cfg)
         rng = np.random.default_rng(3)
         e0 = rng.normal(size=(adj.shape[0], 4))
-        a = model.forward(EmbeddingTable(e0)).values
-        b = model.forward(EmbeddingTable(2.5 * e0)).values
+        a = model.forward(Param(e0)).values
+        b = model.forward(Param(2.5 * e0)).values
         assert np.max(np.abs(b - 2.5 * a)) <= 1e-12
 
     def test_backward_matches_dense_transpose_chain(self, tiny_dataset):
@@ -111,9 +112,9 @@ class TestBprLoss:
         adj = normalize_bipartite(tiny_dataset)
         cfg = BackboneConfig(dim=2, num_layers=0, alphas=np.array([1.0]), lambda_reg=0.0)
         model = LightGCN(adj, tiny_dataset.n, cfg)
-        table = EmbeddingTable(np.zeros((adj.shape[0], 2)))
+        table = Param(np.zeros((adj.shape[0], 2)))
         feats = model.forward(table)
-        loss = bpr_loss_and_grad(model, feats, table, [[0, 1, 2]])
+        loss = fused_objective_grad(model, feats, table, None, None, [[0, 1, 2]], None)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_widening_margin_decreases_loss(self):
@@ -131,7 +132,7 @@ class TestBprLoss:
         cfg = BackboneConfig(dim=3, num_layers=2, lambda_reg=0.02)
         model = LightGCN(adj, ds.n, cfg)
         rng = np.random.default_rng(0)
-        table = EmbeddingTable(rng.normal(size=(adj.shape[0], 3)))
+        table = Param(rng.normal(size=(adj.shape[0], 3)))
         batch = []
         for u in range(ds.n):
             pos = ds.train_items(u)
@@ -141,16 +142,16 @@ class TestBprLoss:
 
         feats = model.forward(table)
         table.zero_grad()
-        bpr_loss_and_grad(model, feats, table, batch)
+        fused_objective_grad(model, feats, table, None, None, batch, None)
 
         def loss():
             f = model.forward(table)
             x = np.einsum("ij,ij->i", f.users[batch[:, 0]],
                           f.items[batch[:, 1]] - f.items[batch[:, 2]])
-            return float(np.logaddexp(0, -x).sum()) + cfg.lambda_reg * np.sum(table.values ** 2)
+            return float(np.logaddexp(0, -x).sum()) + cfg.lambda_reg * np.sum(table.value ** 2)
 
         h = 1e-6
-        flat = table.values.ravel()
+        flat = table.value.ravel()
         for k in rng.choice(flat.size, size=12, replace=False):
             keep = flat[k]
             flat[k] = keep + h
@@ -187,9 +188,9 @@ class TestMatrixFactorizationReduction:
         model = LightGCN(adj, tiny_dataset.n, cfg)
         table = init_embeddings(adj.shape[0], 4, seed=2)
         feats = model.forward(table)
-        assert np.allclose(feats.values, table.values)
-        raw_users = table.values[:tiny_dataset.n]
-        raw_items = table.values[tiny_dataset.n:]
+        assert np.allclose(feats.values, table.value)
+        raw_users = table.value[:tiny_dataset.n]
+        raw_items = table.value[tiny_dataset.n:]
         for u in range(tiny_dataset.n):
             a = np.argsort(-(feats.items @ feats.users[u]), kind="stable")
             b = np.argsort(-(raw_items @ raw_users[u]), kind="stable")

@@ -186,6 +186,14 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "config error: unknown fusion variant 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train-aux", "ablate"])
+    def test_zero_epochs_is_config_error(self, workspace, tmp_path, capsys, command):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(workspace["config"].read_text().replace("epochs = 3", "epochs = 0"),
+                       encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "config error: epochs must be >= 1" in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[paths]\ninteractions = {tmp_path}/absent.tsv\n"

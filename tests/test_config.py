@@ -59,6 +59,17 @@ def test_bad_value_reports_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, line, message", [
+    ("train", "epochs = 0", "epochs"),
+    ("backbone", "dim = 0", "dim"),
+    ("fusion", "graph_loss = hinge", "graph_loss")])
+def test_values_the_sub_configs_reject_are_config_errors(tmp_path, section, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.cfg")

@@ -3,14 +3,15 @@ import pytest
 
 from conftest import make_random_dataset
 from crossfuse import fusion
-from crossfuse.backbone import (BackboneConfig, EmbeddingTable, LightGCN,
-                                bpr_loss_and_grad)
+from crossfuse.backbone import BackboneConfig, LightGCN
 from crossfuse.fusion import (FusionConfig, TemporalEmbeddings, concat_fusion_loss,
                               cross_fusion_loss, cross_scores, effective_features,
-                              fused_mse_feature_grad, fused_mse_grad_analytic,
+                              feature_objective, fused_mse_grad_analytic,
                               fused_objective_grad, identity_weights, parameter_count,
                               temporal_fusion_loss, weighted_sum_fusion_loss)
+from crossfuse.gradcheck import central_difference, max_rel_error
 from crossfuse.graph import normalize_bipartite
+from crossfuse.optim import Param
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ class TestFusedObjective:
         cfg = BackboneConfig(dim=3, num_layers=2, lambda_reg=0.01)
         model = LightGCN(adj, ds.n, cfg)
         rng = np.random.default_rng(seed)
-        table = EmbeddingTable(rng.normal(size=(adj.shape[0], 3)))
+        table = Param(rng.normal(size=(adj.shape[0], 3)))
         a_u = rng.normal(size=(ds.n, 3))
         a_v = rng.normal(size=(ds.m, 3))
         batch = []
@@ -128,7 +129,7 @@ class TestFusedObjective:
         fused_grad = table.grad.copy()
 
         table.zero_grad()
-        plain = bpr_loss_and_grad(model, feats, table, batch)
+        plain = fused_objective_grad(model, feats, table, None, None, batch, None)
         assert fused == plain
         assert np.array_equal(fused_grad, table.grad)
 
@@ -150,10 +151,82 @@ class TestFusedObjective:
     def test_mse_feature_gradient_matches_closed_form(self, small_world):
         g_u, g_v, a_u, a_v, batch = small_world
         lam1, lam2 = 0.3, 0.7
-        _, dGu, dGv = fused_mse_feature_grad(g_u, g_v, a_u, a_v, batch, lam1, lam2)
+        cfg = FusionConfig(variant="cross", lambda1=lam1, lambda2=lam2, graph_loss="mse")
+        _, dGu, dGv, _ = feature_objective(g_u, g_v, a_u, a_v, batch, cfg)
         eGu, eGv = fused_mse_grad_analytic(g_u, g_v, a_u, a_v, batch, lam1, lam2)
         assert np.max(np.abs(dGu - eGu)) <= 1e-10
         assert np.max(np.abs(dGv - eGv)) <= 1e-10
+
+    def test_include_negatives_is_a_no_op_under_mse(self, small_world):
+        # Squared-error batches carry the zero-rated padded negatives as rows,
+        # so they enter the cross terms with or without the flag.
+        g_u, g_v, a_u, a_v, batch = small_world
+        padded = np.concatenate([batch, np.column_stack(
+            [batch[:, 0], (batch[:, 1] + 3) % len(g_v), np.zeros(len(batch))])])
+        out = {}
+        for flag in (False, True):
+            for graph_loss, rows in (("mse", padded), ("bpr", padded.astype(np.int64))):
+                cfg = FusionConfig(variant="cross", lambda1=0.4, lambda2=0.6,
+                                   graph_loss=graph_loss, include_negatives=flag)
+                out[graph_loss, flag] = feature_objective(g_u, g_v, a_u, a_v, rows, cfg)
+        off, on = out["mse", False], out["mse", True]
+        assert off[0] == on[0]
+        assert np.array_equal(off[1], on[1]) and np.array_equal(off[2], on[2])
+        assert out["bpr", False][0] != out["bpr", True][0]  # the flag is live under bpr
+
+    @pytest.mark.parametrize("variant, graph_loss, negatives", [
+        ("cross", "bpr", False), ("cross", "bpr", True), ("cross", "mse", False),
+        ("none", "bpr", False), ("concat", "bpr", False), ("plain-sum", "bpr", False),
+        ("weighted-sum", "bpr", False)])
+    def test_step_gradients_match_finite_differences(self, variant, graph_loss, negatives):
+        ds, model, table, a_u, a_v, ranked = self._setup(seed=3)
+        cfg = FusionConfig(variant=variant, lambda1=0.4, lambda2=0.7,
+                           graph_loss=graph_loss, include_negatives=negatives)
+        rng = np.random.default_rng(5)
+        # rated rows: each positive with a rating, then its negative rated zero
+        rated = np.concatenate([
+            np.column_stack([ranked[:, :2], rng.uniform(0.5, 1.0, size=len(ranked))]),
+            np.column_stack([ranked[:, [0, 2]], np.zeros(len(ranked))])])
+        batch = rated if cfg.rated else ranked
+        w_params = ([Param(np.eye(3) + 0.3 * rng.normal(size=(3, 3))) for _ in range(4)]
+                    if variant == "weighted-sum" else None)
+
+        def dot(x, y):
+            return np.einsum("ij,ij->i", x, y)
+
+        def loss():
+            """The objective written out directly, independent of the library."""
+            f = model.forward(table)
+            gu, gv = f.users, f.items
+            u, i, third = batch[:, 0].astype(int), batch[:, 1].astype(int), batch[:, 2]
+            if variant == "concat":
+                total = np.sum((dot(a_u[u], a_v[i]) + dot(gu[u], gv[i]) - third) ** 2)
+            elif variant in ("plain-sum", "weighted-sum"):
+                w1, w2, w3, w4 = ([p.value for p in w_params] if w_params
+                                  else [np.eye(3)] * 4)
+                pu = a_u[u] @ w1.T + gu[u] @ w2.T
+                qi = a_v[i] @ w3.T + gv[i] @ w4.T
+                total = np.sum((dot(pu, qi) - third) ** 2)
+            elif graph_loss == "mse":
+                total = np.sum((dot(gu[u], gv[i]) - third) ** 2)
+            else:
+                total = np.sum(np.logaddexp(0.0, -dot(gu[u], gv[i] - gv[third.astype(int)])))
+            if variant == "cross":
+                pu, pi = u, i
+                if graph_loss == "bpr" and negatives:
+                    pu, pi = np.concatenate([u, u]), np.concatenate([i, third.astype(int)])
+                r_a = dot(a_u[pu], a_v[pi])
+                total += cfg.lambda1 * np.sum((r_a - dot(gu[pu], a_v[pi])) ** 2)
+                total += cfg.lambda2 * np.sum((r_a - dot(a_u[pu], gv[pi])) ** 2)
+            return float(total) + model.cfg.lambda_reg * float(np.sum(table.value ** 2))
+
+        table.zero_grad()
+        got = fused_objective_grad(model, model.forward(table), table, a_u, a_v, batch,
+                                   cfg, w_params)
+        assert got == pytest.approx(loss(), rel=1e-12)
+        assert max_rel_error(table.grad, central_difference(loss, table.value)) <= 1e-5
+        for p in w_params or []:
+            assert max_rel_error(p.grad, central_difference(loss, p.value)) <= 1e-5
 
     def test_best_reported_weights_are_the_defaults(self):
         cfg = FusionConfig()

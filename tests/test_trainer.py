@@ -10,8 +10,7 @@ from crossfuse.trainer import (Checkpoint, CheckpointCorruptError,
                                CheckpointVersionError, DivergenceError,
                                PipelineOrderError, TrainConfig, load_checkpoint,
                                pack_stage2_state, save_checkpoint, train_stage1,
-                               train_stage2, train_stage2_capture,
-                               unpack_stage2_state)
+                               train_stage2, unpack_stage2_state)
 
 D = 8
 
@@ -162,7 +161,7 @@ class TestStage2:
         t2 = init_embeddings(ds.n + ds.m, D, seed=1)
         plain = train_stage2(ds, adj, t2, None, None, bcfg, quick_cfg(),
                              fusion.FusionConfig(variant="none"))
-        assert np.array_equal(zero.table.values, plain.table.values)
+        assert np.array_equal(zero.table.value, plain.table.value)
         assert zero.best_metric == plain.best_metric
 
     def test_ordering_enforced(self):
@@ -200,7 +199,7 @@ class TestStage2:
         res = train_stage2(ds, adj, table, s1.user_features, s1.item_features,
                            BackboneConfig(dim=D, num_layers=1), quick_cfg(epochs=2),
                            fusion.FusionConfig(variant=variant))
-        assert np.all(np.isfinite(res.table.values))
+        assert np.all(np.isfinite(res.table.value))
         if variant == "weighted-sum":
             assert res.fusion_weights is not None
             assert len(res.fusion_weights) == 4
@@ -265,10 +264,9 @@ class TestCheckpoint:
 
         ds2, adj2, s1b = stage1()
         table_half = init_embeddings(ds2.n + ds2.m, D, seed=9)
-        state, _ = train_stage2_capture(ds2, adj2, table_half, s1b.user_features,
-                                        s1b.item_features, bcfg,
-                                        quick_cfg(epochs=10, seed=9), fcfg,
-                                        stop_after=5)
+        state = train_stage2(ds2, adj2, table_half, s1b.user_features,
+                             s1b.item_features, bcfg, quick_cfg(epochs=5, seed=9),
+                             fcfg).state
         path = tmp_path / "mid.ckpt"
         save_checkpoint(path, pack_stage2_state(state, {"note": "mid"}))
         resumed_state = unpack_stage2_state(load_checkpoint(path))
@@ -278,5 +276,5 @@ class TestCheckpoint:
                                s1b.item_features, bcfg, quick_cfg(epochs=10, seed=9),
                                fcfg, resume=resumed_state)
 
-        assert np.array_equal(full.table.values, resumed.table.values)
+        assert np.array_equal(full.table.value, resumed.table.value)
         assert full.best_metric == resumed.best_metric
