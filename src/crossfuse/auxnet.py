@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .data import DataError
 from .optim import Param
 
 
@@ -40,10 +41,10 @@ def save_dense_matrix(path, mat: np.ndarray) -> None:
 def load_dense_matrix(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 16:
-        raise ValueError(f"{path}: truncated matrix file")
+        raise DataError(f"{path}: truncated matrix file")
     rows, dim = struct.unpack("<QQ", raw[:16])
     if len(raw) != 16 + rows * dim * 8:
-        raise ValueError(f"{path}: matrix payload size mismatch")
+        raise DataError(f"{path}: matrix payload size mismatch")
     data = np.frombuffer(raw, dtype="<f8", offset=16)
     return data.reshape(rows, dim).astype(np.float64)
 

@@ -20,18 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, auxnet, fusion, gradcheck
-from .backbone import LightGCN, init_embeddings
+from .backbone import BackboneConfig, LightGCN, init_embeddings
 from .config import ConfigError, RunConfig, load_config
 from .data import (DataError, InteractionDataset, InteractionSchema, encode_auxiliary,
                    load_interactions, make_fields, split_dataset, split_truth,
                    write_remap_table, TEST)
-from .evaluate import (category_kl, ranking_metrics, recommend_all,
-                       write_report_json, write_report_text)
+from .evaluate import category_kl, write_report_json, write_report_text
 from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
                     load_graph, normalize_bipartite, save_graph)
 from .optim import Param
 from .trainer import (Checkpoint, DivergenceError, PipelineOrderError, load_checkpoint,
-                      pack_stage2_state, save_checkpoint, train_stage1, train_stage2)
+                      pack_stage2_state, save_checkpoint, score, train_stage1,
+                      train_stage2, unpack_stage2_state)
 
 
 class UsageError(Exception):
@@ -327,23 +327,18 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{ckpt_path} not found; run `crossfuse train` first")
     ckpt = load_checkpoint(ckpt_path)
 
-    # score the table training selected, as `train_stage2` restores it
-    selected = "best_table" if np.isfinite(ckpt.meta["best_metric"]) else "table"
-    table = Param(ckpt.tensors[selected], "embeddings")
-    model = LightGCN(adj, ds.n, cfg.backbone_config())
-    feats = model.forward(table)
-    a_users = ckpt.tensors.get("aux_users")
-    a_items = ckpt.tensors.get("aux_items")
-    weights = None
-    names = ckpt.meta.get("fusion_weight_names", [])
-    if names:
-        weights = tuple(ckpt.tensors[f"fw.{n}"] for n in sorted(names))
-    eff_u, eff_v = fusion.effective_features(cfg.variant, feats.users, feats.items,
-                                             a_users, a_items, weights)
-
+    # the model is the one the checkpoint records, whatever this config says
+    trained = ckpt.meta.get("config", {})
+    if ckpt.meta.get("kind") != "stage2" or not {"variant", "layers"} <= trained.keys():
+        raise DataError(f"{ckpt_path}: not a stage-2 checkpoint recording its fusion "
+                        "variant and layer count")
+    params = {k: Param(v) for k, v in unpack_stage2_state(ckpt).selected().items()}
+    model = LightGCN(adj, ds.n, BackboneConfig(dim=params["table"].value.shape[1],
+                                               num_layers=trained["layers"]))
     truth = split_truth(ds, TEST)
-    recs = recommend_all(eff_u, eff_v, ds, max(cfg.topn), sorted(truth))
-    report = ranking_metrics(recs, truth, cfg.topn, keep_per_user=args.per_user)
+    recs, report = score(ds, model, params, trained["variant"], ckpt.tensors.get("aux_users"),
+                         ckpt.tensors.get("aux_items"), truth, cfg.topn,
+                         keep_per_user=args.per_user)
     write_report_text(report, out / "metrics.tsv")
     write_report_json(report, out / "metrics.json")
     if args.per_user and report.per_user is not None:
@@ -379,18 +374,14 @@ def cmd_ablate(args) -> int:
 
     truth = split_truth(ds, TEST)
     rows = []
-    for variant in ("cross", "concat", "plain-sum", "weighted-sum", "none"):
+    for variant in fusion.VARIANTS:
         vcfg = cfg.fusion_config()
         vcfg.variant = variant
         table = init_embeddings(ds.n + ds.m, cfg.dim, cfg.seed)
         result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone_config(),
                               cfg.train_config(), vcfg)
-        feats = result.model.forward(result.table)
-        weights = tuple(result.fusion_weights) if result.fusion_weights else None
-        eff_u, eff_v = fusion.effective_features(variant, feats.users, feats.items,
-                                                 a_users, a_items, weights)
-        recs = recommend_all(eff_u, eff_v, ds, max(cfg.topn), sorted(truth))
-        report = ranking_metrics(recs, truth, cfg.topn)
+        params = {k: Param(v) for k, v in result.state.selected().items()}
+        _, report = score(ds, result.model, params, variant, a_users, a_items, truth, cfg.topn)
         row = {"variant": variant}
         for metric, n, value in report.rows():
             row[f"{metric}@{n}"] = value

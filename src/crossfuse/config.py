@@ -11,7 +11,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .backbone import BackboneConfig
+from .data import check_split_ratios
+from .evaluate import check_topn
 from .fusion import FusionConfig
+from .graph import check_similarity
 from .trainer import TrainConfig
 
 
@@ -181,8 +184,8 @@ GRIDS = {
 
 
 def load_config(path: str | Path, preset: str | None = None) -> RunConfig:
-    """Parse a sectioned key = value file; unknown keys and values the
-    backbone, train or fusion configs reject are errors."""
+    """Parse a sectioned key = value file; unknown keys and values the code
+    that uses them rejects are errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
@@ -207,6 +210,10 @@ def load_config(path: str | Path, preset: str | None = None) -> RunConfig:
         cfg.backbone_config().validate()
         cfg.train_config().validate()
         cfg.fusion_config().validate(dim=cfg.dim)
+        check_split_ratios((cfg.train_ratio, cfg.validation_ratio, cfg.test_ratio))
+        check_similarity(cfg.epsilon_user, cfg.similarity)
+        check_similarity(cfg.epsilon_item, cfg.similarity)
+        check_topn(cfg.topn)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

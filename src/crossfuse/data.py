@@ -460,6 +460,18 @@ def _split_counts(total: int, ratios: np.ndarray) -> np.ndarray:
     return base
 
 
+def check_split_ratios(ratios) -> np.ndarray:
+    """(train, validation, test) as an array: non-negative, summing to 1."""
+    ratios_arr = np.asarray(ratios, dtype=np.float64)
+    if ratios_arr.shape != (3,) or np.any(ratios_arr < 0):
+        raise ValueError("ratios must be three non-negative numbers")
+    if abs(ratios_arr.sum() - 1.0) > 1e-9:
+        raise ValueError("ratios must sum to 1")
+    if ratios_arr[0] <= 0:
+        raise ValueError("train ratio must be positive")
+    return ratios_arr
+
+
 def split_dataset(ds: InteractionDataset, ratios: tuple[float, float, float],
                   seed: int) -> InteractionDataset:
     """Assign each user's triplets to train/validation/test at the given ratios.
@@ -469,14 +481,7 @@ def split_dataset(ds: InteractionDataset, ratios: tuple[float, float, float],
     keeps everything in train (logged, not an error).  Deterministic for a
     fixed seed.
     """
-    ratios_arr = np.asarray(ratios, dtype=np.float64)
-    if ratios_arr.shape != (3,) or np.any(ratios_arr < 0):
-        raise ValueError("ratios must be three non-negative numbers")
-    if abs(ratios_arr.sum() - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
-    if ratios_arr[0] <= 0:
-        raise ValueError("train ratio must be positive")
-
+    ratios_arr = check_split_ratios(ratios)
     rng = np.random.default_rng(seed)
     split = np.zeros(len(ds), dtype=np.int8)
     n_splits = int(np.count_nonzero(ratios_arr))

@@ -102,6 +102,11 @@ def _user_metrics(rec: np.ndarray, truth: set, topn: Sequence[int]) -> dict[str,
     return out
 
 
+def check_topn(topn: Sequence[int]) -> None:
+    if not topn or min(topn) < 1:
+        raise ValueError(f"topn must list cut-offs >= 1, got {list(topn)}")
+
+
 def ranking_metrics(recommendations: Mapping[int, np.ndarray],
                     ground_truth: Mapping[int, set],
                     topn: Sequence[int],
@@ -111,6 +116,7 @@ def ranking_metrics(recommendations: Mapping[int, np.ndarray],
 
     A user with test items but no recommendation list is skipped and counted.
     """
+    check_topn(topn)
     topn = sorted(set(int(n) for n in topn))
     sums: dict[str, dict[int, float]] = {m: {n: 0.0 for n in topn}
                                          for m in ("precision", "recall", "f1", "mrr", "ndcg")}

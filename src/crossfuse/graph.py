@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .data import TRAIN, InteractionDataset
+from .data import TRAIN, DataError, InteractionDataset
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +42,13 @@ def isolated_nodes(R: sp.spmatrix, axis: str = "rows") -> np.ndarray:
     return np.flatnonzero(counts == 0)
 
 
+def check_similarity(epsilon: float, variant: str) -> None:
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
+    if variant not in ("cosine", "printed"):
+        raise ValueError(f"unknown similarity variant {variant!r}")
+
+
 def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 0.3,
                            variant: str = "cosine",
                            max_neighbors: int | None = None) -> sp.csr_matrix:
@@ -55,10 +62,7 @@ def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 
     ``max_neighbors`` optionally caps each node's off-diagonal degree by
     keeping entries ranked in both endpoints' top lists, preserving symmetry.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    if variant not in ("cosine", "printed"):
-        raise ValueError(f"unknown similarity variant {variant!r}")
+    check_similarity(epsilon, variant)
     if axis not in ("rows", "columns"):
         raise ValueError("axis must be 'rows' or 'columns'")
 
@@ -181,12 +185,14 @@ def save_graph(path: str | Path, mat: sp.csr_matrix) -> None:
 
 def load_graph(path: str | Path) -> sp.csr_matrix:
     raw = Path(path).read_bytes()
-    if raw[:4] != GRAPH_MAGIC:
-        raise ValueError(f"{path}: not a graph file")
+    if len(raw) < 32 or raw[:4] != GRAPH_MAGIC:
+        raise DataError(f"{path}: not a graph file")
     (version,) = struct.unpack("<I", raw[4:8])
     if version != GRAPH_VERSION:
-        raise ValueError(f"{path}: unsupported graph format version {version}")
+        raise DataError(f"{path}: unsupported graph format version {version}")
     rows, cols, nnz = struct.unpack("<QQQ", raw[8:32])
+    if len(raw) != 32 + 8 * (rows + 1 + 2 * nnz):
+        raise DataError(f"{path}: graph payload size mismatch")
     off = 32
     indptr = np.frombuffer(raw, dtype="<i8", count=rows + 1, offset=off).astype(np.int64)
     off += (rows + 1) * 8

@@ -85,9 +85,15 @@ class Adam:
             self.v[i][...] = tensors[f"v{i}"]
 
 
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
+
+
+def check_optimizer(name: str) -> None:
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r} "
+                         f"(expected {' or '.join(map(repr, OPTIMIZERS))})")
+
+
 def make_optimizer(name: str, params, lr: float):
-    if name == "sgd":
-        return Sgd(params, lr)
-    if name == "adam":
-        return Adam(params, lr)
-    raise ValueError(f"unknown optimizer {name!r} (expected 'sgd' or 'adam')")
+    check_optimizer(name)
+    return OPTIMIZERS[name](params, lr)

@@ -24,12 +24,13 @@ import scipy.sparse as sp
 
 from . import auxnet, fusion
 from .backbone import BackboneConfig, LightGCN
-from .data import TRAIN, VALIDATION, InteractionDataset, sample_negatives, split_truth
-from .evaluate import ranking_metrics, recommend_all
-from .optim import Param, make_optimizer
+from .data import (TRAIN, VALIDATION, DataError, InteractionDataset, sample_negatives,
+                   split_truth)
+from .evaluate import RankingReport, ranking_metrics, recommend_all
+from .optim import Param, check_optimizer, make_optimizer
 
 CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DivergenceError(Exception):
@@ -45,11 +46,11 @@ class PipelineOrderError(Exception):
     """Stage 2 started without stage-1 products."""
 
 
-class CheckpointVersionError(Exception):
+class CheckpointVersionError(DataError):
     pass
 
 
-class CheckpointCorruptError(Exception):
+class CheckpointCorruptError(DataError):
     pass
 
 
@@ -72,6 +73,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        check_optimizer(self.optimizer)
 
 
 @dataclass
@@ -177,23 +179,29 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
 
 @dataclass
 class Stage2State:
-    """Everything stage 2 needs to continue mid-run."""
+    """Everything stage 2 needs to continue mid-run.  ``params`` and
+    ``best_params`` hold each trained array by name (``"table"`` plus any
+    weighted-sum matrices) as the last and the best-validation epoch left it."""
 
     epoch: int
-    table_values: np.ndarray
+    params: dict[str, np.ndarray]
+    best_params: dict[str, np.ndarray]
+    best_metric: float
+    stale_epochs: int
     opt_meta: dict
     opt_tensors: dict
     rng_state: dict
-    best_values: np.ndarray
-    best_metric: float
-    stale_epochs: int
-    fusion_weights: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def selected(self) -> dict[str, np.ndarray]:
+        """The model training selected: the best-validation epoch's values
+        when validation ran, else the last epoch's."""
+        return self.best_params if np.isfinite(self.best_metric) else self.params
 
 
 @dataclass
 class Stage2Result:
-    """The trained table (best-validation values restored), the model, the
-    log, and ``state``: the resumable state as the last epoch left it."""
+    """The selected table and fusion weights, the model, the log, and
+    ``state``: the resumable state as the last epoch left it."""
 
     table: Param
     model: LightGCN
@@ -213,6 +221,20 @@ def _make_ranked_batch(ds, triplets, idx, rng) -> np.ndarray:
     return out
 
 
+def score(ds: InteractionDataset, model: LightGCN, params: dict[str, Param],
+          variant: str, a_users, a_items, truth: dict[int, set], topn,
+          keep_per_user: bool = False) -> tuple[dict[int, np.ndarray], RankingReport]:
+    """Top-``max(topn)`` unseen items for each user in ``truth`` by the
+    variant's score under ``params`` (named as in ``Stage2State``), and their
+    ranking metrics; validation, ``evaluate`` and ``ablate`` all score here."""
+    feats = model.forward(params["table"])
+    weights = tuple(params[k].value for k in sorted(params) if k != "table") or None
+    eff_u, eff_v = fusion.effective_features(variant, feats.users, feats.items,
+                                             a_users, a_items, weights)
+    recs = recommend_all(eff_u, eff_v, ds, max(topn), sorted(truth))
+    return recs, ranking_metrics(recs, truth, topn, keep_per_user=keep_per_user)
+
+
 def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
                  a_users: np.ndarray | None, a_items: np.ndarray | None,
                  bcfg: BackboneConfig, cfg: TrainConfig,
@@ -223,10 +245,10 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     Each epoch draws one negative per positive (or pads zero-rated negatives
     for the squared-error objectives), takes ``fusion.fused_objective_grad``
     steps on the configured variant, and scores validation NDCG@10; the
-    best-validation table is restored at the end.  ``resume`` continues from
-    a saved state; a run with ``cfg.epochs = k`` leaves in ``result.state``
-    the state to resume from after epoch k.  Refuses to start with fusion
-    enabled but no stage-1 products.
+    selected model (``Stage2State.selected``) is restored at the end.
+    ``resume`` continues from a saved state; a run with ``cfg.epochs = k``
+    leaves in ``result.state`` the state to resume from after epoch k.
+    Refuses to start with fusion enabled but no stage-1 products.
     """
     cfg.validate()
     bcfg.validate()
@@ -247,28 +269,26 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
         init = fcfg.weights if fcfg.weights is not None else fusion.identity_weights(bcfg.dim)
         w_params = [Param(w, f"fusion.w{k + 1}") for k, w in enumerate(init)]
 
-    params = [table] + (w_params or [])
-    opt = make_optimizer(cfg.optimizer, params, cfg.eta2)
+    named = {"table": table, **{p.name: p for p in w_params or []}}
+    opt = make_optimizer(cfg.optimizer, list(named.values()), cfg.eta2)
     rng = np.random.default_rng(cfg.seed)
     triplets = ds.triplets(TRAIN)
     val_truth = split_truth(ds, VALIDATION)
-    val_users = sorted(val_truth)
     log = TrainingLog()
 
     start_epoch = 0
-    best_values = table.value.copy()
+    best_params = {k: p.value.copy() for k, p in named.items()}
     best_metric = -np.inf
     stale = 0
     if resume is not None:
         start_epoch = resume.epoch
-        table.value[...] = resume.table_values
+        for k, p in named.items():
+            p.value[...] = resume.params[k]
         opt.load_state(resume.opt_meta, resume.opt_tensors)
         rng.bit_generator.state = resume.rng_state
-        best_values = resume.best_values.copy()
+        best_params = {k: v.copy() for k, v in resume.best_params.items()}
         best_metric = resume.best_metric
         stale = resume.stale_epochs
-        for p in w_params or []:
-            p.value[...] = resume.fusion_weights[p.name]
 
     epochs_run = start_epoch
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
@@ -283,50 +303,43 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
                     batch = _pad_with_negatives(ds, batch, rng)
             else:
                 batch = _make_ranked_batch(ds, triplets, idx, rng)
-            for p in params:
+            for p in named.values():
                 p.zero_grad()
-            feats = model.forward(table)
-            loss = fusion.fused_objective_grad(model, feats, table, a_users, a_items,
-                                               batch, fcfg, w_params)
+            loss = fusion.fused_objective_grad(model, model.forward(table), table, a_users,
+                                               a_items, batch, fcfg, w_params)
             if not np.isfinite(loss):
                 raise DivergenceError(stage=2, epoch=epoch)
             opt.step()
             epoch_loss += loss
 
         val_metric = float("nan")
-        if val_users:
-            feats = model.forward(table)
-            eff_u, eff_v = fusion.effective_features(
-                variant, feats.users, feats.items, a_users, a_items,
-                tuple(p.value for p in w_params) if w_params else None)
-            recs = recommend_all(eff_u, eff_v, ds, 10, val_users)
-            report = ranking_metrics(recs, val_truth, [10])
+        if val_truth:
+            _, report = score(ds, model, named, variant, a_users, a_items, val_truth, [10])
             val_metric = report.means["ndcg"][10]
             if val_metric > best_metric:
                 best_metric = val_metric
-                best_values = table.value.copy()
+                best_params = {k: p.value.copy() for k, p in named.items()}
                 stale = 0
             else:
                 stale += 1
         epochs_run = epoch
         log.add(EpochRecord(stage=2, epoch=epoch, loss=epoch_loss, val_metric=val_metric,
                             wall_time=time.perf_counter() - t0))
-        if cfg.patience is not None and val_users and stale > cfg.patience:
+        if cfg.patience is not None and val_truth and stale > cfg.patience:
             break
 
     state = Stage2State(
         epoch=epochs_run,
-        table_values=table.value.copy(),
+        params={k: p.value.copy() for k, p in named.items()},
+        best_params=best_params,
+        best_metric=best_metric,
+        stale_epochs=stale,
         opt_meta=opt.state(),
         opt_tensors={k: v.copy() for k, v in opt.state_tensors().items()},
         rng_state=rng.bit_generator.state,
-        best_values=best_values,
-        best_metric=best_metric,
-        stale_epochs=stale,
-        fusion_weights={p.name: p.value.copy() for p in (w_params or [])},
     )
-    if np.isfinite(best_metric):
-        table.value[...] = best_values
+    for k, values in state.selected().items():
+        named[k].value[...] = values
     return Stage2Result(table=table, model=model, log=log, best_metric=best_metric,
                         epochs_run=epochs_run, state=state,
                         fusion_weights=[p.value for p in w_params] if w_params else None)
@@ -417,68 +430,43 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(meta=meta, tensors=tensors)
 
 
-def _jsonable_rng_state(state):
-    if isinstance(state, dict):
-        return {k: _jsonable_rng_state(v) for k, v in state.items()}
-    if isinstance(state, np.integer):
-        return int(state)
-    if isinstance(state, np.ndarray):
-        return {"__array__": state.tolist(), "dtype": str(state.dtype)}
-    return state
-
-
-def _rng_state_from_json(state):
-    if isinstance(state, dict):
-        if "__array__" in state:
-            return np.array(state["__array__"], dtype=state["dtype"])
-        return {k: _rng_state_from_json(v) for k, v in state.items()}
-    return state
-
-
 def pack_stage2_state(state: Stage2State, config_snapshot: dict,
                       a_users: np.ndarray | None = None,
-                      a_items: np.ndarray | None = None,
-                      aux_arrays: dict[str, np.ndarray] | None = None) -> Checkpoint:
-    """Bundle a stage-2 state (plus the frozen auxiliary features and any
-    attribute-network parameters) into a writable checkpoint."""
+                      a_items: np.ndarray | None = None) -> Checkpoint:
+    """Bundle a stage-2 state (plus the frozen auxiliary features) into a
+    writable checkpoint.  The generator state is PCG64's, plain integers, so
+    it goes into the JSON metadata as it is."""
     meta = {
         "kind": "stage2",
         "epoch": state.epoch,
         "best_metric": state.best_metric,
         "stale_epochs": state.stale_epochs,
         "opt": state.opt_meta,
-        "rng_state": _jsonable_rng_state(state.rng_state),
+        "rng_state": state.rng_state,
         "config": config_snapshot,
-        "fusion_weight_names": sorted(state.fusion_weights),
     }
-    tensors = {"table": state.table_values, "best_table": state.best_values}
-    for k, v in state.opt_tensors.items():
-        tensors[f"opt.{k}"] = v
-    for k, v in state.fusion_weights.items():
-        tensors[f"fw.{k}"] = v
+    tensors = {f"last.{k}": v for k, v in state.params.items()}
+    tensors.update({f"best.{k}": v for k, v in state.best_params.items()})
+    tensors.update({f"opt.{k}": v for k, v in state.opt_tensors.items()})
     if a_users is not None:
         tensors["aux_users"] = np.asarray(a_users)
     if a_items is not None:
         tensors["aux_items"] = np.asarray(a_items)
-    if aux_arrays:
-        tensors.update(aux_arrays)
     return Checkpoint(meta=meta, tensors=tensors)
 
 
 def unpack_stage2_state(ckpt: Checkpoint) -> Stage2State:
+    def prefixed(prefix: str) -> dict[str, np.ndarray]:
+        return {k[len(prefix):]: v for k, v in ckpt.tensors.items() if k.startswith(prefix)}
+
     meta = ckpt.meta
-    opt_tensors = {k.split(".", 1)[1]: v for k, v in ckpt.tensors.items()
-                   if k.startswith("opt.")}
-    weights = {k.split(".", 1)[1]: v for k, v in ckpt.tensors.items()
-               if k.startswith("fw.")}
     return Stage2State(
         epoch=int(meta["epoch"]),
-        table_values=ckpt.tensors["table"],
-        opt_meta=meta["opt"],
-        opt_tensors=opt_tensors,
-        rng_state=_rng_state_from_json(meta["rng_state"]),
-        best_values=ckpt.tensors["best_table"],
+        params=prefixed("last."),
+        best_params=prefixed("best."),
         best_metric=float(meta["best_metric"]),
         stale_epochs=int(meta["stale_epochs"]),
-        fusion_weights=weights,
+        opt_meta=meta["opt"],
+        opt_tensors=prefixed("opt."),
+        rng_state=meta["rng_state"],
     )

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from crossfuse.auxnet import (Affine, AuxEncoder, AuxGcnStack, BatchNorm, build_extractor,
                               distinct_rows, load_dense_matrix, save_dense_matrix,
                               squared_score_loss, stage1_loss_and_grad)
+from crossfuse.data import DataError
 
 
 def loop_graph(weights: np.ndarray) -> sp.csr_matrix:
@@ -369,5 +370,5 @@ class TestDenseMatrixFile:
         save_dense_matrix(path, np.ones((3, 3)))
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="size mismatch"):
+        with pytest.raises(DataError, match="size mismatch"):
             load_dense_matrix(path)

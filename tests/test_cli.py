@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ class TestPipeline:
     def test_train(self, workspace):
         assert main(["train", "--config", str(workspace["config"])]) == 0
         ckpt = load_checkpoint(workspace["out"] / "model.ckpt")
-        assert "table" in ckpt.tensors
+        assert "last.table" in ckpt.tensors
         assert "aux_users" in ckpt.tensors
         assert ckpt.meta["epoch"] == 3
 
@@ -99,14 +100,30 @@ class TestPipeline:
         out, cfg = workspace["out"], str(workspace["config"])
         ckpt = load_checkpoint(out / "model.ckpt")
         assert np.isfinite(ckpt.meta["best_metric"])
-        assert not np.array_equal(ckpt.tensors["table"], ckpt.tensors["best_table"])
+        assert not np.array_equal(ckpt.tensors["last.table"], ckpt.tensors["best.table"])
         best_only = tmp_path / "best_only.ckpt"
-        save_checkpoint(best_only, Checkpoint(ckpt.meta, {**ckpt.tensors,
-                                                          "table": ckpt.tensors["best_table"]}))
+        save_checkpoint(best_only, Checkpoint(ckpt.meta, {
+            **ckpt.tensors, "last.table": ckpt.tensors["best.table"]}))
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(best_only)]) == 0
         expect = json.loads((out / "metrics.json").read_text())
         assert main(["evaluate", "--config", cfg]) == 0
         assert json.loads((out / "metrics.json").read_text()) == expect
+
+    @pytest.mark.parametrize("old, new", [
+        ("[backbone]\ndim = 8\nlayers = 1\n", "[backbone]\ndim = 8\nlayers = 3\n"),
+        ("[fusion]\n", "[fusion]\nvariant = concat\n"),
+    ], ids=["layers", "variant"])
+    def test_evaluate_scores_the_checkpointed_model(self, workspace, tmp_path, old, new):
+        """The model comes from the checkpoint, not from the evaluate config."""
+        out, cfg = workspace["out"], workspace["config"]
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        expect = (out / "metrics.json").read_bytes()
+        edited = tmp_path / "edited.cfg"
+        text = cfg.read_text()
+        assert old in text
+        edited.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["evaluate", "--config", str(edited)]) == 0
+        assert (out / "metrics.json").read_bytes() == expect
 
     def test_manifest_contents(self, workspace):
         doc = json.loads((workspace["out"] / "manifest_train.json").read_text())
@@ -193,6 +210,56 @@ class TestExitCodes:
                        encoding="utf-8")
         assert main([command, "--config", str(cfg)]) == 2
         assert "config error: epochs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("train", "[train]\n", "[train]\noptimizer = lbfgs\n"),
+        ("train-aux", "[train]\n", "[train]\noptimizer = lbfgs\n"),
+        ("prepare", "[graph]\n", "[graph]\nsimilarity = bogus\n"),
+        ("prepare", "epsilon_user = 0.2", "epsilon_user = 2"),
+        ("prepare", "[data]\n", "[data]\ntrain_ratio = 0.92\n"),
+        ("evaluate", "topn = 5, 10", "topn = 0"),
+    ], ids=["optimizer-train", "optimizer-train-aux", "similarity", "epsilon", "ratios",
+            "topn"])
+    def test_bad_value_is_config_error(self, workspace, tmp_path, capsys, command, old, new):
+        text = workspace["config"].read_text()
+        assert old in text
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, name, damage", [
+        ("evaluate", "model.ckpt", "flip-byte"),
+        ("evaluate", "model.ckpt", "bump-version"),
+        ("evaluate", "model.ckpt", "stage-1-checkpoint"),
+        ("evaluate", "model.ckpt", "no-trained-config"),
+        ("train", "adjacency.graph", "truncate"),
+        ("train", "aux_users.mat", "truncate"),
+    ])
+    def test_damaged_artifact_is_data_error(self, workspace, tmp_path, monkeypatch, capsys,
+                                            command, name, damage):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        path = out / name
+        if damage == "stage-1-checkpoint":
+            shutil.copyfile(out / "aux_state.ckpt", path)
+        elif damage == "no-trained-config":
+            ckpt = load_checkpoint(path)
+            save_checkpoint(path, Checkpoint({**ckpt.meta, "config": {}}, ckpt.tensors))
+        else:
+            raw = bytearray(path.read_bytes())
+            if damage == "flip-byte":
+                raw[-12] ^= 0xFF
+            elif damage == "bump-version":
+                raw[4] = 99
+            else:
+                del raw[-8:]
+            path.write_bytes(bytes(raw))
+        assert main([command, "--config", str(workspace["config"])]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"

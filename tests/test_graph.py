@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from crossfuse.data import InteractionDataset
+from crossfuse.data import DataError, InteractionDataset
 from crossfuse.graph import (build_similarity_graph, check_csr, interaction_matrix,
                              isolated_nodes, load_graph, normalize_bipartite,
                              propagate, save_graph)
@@ -186,7 +186,7 @@ class TestPersistence:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.graph"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ValueError, match="not a graph file"):
+        with pytest.raises(DataError, match="not a graph file"):
             load_graph(path)
 
     def test_interaction_matrix_binarize(self, tiny_dataset):

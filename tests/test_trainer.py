@@ -3,7 +3,8 @@ import pytest
 
 from crossfuse import auxnet, fusion, synthetic
 from crossfuse.backbone import BackboneConfig, init_embeddings
-from crossfuse.data import split_dataset
+from crossfuse.data import VALIDATION, split_dataset, split_truth
+from crossfuse.evaluate import ranking_metrics, recommend_all
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
 from crossfuse.optim import Adam, Param, Sgd, make_optimizer
 from crossfuse.trainer import (Checkpoint, CheckpointCorruptError,
@@ -203,6 +204,34 @@ class TestStage2:
         if variant == "weighted-sum":
             assert res.fusion_weights is not None
             assert len(res.fusion_weights) == 4
+
+    def test_weighted_sum_returns_the_best_epochs_weights(self):
+        """The returned table and weights are the best validation epoch's, and
+        scoring them on validation reproduces ``best_metric`` exactly."""
+        data, ds, adj, s1 = self._stage1()
+        bcfg = BackboneConfig(dim=D, num_layers=1)
+        fcfg = fusion.FusionConfig(variant="weighted-sum")
+
+        def run(epochs):
+            table = init_embeddings(ds.n + ds.m, D, seed=0)
+            return train_stage2(ds, adj, table, s1.user_features, s1.item_features,
+                                bcfg, quick_cfg(epochs=epochs), fcfg)
+
+        res = run(7)
+        best_epoch = max(res.log.records, key=lambda r: r.val_metric).epoch
+        assert best_epoch < res.epochs_run
+        upto_best = run(best_epoch)
+        assert np.array_equal(res.table.value, upto_best.table.value)
+        for w, ref in zip(res.fusion_weights, upto_best.fusion_weights, strict=True):
+            assert np.array_equal(w, ref)
+
+        feats = res.model.forward(res.table)
+        eff_u, eff_v = fusion.effective_features("weighted-sum", feats.users, feats.items,
+                                                 s1.user_features, s1.item_features,
+                                                 tuple(res.fusion_weights))
+        truth = split_truth(ds, VALIDATION)
+        recs = recommend_all(eff_u, eff_v, ds, 10, sorted(truth))
+        assert ranking_metrics(recs, truth, [10]).means["ndcg"][10] == res.best_metric
 
 
 class TestCheckpoint:
