@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataError
-from .optim import Param
+from .optim import Param, indicator
 
 
 def save_dense_matrix(path, mat: np.ndarray) -> None:
@@ -49,16 +49,6 @@ def load_dense_matrix(path) -> np.ndarray:
     return data.reshape(rows, dim).astype(np.float64)
 
 
-def _indicator(index: np.ndarray, size: int) -> sp.csr_matrix:
-    """(size, len(index)) 0/1 matrix whose product with a (len(index), d)
-    array sums the rows sharing an index, adding them in their original order
-    exactly as ``np.add.at`` does."""
-    order = np.argsort(index, kind="stable")
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(index, minlength=size), out=indptr[1:])
-    return sp.csr_matrix((np.ones(len(index)), order, indptr), shape=(size, len(index)))
-
-
 @dataclass(frozen=True)
 class DistinctRows:
     """An attribute matrix as its distinct rows plus the map back to all rows.
@@ -81,7 +71,7 @@ def distinct_rows(x: np.ndarray) -> DistinctRows:
     values, inverse, counts = np.unique(x, axis=0, return_inverse=True, return_counts=True)
     inverse = inverse.reshape(-1)
     return DistinctRows(values, inverse, counts.astype(np.float64),
-                        _indicator(inverse, len(values)))
+                        indicator(inverse, len(values)))
 
 
 class Affine:
@@ -361,26 +351,25 @@ def build_extractor(in_dim: int, dim: int, hidden, gcn_layers: int,
     return AuxiliaryExtractor(enc, stack)
 
 
-def _as_scored_pairs(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _as_rated(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("batch must be (B, 3) rows of (user, item, rating)")
-    if arr.shape[0] == 0:
-        raise ValueError("empty batch")
+    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
+        raise ValueError("batch must be non-empty (B, 3) rows of (user, item, rating)")
     return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
 
 
 def squared_score_loss(a_users: np.ndarray, a_items: np.ndarray,
                        batch) -> tuple[float, np.ndarray, np.ndarray]:
     """Sum of squared gaps between feature dot products and ratings, with its
-    gradient at the feature level."""
-    u, i, r = _as_scored_pairs(batch)
+    gradient at the feature level.  Stage 1 trains the attribute features on
+    it, and stage 2's squared-error graph loss is the same function."""
+    u, i, r = _as_rated(batch)
     au = a_users[u]
     ai = a_items[i]
     e = np.einsum("ij,ij->i", au, ai) - r
     loss = float(np.sum(e * e))
-    dAu = _indicator(u, len(a_users)) @ ((2.0 * e)[:, None] * ai)
-    dAv = _indicator(i, len(a_items)) @ ((2.0 * e)[:, None] * au)
+    dAu = indicator(u, len(a_users)) @ ((2.0 * e)[:, None] * ai)
+    dAv = indicator(i, len(a_items)) @ ((2.0 * e)[:, None] * au)
     return loss, dAu, dAv
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .optim import Param
+from .optim import Param, indicator
 
 
 @dataclass
@@ -146,10 +146,9 @@ def bpr_loss_and_feature_grad(users_feat: np.ndarray, items_feat: np.ndarray,
     loss = float(log_sigmoid_loss(x).sum())
 
     c = sigmoid(x) - 1.0  # d(-ln sigma(x))/dx
-    dU = np.zeros_like(users_feat)
-    dV = np.zeros_like(items_feat)
-    np.add.at(dU, u, c[:, None] * (gp - gn))
-    np.add.at(dV, ip, c[:, None] * gu)
-    np.add.at(dV, ineg, -c[:, None] * gu)
+    dU = indicator(u, len(users_feat)) @ (c[:, None] * (gp - gn))
+    cg = c[:, None] * gu
+    # positives first, then negatives: the order each item's rows are summed in
+    dV = indicator(np.concatenate([ip, ineg]), len(items_feat)) @ np.concatenate([cg, -cg])
     return loss, dU, dV
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -155,14 +156,17 @@ def _load_dataset(out: Path) -> InteractionDataset:
     path = out / "dataset.npz"
     if not path.exists():
         raise DataError(f"{path} not found; run `crossfuse prepare` first")
-    z = np.load(path, allow_pickle=False)
-    return InteractionDataset(
-        n=int(z["n"][0]), m=int(z["m"][0]), users=z["users"], items=z["items"],
-        ratings=z["ratings"], split=z["split"],
-        timestamps=z["timestamps"] if "timestamps" in z else None,
-        user_ids=[str(x) for x in z["user_ids"]],
-        item_ids=[str(x) for x in z["item_ids"]],
-    )
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            return InteractionDataset(
+                n=int(z["n"][0]), m=int(z["m"][0]), users=z["users"], items=z["items"],
+                ratings=z["ratings"], split=z["split"],
+                timestamps=z["timestamps"] if "timestamps" in z else None,
+                user_ids=[str(x) for x in z["user_ids"]],
+                item_ids=[str(x) for x in z["item_ids"]],
+            )
+    except (OSError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a prepared dataset ({exc})") from exc
 
 
 def _save_fields(path: Path, fields) -> None:
@@ -304,6 +308,9 @@ def _item_category_labels(out: Path, field_name: str | None) -> dict[int, list[i
         raise DataError("category report needs prepared item attributes")
     fields = _load_fields(fields_path)
     names = [f.name for f in fields]
+    if field_name is not None and field_name not in names:
+        raise ConfigError(f"unknown category field {field_name!r}; item attributes "
+                          f"have {names}")
     fld = fields[0] if field_name is None else fields[names.index(field_name)]
     values = auxnet.load_dense_matrix(mat_path)
     out_map: dict[int, list[int]] = {}
@@ -332,6 +339,7 @@ def cmd_evaluate(args) -> int:
     if ckpt.meta.get("kind") != "stage2" or not {"variant", "layers"} <= trained.keys():
         raise DataError(f"{ckpt_path}: not a stage-2 checkpoint recording its fusion "
                         "variant and layer count")
+    cats = _item_category_labels(out, args.category_field) if args.kl else None
     params = {k: Param(v) for k, v in unpack_stage2_state(ckpt).selected().items()}
     model = LightGCN(adj, ds.n, BackboneConfig(dim=params["table"].value.shape[1],
                                                num_layers=trained["layers"]))
@@ -349,7 +357,6 @@ def cmd_evaluate(args) -> int:
             json.dumps(detail, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
     if args.kl:
-        cats = _item_category_labels(out, args.category_field)
         histories = {u: ds.train_items(u).tolist() for u in range(ds.n)}
         kl, _ = category_kl(histories, recs, cats, cfg.kl_categories)
         (out / "kl.json").write_text(

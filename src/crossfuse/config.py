@@ -166,20 +166,10 @@ class RunConfig:
                             include_negatives=self.include_negatives)
 
 
-# Best reported settings per backbone on the movie dataset.
+# Best reported settings for the LightGCN backbone on the movie dataset.
 PRESETS: dict[str, dict[str, object]] = {
     "ml1m-lightgcn": {"eta1": 0.001, "epsilon_user": 0.3, "epsilon_item": 0.3,
                       "lambda1": 0.05, "lambda2": 0.001},
-    "ml1m-gin": {"eta1": 0.01, "epsilon_user": 0.5, "epsilon_item": 0.5,
-                 "lambda1": 0.1, "lambda2": 0.05},
-}
-
-# Documented tuning grids for sweeps driven outside this package.
-GRIDS = {
-    "epsilon": [0.1, 0.3, 0.5, 0.7, 0.9],
-    "lambda": [0.001, 0.01, 0.05, 0.1, 1],
-    "gcn_layers": [2, 3, 4, 5],
-    "learning_rate": [0.0003, 0.001, 0.003, 0.01, 0.03],
 }
 
 

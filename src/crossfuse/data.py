@@ -95,32 +95,19 @@ class InteractionDataset:
         if self._adjacency is None:
             tr = self.split_indices(TRAIN)
             user_items: list[list[int]] = [[] for _ in range(self.n)]
-            item_users: list[list[int]] = [[] for _ in range(self.m)]
             for u, i in zip(self.users[tr], self.items[tr]):
                 user_items[u].append(int(i))
-                item_users[i].append(int(u))
             ui = [np.array(sorted(s), dtype=np.int64) for s in user_items]
-            iu = [np.array(sorted(s), dtype=np.int64) for s in item_users]
             sets = [frozenset(s) for s in user_items]
-            self._adjacency = (ui, iu, sets)
+            self._adjacency = (ui, sets)
         return self._adjacency
 
     def train_items(self, u: int) -> np.ndarray:
         """Sorted train-split items of user u."""
         return self._ensure_adjacency()[0][u]
 
-    def train_users(self, i: int) -> np.ndarray:
-        """Sorted train-split users of item i."""
-        return self._ensure_adjacency()[1][i]
-
     def train_item_set(self, u: int) -> frozenset:
-        return self._ensure_adjacency()[2][u]
-
-    def user_degree(self, u: int) -> int:
-        return len(self.train_items(u))
-
-    def item_degree(self, i: int) -> int:
-        return len(self.train_users(i))
+        return self._ensure_adjacency()[1][u]
 
     # -- consistency ----------------------------------------------------
 
@@ -271,16 +258,6 @@ def write_remap_table(path: str | Path, raw_ids: Sequence[str], delimiter: str =
     with open(path, "w", encoding="utf-8") as fh:
         for idx, raw in enumerate(raw_ids):
             fh.write(f"{raw}{delimiter}{idx}\n")
-
-
-def read_remap_table(path: str | Path, delimiter: str = "\t") -> dict[str, int]:
-    out: dict[str, int] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        raw, idx = line.split(delimiter)
-        out[raw] = int(idx)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +516,7 @@ def sample_negatives(ds: InteractionDataset, users: np.ndarray,
     """
     users = np.asarray(users, dtype=np.int64).tolist()
     m = ds.m
-    item_sets = ds._ensure_adjacency()[2]
+    item_sets = ds._ensure_adjacency()[1]
     # Room for rejections (about 7% of draws on the desk data), so one block
     # usually covers the batch; a short block is topped up, never redrawn.
     slack = len(users) // 8 + 16

@@ -16,21 +16,6 @@ from .data import InteractionDataset
 KL_SMOOTHING = 1e-9
 
 
-def rank_topn(g_users: np.ndarray, g_items: np.ndarray, u: int, n: int,
-              exclude=()) -> np.ndarray:
-    """The ``n`` highest-scoring items for user ``u`` by feature dot product,
-    excluded items removed, ties broken toward the lower item index.  Returns
-    the whole candidate pool when it is smaller than ``n``."""
-    scores = g_items @ g_users[u]
-    excl = np.asarray(sorted(exclude), dtype=np.int64) if len(exclude) else None
-    if excl is not None and len(excl):
-        scores = scores.copy()
-        scores[excl] = -np.inf
-    order = np.argsort(-scores, kind="stable")
-    pool = len(scores) - (len(excl) if excl is not None else 0)
-    return order[:min(n, pool)]
-
-
 def recommend_all(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset,
                   n: int, users: Sequence[int] | None = None,
                   chunk: int = 1024) -> dict[int, np.ndarray]:

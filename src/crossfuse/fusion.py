@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .auxnet import _as_rated, squared_score_loss
 from .backbone import GraphFeatures, LightGCN, bpr_loss_and_feature_grad
-from .optim import Param
+from .optim import Param, indicator
 
 VARIANTS = ("cross", "concat", "plain-sum", "weighted-sum", "none")
 
@@ -71,13 +72,6 @@ class FusionConfig:
         return self.variant in ("concat", "plain-sum", "weighted-sum") or self.graph_loss == "mse"
 
 
-def parameter_count(cfg: FusionConfig, dim: int) -> int:
-    """Learnable parameters introduced by the fusion mechanism itself."""
-    if cfg.variant == "weighted-sum":
-        return 4 * dim * dim
-    return 0
-
-
 def identity_weights(dim: int):
     return tuple(np.eye(dim) for _ in range(4))
 
@@ -86,26 +80,11 @@ def identity_weights(dim: int):
 # Scores and losses
 # ---------------------------------------------------------------------------
 
-def cross_scores(g_u: np.ndarray, g_i: np.ndarray, a_u: np.ndarray,
-                 a_i: np.ndarray) -> tuple[float, float, float]:
-    """The three coupling scores (r_a, r_c1, r_c2) for one user-item pair."""
-    if not (g_u.shape == g_i.shape == a_u.shape == a_i.shape):
-        raise ValueError("all four feature vectors must share one dimension")
-    return float(a_u @ a_i), float(g_u @ a_i), float(a_u @ g_i)
-
-
 def _as_pairs(batch) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(batch)
     if arr.ndim != 2 or arr.shape[1] < 2 or arr.shape[0] == 0:
         raise ValueError("batch must be non-empty (B, >=2) rows starting with (user, item)")
     return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
-
-
-def _as_rated(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
-        raise ValueError("batch must be non-empty (B, 3) rows of (user, item, rating)")
-    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
 
 
 def cross_fusion_loss(g_users: np.ndarray, g_items: np.ndarray, a_users: np.ndarray,
@@ -128,26 +107,11 @@ def cross_fusion_loss(g_users: np.ndarray, g_items: np.ndarray, a_users: np.ndar
     l1 = float(np.sum((r_a - r_c1) ** 2))
     l2 = float(np.sum((r_a - r_c2) ** 2))
 
-    dGu = np.zeros_like(g_users)
-    dGv = np.zeros_like(g_items)
-    if cfg.lambda1:
-        np.add.at(dGu, u, (2.0 * cfg.lambda1 * (r_c1 - r_a))[:, None] * ai)
-    if cfg.lambda2:
-        np.add.at(dGv, i, (2.0 * cfg.lambda2 * (r_c2 - r_a))[:, None] * au)
+    dGu = (indicator(u, len(g_users)) @ ((2.0 * cfg.lambda1 * (r_c1 - r_a))[:, None] * ai)
+           if cfg.lambda1 else np.zeros_like(g_users))
+    dGv = (indicator(i, len(g_items)) @ ((2.0 * cfg.lambda2 * (r_c2 - r_a))[:, None] * au)
+           if cfg.lambda2 else np.zeros_like(g_items))
     return l1, l2, dGu, dGv
-
-
-def mse_graph_loss(g_users: np.ndarray, g_items: np.ndarray, batch
-                   ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Squared-error graph loss and feature-level gradient."""
-    u, i, r = _as_rated(batch)
-    e = np.einsum("ij,ij->i", g_users[u], g_items[i]) - r
-    loss = float(np.sum(e * e))
-    dGu = np.zeros_like(g_users)
-    dGv = np.zeros_like(g_items)
-    np.add.at(dGu, u, (2.0 * e)[:, None] * g_items[i])
-    np.add.at(dGv, i, (2.0 * e)[:, None] * g_users[u])
-    return loss, dGu, dGv
 
 
 def effective_features(variant: str, g_users: np.ndarray, g_items: np.ndarray,
@@ -185,10 +149,8 @@ def concat_fusion_loss(g_users, g_items, a_users, a_items, batch
     e = (np.einsum("ij,ij->i", a_users[u], a_items[i])
          + np.einsum("ij,ij->i", g_users[u], g_items[i]) - r)
     loss = float(np.sum(e * e))
-    dGu = np.zeros_like(g_users)
-    dGv = np.zeros_like(g_items)
-    np.add.at(dGu, u, (2.0 * e)[:, None] * g_items[i])
-    np.add.at(dGv, i, (2.0 * e)[:, None] * g_users[u])
+    dGu = indicator(u, len(g_users)) @ ((2.0 * e)[:, None] * g_items[i])
+    dGv = indicator(i, len(g_items)) @ ((2.0 * e)[:, None] * g_users[u])
     return loss, dGu, dGv
 
 
@@ -211,11 +173,9 @@ def weighted_sum_fusion_loss(g_users, g_items, a_users, a_items, batch, weights
     e = np.einsum("ij,ij->i", pu, qi) - r
     loss = float(np.sum(e * e))
 
-    dGu = np.zeros_like(g_users)
-    dGv = np.zeros_like(g_items)
     coef = (2.0 * e)[:, None]
-    np.add.at(dGu, u, (coef * qi) @ w2)
-    np.add.at(dGv, i, (coef * pu) @ w4)
+    dGu = indicator(u, len(g_users)) @ ((coef * qi) @ w2)
+    dGv = indicator(i, len(g_items)) @ ((coef * pu) @ w4)
     dW1 = (coef * qi).T @ a_users[u]
     dW2 = (coef * qi).T @ g_users[u]
     dW3 = (coef * pu).T @ a_items[i]
@@ -259,7 +219,7 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
         raise ValueError(f"unknown fusion variant {variant!r}")
 
     if cfg is not None and cfg.graph_loss == "mse":
-        loss, dU, dV = mse_graph_loss(g_users, g_items, batch)
+        loss, dU, dV = squared_score_loss(g_users, g_items, batch)
     else:
         loss, dU, dV = bpr_loss_and_feature_grad(g_users, g_items, batch)
     if variant == "cross" and (cfg.lambda1 or cfg.lambda2):

@@ -317,7 +317,7 @@ def _check_closed_forms(inst: Instance, rng, exact_tol) -> list[CheckResult]:
     out.append(CheckResult("auxiliary squared-error update direction: closed form vs backward",
                            max(max_abs_error(dAu, eAu), max_abs_error(dAv, eAv)), exact_tol))
 
-    _, dGu, dGv = fusion.mse_graph_loss(inst.g_users, inst.g_items, inst.rated)
+    _, dGu, dGv = auxnet.squared_score_loss(inst.g_users, inst.g_items, inst.rated)
     eGu, eGv = fusion.mse_grad_analytic(inst.g_users, inst.g_items, inst.rated)
     out.append(CheckResult("graph squared-error update direction: closed form vs backward",
                            max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), exact_tol))

@@ -1,9 +1,8 @@
-"""Sparse graph construction and propagation.
+"""Sparse graph construction and storage.
 
 Builds the user-item interaction matrix, the symmetrically normalized
 bipartite adjacency (edge weight 1/sqrt(d_u * d_i)), and the thresholded
-user-user / item-item similarity graphs, plus the sparse-dense product used
-by every convolution layer.
+user-user / item-item similarity graphs, and reads and writes them.
 """
 
 from __future__ import annotations
@@ -122,10 +121,8 @@ def normalize_bipartite(ds: InteractionDataset) -> sp.csr_matrix:
     tr = ds.split_indices(TRAIN)
     u = ds.users[tr]
     i = ds.items[tr]
-    du = np.zeros(ds.n, dtype=np.int64)
-    di = np.zeros(ds.m, dtype=np.int64)
-    np.add.at(du, u, 1)
-    np.add.at(di, i, 1)
+    du = np.bincount(u, minlength=ds.n)
+    di = np.bincount(i, minlength=ds.m)
 
     idle = int((du == 0).sum() + (di == 0).sum())
     if idle:
@@ -139,15 +136,6 @@ def normalize_bipartite(ds: InteractionDataset) -> sp.csr_matrix:
     out = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     out.sort_indices()
     return out
-
-
-def propagate(adj: sp.spmatrix, X: np.ndarray) -> np.ndarray:
-    """One aggregation step: the sparse-dense product adj @ X."""
-    X = np.asarray(X)
-    if adj.shape[1] != X.shape[0]:
-        raise ValueError(f"cannot propagate: adjacency has {adj.shape[1]} columns, "
-                         f"features have {X.shape[0]} rows")
-    return np.asarray(adj @ X)
 
 
 def check_csr(mat: sp.csr_matrix) -> None:

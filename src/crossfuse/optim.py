@@ -1,8 +1,21 @@
-"""Trainable-parameter containers and the optimizers used by both training stages."""
+"""Trainable-parameter containers, the optimizers used by both training
+stages, and the row scatter every loss uses to return its gradient."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+
+
+def indicator(index: np.ndarray, size: int) -> sp.csr_matrix:
+    """(size, len(index)) 0/1 matrix whose product with a (len(index), d)
+    array sums the rows sharing an index, adding them in their original order
+    exactly as numpy's unbuffered ``add.at`` does; rows no index names come
+    out zero."""
+    order = np.argsort(index, kind="stable")
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=size), out=indptr[1:])
+    return sp.csr_matrix((np.ones(len(index)), order, indptr), shape=(size, len(index)))
 
 
 class Param:

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from crossfuse.auxnet import (Affine, AuxEncoder, AuxGcnStack, BatchNorm, build_extractor,
                               distinct_rows, load_dense_matrix, save_dense_matrix,
                               squared_score_loss, stage1_loss_and_grad)
+from crossfuse.backbone import bpr_loss_and_feature_grad, sigmoid
 from crossfuse.data import DataError
 
 
@@ -329,6 +330,34 @@ class TestStage1Loss:
         np.add.at(expect_v, i, (2.0 * e)[:, None] * a_u[u])
         assert np.array_equal(dAu, expect_u)
         assert np.array_equal(dAv, expect_v)
+
+        # the pairwise loss: item 2 is a positive and a negative, and its
+        # rows are summed positives first, then negatives
+        g_u, g_v = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        triples = np.array([[0, 2, 1], [3, 0, 2], [0, 2, 3], [4, 1, 2], [3, 3, 0]])
+        u, ip, ineg = triples.T
+        _, dGu, dGv = bpr_loss_and_feature_grad(g_u, g_v, triples)
+        c = sigmoid(np.einsum("ij,ij->i", g_u[u], g_v[ip] - g_v[ineg])) - 1.0
+        expect_u, expect_v = np.zeros_like(g_u), np.zeros_like(g_v)
+        np.add.at(expect_u, u, c[:, None] * (g_v[ip] - g_v[ineg]))
+        np.add.at(expect_v, ip, c[:, None] * g_u[u])
+        np.add.at(expect_v, ineg, -c[:, None] * g_u[u])
+        assert np.array_equal(dGu, expect_u)
+        assert np.array_equal(dGv, expect_v)
+
+        # users 0, 2 and 5-7 and items 0 and 3 never occur: their rows stay zero
+        a_u, a_v = rng.normal(size=(8, 3)), rng.normal(size=(4, 3))
+        batch = np.column_stack([rng.choice([1, 3, 4], 50), rng.choice([1, 2], 50),
+                                 rng.random(50)])
+        _, dAu, dAv = squared_score_loss(a_u, a_v, batch)
+        u, i = batch[:, 0].astype(np.int64), batch[:, 1].astype(np.int64)
+        e = np.einsum("ij,ij->i", a_u[u], a_v[i]) - batch[:, 2]
+        expect_u, expect_v = np.zeros_like(a_u), np.zeros_like(a_v)
+        np.add.at(expect_u, u, (2.0 * e)[:, None] * a_v[i])
+        np.add.at(expect_v, i, (2.0 * e)[:, None] * a_u[u])
+        assert np.array_equal(dAu, expect_u)
+        assert np.array_equal(dAv, expect_v)
+        assert not dAu[[0, 2, 5, 6, 7]].any() and not dAv[[0, 3]].any()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,7 @@ class TestExitCodes:
         ("evaluate", "model.ckpt", "no-trained-config"),
         ("train", "adjacency.graph", "truncate"),
         ("train", "aux_users.mat", "truncate"),
+        ("train-aux", "dataset.npz", "truncate"),
     ])
     def test_damaged_artifact_is_data_error(self, workspace, tmp_path, monkeypatch, capsys,
                                             command, name, damage):
@@ -260,6 +261,16 @@ class TestExitCodes:
         assert main([command, "--config", str(workspace["config"])]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+    def test_unknown_category_field_is_config_error(self, workspace, tmp_path, monkeypatch,
+                                                    capsys):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        assert main(["evaluate", "--config", str(workspace["config"]), "--kl",
+                     "--category-field", "bogus"]) == 2
+        assert "unknown category field 'bogus'" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,6 @@
 import pytest
 
-from crossfuse.config import (GRIDS, PRESETS, ConfigError, RunConfig, apply_preset,
+from crossfuse.config import (PRESETS, ConfigError, RunConfig, apply_preset,
                               load_config, write_config)
 
 
@@ -79,19 +79,9 @@ def test_presets():
     light = apply_preset(RunConfig(), "ml1m-lightgcn")
     assert (light.eta1, light.epsilon_user, light.lambda1, light.lambda2) == \
         (0.001, 0.3, 0.05, 0.001)
-    gin = apply_preset(RunConfig(), "ml1m-gin")
-    assert (gin.eta1, gin.epsilon_user, gin.lambda1, gin.lambda2) == \
-        (0.01, 0.5, 0.1, 0.05)
     with pytest.raises(ConfigError):
         apply_preset(RunConfig(), "imaginary")
-    assert set(PRESETS) == {"ml1m-lightgcn", "ml1m-gin"}
-
-
-def test_documented_grids():
-    assert GRIDS["epsilon"] == [0.1, 0.3, 0.5, 0.7, 0.9]
-    assert GRIDS["lambda"] == [0.001, 0.01, 0.05, 0.1, 1]
-    assert GRIDS["gcn_layers"] == [2, 3, 4, 5]
-    assert GRIDS["learning_rate"] == [0.0003, 0.001, 0.003, 0.01, 0.03]
+    assert set(PRESETS) == {"ml1m-lightgcn"}
 
 
 def test_sub_config_extraction():

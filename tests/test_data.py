@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from crossfuse.data import (TEST, TRAIN, VALIDATION, DataError,
                             InteractionDataset, InteractionSchema, encode_auxiliary,
                             load_interactions, make_fields, one_hot_matrix,
-                            read_remap_table, sample_negatives, split_dataset,
-                            write_remap_table)
+                            sample_negatives, split_dataset, write_remap_table)
 
 
 def write(tmp_path, name, text):
@@ -88,9 +87,10 @@ class TestLoadInteractions:
         ds = load_interactions(path)
         table = tmp_path / "remap.tsv"
         write_remap_table(table, ds.user_ids)
-        mapping = read_remap_table(table)
-        for raw, idx in mapping.items():
-            assert ds.user_ids[idx] == raw
+        rows = [line.split("\t") for line in table.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == len(ds.user_ids)
+        for raw, idx in rows:
+            assert ds.user_ids[int(idx)] == raw
 
 
 class TestEncodeAuxiliary:

@@ -6,37 +6,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfuse.evaluate import (category_kl, rank_topn, ranking_metrics,
-                                recommend_all, write_report_json,
-                                write_report_text)
+from crossfuse.data import TEST, TRAIN, InteractionDataset
+from crossfuse.evaluate import (category_kl, ranking_metrics, recommend_all,
+                                write_report_json, write_report_text)
+
+
+def _one_user(m: int, train_items=()) -> InteractionDataset:
+    """One user over ``m`` items: ``train_items`` in train, one held-out
+    test row so the user exists even with nothing to exclude."""
+    held_out = next(i for i in range(m) if i not in train_items)
+    items = [*train_items, held_out]
+    split = [TRAIN] * len(train_items) + [TEST]
+    return InteractionDataset(n=1, m=m, users=np.zeros(len(items), dtype=np.int64),
+                              items=np.array(items), ratings=np.ones(len(items)),
+                              split=np.array(split, dtype=np.int8))
 
 
 class TestRankTopN:
+    """Top-N lists as ``recommend_all`` ranks them."""
+
     def test_tie_broken_by_ascending_index(self):
         g_users = np.array([[1.0]])
         g_items = np.array([[0.9], [0.5], [0.9]])
-        out = rank_topn(g_users, g_items, 0, 2)
+        out = recommend_all(g_users, g_items, _one_user(3), 2)[0]
         assert out.tolist() == [0, 2]
 
     def test_excluded_item_never_appears(self):
         g_users = np.array([[1.0]])
         g_items = np.array([[0.9], [0.5], [0.8]])
-        out = rank_topn(g_users, g_items, 0, 3, exclude={0})
+        out = recommend_all(g_users, g_items, _one_user(3, [0]), 3)[0]
         assert 0 not in out.tolist()
         assert out.tolist() == [2, 1]
 
     def test_n_larger_than_pool_returns_pool(self):
         g_users = np.array([[1.0]])
         g_items = np.array([[0.1], [0.2], [0.3]])
-        out = rank_topn(g_users, g_items, 0, 10, exclude={1})
+        out = recommend_all(g_users, g_items, _one_user(3, [1]), 10)[0]
         assert len(out) == 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        g_users = rng.normal(size=(3, 4))
+        g_users = rng.normal(size=(1, 4))
         g_items = rng.normal(size=(20, 4))
-        a = rank_topn(g_users, g_items, 1, 5, exclude={2, 4})
-        b = rank_topn(g_users, g_items, 1, 5, exclude={2, 4})
+        ds = _one_user(20, [2, 4])
+        a = recommend_all(g_users, g_items, ds, 5)[0]
+        b = recommend_all(g_users, g_items, ds, 5)[0]
         assert np.array_equal(a, b)
 
 
@@ -86,9 +100,9 @@ class TestRankingMetrics:
         g_users = rng.normal(size=(4, 3))
         g_items = rng.normal(size=(15, 3))
         truth = {u: set(rng.choice(15, size=3, replace=False).tolist()) for u in range(4)}
-        base = {u: rank_topn(g_users, g_items, u, 5) for u in range(4)}
         # exp is strictly monotone; ranking from exp(scores) must match
         scores = g_users @ g_items.T
+        base = {u: np.argsort(-scores[u], kind="stable")[:5] for u in range(4)}
         warped = {}
         for u in range(4):
             order = np.argsort(-np.exp(scores[u]), kind="stable")

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_random_dataset
-from crossfuse import fusion
+from crossfuse.auxnet import squared_score_loss
 from crossfuse.backbone import BackboneConfig, LightGCN
 from crossfuse.fusion import (FusionConfig, TemporalEmbeddings, concat_fusion_loss,
-                              cross_fusion_loss, cross_scores, effective_features,
-                              feature_objective, fused_mse_grad_analytic,
-                              fused_objective_grad, identity_weights, parameter_count,
-                              temporal_fusion_loss, weighted_sum_fusion_loss)
+                              cross_fusion_loss, effective_features, feature_objective,
+                              fused_mse_grad_analytic, fused_objective_grad,
+                              identity_weights, temporal_fusion_loss,
+                              weighted_sum_fusion_loss)
 from crossfuse.gradcheck import central_difference, max_rel_error
 from crossfuse.graph import normalize_bipartite
 from crossfuse.optim import Param
@@ -24,35 +24,51 @@ def small_world():
     return g_u, g_v, a_u, a_v, batch
 
 
+def _one_pair(g_u, g_i, a_u, a_i):
+    """(L_c1, L_c2, dG_u, dG_i) of one user-item pair at unit weights."""
+    l1, l2, dGu, dGv = cross_fusion_loss(g_u[None], g_i[None], a_u[None], a_i[None],
+                                         [[0, 0]], FusionConfig(lambda1=1.0, lambda2=1.0))
+    return l1, l2, dGu[0], dGv[0]
+
+
 class TestCrossScores:
+    """The scores r_a = a_u.a_i, r_c1 = g_u.a_i and r_c2 = a_u.g_i, read
+    through the cross terms (r_a - r_c)^2 and their gradients 2(r_c - r_a)."""
+
     def test_substitution_makes_all_equal(self):
         g = np.array([1.0, 2.0, -1.0])
         h = np.array([0.5, 0.0, 2.0])
-        r_a, r_c1, r_c2 = cross_scores(g, h, g, h)
-        assert r_a == r_c1 == r_c2
+        l1, l2, dGu, dGv = _one_pair(g, h, g, h)
+        assert l1 == l2 == 0.0
+        assert not dGu.any() and not dGv.any()
 
     def test_orthogonal_cross_score(self):
-        r_a, r_c1, r_c2 = cross_scores(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                                       np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-        assert r_c1 == 0.0
+        # g_u is orthogonal to a_i, so r_c1 = 0 and L_c1 = r_a^2 with r_a = 2
+        a_i = np.array([0.0, 1.0])
+        l1, _, dGu, _ = _one_pair(np.array([1.0, 0.0]), np.zeros(2), np.array([0.0, 2.0]), a_i)
+        assert l1 == 4.0
+        assert np.array_equal(dGu, -4.0 * a_i)
 
     def test_hand_dot_product(self):
-        r_a, _, _ = cross_scores(np.zeros(2), np.zeros(2),
+        # graph features at zero: both cross scores vanish and r_a = 3 - 2 = 1
+        l1, l2, _, _ = _one_pair(np.zeros(2), np.zeros(2),
                                  np.array([1.0, 2.0]), np.array([3.0, -1.0]))
-        assert r_a == pytest.approx(1.0)
+        assert l1 == pytest.approx(1.0)
+        assert l2 == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cross_scores(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2))
+            _one_pair(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2))
 
     def test_bilinearity(self):
         rng = np.random.default_rng(1)
         g_u, g_i, a_u, a_i = rng.normal(size=(4, 5))
-        base = cross_scores(g_u, g_i, a_u, a_i)
-        scaled = cross_scores(3.0 * g_u, g_i, a_u, a_i)
-        assert scaled[1] == pytest.approx(3.0 * base[1])
-        assert scaled[0] == base[0]
-        assert scaled[2] == base[2]
+        r_a, r_c1 = a_u @ a_i, g_u @ a_i
+        base = _one_pair(g_u, g_i, a_u, a_i)
+        scaled = _one_pair(3.0 * g_u, g_i, a_u, a_i)
+        assert base[0] == pytest.approx((r_a - r_c1) ** 2)
+        assert scaled[0] == pytest.approx((r_a - 3.0 * r_c1) ** 2)
+        assert scaled[1] == base[1]
 
 
 class TestCrossFusionLoss:
@@ -94,12 +110,14 @@ class TestCrossFusionLoss:
         with pytest.raises(ValueError):
             cross_fusion_loss(g_u, g_v, a_u[:, :2], a_v[:, :2], batch[:, :2], cfg)
 
-    def test_introduces_no_parameters(self):
-        assert parameter_count(FusionConfig(variant="cross"), 16) == 0
-        assert parameter_count(FusionConfig(variant="concat"), 16) == 0
-        assert parameter_count(FusionConfig(variant="plain-sum"), 16) == 0
-        w = identity_weights(16)
-        assert parameter_count(FusionConfig(variant="weighted-sum", weights=w), 16) == 4 * 16 * 16
+    def test_introduces_no_parameters(self, small_world):
+        g_u, g_v, a_u, a_v, batch = small_world
+        for variant in ("cross", "concat", "plain-sum"):
+            cfg = FusionConfig(variant=variant, graph_loss="mse")
+            assert feature_objective(g_u, g_v, a_u, a_v, batch, cfg)[3] == []
+        cfg = FusionConfig(variant="weighted-sum")
+        dW = feature_objective(g_u, g_v, a_u, a_v, batch, cfg, identity_weights(4))[3]
+        assert [w.shape for w in dW] == [(4, 4)] * 4
 
 
 class TestFusedObjective:
@@ -239,7 +257,7 @@ class TestBaselineLosses:
         g_u, g_v, _, _, batch = small_world
         z_u, z_v = np.zeros_like(g_u), np.zeros_like(g_v)
         loss, _, _ = concat_fusion_loss(g_u, g_v, z_u, z_v, batch)
-        mse, _, _ = fusion.mse_graph_loss(g_u, g_v, batch)
+        mse, _, _ = squared_score_loss(g_u, g_v, batch)
         assert loss == pytest.approx(mse)
 
     def test_concat_exact_fit(self):
@@ -261,7 +279,7 @@ class TestBaselineLosses:
         z_u, z_v = np.zeros_like(g_u), np.zeros_like(g_v)
         loss, _, _, _ = weighted_sum_fusion_loss(g_u, g_v, z_u, z_v, batch,
                                                  identity_weights(4))
-        mse, _, _ = fusion.mse_graph_loss(g_u, g_v, batch)
+        mse, _, _ = squared_score_loss(g_u, g_v, batch)
         assert loss == pytest.approx(mse)
 
     def test_weight_shape_mismatch(self, small_world):
