@@ -357,7 +357,7 @@ def cmd_evaluate(args) -> int:
             json.dumps(detail, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
     if args.kl:
-        histories = {u: ds.train_items(u).tolist() for u in range(ds.n)}
+        histories = {u: ds.train_items(u).tolist() for u in recs}
         kl, _ = category_kl(histories, recs, cats, cfg.kl_categories)
         (out / "kl.json").write_text(
             json.dumps({"top_categories": cfg.kl_categories, "kl": kl}, sort_keys=True)

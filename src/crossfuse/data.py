@@ -49,7 +49,8 @@ class InteractionDataset:
 
     Users and items are contiguous integers; the original raw identifiers are
     kept in ``user_ids`` / ``item_ids`` so results can be reported against the
-    source log.  Adjacency lists cover the train split only.
+    source log.  The train adjacency (CSR plus per-user item sets) covers the
+    train split only and is built on first use.
     """
 
     def __init__(self, n: int, m: int, users: np.ndarray, items: np.ndarray,
@@ -94,20 +95,30 @@ class InteractionDataset:
     def _ensure_adjacency(self):
         if self._adjacency is None:
             tr = self.split_indices(TRAIN)
-            user_items: list[list[int]] = [[] for _ in range(self.n)]
-            for u, i in zip(self.users[tr], self.items[tr]):
-                user_items[u].append(int(i))
-            ui = [np.array(sorted(s), dtype=np.int64) for s in user_items]
-            sets = [frozenset(s) for s in user_items]
-            self._adjacency = (ui, sets)
+            users, items = self.users[tr], self.items[tr]
+            indices = items[np.lexsort((items, users))]
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(users, minlength=self.n), out=indptr[1:])
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
+            flat, bounds = indices.tolist(), indptr.tolist()
+            sets = [frozenset(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+            self._adjacency = (indptr, indices, sets)
         return self._adjacency
 
+    def train_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The train split as read-only CSR: ``indices[indptr[u]:indptr[u + 1]]``
+        are user u's train items, sorted."""
+        indptr, indices, _ = self._ensure_adjacency()
+        return indptr, indices
+
     def train_items(self, u: int) -> np.ndarray:
-        """Sorted train-split items of user u."""
-        return self._ensure_adjacency()[0][u]
+        """Sorted train-split items of user u, as a read-only view."""
+        indptr, indices, _ = self._ensure_adjacency()
+        return indices[indptr[u]:indptr[u + 1]]
 
     def train_item_set(self, u: int) -> frozenset:
-        return self._ensure_adjacency()[1][u]
+        return self._ensure_adjacency()[2][u]
 
     # -- consistency ----------------------------------------------------
 
@@ -516,7 +527,7 @@ def sample_negatives(ds: InteractionDataset, users: np.ndarray,
     """
     users = np.asarray(users, dtype=np.int64).tolist()
     m = ds.m
-    item_sets = ds._ensure_adjacency()[1]
+    item_sets = ds._ensure_adjacency()[2]
     # Room for rejections (about 7% of draws on the desk data), so one block
     # usually covers the batch; a short block is topped up, never redrawn.
     slack = len(users) // 8 + 16

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -16,24 +17,45 @@ from .data import InteractionDataset
 KL_SMOOTHING = 1e-9
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row index and position within the row of every entry of consecutive
+    rows holding ``counts`` entries each."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def recommend_all(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset,
                   n: int, users: Sequence[int] | None = None,
                   chunk: int = 1024) -> dict[int, np.ndarray]:
-    """Top-n lists for many users at once, excluding each user's train items."""
+    """Top-n lists for many users at once, excluding each user's train items.
+
+    Items are ranked by descending score, ties by ascending item index (the
+    order of a stable argsort of the negated scores), and each list is cut at
+    the user's pool of unseen items.  Scores must be finite.
+    """
     if users is None:
         users = range(ds.n)
-    users = list(users)
+    users = np.asarray(list(users), dtype=np.int64)
+    indptr, indices = ds.train_csr()
+    keep = min(n, ds.m)
     out: dict[int, np.ndarray] = {}
     for lo in range(0, len(users), chunk):
         block = users[lo:lo + chunk]
-        scores = g_users[block] @ g_items.T
-        for row, u in enumerate(block):
-            s = scores[row]
-            excl = ds.train_items(u)
-            s[excl] = -np.inf
-            order = np.argsort(-s, kind="stable")
-            pool = ds.m - len(excl)
-            out[u] = order[:min(n, pool)]
+        neg = g_users[block] @ g_items.T
+        np.negative(neg, out=neg)
+        counts = indptr[block + 1] - indptr[block]
+        rows, k = _ragged(counts)
+        neg[rows, indices[indptr[block][rows] + k]] = np.inf
+        # every item at or above the n-th score, ordered by (row, -score, item)
+        nth = np.partition(neg, keep - 1, axis=1)[:, keep - 1]
+        r, c = np.nonzero(neg <= nth[:, None])
+        v = neg[r, c]
+        order = np.lexsort((c, v, r))
+        r, c = r[order], c[order]
+        first = np.searchsorted(r, np.arange(len(block)))
+        lengths = np.minimum(n, ds.m - counts)
+        for row, u in enumerate(block.tolist()):
+            out[u] = c[first[row]:first[row] + lengths[row]]
     return out
 
 
@@ -65,28 +87,6 @@ class RankingReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _user_metrics(rec: np.ndarray, truth: set, topn: Sequence[int]) -> dict[str, dict[int, float]]:
-    out: dict[str, dict[int, float]] = {m: {} for m in ("precision", "recall", "f1", "mrr", "ndcg")}
-    hits = np.fromiter((int(i) in truth for i in rec), dtype=bool, count=len(rec))
-    for n in topn:
-        top = hits[:n]
-        h = int(top.sum())
-        precision = h / n
-        recall = h / len(truth)
-        f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-        first = int(np.argmax(top)) + 1 if h > 0 else 0
-        mrr = 1.0 / first if first else 0.0
-        dcg = float(sum(1.0 / math.log2(k + 2) for k in range(min(n, len(rec))) if top[k]))
-        ideal = float(sum(1.0 / math.log2(k + 2) for k in range(min(len(truth), n))))
-        ndcg = dcg / ideal if ideal > 0 else 0.0
-        out["precision"][n] = precision
-        out["recall"][n] = recall
-        out["f1"][n] = f1
-        out["mrr"][n] = mrr
-        out["ndcg"][n] = ndcg
-    return out
-
-
 def check_topn(topn: Sequence[int]) -> None:
     if not topn or min(topn) < 1:
         raise ValueError(f"topn must list cut-offs >= 1, got {list(topn)}")
@@ -100,31 +100,58 @@ def ranking_metrics(recommendations: Mapping[int, np.ndarray],
     discounted cumulative gain, macro-averaged over users with test items.
 
     A user with test items but no recommendation list is skipped and counted.
+    Means are sums in ascending user order, one user after the other.
     """
     check_topn(topn)
     topn = sorted(set(int(n) for n in topn))
-    sums: dict[str, dict[int, float]] = {m: {n: 0.0 for n in topn}
-                                         for m in ("precision", "recall", "f1", "mrr", "ndcg")}
-    per_user: dict[int, dict] = {}
-    evaluated = skipped = 0
-    for u in sorted(ground_truth):
-        truth = set(int(i) for i in ground_truth[u])
-        if not truth:
-            continue
-        if u not in recommendations:
-            skipped += 1
-            continue
-        vals = _user_metrics(np.asarray(recommendations[u]), truth, topn)
-        evaluated += 1
-        for m in sums:
-            for n in topn:
-                sums[m][n] += vals[m][n]
-        if keep_per_user:
-            per_user[u] = vals
-    means = {m: {n: (sums[m][n] / evaluated if evaluated else 0.0) for n in topn}
-             for m in sums}
+    width = topn[-1]
+    truths = {u: set(map(int, ground_truth[u])) for u in sorted(ground_truth)}
+    truths = {u: t for u, t in truths.items() if t}
+    scored = [u for u in truths if u in recommendations]
+    lists = [np.asarray(recommendations[u])[:width] for u in scored]
+
+    # hit[r, k]: the k-th item recommended to scored user r is in their truth set
+    lengths = np.array([len(x) for x in lists], dtype=np.int64)
+    sizes = np.array([len(truths[u]) for u in scored], dtype=np.int64)
+    rows, ranks = _ragged(lengths)
+    recommended = np.concatenate(lists + [np.empty(0, np.int64)]).astype(np.int64)
+    truth_rows, _ = _ragged(sizes)
+    truth_items = np.fromiter(chain.from_iterable(truths[u] for u in scored), np.int64,
+                              count=int(sizes.sum()))
+    span = max(recommended.max(initial=0), truth_items.max(initial=0)) + 1
+    hit = np.zeros((len(scored), width), dtype=bool)
+    hit[rows, ranks] = np.isin(rows * span + recommended, truth_rows * span + truth_items)
+
+    disc = np.array([1.0 / math.log2(k + 2) for k in range(width)])
+    dcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)
+    ideal = np.cumsum(disc)
+    hits = np.cumsum(hit, axis=1)
+    first = np.where(hit.any(axis=1), np.argmax(hit, axis=1) + 1, width + 1)
+
+    values: dict[str, dict[int, np.ndarray]] = {
+        m: {} for m in ("precision", "recall", "f1", "mrr", "ndcg")}
+    for n in topn:
+        h = hits[:, n - 1]
+        precision = h / n
+        recall = h / sizes
+        values["precision"][n] = precision
+        values["recall"][n] = recall
+        # without a hit, precision and recall are 0 and so is 0 * 0 / 1
+        values["f1"][n] = 2 * precision * recall / np.where(h > 0, precision + recall, 1.0)
+        values["mrr"][n] = np.where(first <= n, 1.0 / first, 0.0)
+        values["ndcg"][n] = dcg[:, n - 1] / ideal[np.minimum(sizes, n) - 1]
+
+    evaluated = len(scored)
+    means = {m: {n: (float(np.cumsum(v)[-1]) / evaluated if evaluated else 0.0)
+                 for n, v in vals.items()}
+             for m, vals in values.items()}
+    per_user = None
+    if keep_per_user:
+        as_lists = {m: {n: v.tolist() for n, v in vals.items()} for m, vals in values.items()}
+        per_user = {u: {m: {n: v[r] for n, v in vals.items()} for m, vals in as_lists.items()}
+                    for r, u in enumerate(scored)}
     return RankingReport(topn=topn, means=means, users_evaluated=evaluated,
-                         users_skipped=skipped, per_user=per_user if keep_per_user else None)
+                         users_skipped=len(truths) - evaluated, per_user=per_user)
 
 
 @dataclass

@@ -34,10 +34,12 @@ CHECKPOINT_VERSION = 2
 
 
 class DivergenceError(Exception):
-    """Training hit a non-finite loss."""
+    """Training hit a non-finite loss, or a model to be scored has non-finite
+    features (``epoch`` None)."""
 
-    def __init__(self, stage: int, epoch: int):
-        super().__init__(f"non-finite loss in stage {stage} at epoch {epoch}")
+    def __init__(self, stage: int, epoch: int | None, what: str = "loss"):
+        at = "" if epoch is None else f" at epoch {epoch}"
+        super().__init__(f"non-finite {what} in stage {stage}{at}")
         self.stage = stage
         self.epoch = epoch
 
@@ -226,11 +228,14 @@ def score(ds: InteractionDataset, model: LightGCN, params: dict[str, Param],
           keep_per_user: bool = False) -> tuple[dict[int, np.ndarray], RankingReport]:
     """Top-``max(topn)`` unseen items for each user in ``truth`` by the
     variant's score under ``params`` (named as in ``Stage2State``), and their
-    ranking metrics; validation, ``evaluate`` and ``ablate`` all score here."""
+    ranking metrics; validation, ``evaluate`` and ``ablate`` all score here.
+    Non-finite effective features raise :class:`DivergenceError`."""
     feats = model.forward(params["table"])
     weights = tuple(params[k].value for k in sorted(params) if k != "table") or None
     eff_u, eff_v = fusion.effective_features(variant, feats.users, feats.items,
                                              a_users, a_items, weights)
+    if not (np.isfinite(eff_u).all() and np.isfinite(eff_v).all()):
+        raise DivergenceError(stage=2, epoch=None, what="effective features")
     recs = recommend_all(eff_u, eff_v, ds, max(topn), sorted(truth))
     return recs, ranking_metrics(recs, truth, topn, keep_per_user=keep_per_user)
 

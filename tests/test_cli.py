@@ -4,8 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
-from crossfuse import synthetic
+from crossfuse import cli, synthetic
 from crossfuse.cli import main
+from crossfuse.data import TEST, TRAIN, InteractionDataset
+from crossfuse.evaluate import category_kl
 from crossfuse.trainer import Checkpoint, load_checkpoint, save_checkpoint
 
 
@@ -140,6 +142,33 @@ class TestPipeline:
         variants = [line.split("\t")[0] for line in table[1:]]
         assert variants == ["cross", "concat", "plain-sum", "weighted-sum", "none"]
 
+    def test_kl_averages_over_scored_users(self, workspace, tmp_path, monkeypatch):
+        """A user without test items has no list and stays out of the KL mean."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        with np.load(out / "dataset.npz") as z:
+            arrays = dict(z)
+        arrays["split"][(arrays["users"] == 0) & (arrays["split"] == TEST)] = TRAIN
+        np.savez(out / "dataset.npz", **arrays)
+        ds = InteractionDataset(int(arrays["n"][0]), int(arrays["m"][0]), arrays["users"],
+                                arrays["items"], arrays["ratings"], arrays["split"])
+        seen = {}
+
+        def spy(histories, recs, cats, top):
+            seen.update(recs=recs, cats=cats, top=top)
+            return category_kl(histories, recs, cats, top)
+
+        monkeypatch.setattr(cli, "category_kl", spy)
+        assert main(["evaluate", "--config", str(workspace["config"]), "--kl"]) == 0
+        recs, cats, top = seen["recs"], seen["cats"], seen["top"]
+        assert 0 not in recs and len(recs) == ds.n - 1
+        scored = {u: ds.train_items(u).tolist() for u in recs}
+        everyone = {u: ds.train_items(u).tolist() for u in range(ds.n)}
+        kl = json.loads((out / "kl.json").read_text())["kl"]
+        assert kl == category_kl(scored, recs, cats, top)[0]
+        assert kl != category_kl(everyone, recs, cats, top)[0]
+
 
 class TestExternalInterfaces:
     def test_externally_supplied_feature_matrices(self, workspace, tmp_path):
@@ -270,6 +299,22 @@ class TestExitCodes:
         assert main(["evaluate", "--config", str(workspace["config"]), "--kl",
                      "--category-field", "bogus"]) == 2
         assert "unknown category field 'bogus'" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    def test_non_finite_scores_are_numerical_error(self, workspace, tmp_path, monkeypatch,
+                                                   capsys):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        ckpt = load_checkpoint(out / "model.ckpt")
+        tensors = dict(ckpt.tensors)
+        for name in ("last.table", "best.table"):
+            tensors[name] = tensors[name].copy()
+            tensors[name][0] = np.nan
+        save_checkpoint(out / "model.ckpt", Checkpoint(ckpt.meta, tensors))
+        assert main(["evaluate", "--config", str(workspace["config"])]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite effective features")
         assert not (out / "metrics.json").exists()
 
     def test_missing_data_file_is_data_error(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_random_dataset
 from crossfuse.data import (TEST, TRAIN, VALIDATION, DataError,
                             InteractionDataset, InteractionSchema, encode_auxiliary,
                             load_interactions, make_fields, one_hot_matrix,
@@ -311,6 +312,31 @@ class TestSampleNegatives:
     def test_replays_per_row_stream_on_random_datasets(self, case):
         ds, users, seed = case
         assert_replays_per_row(ds, users, seed)
+
+
+class TestTrainCsr:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_train_items_are_each_users_sorted_train_items(self, seed):
+        ds = split_dataset(make_random_dataset(seed, n=10, m=15, lo=3, hi=9),
+                           (0.6, 0.2, 0.2), seed=seed)
+        tr = ds.split_indices(TRAIN)
+        for u in range(ds.n):
+            expect = sorted(ds.items[tr][ds.users[tr] == u].tolist())
+            assert ds.train_items(u).tolist() == expect
+            assert ds.train_item_set(u) == set(expect)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_train_items_are_read_only(self, seed):
+        ds = make_random_dataset(seed)
+        for u in range(ds.n):
+            items = ds.train_items(u)
+            with pytest.raises(ValueError):
+                items[:] = 0
+        indptr, indices = ds.train_csr()
+        with pytest.raises(ValueError):
+            indptr[0] = 1
+        with pytest.raises(ValueError):
+            indices[0] = 1
 
 
 class TestDatasetInvariants:

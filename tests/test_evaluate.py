@@ -121,6 +121,98 @@ class TestRankingMetrics:
                 assert 0.0 <= v <= 1.0
 
 
+def _reference_lists(g_users, g_items, ds, n, users):
+    """Per-user stable argsort of the negated scores, train items last."""
+    out = {}
+    for u in users:
+        s = g_users[u] @ g_items.T
+        excl = ds.train_items(u)
+        s[excl] = -np.inf
+        out[u] = np.argsort(-s, kind="stable")[:min(n, ds.m - len(excl))]
+    return out
+
+
+def _reference_metrics(recs, ground_truth, topn):
+    """Per-user formulas, every float sum an explicit ``+=`` in order."""
+    topn = sorted(set(topn))
+    names = ("precision", "recall", "f1", "mrr", "ndcg")
+    sums = {m: {n: 0.0 for n in topn} for m in names}
+    per_user = {}
+    evaluated = skipped = 0
+    for u in sorted(ground_truth):
+        truth = set(ground_truth[u])
+        if not truth:
+            continue
+        if u not in recs:
+            skipped += 1
+            continue
+        rec = [int(i) for i in recs[u]]
+        vals = {m: {} for m in names}
+        for n in topn:
+            top = [i in truth for i in rec[:n]]
+            h = top.count(True)
+            precision = h / n
+            recall = h / len(truth)
+            f1 = 2 * precision * recall / (precision + recall) if h else 0.0
+            mrr = 1.0 / (top.index(True) + 1) if h else 0.0
+            dcg = ideal = 0.0
+            for k, hit in enumerate(top):
+                if hit:
+                    dcg += 1.0 / math.log2(k + 2)
+            for k in range(min(len(truth), n)):
+                ideal += 1.0 / math.log2(k + 2)
+            for m, v in zip(names, (precision, recall, f1, mrr, dcg / ideal)):
+                vals[m][n] = v
+                sums[m][n] += v
+        evaluated += 1
+        per_user[u] = vals
+    means = {m: {n: (sums[m][n] / evaluated if evaluated else 0.0) for n in topn}
+             for m in names}
+    return means, per_user, evaluated, skipped
+
+
+@st.composite
+def ranking_cases(draw):
+    """Integer-valued features (many tied scores), train sets up to every
+    item, empty truth sets, and truth for users that get no list."""
+    n_users, m, dim = draw(st.integers(1, 24)), draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    ints = st.integers(-2, 2)
+    g_users = np.array(draw(st.lists(st.lists(ints, min_size=dim, max_size=dim),
+                                     min_size=n_users, max_size=n_users)), dtype=np.float64)
+    g_items = np.array(draw(st.lists(st.lists(ints, min_size=dim, max_size=dim),
+                                     min_size=m, max_size=m)), dtype=np.float64)
+    item_sets = st.sets(st.integers(0, m - 1))
+    train = [sorted(draw(item_sets)) for _ in range(n_users)]
+    users = [u for u in range(n_users) for _ in train[u]] + [0]
+    items = [i for u in range(n_users) for i in train[u]] + [0]
+    split = [TRAIN] * (len(users) - 1) + [TEST]
+    ds = InteractionDataset(n=n_users, m=m, users=np.array(users), items=np.array(items),
+                            ratings=np.ones(len(users)), split=np.array(split, dtype=np.int8))
+    order = draw(st.permutations(range(n_users)))
+    ranked = order[:draw(st.integers(0, n_users))]
+    truth = {u: draw(item_sets) for u in draw(st.sets(st.integers(0, n_users - 1)))}
+    n = draw(st.integers(1, m + 2))
+    topn = draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=3))
+    return g_users, g_items, ds, n, ranked, draw(st.integers(1, 4)), truth, topn
+
+
+class TestBlockRankingMatchesPerUserReference:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(ranking_cases())
+    def test_lists_and_metrics_equal_reference(self, case):
+        g_users, g_items, ds, n, users, chunk, truth, topn = case
+        recs = recommend_all(g_users, g_items, ds, n, users, chunk=chunk)
+        expect = _reference_lists(g_users, g_items, ds, n, users)
+        assert list(recs) == list(expect)
+        assert all(recs[u].tolist() == expect[u].tolist() for u in users)
+
+        rep = ranking_metrics(recs, truth, topn, keep_per_user=True)
+        means, per_user, evaluated, skipped = _reference_metrics(expect, truth, topn)
+        assert rep.means == means
+        assert rep.per_user == per_user
+        assert (rep.users_evaluated, rep.users_skipped) == (evaluated, skipped)
+
+
 class TestCategoryKl:
     def test_identical_distributions_zero(self):
         cats = {0: [0], 1: [1]}
