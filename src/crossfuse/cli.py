@@ -51,7 +51,6 @@ def build_parser() -> _Parser:
 
     def with_config(p):
         p.add_argument("--config", required=True, help="run config file")
-        p.add_argument("--preset", default=None, help="named hyperparameter preset")
         return p
 
     with_config(sub.add_parser("prepare", help="ingest data, split, build graphs"))
@@ -185,7 +184,7 @@ def _load_fields(path: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_prepare(args) -> int:
-    cfg = load_config(args.config, preset=args.preset)
+    cfg = load_config(args.config)
     if cfg.interactions is None:
         raise ConfigError("missing required key [paths] interactions")
     out = _out_dir(cfg)
@@ -242,7 +241,7 @@ def _build_extractors(cfg: RunConfig, user_dim: int, item_dim: int):
 
 
 def cmd_train_aux(args) -> int:
-    cfg = load_config(args.config, preset=args.preset)
+    cfg = load_config(args.config)
     out = _out_dir(cfg)
     ds = _load_dataset(out)
     for side in ("user", "item"):
@@ -270,21 +269,33 @@ def cmd_train_aux(args) -> int:
     return 0
 
 
-def _load_aux(out: Path, args) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _load_aux(out: Path, args, ds: InteractionDataset,
+              dim: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The feature matrices stage 2 trains against: the ``--aux-users`` /
+    ``--aux-items`` files, else stage 1's; (None, None) when either is
+    missing.  A matrix that is not one ``dim``-wide row per user (per item)
+    is a :class:`DataError`."""
     user_path = Path(args.aux_users) if getattr(args, "aux_users", None) else out / "aux_users.mat"
     item_path = Path(args.aux_items) if getattr(args, "aux_items", None) else out / "aux_items.mat"
     if not user_path.exists() or not item_path.exists():
         return None, None
-    return auxnet.load_dense_matrix(user_path), auxnet.load_dense_matrix(item_path)
+    mats = []
+    for path, rows, side in ((user_path, ds.n, "users"), (item_path, ds.m, "items")):
+        mat = auxnet.load_dense_matrix(path)
+        if mat.shape != (rows, dim):
+            raise DataError(f"{path}: feature matrix is {mat.shape[0]}x{mat.shape[1]}, "
+                            f"expected {rows}x{dim} ({side} x [backbone] dim)")
+        mats.append(mat)
+    return mats[0], mats[1]
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, preset=args.preset)
+    cfg = load_config(args.config)
     fcfg = cfg.fusion_config()
     out = _out_dir(cfg)
     ds = _load_dataset(out)
     adj = load_graph(out / "adjacency.graph")
-    a_users, a_items = _load_aux(out, args)
+    a_users, a_items = _load_aux(out, args, ds, cfg.dim)
     if fcfg.active and a_users is None:
         raise PipelineOrderError("stage-2 training needs stage-1 products; run "
                                  "`crossfuse train-aux` first or pass --aux-users/--aux-items")
@@ -325,7 +336,7 @@ def _item_category_labels(out: Path, field_name: str | None) -> dict[int, list[i
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, preset=args.preset)
+    cfg = load_config(args.config)
     out = _out_dir(cfg)
     ds = _load_dataset(out)
     adj = load_graph(out / "adjacency.graph")
@@ -371,11 +382,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config, preset=args.preset)
+    cfg = load_config(args.config)
     out = _out_dir(cfg)
     ds = _load_dataset(out)
     adj = load_graph(out / "adjacency.graph")
-    a_users, a_items = _load_aux(out, args)
+    a_users, a_items = _load_aux(out, args, ds, cfg.dim)
     if a_users is None:
         raise PipelineOrderError("ablation needs stage-1 products; run `crossfuse train-aux`")
 

@@ -90,7 +90,8 @@ class RunConfig:
     """Everything one end-to-end run needs; every field has a default.
 
     Defaults follow the best reported settings for the shipped backbone
-    (eta1 = 0.001, epsilon_user = 0.3, lambda1 = 0.05, lambda2 = 0.001).
+    (eta1 = 0.001, epsilon_user = epsilon_item = 0.3, lambda1 = 0.05,
+    lambda2 = 0.001).
     """
 
     # paths
@@ -166,14 +167,7 @@ class RunConfig:
                             include_negatives=self.include_negatives)
 
 
-# Best reported settings for the LightGCN backbone on the movie dataset.
-PRESETS: dict[str, dict[str, object]] = {
-    "ml1m-lightgcn": {"eta1": 0.001, "epsilon_user": 0.3, "epsilon_item": 0.3,
-                      "lambda1": 0.05, "lambda2": 0.001},
-}
-
-
-def load_config(path: str | Path, preset: str | None = None) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     """Parse a sectioned key = value file; unknown keys and values the code
     that uses them rejects are errors."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -185,8 +179,6 @@ def load_config(path: str | Path, preset: str | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}")
 
     cfg = RunConfig()
-    if preset is not None:
-        apply_preset(cfg, preset)
     for section in parser.sections():
         for key, raw in parser.items(section):
             if (section, key) not in SCHEMA:
@@ -206,14 +198,6 @@ def load_config(path: str | Path, preset: str | None = None) -> RunConfig:
         check_topn(cfg.topn)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
-
-
-def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    for key, value in PRESETS[name].items():
-        setattr(cfg, key, value)
     return cfg
 
 

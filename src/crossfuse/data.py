@@ -475,20 +475,25 @@ def split_dataset(ds: InteractionDataset, ratios: tuple[float, float, float],
     n_splits = int(np.count_nonzero(ratios_arr))
     short_users = 0
 
-    by_user: list[list[int]] = [[] for _ in range(ds.n)]
-    for idx, u in enumerate(ds.users):
-        by_user[u].append(idx)
+    # each user's interaction indices, ascending, as one slice of a stable sort
+    order = np.argsort(ds.users, kind="stable")
+    bounds = np.zeros(ds.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ds.users, minlength=ds.n), out=bounds[1:])
+    bounds = bounds.tolist()
 
+    cuts: dict[int, tuple[int, int]] = {}  # per-user count -> (train end, validation end)
     for u in range(ds.n):
-        idx = np.array(by_user[u], dtype=np.int64)
-        if len(idx) == 0:
+        count = bounds[u + 1] - bounds[u]
+        if count == 0:
             continue
-        if len(idx) < n_splits:
+        if count < n_splits:
             short_users += 1
             continue
-        perm = idx[rng.permutation(len(idx))]
-        counts = _split_counts(len(idx), ratios_arr)
-        a, b = counts[0], counts[0] + counts[1]
+        perm = order[bounds[u]:bounds[u + 1]][rng.permutation(count)]
+        if count not in cuts:
+            counts = _split_counts(count, ratios_arr)
+            cuts[count] = (int(counts[0]), int(counts[0] + counts[1]))
+        a, b = cuts[count]
         split[perm[a:b]] = VALIDATION
         split[perm[b:]] = TEST
 

@@ -159,8 +159,7 @@ def weighted_sum_fusion_loss(g_users, g_items, a_users, a_items, batch, weights
     """Baseline: squared error of (W1 a_u + W2 g_u) . (W3 a_i + W4 g_i).
 
     Returns the loss, feature-level gradients for the graph features, and the
-    four weight-matrix gradients.  Identity weights give the plain-summation
-    variant.
+    four weight-matrix gradients.
     """
     w1, w2, w3, w4 = weights
     d = g_users.shape[1]
@@ -189,18 +188,18 @@ def weighted_sum_fusion_loss(g_users, g_items, a_users, a_items, batch, weights
 
 def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
                       a_users: np.ndarray | None, a_items: np.ndarray | None,
-                      batch, cfg: FusionConfig | None, weights=None
+                      batch, cfg: FusionConfig, weights=None
                       ) -> tuple[float, np.ndarray, np.ndarray, list[np.ndarray]]:
     """The configured variant's stage-2 objective at the feature level.
 
     Returns (loss, dG_users, dG_items, dW): the graph loss plus the fusion
     terms, their gradients with respect to the graph features, and the
-    weight-matrix gradients (empty except for weighted summation).  ``cfg``
-    None trains the plain backbone.  ``batch`` rows are (user, positive,
-    negative) for the pairwise graph loss and (user, item, rating) when
-    ``cfg.rated``.  The auxiliary features never receive gradient.
+    weight-matrix gradients (empty except for weighted summation).  ``batch``
+    rows are (user, positive, negative) for the pairwise graph loss and
+    (user, item, rating) when ``cfg.rated``.  The auxiliary features never
+    receive gradient.
     """
-    variant = cfg.variant if cfg is not None else "none"
+    variant = cfg.variant
     if variant != "none" and (a_users is None or a_items is None):
         raise ValueError("fusion requires the stage-1 auxiliary features")
     if variant != "none" and a_users.shape[1] != g_users.shape[1]:
@@ -209,16 +208,18 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
     if variant == "concat":
         loss, dU, dV = concat_fusion_loss(g_users, g_items, a_users, a_items, batch)
         return loss, dU, dV, []
-    if variant in ("plain-sum", "weighted-sum"):
-        if variant == "plain-sum" or weights is None:
+    if variant == "plain-sum":
+        # the sum's gradient is the graph features' gradient: a is a constant
+        loss, dU, dV = squared_score_loss(g_users + a_users, g_items + a_items, batch)
+        return loss, dU, dV, []
+    if variant == "weighted-sum":
+        if weights is None:
             weights = identity_weights(g_users.shape[1])
-        loss, dU, dV, dW = weighted_sum_fusion_loss(g_users, g_items, a_users, a_items,
-                                                    batch, weights)
-        return loss, dU, dV, dW if variant == "weighted-sum" else []
+        return weighted_sum_fusion_loss(g_users, g_items, a_users, a_items, batch, weights)
     if variant not in ("cross", "none"):
         raise ValueError(f"unknown fusion variant {variant!r}")
 
-    if cfg is not None and cfg.graph_loss == "mse":
+    if cfg.graph_loss == "mse":
         loss, dU, dV = squared_score_loss(g_users, g_items, batch)
     else:
         loss, dU, dV = bpr_loss_and_feature_grad(g_users, g_items, batch)
@@ -236,7 +237,7 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
 
 def fused_objective_grad(model: LightGCN, feats: GraphFeatures, table: Param,
                          a_users: np.ndarray | None, a_items: np.ndarray | None,
-                         batch, cfg: FusionConfig | None,
+                         batch, cfg: FusionConfig,
                          w_params: list[Param] | None = None) -> float:
     """One stage-2 step for every variant: the feature-level objective, the
     backward pass through the propagation into the layer-0 table, and the
@@ -336,24 +337,10 @@ def _pairs_by_user(batch):
     return by_u, by_i
 
 
-def aux_grad_analytic(a_users, a_items, batch):
-    """d/da of the auxiliary squared-error loss: sum_j 2(a_u.a_j - r) a_j."""
-    by_u, by_i = _pairs_by_user(batch)
-    dAu = np.zeros_like(a_users)
-    dAv = np.zeros_like(a_items)
-    for uu, pairs in by_u.items():
-        for jj, rr in pairs:
-            w = 2.0 * (a_users[uu] @ a_items[jj] - rr)
-            dAu[uu] += w * a_items[jj]
-    for ii, pairs in by_i.items():
-        for vv, rr in pairs:
-            w = 2.0 * (a_users[vv] @ a_items[ii] - rr)
-            dAv[ii] += w * a_users[vv]
-    return dAu, dAv
-
-
 def mse_grad_analytic(g_users, g_items, batch):
-    """d/dg of the squared-error graph loss: sum_j 2(g_u.g_j - r) g_j."""
+    """d/dg of the squared-error loss of g_u.g_j against the rating:
+    sum_j 2(g_u.g_j - r) g_j.  The same form checks the stage-1 auxiliary
+    features and the stage-2 graph features."""
     by_u, by_i = _pairs_by_user(batch)
     dGu = np.zeros_like(g_users)
     dGv = np.zeros_like(g_items)

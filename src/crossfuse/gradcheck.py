@@ -136,7 +136,8 @@ def _check_bpr_embedding_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     table = Param(rng.normal(size=(inst.ds.n + inst.ds.m, cfg.dim)))
     feats = model.forward(table)
     table.zero_grad()
-    fusion.fused_objective_grad(model, feats, table, None, None, inst.ranked, None)
+    fusion.fused_objective_grad(model, feats, table, None, None, inst.ranked,
+                                fusion.FusionConfig(variant="none"))
 
     def loss():
         f = model.forward(table)
@@ -313,7 +314,7 @@ def _check_closed_forms(inst: Instance, rng, exact_tol) -> list[CheckResult]:
     out = []
 
     _, dAu, dAv = auxnet.squared_score_loss(inst.a_users, inst.a_items, inst.rated)
-    eAu, eAv = fusion.aux_grad_analytic(inst.a_users, inst.a_items, inst.rated)
+    eAu, eAv = fusion.mse_grad_analytic(inst.a_users, inst.a_items, inst.rated)
     out.append(CheckResult("auxiliary squared-error update direction: closed form vs backward",
                            max(max_abs_error(dAu, eAu), max_abs_error(dAv, eAv)), exact_tol))
 

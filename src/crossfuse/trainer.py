@@ -5,7 +5,8 @@ freezes its output feature matrices.  Stage 2 trains the graph backbone
 against those frozen features through one step shared by every fusion
 variant (the variants differ only in their feature-level objective),
 tracking validation NDCG@10 for model selection and early stopping.  Both
-stages are deterministic functions of (data, config, seed); checkpoints
+stages train through one minibatch loop, ``_epochs``, and are deterministic
+functions of (data, config, seed); checkpoints
 capture parameters, optimizer moments, and the random stream so a resumed
 run is bit-for-bit the uninterrupted one.
 """
@@ -107,12 +108,42 @@ class TrainingLog:
                 fh.write(f"{r.stage}\t{r.epoch}\t{r.loss!r}\t{val}\t{r.wall_time:.3f}\n")
 
 
-def _pad_with_negatives(ds: InteractionDataset, batch: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """1:1 zero-rated negative rows appended to a (u, i, r) batch."""
-    negs = np.column_stack([batch[:, 0], sample_negatives(ds, batch[:, 0], rng),
-                            np.zeros(len(batch))])
-    return np.concatenate([batch, negs], axis=0)
+def _epochs(ds: InteractionDataset, cfg: TrainConfig, opt, rng: np.random.Generator,
+            stage: int, rated: bool, step, start: int = 0):
+    """The minibatch loop both stages train through: epochs ``start + 1`` to
+    ``cfg.epochs``, each one permutation of the train triplets cut into
+    batches.
+
+    Rated batches are (user, item, rating) rows, padded 1:1 with zero-rated
+    sampled negatives when the data is implicit; otherwise a batch is int64
+    (user, positive, sampled negative).  Each batch zeroes the gradients of
+    ``opt.params``, calls ``step(batch)`` for the loss, and takes one
+    optimizer step.  Yields ``(epoch, epoch_loss, t0)`` after each epoch,
+    ``t0`` being the epoch's start on ``time.perf_counter``.
+    """
+    triplets = ds.triplets(TRAIN)
+    pad = rated and ds.implicit
+    for epoch in range(start + 1, cfg.epochs + 1):
+        t0 = time.perf_counter()
+        perm = rng.permutation(len(triplets))
+        epoch_loss = 0.0
+        for lo in range(0, len(perm), cfg.batch_size):
+            batch = triplets[perm[lo:lo + cfg.batch_size]]
+            if pad or not rated:
+                negs = sample_negatives(ds, batch[:, 0], rng)
+                if rated:
+                    zero_rated = np.column_stack([batch[:, 0], negs, np.zeros(len(batch))])
+                    batch = np.concatenate([batch, zero_rated], axis=0)
+                else:
+                    batch = np.column_stack([batch[:, :2].astype(np.int64), negs])
+            for p in opt.params:
+                p.zero_grad()
+            loss = step(batch)
+            if not np.isfinite(loss):
+                raise DivergenceError(stage=stage, epoch=epoch)
+            opt.step()
+            epoch_loss += loss
+        yield epoch, epoch_loss, t0
 
 
 # ---------------------------------------------------------------------------
@@ -144,28 +175,15 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
     item_rows = auxnet.distinct_rows(item_x)
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg.optimizer, user_net.params() + item_net.params(), cfg.eta1)
-    triplets = ds.triplets(TRAIN)
-    implicit = ds.implicit
     log = TrainingLog()
 
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        perm = rng.permutation(len(triplets))
-        epoch_loss = 0.0
-        for lo in range(0, len(perm), cfg.batch_size):
-            batch = triplets[perm[lo:lo + cfg.batch_size]]
-            if implicit:
-                batch = _pad_with_negatives(ds, batch, rng)
-            user_net.zero_grad()
-            item_net.zero_grad()
-            user_net.forward(user_rows, sim_user, "train")
-            item_net.forward(item_rows, sim_item, "train")
-            loss = auxnet.stage1_loss_and_grad(user_net, item_net, batch)
-            if not np.isfinite(loss):
-                raise DivergenceError(stage=1, epoch=epoch)
-            opt.step()
-            epoch_loss += loss
-        log.add(EpochRecord(stage=1, epoch=epoch, loss=epoch_loss,
+    def step(batch) -> float:
+        user_net.forward(user_rows, sim_user, "train")
+        item_net.forward(item_rows, sim_item, "train")
+        return auxnet.stage1_loss_and_grad(user_net, item_net, batch)
+
+    for epoch, loss, t0 in _epochs(ds, cfg, opt, rng, 1, True, step):
+        log.add(EpochRecord(stage=1, epoch=epoch, loss=loss,
                             wall_time=time.perf_counter() - t0))
 
     a_users = user_net.forward(user_rows, sim_user, "eval")
@@ -214,15 +232,6 @@ class Stage2Result:
     fusion_weights: list[np.ndarray] | None = None
 
 
-def _make_ranked_batch(ds, triplets, idx, rng) -> np.ndarray:
-    rows = triplets[idx]
-    out = np.empty((len(rows), 3), dtype=np.int64)
-    out[:, 0] = rows[:, 0].astype(np.int64)
-    out[:, 1] = rows[:, 1].astype(np.int64)
-    out[:, 2] = sample_negatives(ds, out[:, 0], rng)
-    return out
-
-
 def score(ds: InteractionDataset, model: LightGCN, params: dict[str, Param],
           variant: str, a_users, a_items, truth: dict[int, set], topn,
           keep_per_user: bool = False) -> tuple[dict[int, np.ndarray], RankingReport]:
@@ -242,42 +251,37 @@ def score(ds: InteractionDataset, model: LightGCN, params: dict[str, Param],
 
 def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
                  a_users: np.ndarray | None, a_items: np.ndarray | None,
-                 bcfg: BackboneConfig, cfg: TrainConfig,
-                 fcfg: fusion.FusionConfig | None,
+                 bcfg: BackboneConfig, cfg: TrainConfig, fcfg: fusion.FusionConfig,
                  resume: Stage2State | None = None) -> Stage2Result:
     """Train the backbone against the frozen auxiliary features.
 
     Each epoch draws one negative per positive (or pads zero-rated negatives
     for the squared-error objectives), takes ``fusion.fused_objective_grad``
     steps on the configured variant, and scores validation NDCG@10; the
-    selected model (``Stage2State.selected``) is restored at the end.
+    selected model (``Stage2State.selected``) is restored at the end.  The
+    plain backbone is ``FusionConfig(variant="none")``.
     ``resume`` continues from a saved state; a run with ``cfg.epochs = k``
     leaves in ``result.state`` the state to resume from after epoch k.
     Refuses to start with fusion enabled but no stage-1 products.
     """
     cfg.validate()
     bcfg.validate()
-    fusion_on = fcfg is not None and fcfg.active
-    if fcfg is not None:
-        fcfg.validate(dim=bcfg.dim)
-    if fusion_on and (a_users is None or a_items is None):
+    fcfg.validate(dim=bcfg.dim)
+    if fcfg.active and (a_users is None or a_items is None):
         raise PipelineOrderError("stage 2 needs the stage-1 feature matrices "
                                  "(or externally supplied ones) when fusion is enabled")
-    if fusion_on and a_users.shape[1] != bcfg.dim:
+    if fcfg.active and a_users.shape[1] != bcfg.dim:
         raise ValueError(f"auxiliary dimension {a_users.shape[1]} != backbone dim {bcfg.dim}")
 
     model = LightGCN(adj.tocsr(), ds.n, bcfg)
-    variant = fcfg.variant if fcfg is not None else "none"
-    rated = fcfg is not None and fcfg.rated
     w_params: list[Param] | None = None
-    if variant == "weighted-sum":
+    if fcfg.variant == "weighted-sum":
         init = fcfg.weights if fcfg.weights is not None else fusion.identity_weights(bcfg.dim)
         w_params = [Param(w, f"fusion.w{k + 1}") for k, w in enumerate(init)]
 
     named = {"table": table, **{p.name: p for p in w_params or []}}
     opt = make_optimizer(cfg.optimizer, list(named.values()), cfg.eta2)
     rng = np.random.default_rng(cfg.seed)
-    triplets = ds.triplets(TRAIN)
     val_truth = split_truth(ds, VALIDATION)
     log = TrainingLog()
 
@@ -295,31 +299,16 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
         best_metric = resume.best_metric
         stale = resume.stale_epochs
 
-    epochs_run = start_epoch
-    for epoch in range(start_epoch + 1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        perm = rng.permutation(len(triplets))
-        epoch_loss = 0.0
-        for lo in range(0, len(perm), cfg.batch_size):
-            idx = perm[lo:lo + cfg.batch_size]
-            if rated:
-                batch = triplets[idx]
-                if ds.implicit:
-                    batch = _pad_with_negatives(ds, batch, rng)
-            else:
-                batch = _make_ranked_batch(ds, triplets, idx, rng)
-            for p in named.values():
-                p.zero_grad()
-            loss = fusion.fused_objective_grad(model, model.forward(table), table, a_users,
-                                               a_items, batch, fcfg, w_params)
-            if not np.isfinite(loss):
-                raise DivergenceError(stage=2, epoch=epoch)
-            opt.step()
-            epoch_loss += loss
+    def step(batch) -> float:
+        return fusion.fused_objective_grad(model, model.forward(table), table, a_users,
+                                           a_items, batch, fcfg, w_params)
 
+    epochs_run = start_epoch
+    for epoch, loss, t0 in _epochs(ds, cfg, opt, rng, 2, fcfg.rated, step, start_epoch):
         val_metric = float("nan")
         if val_truth:
-            _, report = score(ds, model, named, variant, a_users, a_items, val_truth, [10])
+            _, report = score(ds, model, named, fcfg.variant, a_users, a_items, val_truth,
+                              [10])
             val_metric = report.means["ndcg"][10]
             if val_metric > best_metric:
                 best_metric = val_metric
@@ -328,7 +317,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
             else:
                 stale += 1
         epochs_run = epoch
-        log.add(EpochRecord(stage=2, epoch=epoch, loss=epoch_loss, val_metric=val_metric,
+        log.add(EpochRecord(stage=2, epoch=epoch, loss=loss, val_metric=val_metric,
                             wall_time=time.perf_counter() - t0))
         if cfg.patience is not None and val_truth and stale > cfg.patience:
             break

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_random_dataset
 from crossfuse.backbone import (BackboneConfig, LightGCN, bpr_loss_and_feature_grad,
                                 init_embeddings, log_sigmoid_loss, sigmoid)
-from crossfuse.fusion import fused_objective_grad
+from crossfuse.fusion import FusionConfig, fused_objective_grad
 from crossfuse.graph import normalize_bipartite
 from crossfuse.optim import Param
 
@@ -114,7 +114,8 @@ class TestBprLoss:
         model = LightGCN(adj, tiny_dataset.n, cfg)
         table = Param(np.zeros((adj.shape[0], 2)))
         feats = model.forward(table)
-        loss = fused_objective_grad(model, feats, table, None, None, [[0, 1, 2]], None)
+        loss = fused_objective_grad(model, feats, table, None, None, [[0, 1, 2]],
+                                    FusionConfig(variant="none"))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_widening_margin_decreases_loss(self):
@@ -142,7 +143,8 @@ class TestBprLoss:
 
         feats = model.forward(table)
         table.zero_grad()
-        fused_objective_grad(model, feats, table, None, None, batch, None)
+        fused_objective_grad(model, feats, table, None, None, batch,
+                             FusionConfig(variant="none"))
 
         def loss():
             f = model.forward(table)

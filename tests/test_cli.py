@@ -291,6 +291,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("users_shape, items_shape", [
+        (("n", 5), ("m", 5)),
+        (("n-1", 8), ("m", 8)),
+        (("m", 8), ("m", 8)),
+    ], ids=["wrong-width", "too-few-user-rows", "item-matrix-as-users"])
+    def test_feature_matrix_of_wrong_shape_is_data_error(self, workspace, tmp_path,
+                                                         monkeypatch, capsys, users_shape,
+                                                         items_shape):
+        from crossfuse.auxnet import save_dense_matrix
+
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        z = np.load(out / "dataset.npz")
+        sizes = {"n": int(z["n"][0]), "m": int(z["m"][0])}
+        sizes["n-1"] = sizes["n"] - 1
+        rng = np.random.default_rng(0)
+        paths = []
+        for name, (rows, width) in (("u", users_shape), ("v", items_shape)):
+            paths.append(tmp_path / f"{name}.mat")
+            save_dense_matrix(paths[-1], rng.normal(size=(sizes[rows], width)))
+        assert main(["train", "--config", str(workspace["config"]),
+                     "--aux-users", str(paths[0]), "--aux-items", str(paths[1])]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (out / "model.ckpt").exists()
+
     def test_unknown_category_field_is_config_error(self, workspace, tmp_path, monkeypatch,
                                                     capsys):
         out = tmp_path / "out"

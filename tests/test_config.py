@@ -1,13 +1,13 @@
 import pytest
 
-from crossfuse.config import (PRESETS, ConfigError, RunConfig, apply_preset,
-                              load_config, write_config)
+from crossfuse.config import ConfigError, RunConfig, load_config, write_config
 
 
 def test_defaults_match_best_reported_settings():
     cfg = RunConfig()
     assert cfg.eta1 == 0.001
     assert cfg.epsilon_user == 0.3
+    assert cfg.epsilon_item == 0.3
     assert cfg.lambda1 == 0.05
     assert cfg.lambda2 == 0.001
     assert cfg.epochs == 200
@@ -73,15 +73,6 @@ def test_values_the_sub_configs_reject_are_config_errors(tmp_path, section, line
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.cfg")
-
-
-def test_presets():
-    light = apply_preset(RunConfig(), "ml1m-lightgcn")
-    assert (light.eta1, light.epsilon_user, light.lambda1, light.lambda2) == \
-        (0.001, 0.3, 0.05, 0.001)
-    with pytest.raises(ConfigError):
-        apply_preset(RunConfig(), "imaginary")
-    assert set(PRESETS) == {"ml1m-lightgcn"}
 
 
 def test_sub_config_extraction():

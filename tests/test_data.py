@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import make_random_dataset
 from crossfuse.data import (TEST, TRAIN, VALIDATION, DataError,
-                            InteractionDataset, InteractionSchema, encode_auxiliary,
-                            load_interactions, make_fields, one_hot_matrix,
-                            sample_negatives, split_dataset, write_remap_table)
+                            InteractionDataset, InteractionSchema, _split_counts,
+                            encode_auxiliary, load_interactions, make_fields,
+                            one_hot_matrix, sample_negatives, split_dataset,
+                            write_remap_table)
 
 
 def write(tmp_path, name, text):
@@ -144,6 +145,28 @@ class TestEncodeAuxiliary:
         assert np.all(mat.values.sum(axis=1) == 3)
 
 
+def list_append_split(ds, ratios, seed):
+    """Reference split: each user's interaction indices gathered with one list
+    append per interaction, then the per-user permutation and cut points."""
+    ratios_arr = np.asarray(ratios, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    split = np.zeros(len(ds), dtype=np.int8)
+    n_splits = int(np.count_nonzero(ratios_arr))
+    by_user = [[] for _ in range(ds.n)]
+    for idx, u in enumerate(ds.users):
+        by_user[u].append(idx)
+    for u in range(ds.n):
+        idx = np.array(by_user[u], dtype=np.int64)
+        if len(idx) < n_splits:
+            continue
+        perm = idx[rng.permutation(len(idx))]
+        counts = _split_counts(len(idx), ratios_arr)
+        a, b = counts[0], counts[0] + counts[1]
+        split[perm[a:b]] = VALIDATION
+        split[perm[b:]] = TEST
+    return split
+
+
 class TestSplitDataset:
     def _uniform_ds(self, users, per_user):
         u = np.repeat(np.arange(users), per_user)
@@ -186,6 +209,16 @@ class TestSplitDataset:
                                 ratings=np.ones(7), split=np.zeros(7, dtype=np.int8))
         out = split_dataset(ds, (0.4, 0.3, 0.3), seed=0)
         assert np.all(out.split[out.users == 1] == TRAIN)
+
+    @pytest.mark.parametrize("ratios", [(0.72, 0.08, 0.2), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_list_append_grouping(self, seed, ratios):
+        base = make_random_dataset(seed, n=30, m=40, lo=1, hi=12)
+        order = np.random.default_rng(seed).permutation(len(base))  # interleave the users
+        ds = InteractionDataset(base.n, base.m, base.users[order], base.items[order],
+                                base.ratings[order], base.split[order])
+        assert np.array_equal(split_dataset(ds, ratios, seed).split,
+                              list_append_split(ds, ratios, seed))
 
     def test_bad_ratios(self):
         ds = self._uniform_ds(2, 5)

@@ -147,7 +147,8 @@ class TestFusedObjective:
         fused_grad = table.grad.copy()
 
         table.zero_grad()
-        plain = fused_objective_grad(model, feats, table, None, None, batch, None)
+        plain = fused_objective_grad(model, feats, table, None, None, batch,
+                                     FusionConfig(variant="none"))
         assert fused == plain
         assert np.array_equal(fused_grad, table.grad)
 

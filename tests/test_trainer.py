@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from crossfuse import auxnet, fusion, synthetic
+from crossfuse import auxnet, fusion, synthetic, trainer
 from crossfuse.backbone import BackboneConfig, init_embeddings
-from crossfuse.data import VALIDATION, split_dataset, split_truth
+from crossfuse.data import TRAIN, VALIDATION, InteractionDataset, split_dataset, split_truth
 from crossfuse.evaluate import ranking_metrics, recommend_all
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
 from crossfuse.optim import Adam, Param, Sgd, make_optimizer
@@ -232,6 +232,72 @@ class TestStage2:
         truth = split_truth(ds, VALIDATION)
         recs = recommend_all(eff_u, eff_v, ds, 10, sorted(truth))
         assert ranking_metrics(recs, truth, [10]).means["ndcg"][10] == res.best_metric
+
+
+def with_explicit_ratings(ds):
+    """The same interactions and split, rated 1 to 5."""
+    ratings = np.random.default_rng(0).integers(1, 6, size=len(ds)).astype(np.float64)
+    return InteractionDataset(ds.n, ds.m, ds.users, ds.items, ratings, ds.split)
+
+
+class TestMinibatchLoop:
+    """Both stages train through one loop: one negative-sampler call per batch
+    wherever a batch needs negatives, and a stop at the first non-finite loss."""
+
+    @pytest.fixture
+    def sampler_calls(self, monkeypatch):
+        calls = []
+        real = trainer.sample_negatives
+
+        def counting(ds, users, rng):
+            calls.append(len(users))
+            return real(ds, users, rng)
+
+        monkeypatch.setattr(trainer, "sample_negatives", counting)
+        return calls
+
+    @staticmethod
+    def batches(ds, cfg):
+        return cfg.epochs * -(-len(ds.split_indices(TRAIN)) // cfg.batch_size)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_stage1_samples_once_per_batch_on_implicit_data_only(self, sampler_calls,
+                                                                 explicit):
+        data, ds, sim_u, sim_v, _ = make_world()
+        if explicit:
+            ds = with_explicit_ratings(ds)
+        user_net, item_net = make_nets(data)
+        cfg = quick_cfg(epochs=3, batch_size=32)
+        train_stage1(ds, user_net, item_net, data.user_features.values,
+                     data.item_features.values, sim_u, sim_v, cfg)
+        assert len(sampler_calls) == (0 if explicit else self.batches(ds, cfg))
+
+    @pytest.mark.parametrize("graph_loss, explicit, sampled", [
+        ("bpr", False, True), ("mse", False, True), ("bpr", True, True),
+        ("mse", True, False)])
+    def test_stage2_samples_once_per_batch_unless_rated_explicit(
+            self, sampler_calls, graph_loss, explicit, sampled):
+        _, ds, _, _, adj = make_world()
+        if explicit:
+            ds = with_explicit_ratings(ds)
+        rng = np.random.default_rng(0)
+        a_users, a_items = rng.normal(size=(ds.n, D)), rng.normal(size=(ds.m, D))
+        cfg = quick_cfg(epochs=3, batch_size=32)
+        train_stage2(ds, adj, init_embeddings(ds.n + ds.m, D, seed=0), a_users, a_items,
+                     BackboneConfig(dim=D, num_layers=1), cfg,
+                     fusion.FusionConfig(graph_loss=graph_loss))
+        assert len(sampler_calls) == (self.batches(ds, cfg) if sampled else 0)
+
+    def test_stage2_divergent_run_aborts_with_epoch(self):
+        _, ds, _, _, adj = make_world()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as err:
+            train_stage2(ds, adj, init_embeddings(ds.n + ds.m, D, seed=0), None, None,
+                         BackboneConfig(dim=D, num_layers=1),
+                         quick_cfg(eta2=1e6, optimizer="sgd", epochs=60, batch_size=32),
+                         fusion.FusionConfig(variant="none", graph_loss="mse"))
+        assert err.value.stage == 2
+        assert err.value.epoch >= 1
 
 
 class TestCheckpoint:
