@@ -212,31 +212,31 @@ def load_interactions(path: str | Path, schema: InteractionSchema | None = None)
     users, items, ratings, times = [], [], [], []
     seen: set[tuple[int, int]] = set()
     dropped = 0
+    width = max(x for x in (c_user, c_item, c_rating, c_time) if x is not None) + 1
 
     for lineno in range(start, len(lines)):
         line = lines[lineno].strip()
         if not line:
             continue
         parts = line.split(delim)
-        width = max(x for x in (c_user, c_item, c_rating, c_time) if x is not None) + 1
         if len(parts) < width:
             raise DataError(f"{path}:{lineno + 1}: expected at least {width} columns, got {len(parts)}")
         raw_u = parts[c_user].strip()
         raw_i = parts[c_item].strip()
+        r = 1.0
         if c_rating is not None:
             r_text = parts[c_rating].strip()
-            if not _is_float(r_text):
-                raise DataError(f"{path}:{lineno + 1}: bad rating value {r_text!r}")
-            r = float(r_text)
-        else:
-            r = 1.0
+            try:
+                r = float(r_text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno + 1}: bad rating value {r_text!r}") from None
+        ts = None
         if c_time is not None:
             t_text = parts[c_time].strip()
-            if not _is_float(t_text):
-                raise DataError(f"{path}:{lineno + 1}: bad timestamp value {t_text!r}")
-            ts = float(t_text)
-        else:
-            ts = None
+            try:
+                ts = float(t_text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno + 1}: bad timestamp value {t_text!r}") from None
         u = user_index.setdefault(raw_u, len(user_index))
         i = item_index.setdefault(raw_i, len(item_index))
         if (u, i) in seen:

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import InteractionDataset
 
@@ -165,6 +166,19 @@ class CategoryProfile:
     recommended: np.ndarray
 
 
+def _category_counts(lists: Sequence[Sequence[int]], keys: np.ndarray,
+                     incidence: sp.csr_matrix) -> np.ndarray:
+    """Rows x labels counts of the categories of each row's listed items, an
+    item counted once per listing and per category."""
+    lengths = np.array([len(x) for x in lists], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(lists), np.int64, count=int(lengths.sum()))
+    # items without a category entry land on the incidence's empty last row
+    at = np.where(np.isin(flat, keys), np.searchsorted(keys, flat), len(keys))
+    listed = sp.csr_matrix((np.ones(len(flat)), (np.repeat(np.arange(len(lists)), lengths), at)),
+                           shape=(len(lists), len(keys) + 1))
+    return (listed @ incidence).toarray()
+
+
 def category_kl(histories: Mapping[int, Sequence[int]],
                 recommendations: Mapping[int, Sequence[int]],
                 item_categories: Mapping[int, Sequence[int]],
@@ -175,36 +189,48 @@ def category_kl(histories: Mapping[int, Sequence[int]],
     frequent history categories (ties toward the smaller label); items with
     several categories count once per category.  Recommendation mass is
     smoothed so the divergence stays defined when a category is never
-    recommended.  Users with empty histories are skipped.
+    recommended.  Users with empty histories are skipped.  Each user's sums
+    run over their own categories only, and the mean is a sum in ascending
+    user order, one user after the other.
     """
-    profiles: list[CategoryProfile] = []
-    total = 0.0
-    for u in sorted(histories):
-        counts: dict[int, int] = {}
-        for item in histories[u]:
-            for c in item_categories.get(int(item), ()):
-                counts[c] = counts.get(c, 0) + 1
-        if not counts:
-            continue
-        cats = sorted(counts, key=lambda c: (-counts[c], c))[:top_categories]
-        p = np.array([counts[c] for c in cats], dtype=np.float64)
-        p /= p.sum()
+    users = sorted(histories)
+    keys = np.array(sorted(map(int, item_categories)), dtype=np.int64)
+    cats_of = [item_categories[k] for k in keys.tolist()]
+    sizes = [len(c) for c in cats_of]
+    labels, label_at = np.unique(np.fromiter(chain.from_iterable(cats_of), np.int64,
+                                             count=sum(sizes)), return_inverse=True)
+    incidence = sp.csr_matrix((np.ones(len(label_at)),
+                               (np.repeat(np.arange(len(keys)), sizes), label_at)),
+                              shape=(len(keys) + 1, len(labels)))
+    hist = _category_counts([histories[u] for u in users], keys, incidence)
+    recs = _category_counts([recommendations.get(u, ()) for u in users], keys, incidence)
 
-        rec_counts = {c: 0 for c in cats}
-        for item in recommendations.get(u, ()):
-            for c in item_categories.get(int(item), ()):
-                if c in rec_counts:
-                    rec_counts[c] += 1
-        q = np.array([rec_counts[c] for c in cats], dtype=np.float64)
-        q = q + KL_SMOOTHING
-        q /= q.sum()
+    # each row's categories by descending history count, ties to the smaller label
+    present = np.count_nonzero(hist, axis=1)
+    width = (np.minimum(present, top_categories) if top_categories >= 0
+             else np.maximum(present + top_categories, 0))
+    top = np.argsort(-hist, axis=1, kind="stable")[:, :width.max(initial=0)]
+    p_all = np.take_along_axis(hist, top, axis=1)
+    q_all = np.take_along_axis(recs, top, axis=1) + KL_SMOOTHING
+    scored = np.flatnonzero(present > 0)
+    kl = np.zeros(len(users))
+    for j in np.unique(width[scored]).tolist():
+        rows = scored[width[scored] == j]
+        p = p_all[rows, :j]
+        p = p / p.sum(axis=1, keepdims=True)
+        q = q_all[rows, :j]
+        q = q / q.sum(axis=1, keepdims=True)
+        kl[rows] = np.sum(p * np.log(p / q), axis=1)
+        p_all[rows, :j] = p
+        q_all[rows, :j] = q
 
-        kl = float(np.sum(p * np.log(p / q)))
-        total += kl
-        profiles.append(CategoryProfile(user=u, categories=list(cats), history=p, recommended=q))
+    names = labels[top].tolist()
+    profiles = [CategoryProfile(user=users[r], categories=names[r][:w],
+                                history=p_all[r, :w], recommended=q_all[r, :w])
+                for r, w in zip(scored.tolist(), width[scored].tolist())]
     if not profiles:
         return 0.0, []
-    return total / len(profiles), profiles
+    return float(np.cumsum(kl[scored])[-1]) / len(profiles), profiles
 
 
 # ---------------------------------------------------------------------------

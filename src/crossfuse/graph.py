@@ -21,6 +21,12 @@ log = logging.getLogger(__name__)
 GRAPH_MAGIC = b"CFGB"
 GRAPH_VERSION = 1
 
+# Bound on one row block's co-count product in the similarity build (a
+# float64 value and an int32 column per entry), counted as if every entry of
+# the block were stored.  The block's scaling adds at most one float64 array
+# of the same length.
+_BLOCK_BYTES = 8 << 20
+
 
 def interaction_matrix(ds: InteractionDataset, split: int = TRAIN,
                        binarize: bool = False) -> sp.csr_matrix:
@@ -80,12 +86,27 @@ def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 
     inv = np.zeros(size)
     active = deg > 0
     inv[active] = 1.0 / norms[active] ** power
-    D = sp.diags(inv)
-    S = (D @ (B @ B.T) @ D).tocsr()
 
-    upper = sp.triu(S, k=1).tocoo()
-    keep = upper.data >= epsilon
-    r, c, v = upper.row[keep], upper.col[keep], np.minimum(upper.data[keep], 1.0)
+    # Upper-triangle edges, one row block at a time: block [lo, hi) meets only
+    # the nodes after lo, and each co-count c is scaled as (inv[r] * c) *
+    # inv[col], the order of D @ C @ D, so every kept value has the bits the
+    # whole product gives it.
+    BT = B.T.tocsr()
+    step = max(1, _BLOCK_BYTES // (12 * max(size, 1)))
+    rs, cs, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        C = B[lo:hi] @ BT[:, lo + 1:]
+        C.data *= np.repeat(inv[lo:hi], np.diff(C.indptr))
+        C.data *= inv[lo + 1:][C.indices]
+        at = np.flatnonzero(C.data >= epsilon)
+        r = np.searchsorted(C.indptr, at, side="right") - 1 + lo
+        c = C.indices[at] + (lo + 1)
+        upper = c > r
+        rs.append(r[upper])
+        cs.append(c[upper])
+        vs.append(np.minimum(C.data[at[upper]], 1.0))
+    r, c, v = np.concatenate(rs), np.concatenate(cs), np.concatenate(vs)
 
     if max_neighbors is not None and len(v):
         r, c, v = _cap_neighbors(size, r, c, v, max_neighbors)
@@ -103,8 +124,7 @@ def _cap_neighbors(size, r, c, v, top):
     order = np.lexsort((np.minimum(r, c) * size + np.maximum(r, c), -v))
     rank = [0] * size
     keep = np.zeros(len(v), dtype=bool)
-    for k in order:
-        a, b = int(r[k]), int(c[k])
+    for k, a, b in zip(order.tolist(), r[order].tolist(), c[order].tolist()):
         if rank[a] < top and rank[b] < top:
             keep[k] = True
             rank[a] += 1

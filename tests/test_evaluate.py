@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfuse.data import TEST, TRAIN, InteractionDataset
-from crossfuse.evaluate import (category_kl, ranking_metrics, recommend_all,
-                                write_report_json, write_report_text)
+from crossfuse import synthetic
+from crossfuse.data import TEST, TRAIN, InteractionDataset, split_dataset
+from crossfuse.evaluate import (KL_SMOOTHING, CategoryProfile, category_kl, ranking_metrics,
+                                recommend_all, write_report_json, write_report_text)
 
 
 def _one_user(m: int, train_items=()) -> InteractionDataset:
@@ -255,6 +256,93 @@ class TestCategoryKl:
         hist = {0: [0, 0, 0, 1, 1, 2]}
         _, profiles = category_kl(hist, {0: [0, 1]}, cats, top_categories=2)
         assert profiles[0].categories == [0, 1]
+
+
+def _reference_category_kl(histories, recommendations, item_categories, top_categories):
+    """The per-user, per-item category divergence loop."""
+    profiles = []
+    total = 0.0
+    for u in sorted(histories):
+        counts = {}
+        for item in histories[u]:
+            for c in item_categories.get(int(item), ()):
+                counts[c] = counts.get(c, 0) + 1
+        if not counts:
+            continue
+        cats = sorted(counts, key=lambda c: (-counts[c], c))[:top_categories]
+        p = np.array([counts[c] for c in cats], dtype=np.float64)
+        p /= p.sum()
+
+        rec_counts = {c: 0 for c in cats}
+        for item in recommendations.get(u, ()):
+            for c in item_categories.get(int(item), ()):
+                if c in rec_counts:
+                    rec_counts[c] += 1
+        q = np.array([rec_counts[c] for c in cats], dtype=np.float64)
+        q = q + KL_SMOOTHING
+        q /= q.sum()
+
+        kl = float(np.sum(p * np.log(p / q)))
+        total += kl
+        profiles.append(CategoryProfile(user=u, categories=list(cats), history=p, recommended=q))
+    if not profiles:
+        return 0.0, []
+    return total / len(profiles), profiles
+
+
+def assert_kl_equals_reference(histories, recommendations, item_categories, top):
+    kl, profiles = category_kl(histories, recommendations, item_categories, top)
+    want_kl, want = _reference_category_kl(histories, recommendations, item_categories, top)
+    assert kl == want_kl
+    assert [(x.user, x.categories) for x in profiles] == [(y.user, y.categories) for y in want]
+    for x, y in zip(profiles, want):
+        assert x.history.dtype == y.history.dtype and np.array_equal(x.history, y.history)
+        assert np.array_equal(x.recommended, y.recommended)
+
+
+@st.composite
+def category_cases(draw):
+    """Repeated items, items with no, one or several (even repeated)
+    categories, items missing from the category map, users with no list, and
+    up to 14 categories per user, so per-user sums run past 8 terms."""
+    m = draw(st.integers(1, 30))
+    labels = st.integers(-3, 40)
+    item_categories = {i: draw(st.lists(labels, max_size=3))
+                       for i in draw(st.sets(st.integers(0, m - 1)))}
+    items = st.lists(st.integers(0, m - 1), max_size=40)
+    users = draw(st.lists(st.integers(0, 50), max_size=12, unique=True))
+    histories = {u: draw(items) for u in users}
+    recommendations = {u: np.array(draw(items), dtype=np.int64)
+                       for u in users if draw(st.booleans())}
+    return histories, recommendations, item_categories, draw(st.integers(-2, 14))
+
+
+class TestCategoryKlMatchesPerUserReference:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(category_cases())
+    def test_property(self, case):
+        assert_kl_equals_reference(*case)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_desk(self, seed):
+        data = synthetic.generate(200, 300, 5, seed=seed)
+        ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=seed)
+        rng = np.random.default_rng(seed)
+        recs = recommend_all(rng.normal(size=(ds.n, 16)), rng.normal(size=(ds.m, 16)), ds, 20)
+        histories = {u: ds.train_items(u).tolist() for u in range(ds.n)}
+        for top in (1, 3, 6):
+            assert_kl_equals_reference(histories, recs, data.item_categories, top)
+
+    def test_mid_shape(self):
+        # 3000 users x 2000 items over 10 categories, 40-80 history and 20
+        # recommended items per user
+        rng = np.random.default_rng(0)
+        item_categories = {i: [int(c)] for i, c in enumerate(rng.integers(0, 10, size=2000))}
+        histories = {u: sorted(rng.choice(2000, size=int(rng.integers(40, 81)),
+                                          replace=False).tolist())
+                     for u in range(3000)}
+        recs = {u: rng.choice(2000, size=20, replace=False) for u in range(3000)}
+        assert_kl_equals_reference(histories, recs, item_categories, 6)
 
 
 class TestReports:

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from crossfuse import graph
 from crossfuse.backbone import BackboneConfig, LightGCN
 from crossfuse.data import DataError, InteractionDataset
 from crossfuse.graph import (build_similarity_graph, check_csr, interaction_matrix,
@@ -90,6 +94,139 @@ class TestSimilarityGraph:
         counts = [build_similarity_graph(R, "rows", epsilon=e).nnz
                   for e in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def reference_cap(size, r, c, v, top):
+    """The per-edge cap loop over numpy scalars, as the build first wrote it."""
+    order = np.lexsort((np.minimum(r, c) * size + np.maximum(r, c), -v))
+    rank = [0] * size
+    keep = np.zeros(len(v), dtype=bool)
+    for k in order:
+        a, b = int(r[k]), int(c[k])
+        if rank[a] < top and rank[b] < top:
+            keep[k] = True
+            rank[a] += 1
+            rank[b] += 1
+    return r[keep], c[keep], v[keep]
+
+
+def whole_matrix_graph(R, axis="rows", epsilon=0.3, variant="cosine", max_neighbors=None):
+    """The similarity build over the whole product: D @ (B @ B.T) @ D, its
+    strict upper triangle, the threshold, the cap, mirroring and the diagonal."""
+    B = R.tocsr() if axis == "rows" else R.T.tocsr()
+    B = B.astype(bool).astype(np.float64)
+    size = B.shape[0]
+    deg = np.asarray(B.sum(axis=1)).ravel()
+    norms = np.sqrt(deg)
+    power = 1.0 if variant == "cosine" else 2.0
+    inv = np.zeros(size)
+    active = deg > 0
+    inv[active] = 1.0 / norms[active] ** power
+    D = sp.diags(inv)
+    S = (D @ (B @ B.T) @ D).tocsr()
+    upper = sp.triu(S, k=1).tocoo()
+    keep = upper.data >= epsilon
+    r, c, v = upper.row[keep], upper.col[keep], np.minimum(upper.data[keep], 1.0)
+    if max_neighbors is not None and len(v):
+        r, c, v = reference_cap(size, r, c, v, max_neighbors)
+    rows = np.concatenate([r, c, np.arange(size)])
+    cols = np.concatenate([c, r, np.arange(size)])
+    vals = np.concatenate([v, v, np.ones(size)])
+    out = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    out.sort_indices()
+    return out
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def block_rows(rows: int | None, size: int) -> int:
+    """A byte budget that makes the build's row blocks ``rows`` long (the
+    whole matrix for None)."""
+    return 12 * size * (size if rows is None else rows)
+
+
+class TestBlockedSimilarityBuild:
+    """The row-block build equals the whole-matrix formula, bit for bit."""
+
+    @staticmethod
+    def interactions() -> sp.csr_matrix:
+        # 11 users x 10 items: blocks of 3 leave a ragged last block on both
+        # axes; user 4 and item 7 have no interaction
+        rng = np.random.default_rng(3)
+        dense = (rng.random((11, 10)) < 0.45).astype(np.float64)
+        dense[4, :] = 0.0
+        dense[:, 7] = 0.0
+        dense[0, :3] = dense[1, :3] = 1.0  # a similarity of exactly 1
+        return sp.csr_matrix(dense)
+
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["1-row", "3-rows", "whole"])
+    @pytest.mark.parametrize("max_neighbors", [None, 2])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("variant", ["cosine", "printed"])
+    @pytest.mark.parametrize("axis", ["rows", "columns"])
+    def test_equals_whole_matrix_formula(self, axis, variant, epsilon, max_neighbors, rows):
+        R = self.interactions()
+        size = R.shape[0] if axis == "rows" else R.shape[1]
+        with mock.patch.object(graph, "_BLOCK_BYTES", block_rows(rows, size)):
+            got = build_similarity_graph(R, axis, epsilon, variant, max_neighbors)
+        assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant, max_neighbors))
+
+    def test_budget_below_one_row_still_takes_one_row(self):
+        R = self.interactions()
+        with mock.patch.object(graph, "_BLOCK_BYTES", 0):
+            got = build_similarity_graph(R, "rows", 0.0)
+        assert_same_csr(got, whole_matrix_graph(R, "rows", 0.0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(binary_matrices, st.sampled_from(["rows", "columns"]),
+           st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.sampled_from(["cosine", "printed"]),
+           st.sampled_from([None, 1, 2]), st.sampled_from([1, 2, 3, None]))
+    def test_property_equals_whole_matrix_formula(self, dense, axis, epsilon, variant,
+                                                  max_neighbors, rows):
+        R = sp.csr_matrix(dense)
+        size = R.shape[0] if axis == "rows" else R.shape[1]
+        with mock.patch.object(graph, "_BLOCK_BYTES", block_rows(rows, size)):
+            got = build_similarity_graph(R, axis, epsilon, variant, max_neighbors)
+        assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant, max_neighbors))
+
+    def test_traced_peak_is_a_fraction_of_the_whole_product(self):
+        # dense co-counts: about 80% of user pairs share an item
+        rng = np.random.default_rng(0)
+        R = sp.csr_matrix((rng.random((2000, 600)) < 0.05).astype(np.float64))
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                out = build(R, "rows", 0.3)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        got, blocked = traced_peak(build_similarity_graph)
+        want, whole = traced_peak(whole_matrix_graph)
+        assert_same_csr(got, want)
+        assert blocked < whole / 3
+
+
+class TestCapNeighbors:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+    def test_equals_the_numpy_scalar_loop(self, size, seed, top):
+        rng = np.random.default_rng(seed)
+        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        pick = rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))]
+        r = np.array([pairs[k][0] for k in pick], dtype=np.int64)
+        c = np.array([pairs[k][1] for k in pick], dtype=np.int64)
+        v = rng.choice([0.25, 0.5, 0.75, 1.0], size=len(pick))  # many ties
+        got = graph._cap_neighbors(size, r, c, v, top)
+        want = reference_cap(size, r, c, v, top)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestNormalizeBipartite:
