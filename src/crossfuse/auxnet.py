@@ -9,8 +9,12 @@ Eval-mode forwards use running statistics, cache nothing, and are reentrant.
 
 Categorical attribute rows repeat heavily (a handful of age/occupation
 combinations cover every user), so the MLP runs on the distinct rows of its
-input only and gathers its output back to every node; its batch norms weight
-each distinct row by how often it occurs.
+input only; its batch norms weight each distinct row by how often it occurs.
+Likewise the convolutions run on node classes (see :func:`node_classes`):
+nodes the similarity graph leaves with only a self-loop keep identical
+features through every layer when they share an attribute row, so each such
+group is computed once and the output is gathered back to every node at the
+end.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ def load_dense_matrix(path) -> np.ndarray:
 class DistinctRows:
     """An attribute matrix as its distinct rows plus the map back to all rows.
 
-    ``values[inverse]`` is the original matrix; ``counts`` holds how many
-    original rows each distinct row stands for, and ``scatter @ d`` sums a
-    per-row array over each distinct row's occurrences."""
+    ``values[inverse]`` is the original matrix (one row per node class, in
+    :class:`NodeClasses`); ``counts`` holds how many nodes each distinct row
+    stands for, and ``scatter @ d`` sums an array indexed like ``inverse``
+    over each distinct row's occurrences."""
 
     values: np.ndarray
     inverse: np.ndarray
@@ -72,6 +77,56 @@ def distinct_rows(x: np.ndarray) -> DistinctRows:
     inverse = inverse.reshape(-1)
     return DistinctRows(values, inverse, counts.astype(np.float64),
                         indicator(inverse, len(values)))
+
+
+@dataclass(frozen=True)
+class NodeClasses:
+    """The nodes of one side grouped into classes whose features agree at
+    every convolution layer.
+
+    ``rows`` gives each class its distinct attribute row (counts stay per
+    node, so the encoder is unchanged); ``sim`` is the similarity graph over
+    classes; ``counts`` holds each class's size, ``inverse`` maps nodes to
+    classes and ``scatter @ d`` sums a per-node array over each class."""
+
+    rows: DistinctRows
+    sim: sp.csr_matrix
+    counts: np.ndarray
+    inverse: np.ndarray
+    scatter: sp.csr_matrix
+
+
+def node_classes(x: np.ndarray | DistinctRows, sim: sp.spmatrix) -> NodeClasses:
+    """Group the nodes of ``x`` over the similarity graph ``sim``; done once
+    per input, not per forward.
+
+    A node whose row of ``sim`` stores only its diagonal is isolated: it
+    aggregates nothing but itself, so its features stay a function of its
+    attribute row and diagonal value through every layer.  Isolated nodes
+    sharing both form one class; every other node is a class of its own.
+    Classes are numbered by their first node.  The class graph is the
+    first node's row of ``sim`` with its columns relabelled to classes, in
+    the stored order, so ``sim @ h`` over classes adds the same terms in the
+    same order as over nodes."""
+    rows = x if isinstance(x, DistinctRows) else distinct_rows(x)
+    n = len(rows.inverse)
+    sim = sim.tocsr()
+    if sim.shape != (n, n):
+        raise ValueError("similarity graph must be square over the feature rows")
+    lone = np.flatnonzero(np.diff(sim.indptr) == 1)
+    iso = lone[sim.indices[sim.indptr[lone]] == lone]
+    key = np.column_stack([rows.inverse[iso], sim.diagonal()[iso]])
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    rep = np.arange(n)
+    rep[iso] = iso[first][group.reshape(-1)]
+    reps, inverse = np.unique(rep, return_inverse=True)
+    sub = sim[reps]
+    class_sim = sp.csr_matrix((sub.data, inverse[sub.indices], sub.indptr),
+                              shape=(len(reps), len(reps)))
+    class_rows = DistinctRows(rows.values, rows.inverse[reps], rows.counts,
+                              indicator(rows.inverse[reps], len(rows.values)))
+    return NodeClasses(class_rows, class_sim, np.bincount(inverse).astype(np.float64),
+                       inverse, indicator(inverse, len(reps)))
 
 
 class Affine:
@@ -242,6 +297,11 @@ class AuxGcnStack:
     Each layer aggregates neighbor features weighted by the stored
     similarities and applies an affine + batch-norm + rectifier transform;
     every layer maps dim -> dim.  K = 0 passes features through unchanged.
+
+    The rows may be node classes (see :class:`NodeClasses`): with ``counts``
+    each row stands for ``counts[k]`` nodes in the batch norms.  A train-mode
+    forward checks a graph's self-loops and builds its transpose for the
+    backward once; later forwards on the same graph object skip both.
     """
 
     def __init__(self, dim: int, num_layers: int, rng: np.random.Generator,
@@ -256,29 +316,31 @@ class AuxGcnStack:
                                 BatchNorm(dim, bn_momentum, bn_eps, f"{name}.{k}"),
                                 Relu()))
         self._sim = None
+        self._sim_t = None
 
-    def forward(self, sim: sp.spmatrix, h: np.ndarray, mode: str = "train") -> np.ndarray:
+    def forward(self, sim: sp.spmatrix, h: np.ndarray, mode: str = "train",
+                counts: np.ndarray | None = None) -> np.ndarray:
         train = _check_mode(mode)
         if sim.shape[0] != sim.shape[1] or sim.shape[0] != h.shape[0]:
             raise ValueError("similarity graph must be square over the feature rows")
-        if self.num_layers > 0 and np.any(sim.diagonal() == 0):
-            raise ValueError("similarity graph must carry self-loops on the diagonal")
         if h.shape[1] != self.dim:
             raise ValueError(f"stack expects width {self.dim}, got {h.shape[1]}")
         sim = sim.tocsr()
-        if train:
-            self._sim = sim
+        if sim is not self._sim:
+            if self.num_layers > 0 and np.any(sim.diagonal() == 0):
+                raise ValueError("similarity graph must carry self-loops on the diagonal")
+            if train:
+                self._sim, self._sim_t = sim, sim.T.tocsr()
         for affine, bn, relu in self.layers:
             h = np.asarray(sim @ h)
-            h = relu.forward(bn.forward(affine.forward(h, train), train), train)
+            h = relu.forward(bn.forward(affine.forward(h, train), train, counts), train)
         return h
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        sim_t = self._sim.T.tocsr() if self._sim is not None else None
         d = d_out
         for affine, bn, relu in reversed(self.layers):
             d = affine.backward(bn.backward(relu.backward(d)))
-            d = np.asarray(sim_t @ d)
+            d = np.asarray(self._sim_t @ d)
         return d
 
     def params(self):
@@ -307,16 +369,23 @@ class AuxiliaryExtractor:
         self.encoder = encoder
         self.gcn = gcn
         self.output: np.ndarray | None = None
+        self._classes: NodeClasses | None = None
 
-    def forward(self, x: np.ndarray | DistinctRows, sim: sp.spmatrix,
+    def forward(self, x: np.ndarray | DistinctRows | NodeClasses, sim: sp.spmatrix,
                 mode: str = "train") -> np.ndarray:
-        a = self.gcn.forward(sim, self.encoder.forward(x, mode), mode)
+        """Features for every node.  ``x`` and ``sim`` are grouped into node
+        classes here unless ``x`` is already :func:`node_classes` of them,
+        as callers that run many forwards on one input pass it."""
+        classes = x if isinstance(x, NodeClasses) else node_classes(x, sim)
+        h = self.encoder.forward(classes.rows, mode)
+        a = self.gcn.forward(classes.sim, h, mode, classes.counts)[classes.inverse]
         if mode == "train":
             self.output = a
+            self._classes = classes
         return a
 
     def backward(self, d_a: np.ndarray) -> None:
-        self.encoder.backward(self.gcn.backward(d_a))
+        self.encoder.backward(self.gcn.backward(self._classes.scatter @ d_a))
 
     def params(self):
         return self.encoder.params() + self.gcn.params()

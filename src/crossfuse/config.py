@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .backbone import BackboneConfig
 from .data import check_split_ratios
-from .evaluate import check_topn
+from .evaluate import check_kl_categories, check_topn
 from .fusion import FusionConfig
 from .graph import check_similarity
 from .trainer import TrainConfig
@@ -196,6 +196,7 @@ def load_config(path: str | Path) -> RunConfig:
         check_similarity(cfg.epsilon_user, cfg.similarity)
         check_similarity(cfg.epsilon_item, cfg.similarity)
         check_topn(cfg.topn)
+        check_kl_categories(cfg.kl_categories)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

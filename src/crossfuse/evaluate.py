@@ -93,6 +93,11 @@ def check_topn(topn: Sequence[int]) -> None:
         raise ValueError(f"topn must list cut-offs >= 1, got {list(topn)}")
 
 
+def check_kl_categories(top_categories: int) -> None:
+    if top_categories < 1:
+        raise ValueError(f"kl_categories must be >= 1, got {top_categories}")
+
+
 def ranking_metrics(recommendations: Mapping[int, np.ndarray],
                     ground_truth: Mapping[int, set],
                     topn: Sequence[int],

@@ -167,25 +167,26 @@ def _check_cross_fusion_grad(inst: Instance, rng, fd_tol) -> CheckResult:
                        err, fd_tol)
 
 
-def _stage1_fd_error(inst: Instance, rng, x_u: np.ndarray, x_v: np.ndarray) -> float:
+def _stage1_fd_error(inst: Instance, rng, x_u: np.ndarray, x_v: np.ndarray,
+                     sim_u: sp.csr_matrix, sim_v: sp.csr_matrix) -> float:
     """Worst relative error of every stage-1 parameter gradient against
-    central differences, for the given attribute rows."""
+    central differences, for the given attribute rows and similarity graphs."""
     d = inst.g_users.shape[1]
-    x_u, x_v = auxnet.distinct_rows(x_u), auxnet.distinct_rows(x_v)
-    user_net = auxnet.build_extractor(x_u.values.shape[1], d, hidden=[5], gcn_layers=1, rng=rng,
-                                      name="u")
-    item_net = auxnet.build_extractor(x_v.values.shape[1], d, hidden=[5], gcn_layers=1, rng=rng,
-                                      name="v")
+    x_u, x_v = auxnet.node_classes(x_u, sim_u), auxnet.node_classes(x_v, sim_v)
+    user_net = auxnet.build_extractor(x_u.rows.values.shape[1], d, hidden=[5], gcn_layers=1,
+                                      rng=rng, name="u")
+    item_net = auxnet.build_extractor(x_v.rows.values.shape[1], d, hidden=[5], gcn_layers=1,
+                                      rng=rng, name="v")
 
-    user_net.forward(x_u, inst.sim_u, "train")
-    item_net.forward(x_v, inst.sim_v, "train")
+    user_net.forward(x_u, sim_u, "train")
+    item_net.forward(x_v, sim_v, "train")
     user_net.zero_grad()
     item_net.zero_grad()
     auxnet.stage1_loss_and_grad(user_net, item_net, inst.rated)
 
     def loss():
-        au = user_net.forward(x_u, inst.sim_u, "train")
-        av = item_net.forward(x_v, inst.sim_v, "train")
+        au = user_net.forward(x_u, sim_u, "train")
+        av = item_net.forward(x_v, sim_v, "train")
         val, _, _ = auxnet.squared_score_loss(au, av, inst.rated)
         return val
 
@@ -200,25 +201,38 @@ def _check_stage1_param_grads(inst: Instance, rng, fd_tol) -> CheckResult:
     x_u = rng.normal(size=(inst.ds.n, 6))
     x_v = rng.normal(size=(inst.ds.m, 6))
     return CheckResult("attribute-pipeline loss: all parameter gradients vs finite differences",
-                       _stage1_fd_error(inst, rng, x_u, x_v), fd_tol)
+                       _stage1_fd_error(inst, rng, x_u, x_v, inst.sim_u, inst.sim_v), fd_tol)
 
 
 def _repeated_one_hot(count: int, rng) -> np.ndarray:
     """Two one-hot fields of 3 categories each, with the category pair drawn
-    from 4 fixed pairs, so any ``count`` > 4 rows repeat."""
+    from 4 fixed pairs, so any ``count`` > 4 rows repeat.  The last two rows
+    are equal."""
     pairs = np.array([[0, 0], [0, 1], [1, 2], [2, 0]])[rng.integers(0, 4, size=count)]
+    pairs[-1] = pairs[-2]
     x = np.zeros((count, 6))
     x[np.arange(count), pairs[:, 0]] = 1.0
     x[np.arange(count), 3 + pairs[:, 1]] = 1.0
     return x
 
 
+def _isolate_tail(sim: sp.csr_matrix) -> sp.csr_matrix:
+    """``sim`` with its second half of nodes cut down to their self-loops, so
+    that those nodes are isolated and merge into node classes wherever their
+    attribute rows agree."""
+    keep = sim.shape[0] // 2
+    coo = sim.tocoo()
+    kept = (coo.row == coo.col) | ((coo.row < keep) & (coo.col < keep))
+    return sp.csr_matrix((coo.data[kept], (coo.row[kept], coo.col[kept])), shape=sim.shape)
+
+
 def _check_stage1_repeated_rows(inst: Instance, rng, fd_tol) -> CheckResult:
     x_u = _repeated_one_hot(inst.ds.n, rng)
     x_v = _repeated_one_hot(inst.ds.m, rng)
-    return CheckResult("attribute-pipeline loss on repeated one-hot rows: all parameter "
-                       "gradients vs finite differences",
-                       _stage1_fd_error(inst, rng, x_u, x_v), fd_tol)
+    err = _stage1_fd_error(inst, rng, x_u, x_v, _isolate_tail(inst.sim_u),
+                           _isolate_tail(inst.sim_v))
+    return CheckResult("attribute-pipeline loss on repeated one-hot rows and merged node "
+                       "classes: all parameter gradients vs finite differences", err, fd_tol)
 
 
 def _check_fused_objective_grad(inst: Instance, rng, fd_tol) -> CheckResult:

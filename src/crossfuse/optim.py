@@ -69,17 +69,30 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        self._work = [(np.empty_like(p.value), np.empty_like(p.value)) for p in self.params]
 
     def step(self) -> None:
+        """m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g^2;
+        value -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
+        in two preallocated buffers per parameter."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._work):
+            np.multiply(p.grad, 1.0 - self.beta1, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            m += a
+            np.square(p.grad, out=a)
+            a *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(p.grad)
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, c1, out=b)
+            b *= self.lr
+            b /= a
+            p.value -= b
 
     def state(self) -> dict:
         return {"kind": "adam", "t": self.t}

@@ -167,27 +167,27 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
 
     Implicit datasets get each batch padded 1:1 with zero-rated sampled
     negatives so the squared-error objective has a non-degenerate optimum.
-    The attribute rows are grouped into distinct rows once, before the
-    minibatch loop.  The returned matrices are marked read-only.
+    The nodes are grouped into node classes (``auxnet.node_classes``) once,
+    before the minibatch loop.  The returned matrices are marked read-only.
     """
     cfg.validate()
-    user_rows = auxnet.distinct_rows(user_x)
-    item_rows = auxnet.distinct_rows(item_x)
+    user_classes = auxnet.node_classes(user_x, sim_user)
+    item_classes = auxnet.node_classes(item_x, sim_item)
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg.optimizer, user_net.params() + item_net.params(), cfg.eta1)
     log = TrainingLog()
 
     def step(batch) -> float:
-        user_net.forward(user_rows, sim_user, "train")
-        item_net.forward(item_rows, sim_item, "train")
+        user_net.forward(user_classes, sim_user, "train")
+        item_net.forward(item_classes, sim_item, "train")
         return auxnet.stage1_loss_and_grad(user_net, item_net, batch)
 
     for epoch, loss, t0 in _epochs(ds, cfg, opt, rng, 1, True, step):
         log.add(EpochRecord(stage=1, epoch=epoch, loss=loss,
                             wall_time=time.perf_counter() - t0))
 
-    a_users = user_net.forward(user_rows, sim_user, "eval")
-    a_items = item_net.forward(item_rows, sim_item, "eval")
+    a_users = user_net.forward(user_classes, sim_user, "eval")
+    a_items = item_net.forward(item_classes, sim_item, "eval")
     a_users.flags.writeable = False
     a_items.flags.writeable = False
     return Stage1Result(a_users, a_items, log, user_net, item_net)

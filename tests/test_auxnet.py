@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfuse.auxnet import (Affine, AuxEncoder, AuxGcnStack, BatchNorm, build_extractor,
-                              distinct_rows, load_dense_matrix, save_dense_matrix,
-                              squared_score_loss, stage1_loss_and_grad)
+                              distinct_rows, load_dense_matrix, node_classes,
+                              save_dense_matrix, squared_score_loss, stage1_loss_and_grad)
 from crossfuse.backbone import bpr_loss_and_feature_grad, sigmoid
 from crossfuse.data import DataError
 
@@ -199,6 +201,194 @@ class TestDistinctRows:
         assert np.array_equal(out[0], out[2])
 
 
+def reference_gcn_forward(stack: AuxGcnStack, sim: sp.csr_matrix, h: np.ndarray):
+    """Train-mode forward over every node, as the stack computed before it
+    ran on node classes: batch moments from ``mean``/``var`` over all N nodes."""
+    cache = []
+    for affine, bn, _ in stack.layers:
+        agg = np.asarray(sim @ h)
+        z = agg @ affine.w.value + affine.b.value
+        mu, var = z.mean(axis=0), z.var(axis=0)
+        bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mu
+        bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (z - mu) * inv_std
+        y = bn.gamma.value * xhat + bn.beta.value
+        cache.append((agg, xhat, inv_std, y > 0))
+        h = np.maximum(y, 0.0)
+    return h, cache
+
+
+def reference_gcn_backward(stack: AuxGcnStack, sim: sp.csr_matrix, cache,
+                           d: np.ndarray) -> np.ndarray:
+    sim_t = sim.T.tocsr()
+    for (affine, bn, _), (agg, xhat, inv_std, mask) in zip(reversed(stack.layers),
+                                                          reversed(cache)):
+        d = d * mask
+        n = xhat.shape[0]
+        bn.gamma.grad += (d * xhat).sum(axis=0)
+        bn.beta.grad += d.sum(axis=0)
+        dxhat = d * bn.gamma.value
+        d = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        affine.w.grad += agg.T @ d
+        affine.b.grad += d.sum(axis=0)
+        d = np.asarray(sim_t @ (d @ affine.w.value.T))
+    return d
+
+
+def reference_gcn_eval(stack: AuxGcnStack, sim: sp.csr_matrix, h: np.ndarray) -> np.ndarray:
+    for affine, bn, _ in stack.layers:
+        z = np.asarray(sim @ h) @ affine.w.value + affine.b.value
+        xhat = (z - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + bn.eps))
+        h = np.maximum(bn.gamma.value * xhat + bn.beta.value, 0.0)
+    return h
+
+
+def graph_from(n: int, edges, diagonal) -> sp.csr_matrix:
+    """CSR graph with the given ``(row, col, value)`` off-diagonal entries
+    and diagonal, rows stored in column order."""
+    rows = [r for r, _, _ in edges] + list(range(n))
+    cols = [c for _, c, _ in edges] + list(range(n))
+    vals = [v for _, _, v in edges] + list(diagonal)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def assert_classes_match_per_node(x: np.ndarray, sim: sp.csr_matrix, layers: int,
+                                  seed: int = 0) -> None:
+    """One train forward and backward on node classes against the per-node
+    reference, then the aggregation alone and an eval forward, exactly."""
+    n, width, d = x.shape[0], x.shape[1], 4
+    classes = node_classes(x, sim)
+
+    # class structure: numbered by first node; merged nodes are isolated and
+    # share attribute row and diagonal value
+    reps = np.array([np.flatnonzero(classes.inverse == c)[0] for c in range(len(classes.counts))])
+    assert np.all(np.diff(reps) > 0)
+    assert np.array_equal(classes.counts, np.bincount(classes.inverse))
+    for c in np.flatnonzero(classes.counts > 1):
+        members = np.flatnonzero(classes.inverse == c)
+        for i in members:
+            assert sim[i].nnz == 1 and sim[i, i] == sim[members[0], members[0]]
+            assert np.array_equal(x[i], x[members[0]])
+
+    # aggregation alone: bit-identical to the node graph's
+    h = np.random.default_rng(seed).normal(size=(len(classes.counts), d))
+    assert np.array_equal(np.asarray(classes.sim @ h)[classes.inverse],
+                          np.asarray(sim @ h[classes.inverse]))
+
+    def net():
+        # batch-norm shifts away from zero, as training leaves them: with
+        # beta = 0 a node whose feature equals the batch mean sits on the
+        # rectifier's kink, where either path's rounding picks the subgradient
+        rng = np.random.default_rng(seed)
+        out = build_extractor(width, d, [5], layers, rng, name="s")
+        for bn in out.encoder.batch_norms() + out.gcn.batch_norms():
+            bn.gamma.value[...] = rng.uniform(0.5, 1.5, size=bn.gamma.value.shape)
+            bn.beta.value[...] = rng.normal(0.0, 0.5, size=bn.beta.value.shape)
+        return out
+
+    got, ref = net(), net()
+    d_a = np.random.default_rng(seed + 1).normal(size=(n, d))
+    out = got.forward(x, sim, "train")
+    got.backward(d_a)
+
+    h_nodes = ref.encoder.forward(x, "train")
+    expect, cache = reference_gcn_forward(ref.gcn, sim, h_nodes)
+    ref.encoder.backward(reference_gcn_backward(ref.gcn, sim, cache, d_a))
+
+    assert np.max(np.abs(out - expect)) <= 1e-10
+    scale = max(np.max(np.abs(p.grad)) for p in ref.params())
+    for p, q in zip(got.params(), ref.params()):
+        assert np.max(np.abs(p.grad - q.grad)) <= 1e-10 * scale, p.name
+    for bn, bn_ref in zip(got.gcn.batch_norms(), ref.gcn.batch_norms()):
+        assert np.max(np.abs(bn.running_mean - bn_ref.running_mean)) <= 1e-12
+        assert np.max(np.abs(bn.running_var - bn_ref.running_var)) <= 1e-12
+
+    # eval mode: the per-node reference with the same parameters and statistics.
+    # A single class makes each affine map a one-row product, which BLAS
+    # computes with its matrix-vector kernel and rounds differently from the
+    # matrix-matrix kernel the nodes go through; any other class count is exact.
+    expect = reference_gcn_eval(got.gcn, sim, got.encoder.forward(x, "eval"))
+    out = got.forward(classes, sim, "eval")
+    if len(classes.counts) > 1 or layers == 0:
+        assert np.array_equal(out, expect)
+    else:
+        assert np.max(np.abs(out - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+
+class TestNodeClasses:
+    # 10 nodes, attribute rows from three patterns: nodes 4-9 store only their
+    # diagonal unless a case adds edges to them
+    PATTERNS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+    X = PATTERNS[[0, 1, 2, 0, 1, 1, 2, 1, 0, 1]]
+    LINKED = [(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.4), (2, 1, 0.4), (2, 3, 0.7), (3, 2, 0.7)]
+
+    def test_isolated_nodes_sharing_a_row_merge(self):
+        sim = graph_from(10, self.LINKED, np.ones(10))
+        classes = node_classes(self.X, sim)
+        # nodes 4, 7, 9 share row 1; nodes 5, 6, 8 have rows 1, 2, 0
+        assert classes.inverse.tolist() == [0, 1, 2, 3, 4, 4, 5, 4, 6, 4]
+        assert classes.counts.tolist() == [1, 1, 1, 1, 4, 1, 1]
+        for layers in (1, 2):
+            assert_classes_match_per_node(self.X, sim, layers)
+
+    def test_different_diagonal_values_do_not_merge(self):
+        diagonal = np.ones(10)
+        diagonal[[7, 9]] = 0.5
+        sim = graph_from(10, self.LINKED, diagonal)
+        classes = node_classes(self.X, sim)
+        assert classes.inverse.tolist() == [0, 1, 2, 3, 4, 4, 5, 6, 7, 6]
+        assert_classes_match_per_node(self.X, sim, 2)
+
+    def test_asymmetric_graph(self):
+        # nodes 0 and 3 read isolated nodes 5 to 9, which do not read them
+        # back; node 0's columns 6 and 7 become classes 5 and 4, out of order
+        edges = self.LINKED + [(0, 6, 0.3), (0, 7, 0.6), (0, 9, 0.8), (3, 5, 0.9),
+                               (3, 8, 0.2)]
+        sim = graph_from(10, edges, np.ones(10))
+        classes = node_classes(self.X, sim)
+        assert classes.counts.tolist() == [1, 1, 1, 1, 4, 1, 1]
+        row = classes.sim.indices[classes.sim.indptr[0]:classes.sim.indptr[1]]
+        assert row.tolist() == [0, 1, 5, 4, 4]
+        assert_classes_match_per_node(self.X, sim, 2)
+
+    def test_no_isolated_nodes(self):
+        edges = [(i, (i + 1) % 10, 0.5) for i in range(10)]
+        edges += [((i + 1) % 10, i, 0.5) for i in range(10)]
+        sim = graph_from(10, edges, np.ones(10))
+        classes = node_classes(self.X, sim)
+        assert classes.inverse.tolist() == list(range(10))
+        assert (classes.sim != sim).nnz == 0
+        assert_classes_match_per_node(self.X, sim, 2)
+
+    def test_all_nodes_isolated(self):
+        sim = graph_from(10, [], np.ones(10))
+        classes = node_classes(self.X, sim)
+        assert classes.inverse.tolist() == [0, 1, 2, 0, 1, 1, 2, 1, 0, 1]
+        assert_classes_match_per_node(self.X, sim, 2)
+
+    def test_zero_layers(self):
+        sim = graph_from(10, self.LINKED, np.ones(10))
+        assert_classes_match_per_node(self.X, sim, 0)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            node_classes(self.X, graph_from(9, [], np.ones(9)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_node_reference_on_random_graphs(self, data):
+        n = data.draw(st.integers(2, 12), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = self.PATTERNS[rng.integers(0, data.draw(st.integers(1, 3)), size=n)]
+        density = data.draw(st.sampled_from([0.0, 0.1, 0.3]))
+        edges = [(r, c, float(rng.uniform(0.1, 1.0))) for r in range(n) for c in range(n)
+                 if r != c and rng.random() < density]
+        diagonal = rng.choice([1.0, 0.5], size=n)
+        sim = graph_from(n, edges, diagonal)
+        assert_classes_match_per_node(x, sim, data.draw(st.integers(0, 2)))
+
+
 class TestGcnStack:
     def test_self_loop_only_node(self):
         rng = np.random.default_rng(0)
@@ -248,6 +438,21 @@ class TestGcnStack:
         h = np.random.default_rng(1).normal(size=(5, 3))
         out = stack.forward(loop_graph(np.zeros((5, 5))), h, "train")
         assert out is h
+
+    def test_each_new_graph_is_checked_and_transposed(self):
+        rng = np.random.default_rng(4)
+        h, d = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        off = np.triu(rng.random((6, 6)) * (rng.random((6, 6)) < 0.4), 1)
+        first, second = loop_graph(off + off.T), loop_graph(off.T)  # the second is asymmetric
+        stack = AuxGcnStack(3, 2, np.random.default_rng(0))
+        fresh = AuxGcnStack(3, 2, np.random.default_rng(0))
+        stack.forward(first, h, "train")
+        stack.backward(d)
+        stack.forward(second, h, "train")
+        fresh.forward(second, h, "train")
+        assert np.array_equal(stack.backward(d), fresh.backward(d))
+        with pytest.raises(ValueError, match="self-loops"):
+            stack.forward(sp.csr_matrix(off + off.T), h, "train")
 
     def test_missing_self_loops_rejected(self):
         stack = AuxGcnStack(2, 1, np.random.default_rng(0))

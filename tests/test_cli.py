@@ -247,8 +247,10 @@ class TestExitCodes:
         ("prepare", "epsilon_user = 0.2", "epsilon_user = 2"),
         ("prepare", "[data]\n", "[data]\ntrain_ratio = 0.92\n"),
         ("evaluate", "topn = 5, 10", "topn = 0"),
+        ("evaluate", "topn = 5, 10", "topn = 5, 10\nkl_categories = 0"),
+        ("evaluate", "topn = 5, 10", "topn = 5, 10\nkl_categories = -2"),
     ], ids=["optimizer-train", "optimizer-train-aux", "similarity", "epsilon", "ratios",
-            "topn"])
+            "topn", "kl-categories-0", "kl-categories-negative"])
     def test_bad_value_is_config_error(self, workspace, tmp_path, capsys, command, old, new):
         text = workspace["config"].read_text()
         assert old in text

@@ -62,7 +62,9 @@ def test_bad_value_reports_key(tmp_path):
 @pytest.mark.parametrize("section, line, message", [
     ("train", "epochs = 0", "epochs"),
     ("backbone", "dim = 0", "dim"),
-    ("fusion", "graph_loss = hinge", "graph_loss")])
+    ("fusion", "graph_loss = hinge", "graph_loss"),
+    ("eval", "kl_categories = 0", "kl_categories"),
+    ("eval", "kl_categories = -2", "kl_categories")])
 def test_values_the_sub_configs_reject_are_config_errors(tmp_path, section, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")

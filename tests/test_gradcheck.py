@@ -1,5 +1,6 @@
 import numpy as np
 
+from crossfuse import gradcheck
 from crossfuse.gradcheck import (central_difference, max_abs_error, max_rel_error,
                                  random_instance, run_suite)
 
@@ -46,3 +47,23 @@ def test_suite_detects_a_broken_gradient():
     # tightening the exact tolerance below attainable float precision must fail
     results = run_suite(seed=0, exact_tol=1e-18)
     assert any(not r.passed for r in results)
+
+
+def test_repeated_rows_check_covers_merged_node_classes(monkeypatch):
+    # the last two groupings of a suite run are the repeated-rows check's
+    seen = []
+    group = gradcheck.auxnet.node_classes
+
+    def spy(x, sim):
+        classes = group(x, sim)
+        seen.append((sim.shape[0], len(classes.counts), classes.sim.nnz))
+        return classes
+
+    monkeypatch.setattr(gradcheck.auxnet, "node_classes", spy)
+    for seed in range(4):
+        seen.clear()
+        results = run_suite(seed=seed)
+        assert len(results) == 13 and all(r.passed for r in results)
+        for nodes, classes, stored in seen[-2:]:
+            assert classes < nodes      # some isolated nodes merged
+            assert stored > classes     # and other nodes still have neighbours

@@ -75,6 +75,33 @@ class TestOptimizers:
         opt2.step()
         assert np.array_equal(p.value, q.value)
 
+    def test_adam_step_matches_its_expression(self):
+        # the update as one expression per moment, with numpy temporaries
+        rng = np.random.default_rng(0)
+        shapes = [(300, 8), (8,), (4, 5)]
+        params = [Param(rng.normal(size=s)) for s in shapes]
+        opt = Adam(params, 0.01)
+        values = [p.value.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        for t in range(1, 201):
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, p in enumerate(params):
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.value.shape)
+                p.grad[...] = g
+                m[k] *= b1
+                m[k] += (1.0 - b1) * g
+                v[k] *= b2
+                v[k] += (1.0 - b2) * np.square(g)
+                values[k] -= 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+            opt.step()
+        for k, p in enumerate(params):
+            assert np.array_equal(p.value, values[k])
+            assert np.array_equal(opt.m[k], m[k])
+            assert np.array_equal(opt.v[k], v[k])
+        assert sorted(opt.state_tensors()) == ["m0", "m1", "m2", "v0", "v1", "v2"]
+
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
             make_optimizer("lbfgs", [], 0.1)
