@@ -394,21 +394,6 @@ class AuxiliaryExtractor:
         for p in self.params():
             p.zero_grad()
 
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        """Named parameter and running-statistic arrays for persistence."""
-        out = {f"{prefix}.{p.name}": p.value for p in self.params()}
-        for j, bn in enumerate(self.encoder.batch_norms() + self.gcn.batch_norms()):
-            out[f"{prefix}.bn{j}.running_mean"] = bn.running_mean
-            out[f"{prefix}.bn{j}.running_var"] = bn.running_var
-        return out
-
-    def load_state_arrays(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.params():
-            p.value[...] = arrays[f"{prefix}.{p.name}"]
-        for j, bn in enumerate(self.encoder.batch_norms() + self.gcn.batch_norms()):
-            bn.running_mean = arrays[f"{prefix}.bn{j}.running_mean"].copy()
-            bn.running_var = arrays[f"{prefix}.bn{j}.running_var"].copy()
-
 
 def build_extractor(in_dim: int, dim: int, hidden, gcn_layers: int,
                     rng: np.random.Generator, bn_momentum: float = 0.1,

@@ -88,24 +88,50 @@ class LightGCN:
         self.cfg = cfg
         self.alphas = cfg.resolved_alphas()
 
-    def forward(self, table: Param) -> GraphFeatures:
+    def forward(self, table: Param, rows: np.ndarray | None = None) -> GraphFeatures:
+        """Combined features at every node, or only at the sorted node indices
+        ``rows``; ``num_users`` then counts the user rows among them.
+
+        With ``rows``, layers 0 to L-1 still propagate over every node and the
+        last layer is ``adj[rows] @ cur``.  Each of its rows sums the same terms
+        in the same order as the full product's row, so the result is bit for
+        bit the full features at ``rows``."""
         if table.value.shape[0] != self.adj.shape[0]:
             raise ValueError(f"embedding table has {table.value.shape[0]} rows, adjacency "
                              f"expects {self.adj.shape[0]}")
+        take = slice(None) if rows is None else rows
+        layers = self.cfg.num_layers
         cur = table.value
-        values = self.alphas[0] * cur
-        for k in range(1, self.cfg.num_layers + 1):
+        values = self.alphas[0] * cur[take]
+        for k in range(1, layers):
             cur = np.asarray(self.adj @ cur)
-            values += self.alphas[k] * cur
-        return GraphFeatures(values=values, num_users=self.num_users)
+            values += self.alphas[k] * cur[take]
+        if layers:
+            last = self.adj if rows is None else self.adj[rows]
+            values += self.alphas[layers] * np.asarray(last @ cur)
+        num_users = self.num_users if rows is None else int(np.searchsorted(rows, self.num_users))
+        return GraphFeatures(values=values, num_users=num_users)
 
-    def backward(self, d_features: np.ndarray) -> np.ndarray:
+    def backward(self, d_features: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Pull a gradient on the combined features back to the layer-0 table
-        via the transpose chain sum_k alpha_k (adj^T)^k, with adj^T = adj."""
-        out = self.alphas[0] * d_features
+        via the transpose chain sum_k alpha_k (adj^T)^k, with adj^T = adj.
+
+        With ``rows``, ``d_features`` is the gradient at the sorted node
+        indices ``rows`` and zero elsewhere, and the first product is
+        ``adj[rows].T @ d_features``.  Scipy's CSC loop visits the columns in
+        ascending order, so each output row adds the full product's terms in
+        the same order, less its +0.0 terms; a sum that starts at +0.0 is never
+        -0.0, so those terms change no bit."""
+        if rows is None:
+            out = self.alphas[0] * d_features
+            first = self.adj
+        else:
+            out = np.full((self.adj.shape[0], d_features.shape[1]), self.alphas[0] * 0.0)
+            out[rows] = self.alphas[0] * d_features
+            first = self.adj[rows].T
         cur = d_features
         for k in range(1, self.cfg.num_layers + 1):
-            cur = np.asarray(self.adj @ cur)
+            cur = np.asarray((first if k == 1 else self.adj) @ cur)
             out += self.alphas[k] * cur
         return out
 

@@ -30,7 +30,7 @@ from .evaluate import category_kl, write_report_json, write_report_text
 from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
                     load_graph, normalize_bipartite, save_graph)
 from .optim import Param
-from .trainer import (Checkpoint, DivergenceError, PipelineOrderError, load_checkpoint,
+from .trainer import (DivergenceError, PipelineOrderError, load_checkpoint,
                       pack_stage2_state, save_checkpoint, score, train_stage1,
                       train_stage2, unpack_stage2_state)
 
@@ -258,10 +258,6 @@ def cmd_train_aux(args) -> int:
                           cfg.train_config())
     auxnet.save_dense_matrix(out / "aux_users.mat", result.user_features)
     auxnet.save_dense_matrix(out / "aux_items.mat", result.item_features)
-    state = {**result.user_net.state_arrays("user"), **result.item_net.state_arrays("item")}
-    save_checkpoint(out / "aux_state.ckpt",
-                    Checkpoint(meta={"kind": "stage1", "config": cfg.snapshot()},
-                               tensors=state))
     result.log.write(out / "train_log.tsv")
     _write_manifest(out, "train-aux", cfg, [Path(args.config)])
     final = result.log.records[-1].loss

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auxnet import _as_rated, squared_score_loss
-from .backbone import GraphFeatures, LightGCN, bpr_loss_and_feature_grad
+from .backbone import LightGCN, bpr_loss_and_feature_grad
 from .optim import Param, indicator
 
 VARIANTS = ("cross", "concat", "plain-sum", "weighted-sum", "none")
@@ -235,23 +235,66 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
     return loss, dU, dV, []
 
 
-def fused_objective_grad(model: LightGCN, feats: GraphFeatures, table: Param,
+def _batch_rows(model: LightGCN, batch, rated: bool):
+    """The sorted node rows a batch reads, and the batch with its users and
+    items replaced by their positions among the user and the item rows.
+
+    Restricting the outermost products costs a row slice and this mapping per
+    batch, a fixed cost that only a large skipped share repays, so the rows
+    are used only when they hold at most half of the adjacency's nonzeros.
+    Otherwise, and for a batch whose node indices are out of range (the full
+    path then raises its usual error), this returns ``(None, batch)``."""
+    arr = np.asarray(batch)
+    width = 2 if rated else 3
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] < width:
+        return None, batch
+    n, size = model.num_users, model.adj.shape[0]
+    # one contiguous row per column keeps each pass over the indices contiguous
+    nodes = np.array(arr[:, :width].T, dtype=np.int64, order="C")
+    nodes[1:] += n
+    if nodes.min() < 0 or nodes.max() >= size:
+        return None, batch
+    mask = np.zeros(size, dtype=bool)
+    mask[nodes] = True
+    if (2 * int(np.diff(model.adj.indptr)[mask].sum()) > model.adj.nnz
+            or nodes[0].max() >= n or nodes[1:].min() < n):
+        return None, batch
+    rows = np.flatnonzero(mask)
+    local = np.searchsorted(rows, nodes)
+    local[1:] -= np.searchsorted(rows, n)
+    mapped = arr.copy()
+    mapped[:, :width] = local.T
+    return rows, mapped
+
+
+def fused_objective_grad(model: LightGCN, table: Param,
                          a_users: np.ndarray | None, a_items: np.ndarray | None,
                          batch, cfg: FusionConfig,
                          w_params: list[Param] | None = None) -> float:
-    """One stage-2 step for every variant: the feature-level objective, the
-    backward pass through the propagation into the layer-0 table, and the
-    squared-norm regularizer on that table.
+    """One stage-2 step for every variant: the forward pass, the feature-level
+    objective, the backward pass through the propagation into the layer-0
+    table, and the squared-norm regularizer on that table.
 
-    Weighted summation reads its matrices from ``w_params`` and accumulates
-    their gradients there.  Returns the total loss.
+    The objective reads only the batch's rows, so when ``_batch_rows`` picks
+    them both passes run on those rows alone (``LightGCN.forward`` and
+    ``backward`` with ``rows``) and the objective runs on |rows|-row feature
+    matrices; every result is bit for bit the full passes'.  Weighted
+    summation reads its matrices from ``w_params`` and accumulates their
+    gradients there.  Returns the total loss.
     """
     weights = tuple(p.value for p in w_params) if w_params else None
+    rows, batch = _batch_rows(model, batch, cfg.rated)
+    feats = model.forward(table, rows)
+    if rows is not None:
+        if a_users is not None:
+            a_users = a_users[rows[:feats.num_users]]
+        if a_items is not None:
+            a_items = a_items[rows[feats.num_users:] - model.num_users]
     loss, dU, dV, dW = feature_objective(feats.users, feats.items, a_users, a_items,
                                          batch, cfg, weights)
     for p, g in zip(w_params or [], dW):
         p.grad += g
-    table.grad += model.backward(np.concatenate([dU, dV], axis=0))
+    table.grad += model.backward(np.concatenate([dU, dV], axis=0), rows)
     lam = model.cfg.lambda_reg
     if lam:
         loss += lam * float(np.sum(table.value ** 2))

@@ -134,9 +134,8 @@ def _check_bpr_embedding_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     cfg = BackboneConfig(dim=inst.g_users.shape[1], num_layers=2, lambda_reg=0.01)
     model = LightGCN(inst.adj, inst.ds.n, cfg)
     table = Param(rng.normal(size=(inst.ds.n + inst.ds.m, cfg.dim)))
-    feats = model.forward(table)
     table.zero_grad()
-    fusion.fused_objective_grad(model, feats, table, None, None, inst.ranked,
+    fusion.fused_objective_grad(model, table, None, None, inst.ranked,
                                 fusion.FusionConfig(variant="none"))
 
     def loss():
@@ -242,10 +241,8 @@ def _check_fused_objective_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     table = Param(rng.normal(size=(inst.ds.n + inst.ds.m, d)))
     fcfg = fusion.FusionConfig(variant="cross", lambda1=0.4, lambda2=0.2)
 
-    feats = model.forward(table)
     table.zero_grad()
-    fusion.fused_objective_grad(model, feats, table, inst.a_users, inst.a_items,
-                                inst.ranked, fcfg)
+    fusion.fused_objective_grad(model, table, inst.a_users, inst.a_items, inst.ranked, fcfg)
 
     def loss():
         f = model.forward(table)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from .data import TRAIN, DataError, InteractionDataset
 log = logging.getLogger(__name__)
 
 GRAPH_MAGIC = b"CFGB"
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2
 
 # Bound on one row block's co-count product in the similarity build (a
 # float64 value and an int32 column per entry), counted as if every entry of
@@ -179,32 +180,53 @@ def check_csr(mat: sp.csr_matrix) -> None:
 
 def save_graph(path: str | Path, mat: sp.csr_matrix) -> None:
     """Write a CSR matrix as magic/version/shape header plus little-endian
-    offsets, indices, and 64-bit values."""
+    offsets, indices, and 64-bit values, then a CRC32 of all of them."""
     mat = mat.tocsr()
     mat.sort_indices()
+    parts = [GRAPH_MAGIC, struct.pack("<I", GRAPH_VERSION),
+             struct.pack("<QQQ", mat.shape[0], mat.shape[1], mat.nnz),
+             np.ascontiguousarray(mat.indptr, dtype="<i8"),
+             np.ascontiguousarray(mat.indices, dtype="<i8"),
+             np.ascontiguousarray(mat.data, dtype="<f8")]
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(GRAPH_MAGIC)
-        fh.write(struct.pack("<I", GRAPH_VERSION))
-        fh.write(struct.pack("<QQQ", mat.shape[0], mat.shape[1], mat.nnz))
-        fh.write(mat.indptr.astype("<i8").tobytes())
-        fh.write(mat.indices.astype("<i8").tobytes())
-        fh.write(mat.data.astype("<f8").tobytes())
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_graph(path: str | Path) -> sp.csr_matrix:
+    """Read a graph that ``save_graph`` wrote.  A wrong magic, version, size
+    or checksum, row offsets that do not run from 0 to nnz without
+    decreasing, a column index outside the shape, or a matrix that fails
+    ``check_csr`` is a :class:`DataError`."""
     raw = Path(path).read_bytes()
-    if len(raw) < 32 or raw[:4] != GRAPH_MAGIC:
+    if len(raw) < 36 or raw[:4] != GRAPH_MAGIC:
         raise DataError(f"{path}: not a graph file")
-    (version,) = struct.unpack("<I", raw[4:8])
+    (version,) = struct.unpack_from("<I", raw, 4)
     if version != GRAPH_VERSION:
-        raise DataError(f"{path}: unsupported graph format version {version}")
-    rows, cols, nnz = struct.unpack("<QQQ", raw[8:32])
-    if len(raw) != 32 + 8 * (rows + 1 + 2 * nnz):
+        raise DataError(f"{path}: graph format version {version}, expected {GRAPH_VERSION}; "
+                        "re-run `crossfuse prepare`")
+    rows, cols, nnz = struct.unpack_from("<QQQ", raw, 8)
+    if len(raw) != 36 + 8 * (rows + 1 + 2 * nnz):
         raise DataError(f"{path}: graph payload size mismatch")
+    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+    if zlib.crc32(memoryview(raw)[:-4]) != stored_crc:
+        raise DataError(f"{path}: checksum mismatch, file is corrupt")
     off = 32
     indptr = np.frombuffer(raw, dtype="<i8", count=rows + 1, offset=off).astype(np.int64)
     off += (rows + 1) * 8
     indices = np.frombuffer(raw, dtype="<i8", count=nnz, offset=off).astype(np.int64)
     off += nnz * 8
     values = np.frombuffer(raw, dtype="<f8", count=nnz, offset=off).astype(np.float64)
-    return sp.csr_matrix((values, indices, indptr), shape=(rows, cols))
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise DataError(f"{path}: row offsets do not run from 0 to {nnz} without decreasing")
+    if nnz and (indices.min() < 0 or indices.max() >= cols):
+        raise DataError(f"{path}: a column index lies outside [0, {cols})")
+    mat = sp.csr_matrix((values, indices, indptr), shape=(rows, cols))
+    try:
+        check_csr(mat)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return mat

@@ -300,8 +300,8 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
         stale = resume.stale_epochs
 
     def step(batch) -> float:
-        return fusion.fused_objective_grad(model, model.forward(table), table, a_users,
-                                           a_items, batch, fcfg, w_params)
+        return fusion.fused_objective_grad(model, table, a_users, a_items, batch, fcfg,
+                                           w_params)
 
     epochs_run = start_epoch
     for epoch, loss, t0 in _epochs(ds, cfg, opt, rng, 2, fcfg.rated, step, start_epoch):

@@ -579,17 +579,6 @@ class TestExtractor:
         a_prime = net.encoder.forward(x, "eval")
         assert np.array_equal(a, a_prime)
 
-    def test_state_arrays_roundtrip(self):
-        rng = np.random.default_rng(2)
-        net = build_extractor(4, 2, [3], 1, rng)
-        x = rng.normal(size=(5, 4))
-        sim = loop_graph(np.zeros((5, 5)))
-        net.forward(x, sim, "train")
-        state = {k: v.copy() for k, v in net.state_arrays("side").items()}
-        fresh = build_extractor(4, 2, [3], 1, np.random.default_rng(99))
-        fresh.load_state_arrays("side", state)
-        assert np.allclose(net.forward(x, sim, "eval"), fresh.forward(x, sim, "eval"))
-
 
 class TestDenseMatrixFile:
     def test_roundtrip(self, tmp_path):

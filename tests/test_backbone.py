@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_random_dataset
 from crossfuse.backbone import (BackboneConfig, LightGCN, bpr_loss_and_feature_grad,
                                 init_embeddings, log_sigmoid_loss, sigmoid)
+from crossfuse.data import InteractionDataset
 from crossfuse.fusion import FusionConfig, fused_objective_grad
 from crossfuse.graph import normalize_bipartite
 from crossfuse.optim import Param
@@ -113,8 +114,7 @@ class TestBprLoss:
         cfg = BackboneConfig(dim=2, num_layers=0, alphas=np.array([1.0]), lambda_reg=0.0)
         model = LightGCN(adj, tiny_dataset.n, cfg)
         table = Param(np.zeros((adj.shape[0], 2)))
-        feats = model.forward(table)
-        loss = fused_objective_grad(model, feats, table, None, None, [[0, 1, 2]],
+        loss = fused_objective_grad(model, table, None, None, [[0, 1, 2]],
                                     FusionConfig(variant="none"))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -141,10 +141,8 @@ class TestBprLoss:
             batch.append([u, int(pos[0]), neg[0]])
         batch = np.array(batch)
 
-        feats = model.forward(table)
         table.zero_grad()
-        fused_objective_grad(model, feats, table, None, None, batch,
-                             FusionConfig(variant="none"))
+        fused_objective_grad(model, table, None, None, batch, FusionConfig(variant="none"))
 
         def loss():
             f = model.forward(table)
@@ -197,3 +195,71 @@ class TestMatrixFactorizationReduction:
             a = np.argsort(-(feats.items @ feats.users[u]), kind="stable")
             b = np.argsort(-(raw_items @ raw_users[u]), kind="stable")
             assert np.array_equal(a, b)
+
+
+def _bits(arr: np.ndarray) -> tuple:
+    """Shape, dtype and bytes: equal only when every entry, sign of zero
+    included, is the same."""
+    return arr.shape, arr.dtype, arr.tobytes()
+
+
+class TestRestrictedPropagation:
+    """``forward(table, rows)`` and ``backward(d, rows)`` against the full
+    passes, bit for bit: the restricted products add the same nonzero terms
+    in the same order, and a partial sum that starts at +0.0 is never -0.0,
+    so the +0.0 terms they skip change nothing."""
+
+    @staticmethod
+    def _world(seed, layers, n=8, m=12, alphas=None):
+        ds = make_random_dataset(seed, n=n, m=m)
+        adj = normalize_bipartite(ds)
+        model = LightGCN(adj, ds.n, BackboneConfig(dim=4, num_layers=layers, alphas=alphas))
+        rng = np.random.default_rng(seed)
+        return model, Param(rng.normal(size=(adj.shape[0], 4))), rng
+
+    def _check(self, model, table, rows, d_rows):
+        full = model.forward(table)
+        got = model.forward(table, rows)
+        assert _bits(got.values) == _bits(full.values[rows])
+        assert got.num_users == int(np.sum(rows < model.num_users))
+        assert _bits(got.users) == _bits(full.users[rows[rows < model.num_users]])
+        d_full = np.zeros((model.adj.shape[0], d_rows.shape[1]))
+        d_full[rows] = d_rows
+        assert _bits(model.backward(d_rows, rows)) == _bits(model.backward(d_full))
+
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("which", ["all", "one-user", "one-item", "users", "items",
+                                       "alternate"])
+    def test_row_sets(self, layers, which):
+        model, table, rng = self._world(layers, layers)
+        size, n = model.adj.shape[0], model.num_users
+        rows = {"all": np.arange(size), "one-user": np.array([3]),
+                "one-item": np.array([n + 5]), "users": np.arange(n),
+                "items": np.arange(n, size), "alternate": np.arange(0, size, 2)}[which]
+        self._check(model, table, rows, rng.normal(size=(len(rows), 4)))
+
+    def test_empty_rows_and_negative_alphas(self):
+        # an isolated node has an empty row; a negative alpha_0 makes the rows
+        # outside the set -0.0 in the full backward, and so in the restricted one
+        ds = InteractionDataset(n=3, m=4, users=np.array([0, 0, 1]),
+                                items=np.array([0, 1, 1]), ratings=np.ones(3),
+                                split=np.zeros(3, dtype=np.int8))
+        model = LightGCN(normalize_bipartite(ds), ds.n,
+                         BackboneConfig(dim=2, num_layers=2, alphas=np.array([-0.5, 1.0, 0.25])))
+        table = Param(np.arange(14.0).reshape(7, 2) - 6.0)
+        for rows in (np.array([2]), np.array([1, 2, 5, 6]), np.array([0, 3])):
+            self._check(model, table, rows, np.ones((len(rows), 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), layers=st.integers(0, 3),
+           n=st.integers(1, 9), m=st.integers(4, 11), data=st.data())
+    def test_property_any_row_set(self, seed, layers, n, m, data):
+        rng = np.random.default_rng(seed)
+        alphas = rng.normal(size=layers + 1)
+        model, table, rng = self._world(seed, layers, n=n, m=m, alphas=alphas)
+        size = model.adj.shape[0]
+        picked = data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size))
+        rows = np.array(sorted(picked))
+        d_rows = rng.normal(size=(len(rows), 4))
+        d_rows[rng.random(d_rows.shape) < 0.2] = 0.0
+        self._check(model, table, rows, d_rows)

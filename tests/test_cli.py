@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -58,6 +59,32 @@ topn = 5, 10
     return {"config": cfg, "out": out}
 
 
+def _run_to(workspace, last: str) -> None:
+    """Run each pipeline command up to ``last`` whose product is missing from
+    the workspace, so a test that reads those products also passes alone."""
+    for command, product in (("prepare", "dataset.npz"), ("train-aux", "aux_users.mat"),
+                             ("train", "model.ckpt")):
+        if not (workspace["out"] / product).exists():
+            assert main([command, "--config", str(workspace["config"])]) == 0
+        if command == last:
+            break
+
+
+@pytest.fixture
+def prepared(workspace):
+    _run_to(workspace, "prepare")
+
+
+@pytest.fixture
+def stage1_done(workspace):
+    _run_to(workspace, "train-aux")
+
+
+@pytest.fixture
+def trained(workspace):
+    _run_to(workspace, "train")
+
+
 class TestPipeline:
     def test_prepare(self, workspace):
         assert main(["prepare", "--config", str(workspace["config"])]) == 0
@@ -68,19 +95,24 @@ class TestPipeline:
                      "manifest_prepare.json"):
             assert (out / name).exists(), name
 
-    def test_train_before_train_aux_is_ordering_error(self, workspace):
-        assert (workspace["out"] / "dataset.npz").exists()
-        assert not (workspace["out"] / "aux_users.mat").exists()
+    @pytest.mark.usefixtures("prepared")
+    def test_train_before_train_aux_is_ordering_error(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("aux_*.mat"))
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        assert (out / "dataset.npz").exists()
         assert main(["train", "--config", str(workspace["config"])]) == 3
 
+    @pytest.mark.usefixtures("prepared")
     def test_train_aux(self, workspace):
         assert main(["train-aux", "--config", str(workspace["config"])]) == 0
         out = workspace["out"]
         assert (out / "aux_users.mat").exists()
         assert (out / "aux_items.mat").exists()
-        assert (out / "aux_state.ckpt").exists()
+        assert not (out / "aux_state.ckpt").exists()
         assert (out / "train_log.tsv").exists()
 
+    @pytest.mark.usefixtures("stage1_done")
     def test_train(self, workspace):
         assert main(["train", "--config", str(workspace["config"])]) == 0
         ckpt = load_checkpoint(workspace["out"] / "model.ckpt")
@@ -88,6 +120,7 @@ class TestPipeline:
         assert "aux_users" in ckpt.tensors
         assert ckpt.meta["epoch"] == 3
 
+    @pytest.mark.usefixtures("trained")
     def test_evaluate(self, workspace):
         assert main(["evaluate", "--config", str(workspace["config"]), "--kl"]) == 0
         out = workspace["out"]
@@ -98,6 +131,7 @@ class TestPipeline:
         kl = json.loads((out / "kl.json").read_text())
         assert kl["kl"] >= 0.0
 
+    @pytest.mark.usefixtures("trained")
     def test_evaluate_scores_the_best_validation_table(self, workspace, tmp_path):
         out, cfg = workspace["out"], str(workspace["config"])
         ckpt = load_checkpoint(out / "model.ckpt")
@@ -115,6 +149,7 @@ class TestPipeline:
         ("[backbone]\ndim = 8\nlayers = 1\n", "[backbone]\ndim = 8\nlayers = 3\n"),
         ("[fusion]\n", "[fusion]\nvariant = concat\n"),
     ], ids=["layers", "variant"])
+    @pytest.mark.usefixtures("trained")
     def test_evaluate_scores_the_checkpointed_model(self, workspace, tmp_path, old, new):
         """The model comes from the checkpoint, not from the evaluate config."""
         out, cfg = workspace["out"], workspace["config"]
@@ -127,6 +162,7 @@ class TestPipeline:
         assert main(["evaluate", "--config", str(edited)]) == 0
         assert (out / "metrics.json").read_bytes() == expect
 
+    @pytest.mark.usefixtures("trained")
     def test_manifest_contents(self, workspace):
         doc = json.loads((workspace["out"] / "manifest_train.json").read_text())
         assert doc["command"] == "train"
@@ -135,6 +171,7 @@ class TestPipeline:
         assert doc["inputs"]  # config checksum at minimum
         assert all(len(v) == 64 for v in doc["inputs"].values())
 
+    @pytest.mark.usefixtures("stage1_done")
     def test_ablate(self, workspace):
         assert main(["ablate", "--config", str(workspace["config"])]) == 0
         table = (workspace["out"] / "ablation.tsv").read_text().splitlines()
@@ -142,6 +179,7 @@ class TestPipeline:
         variants = [line.split("\t")[0] for line in table[1:]]
         assert variants == ["cross", "concat", "plain-sum", "weighted-sum", "none"]
 
+    @pytest.mark.usefixtures("trained")
     def test_kl_averages_over_scored_users(self, workspace, tmp_path, monkeypatch):
         """A user without test items has no list and stays out of the KL mean."""
         out = tmp_path / "out"
@@ -171,6 +209,7 @@ class TestPipeline:
 
 
 class TestExternalInterfaces:
+    @pytest.mark.usefixtures("prepared")
     def test_externally_supplied_feature_matrices(self, workspace, tmp_path):
         """Precomputed dense matrices can stand in for the stage-1 products."""
         import numpy as np
@@ -195,6 +234,7 @@ class TestExternalInterfaces:
         assert main(["prepare", "--config", str(workspace["config"])]) == 0
         assert (override / "dataset.npz").exists()
 
+    @pytest.mark.usefixtures("trained")
     def test_training_log_format(self, workspace):
         lines = (workspace["out"] / "train_log.tsv").read_text().splitlines()
         assert lines[0] == "stage\tepoch\tloss\tval_ndcg10\twall_time"
@@ -269,6 +309,7 @@ class TestExitCodes:
         ("train", "aux_users.mat", "truncate"),
         ("train-aux", "dataset.npz", "truncate"),
     ])
+    @pytest.mark.usefixtures("trained")
     def test_damaged_artifact_is_data_error(self, workspace, tmp_path, monkeypatch, capsys,
                                             command, name, damage):
         out = tmp_path / "out"
@@ -276,7 +317,9 @@ class TestExitCodes:
         monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
         path = out / name
         if damage == "stage-1-checkpoint":
-            shutil.copyfile(out / "aux_state.ckpt", path)
+            trained_config = load_checkpoint(path).meta["config"]
+            save_checkpoint(path, Checkpoint({"kind": "stage1", "config": trained_config},
+                                             {"user.mlp.w0": np.zeros((2, 2))}))
         elif damage == "no-trained-config":
             ckpt = load_checkpoint(path)
             save_checkpoint(path, Checkpoint({**ckpt.meta, "config": {}}, ckpt.tensors))
@@ -293,11 +336,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, name", [("train", "adjacency.graph"),
+                                               ("train-aux", "user_sim.graph")])
+    @pytest.mark.parametrize("region", ["magic", "version", "shape", "indptr", "indices",
+                                        "values", "trailer"])
+    @pytest.mark.usefixtures("trained")
+    def test_flipped_bit_in_graph_file_is_data_error(self, workspace, tmp_path, monkeypatch,
+                                                     capsys, command, name, region):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        path = out / name
+        raw = bytearray(path.read_bytes())
+        rows, _, nnz = struct.unpack_from("<QQQ", raw, 8)
+        bounds = [0, 4, 8, 32, 32 + 8 * (rows + 1), 32 + 8 * (rows + 1 + nnz),
+                  32 + 8 * (rows + 1 + 2 * nnz), len(raw)]
+        k = ["magic", "version", "shape", "indptr", "indices", "values", "trailer"].index(region)
+        raw[(bounds[k] + bounds[k + 1]) // 2] ^= 0x10
+        path.write_bytes(bytes(raw))
+        assert main([command, "--config", str(workspace["config"])]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.usefixtures("prepared")
+    def test_version_1_graph_file_asks_for_prepare(self, workspace, tmp_path, monkeypatch,
+                                                  capsys):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        path = out / "adjacency.graph"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])  # version 1 had no CRC
+        assert main(["train", "--config", str(workspace["config"])]) == 3
+        err = capsys.readouterr().err
+        assert "graph format version 1" in err and "re-run `crossfuse prepare`" in err
+
     @pytest.mark.parametrize("users_shape, items_shape", [
         (("n", 5), ("m", 5)),
         (("n-1", 8), ("m", 8)),
         (("m", 8), ("m", 8)),
     ], ids=["wrong-width", "too-few-user-rows", "item-matrix-as-users"])
+    @pytest.mark.usefixtures("prepared")
     def test_feature_matrix_of_wrong_shape_is_data_error(self, workspace, tmp_path,
                                                          monkeypatch, capsys, users_shape,
                                                          items_shape):
@@ -320,6 +399,7 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.usefixtures("trained")
     def test_unknown_category_field_is_config_error(self, workspace, tmp_path, monkeypatch,
                                                     capsys):
         out = tmp_path / "out"
@@ -330,6 +410,7 @@ class TestExitCodes:
         assert "unknown category field 'bogus'" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    @pytest.mark.usefixtures("trained")
     def test_non_finite_scores_are_numerical_error(self, workspace, tmp_path, monkeypatch,
                                                    capsys):
         out = tmp_path / "out"

@@ -141,29 +141,26 @@ class TestFusedObjective:
         ds, model, table, a_u, a_v, batch = self._setup()
         fcfg = FusionConfig(variant="cross", lambda1=0.0, lambda2=0.0)
 
-        feats = model.forward(table)
         table.zero_grad()
-        fused = fused_objective_grad(model, feats, table, a_u, a_v, batch, fcfg)
+        fused = fused_objective_grad(model, table, a_u, a_v, batch, fcfg)
         fused_grad = table.grad.copy()
 
         table.zero_grad()
-        plain = fused_objective_grad(model, feats, table, None, None, batch,
+        plain = fused_objective_grad(model, table, None, None, batch,
                                      FusionConfig(variant="none"))
         assert fused == plain
         assert np.array_equal(fused_grad, table.grad)
 
     def test_fusion_requires_auxiliary(self):
         ds, model, table, _, _, batch = self._setup()
-        feats = model.forward(table)
         fcfg = FusionConfig(variant="cross", lambda1=0.1, lambda2=0.1)
         with pytest.raises(ValueError, match="stage-1"):
-            fused_objective_grad(model, feats, table, None, None, batch, fcfg)
+            fused_objective_grad(model, table, None, None, batch, fcfg)
 
     def test_none_variant_needs_no_auxiliary(self):
         ds, model, table, _, _, batch = self._setup()
-        feats = model.forward(table)
         table.zero_grad()
-        loss = fused_objective_grad(model, feats, table, None, None, batch,
+        loss = fused_objective_grad(model, table, None, None, batch,
                                     FusionConfig(variant="none"))
         assert np.isfinite(loss)
 
@@ -240,8 +237,7 @@ class TestFusedObjective:
             return float(total) + model.cfg.lambda_reg * float(np.sum(table.value ** 2))
 
         table.zero_grad()
-        got = fused_objective_grad(model, model.forward(table), table, a_u, a_v, batch,
-                                   cfg, w_params)
+        got = fused_objective_grad(model, table, a_u, a_v, batch, cfg, w_params)
         assert got == pytest.approx(loss(), rel=1e-12)
         assert max_rel_error(table.grad, central_difference(loss, table.value)) <= 1e-5
         for p in w_params or []:

@@ -1,4 +1,6 @@
+import struct
 import tracemalloc
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -336,6 +338,57 @@ class TestPersistence:
         path = tmp_path / "junk.graph"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(DataError, match="not a graph file"):
+            load_graph(path)
+
+    @staticmethod
+    def write_raw(path, indptr, indices, values, shape, version=graph.GRAPH_VERSION):
+        """A graph file with a valid checksum around arbitrary CSR arrays."""
+        body = (graph.GRAPH_MAGIC + struct.pack("<I", version)
+                + struct.pack("<QQQ", shape[0], shape[1], len(indices))
+                + np.asarray(indptr, "<i8").tobytes() + np.asarray(indices, "<i8").tobytes()
+                + np.asarray(values, "<f8").tobytes())
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_file_ends_in_a_crc32_of_the_rest(self, tmp_path, tiny_dataset):
+        path = tmp_path / "adj.graph"
+        save_graph(path, normalize_bipartite(tiny_dataset))
+        raw = path.read_bytes()
+        assert struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[:-4])
+        assert struct.unpack_from("<I", raw, 4)[0] == 2
+
+    def test_every_flipped_bit_is_data_error(self, tmp_path, tiny_dataset):
+        path = tmp_path / "adj.graph"
+        save_graph(path, normalize_bipartite(tiny_dataset))
+        good = path.read_bytes()
+        for offset in range(len(good)):
+            raw = bytearray(good)
+            raw[offset] ^= 1 << (offset % 8)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(DataError):
+                load_graph(path)
+
+    def test_version_1_asks_for_prepare(self, tmp_path):
+        path = tmp_path / "old.graph"
+        self.write_raw(path, [0, 1, 1], [1], [1.0], (2, 2), version=1)
+        with pytest.raises(DataError, match="version 1.*re-run `crossfuse prepare`"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("indptr, indices, values, match", [
+        ([1, 1, 2], [0, 1], [1.0, 1.0], "row offsets"),
+        ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], "row offsets"),
+        ([0, 1, 1], [0, 1], [1.0, 1.0], "row offsets"),
+        ([0, 1, 2], [0, 16777221], [1.0, 1.0], "column index"),
+        ([0, 1, 2], [0, -1], [1.0, 1.0], "column index"),
+        ([0, 2, 2], [1, 0], [1.0, 1.0], "unsorted"),
+        ([0, 1, 2], [0, 1], [1.0, np.nan], "non-finite"),
+        ([0, 1, 2], [0, 1], [1.0, 0.0], "explicit zeros"),
+    ], ids=["first-offset", "decreasing", "last-offset", "index-high", "index-negative",
+            "unsorted", "nan", "zero"])
+    def test_checksummed_bad_structure_is_data_error(self, tmp_path, indptr, indices,
+                                                     values, match):
+        path = tmp_path / "bad.graph"
+        self.write_raw(path, indptr, indices, values, (len(indptr) - 1, 3))
+        with pytest.raises(DataError, match=match):
             load_graph(path)
 
     def test_interaction_matrix_binarize(self, tiny_dataset):

@@ -261,6 +261,83 @@ class TestStage2:
         assert ranking_metrics(recs, truth, [10]).means["ndcg"][10] == res.best_metric
 
 
+def _reference_step(model, table, a_users, a_items, batch, cfg, w_params=None):
+    """The stage-2 step on the full passes: the full forward, the feature
+    objective on every node's features, and the full backward."""
+    weights = tuple(p.value for p in w_params) if w_params else None
+    feats = model.forward(table)
+    loss, dU, dV, dW = fusion.feature_objective(feats.users, feats.items, a_users, a_items,
+                                                batch, cfg, weights)
+    for p, g in zip(w_params or [], dW):
+        p.grad += g
+    table.grad += model.backward(np.concatenate([dU, dV], axis=0))
+    lam = model.cfg.lambda_reg
+    if lam:
+        loss += lam * float(np.sum(table.value ** 2))
+        table.grad += 2.0 * lam * table.value
+    return loss
+
+
+STAGE2_CONFIGS = [("cross", "bpr", False), ("cross", "bpr", True), ("cross", "mse", False),
+                  ("none", "bpr", False), ("none", "mse", False), ("concat", "bpr", False),
+                  ("plain-sum", "bpr", False), ("weighted-sum", "bpr", False)]
+
+
+class TestRestrictedStep:
+    """Training through the step, which runs a batch on its rows alone when
+    they hold at most half of the adjacency's nonzeros, leaves every array
+    bit for bit as the full-pass reference step does.  At desk size, batches
+    of 64 fall mostly on the restricted side and batches of 1024 on the full
+    side."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        data = synthetic.generate(num_users=200, num_items=300, num_categories=5, seed=1)
+        ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=1)
+        rng = np.random.default_rng(1)
+        return ds, normalize_bipartite(ds), rng.normal(size=(ds.n, 16)), rng.normal(
+            size=(ds.m, 16))
+
+    @pytest.mark.parametrize("batch_size", [64, 1024])
+    @pytest.mark.parametrize("variant, graph_loss, negatives", STAGE2_CONFIGS)
+    def test_every_trained_array_equals_the_full_step(self, desk, monkeypatch, batch_size,
+                                                       variant, graph_loss, negatives):
+        ds, adj, a_u, a_v = desk
+        fcfg = fusion.FusionConfig(variant=variant, lambda1=0.5, lambda2=0.3,
+                                   graph_loss=graph_loss, include_negatives=negatives)
+        bcfg = BackboneConfig(dim=16, num_layers=2, lambda_reg=1e-4)
+        cfg = quick_cfg(epochs=2, batch_size=batch_size, seed=2)
+
+        def run():
+            return train_stage2(ds, adj, init_embeddings(ds.n + ds.m, 16, seed=2), a_u, a_v,
+                                bcfg, cfg, fcfg)
+
+        restricted = []
+        batch_rows = fusion._batch_rows
+
+        def spy(model, batch, rated):
+            rows, mapped = batch_rows(model, batch, rated)
+            restricted.append(rows is not None)
+            return rows, mapped
+
+        monkeypatch.setattr(fusion, "_batch_rows", spy)
+        got = run()
+        monkeypatch.setattr(fusion, "fused_objective_grad", _reference_step)
+        want = run()
+
+        if batch_size == 64:
+            assert any(restricted)
+        else:
+            assert not all(restricted)
+        for name in ("params", "best_params", "opt_tensors"):
+            a, b = getattr(got.state, name), getattr(want.state, name)
+            assert a.keys() == b.keys()
+            for k in a:
+                assert a[k].tobytes() == b[k].tobytes(), (name, k)
+        assert ([(r.loss, r.val_metric) for r in got.log.records]
+                == [(r.loss, r.val_metric) for r in want.log.records])
+
+
 def with_explicit_ratings(ds):
     """The same interactions and split, rated 1 to 5."""
     ratings = np.random.default_rng(0).integers(1, 6, size=len(ds)).astype(np.float64)
