@@ -96,7 +96,7 @@ class NodeClasses:
     scatter: sp.csr_matrix
 
 
-def node_classes(x: np.ndarray | DistinctRows, sim: sp.spmatrix) -> NodeClasses:
+def node_classes(x: np.ndarray, sim: sp.spmatrix) -> NodeClasses:
     """Group the nodes of ``x`` over the similarity graph ``sim``; done once
     per input, not per forward.
 
@@ -108,7 +108,7 @@ def node_classes(x: np.ndarray | DistinctRows, sim: sp.spmatrix) -> NodeClasses:
     first node's row of ``sim`` with its columns relabelled to classes, in
     the stored order, so ``sim @ h`` over classes adds the same terms in the
     same order as over nodes."""
-    rows = x if isinstance(x, DistinctRows) else distinct_rows(x)
+    rows = distinct_rows(x)
     n = len(rows.inverse)
     sim = sim.tocsr()
     if sim.shape != (n, n):
@@ -371,7 +371,7 @@ class AuxiliaryExtractor:
         self.output: np.ndarray | None = None
         self._classes: NodeClasses | None = None
 
-    def forward(self, x: np.ndarray | DistinctRows | NodeClasses, sim: sp.spmatrix,
+    def forward(self, x: np.ndarray | NodeClasses, sim: sp.spmatrix,
                 mode: str = "train") -> np.ndarray:
         """Features for every node.  ``x`` and ``sim`` are grouped into node
         classes here unless ``x`` is already :func:`node_classes` of them,

@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, PipelineOrderError, FileNotFoundError) as exc:
+    except (DataError, PipelineOrderError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:
@@ -136,19 +136,13 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs: list[Path])
 
 def _schema(cfg: RunConfig) -> InteractionSchema:
     return InteractionSchema(user=cfg.user_column, item=cfg.item_column,
-                             rating=cfg.rating_column, timestamp=cfg.timestamp_column,
-                             delimiter=cfg.delimiter)
+                             rating=cfg.rating_column, delimiter=cfg.delimiter)
 
 
 def _save_dataset(out: Path, ds: InteractionDataset) -> None:
-    arrays = {
-        "n": np.array([ds.n]), "m": np.array([ds.m]),
-        "users": ds.users, "items": ds.items, "ratings": ds.ratings, "split": ds.split,
-        "user_ids": np.array(ds.user_ids), "item_ids": np.array(ds.item_ids),
-    }
-    if ds.timestamps is not None:
-        arrays["timestamps"] = ds.timestamps
-    np.savez(out / "dataset.npz", **arrays)
+    np.savez(out / "dataset.npz", n=np.array([ds.n]), m=np.array([ds.m]),
+             users=ds.users, items=ds.items, ratings=ds.ratings, split=ds.split,
+             user_ids=np.array(ds.user_ids), item_ids=np.array(ds.item_ids))
 
 
 def _load_dataset(out: Path) -> InteractionDataset:
@@ -160,7 +154,6 @@ def _load_dataset(out: Path) -> InteractionDataset:
             return InteractionDataset(
                 n=int(z["n"][0]), m=int(z["m"][0]), users=z["users"], items=z["items"],
                 ratings=z["ratings"], split=z["split"],
-                timestamps=z["timestamps"] if "timestamps" in z else None,
                 user_ids=[str(x) for x in z["user_ids"]],
                 item_ids=[str(x) for x in z["item_ids"]],
             )

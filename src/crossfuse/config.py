@@ -52,7 +52,6 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("data", "user_column"): ("user_column", int),
     ("data", "item_column"): ("item_column", int),
     ("data", "rating_column"): ("rating_column", _opt_int),
-    ("data", "timestamp_column"): ("timestamp_column", _opt_int),
     ("data", "delimiter"): ("delimiter", _opt_str),
     ("data", "train_ratio"): ("train_ratio", float),
     ("data", "validation_ratio"): ("validation_ratio", float),
@@ -103,7 +102,6 @@ class RunConfig:
     user_column: int = 0
     item_column: int = 1
     rating_column: int | None = 2
-    timestamp_column: int | None = None
     delimiter: str | None = None
     train_ratio: float = 0.72
     validation_ratio: float = 0.08
@@ -191,7 +189,7 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         cfg.backbone_config().validate()
         cfg.train_config().validate()
-        cfg.fusion_config().validate(dim=cfg.dim)
+        cfg.fusion_config().validate()
         check_split_ratios((cfg.train_ratio, cfg.validation_ratio, cfg.test_ratio))
         check_similarity(cfg.epsilon_user, cfg.similarity)
         check_similarity(cfg.epsilon_item, cfg.similarity)

@@ -29,19 +29,16 @@ class DataError(Exception):
 class InteractionSchema:
     """Column layout of a delimited interaction log.
 
-    Columns may be referenced by zero-based index or, when the file has a
-    header row, by name.  ``rating`` may be None for implicit logs (every
-    observed pair then gets rating 1).  ``delimiter`` None sniffs tab vs
-    comma from the first line; ``header`` None is auto-detected from the
-    rating column when possible.
+    Columns are zero-based indices; further columns are ignored.  ``rating``
+    may be None for implicit logs (every observed pair then gets rating 1).
+    ``delimiter`` None sniffs tab vs comma from the first line.  A first line
+    whose rating column is not a number is a header and is skipped.
     """
 
-    user: int | str = 0
-    item: int | str = 1
-    rating: int | str | None = 2
-    timestamp: int | str | None = None
+    user: int = 0
+    item: int = 1
+    rating: int | None = 2
     delimiter: str | None = None
-    header: bool | None = None
 
 
 class InteractionDataset:
@@ -55,7 +52,6 @@ class InteractionDataset:
 
     def __init__(self, n: int, m: int, users: np.ndarray, items: np.ndarray,
                  ratings: np.ndarray, split: np.ndarray,
-                 timestamps: np.ndarray | None = None,
                  user_ids: Sequence[str] | None = None,
                  item_ids: Sequence[str] | None = None):
         self.n = int(n)
@@ -64,7 +60,6 @@ class InteractionDataset:
         self.items = np.asarray(items, dtype=np.int64)
         self.ratings = np.asarray(ratings, dtype=np.float64)
         self.split = np.asarray(split, dtype=np.int8)
-        self.timestamps = None if timestamps is None else np.asarray(timestamps, dtype=np.float64)
         self.user_ids = list(user_ids) if user_ids is not None else [str(u) for u in range(self.n)]
         self.item_ids = list(item_ids) if item_ids is not None else [str(i) for i in range(self.m)]
         self._adjacency = None
@@ -140,7 +135,7 @@ class InteractionDataset:
 
     def with_split(self, split: np.ndarray) -> "InteractionDataset":
         return InteractionDataset(self.n, self.m, self.users, self.items, self.ratings,
-                                  split, self.timestamps, self.user_ids, self.item_ids)
+                                  split, self.user_ids, self.item_ids)
 
 
 def _sniff_delimiter(line: str) -> str:
@@ -173,46 +168,18 @@ def load_interactions(path: str | Path, schema: InteractionSchema | None = None)
     lines = text.splitlines()
     delim = schema.delimiter or _sniff_delimiter(lines[0] if lines else ",")
 
-    named = any(isinstance(c, str) for c in (schema.user, schema.item, schema.rating, schema.timestamp)
-                if c is not None)
-    header = schema.header
-    if header is None:
-        if named:
-            header = True
-        elif lines and isinstance(schema.rating, int):
-            first = lines[0].split(delim)
-            header = len(first) > schema.rating and not _is_float(first[schema.rating].strip())
-        else:
-            header = False
-
+    c_user, c_item, c_rating = schema.user, schema.item, schema.rating
     start = 0
-    columns: dict[str, int] = {}
-    if header:
-        if not lines:
-            raise DataError(f"{path}: empty file")
-        columns = {name.strip(): j for j, name in enumerate(lines[0].split(delim))}
-        start = 1
-
-    def col(ref, what):
-        if ref is None:
-            return None
-        if isinstance(ref, int):
-            return ref
-        if ref not in columns:
-            raise DataError(f"{path}: no column named {ref!r} for {what}")
-        return columns[ref]
-
-    c_user = col(schema.user, "user")
-    c_item = col(schema.item, "item")
-    c_rating = col(schema.rating, "rating")
-    c_time = col(schema.timestamp, "timestamp")
+    if lines and c_rating is not None:
+        first = lines[0].split(delim)
+        start = int(len(first) > c_rating and not _is_float(first[c_rating].strip()))
 
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    users, items, ratings, times = [], [], [], []
+    users, items, ratings = [], [], []
     seen: set[tuple[int, int]] = set()
     dropped = 0
-    width = max(x for x in (c_user, c_item, c_rating, c_time) if x is not None) + 1
+    width = max(c for c in (c_user, c_item, c_rating) if c is not None) + 1
 
     for lineno in range(start, len(lines)):
         line = lines[lineno].strip()
@@ -230,13 +197,6 @@ def load_interactions(path: str | Path, schema: InteractionSchema | None = None)
                 r = float(r_text)
             except ValueError:
                 raise DataError(f"{path}:{lineno + 1}: bad rating value {r_text!r}") from None
-        ts = None
-        if c_time is not None:
-            t_text = parts[c_time].strip()
-            try:
-                ts = float(t_text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno + 1}: bad timestamp value {t_text!r}") from None
         u = user_index.setdefault(raw_u, len(user_index))
         i = item_index.setdefault(raw_i, len(item_index))
         if (u, i) in seen:
@@ -246,20 +206,16 @@ def load_interactions(path: str | Path, schema: InteractionSchema | None = None)
         users.append(u)
         items.append(i)
         ratings.append(r)
-        if ts is not None:
-            times.append(ts)
 
     if not users:
         raise DataError(f"{path}: no interaction rows")
     if dropped:
         log.warning("%s: dropped %d duplicate (user, item) rows", path, dropped)
 
-    timestamps = np.array(times) if (c_time is not None and len(times) == len(users)) else None
     return InteractionDataset(
         n=len(user_index), m=len(item_index),
         users=np.array(users), items=np.array(items), ratings=np.array(ratings),
         split=np.zeros(len(users), dtype=np.int8),
-        timestamps=timestamps,
         user_ids=list(user_index), item_ids=list(item_index),
     )
 
@@ -356,15 +312,14 @@ def one_hot_matrix(labels: np.ndarray, fields: list[AttributeField]) -> AuxFeatu
 def encode_auxiliary(path: str | Path, node_count: int,
                      fields: list[AttributeField] | None = None,
                      id_map: dict[str, int] | None = None,
-                     field_names: Sequence[str] | None = None,
-                     delimiter: str | None = None,
-                     header: bool = False) -> AuxFeatureMatrix:
+                     delimiter: str | None = None) -> AuxFeatureMatrix:
     """Encode a delimited attribute table into a concatenated one-hot matrix.
 
     The first column is the node id (raw when ``id_map`` is given, otherwise
     an integer internal index); remaining columns are categorical values and
     an empty cell means missing.  When ``fields`` is None the categories are
-    inferred from the file (sorted lexicographically); otherwise values absent
+    inferred from the file (sorted lexicographically) and the fields are
+    named ``field_1``, ``field_2``, ...; otherwise values absent
     from the supplied descriptors map to the blank token.  Nodes without a row
     get the blank token in every field.
     """
@@ -374,18 +329,12 @@ def encode_auxiliary(path: str | Path, node_count: int,
     except OSError as exc:
         raise DataError(f"cannot read attribute file {path}: {exc}") from exc
 
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     delim = delimiter or _sniff_delimiter(lines[0] if lines else ",")
-    start = 0
-    names: list[str] | None = None
-    if header and lines:
-        names = [c.strip() for c in lines[0].split(delim)[1:]]
-        start = 1
 
     rows: dict[int, list[str]] = {}
     width = None
-    for lineno in range(start, len(lines)):
-        line = lines[lineno].rstrip("\n")
+    for lineno, line in enumerate(lines):
         if not line.strip():
             continue
         parts = [p.strip() for p in line.split(delim)]
@@ -410,15 +359,14 @@ def encode_auxiliary(path: str | Path, node_count: int,
         raise DataError(f"{path}: no attribute rows")
 
     if fields is None:
-        if names is None:
-            names = list(field_names) if field_names else [f"field_{j + 1}" for j in range(width)]
         distinct: list[set[str]] = [set() for _ in range(width)]
         for vals in rows.values():
             for j in range(width):
                 v = vals[j] if j < len(vals) else ""
                 if v:
                     distinct[j].add(v)
-        fields = make_fields(names, [sorted(d) for d in distinct])
+        fields = make_fields([f"field_{j + 1}" for j in range(width)],
+                             [sorted(d) for d in distinct])
 
     dim = sum(f.cardinality for f in fields)
     values = np.zeros((node_count, dim))

@@ -41,9 +41,8 @@ class FusionConfig:
     lambda2: float = 0.001
     graph_loss: str = "bpr"  # bpr | mse
     include_negatives: bool = False
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def validate(self, dim: int | None = None) -> None:
+    def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown fusion variant {self.variant!r}")
         if self.graph_loss not in ("bpr", "mse"):
@@ -52,14 +51,6 @@ class FusionConfig:
             raise ValueError("fusion weights must be finite")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("fusion weights must be >= 0")
-        if self.variant == "weighted-sum" and self.weights is not None:
-            # weights may be omitted; identity matrices are supplied at train time
-            if len(self.weights) != 4:
-                raise ValueError("weighted-sum fusion needs four weight matrices")
-            if dim is not None:
-                for w in self.weights:
-                    if w.shape != (dim, dim):
-                        raise ValueError("weight matrices must be (dim, dim)")
 
     @property
     def active(self) -> bool:

@@ -97,10 +97,12 @@ class TrainingLog:
     def add(self, rec: EpochRecord) -> None:
         self.records.append(rec)
 
-    def write(self, path: str | Path, append: bool = True) -> None:
+    def write(self, path: str | Path) -> None:
+        """Append the records to ``path``, writing the header line first when
+        the file is new."""
         path = Path(path)
-        new = not path.exists() or not append
-        with open(path, "a" if append else "w", encoding="utf-8") as fh:
+        new = not path.exists()
+        with open(path, "a", encoding="utf-8") as fh:
             if new:
                 fh.write("stage\tepoch\tloss\tval_ndcg10\twall_time\n")
             for r in self.records:
@@ -155,8 +157,6 @@ class Stage1Result:
     user_features: np.ndarray
     item_features: np.ndarray
     log: TrainingLog
-    user_net: auxnet.AuxiliaryExtractor
-    item_net: auxnet.AuxiliaryExtractor
 
 
 def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
@@ -190,7 +190,7 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
     a_items = item_net.forward(item_classes, sim_item, "eval")
     a_users.flags.writeable = False
     a_items.flags.writeable = False
-    return Stage1Result(a_users, a_items, log, user_net, item_net)
+    return Stage1Result(a_users, a_items, log)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     """
     cfg.validate()
     bcfg.validate()
-    fcfg.validate(dim=bcfg.dim)
+    fcfg.validate()
     if fcfg.active and (a_users is None or a_items is None):
         raise PipelineOrderError("stage 2 needs the stage-1 feature matrices "
                                  "(or externally supplied ones) when fusion is enabled")
@@ -276,8 +276,8 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     model = LightGCN(adj.tocsr(), ds.n, bcfg)
     w_params: list[Param] | None = None
     if fcfg.variant == "weighted-sum":
-        init = fcfg.weights if fcfg.weights is not None else fusion.identity_weights(bcfg.dim)
-        w_params = [Param(w, f"fusion.w{k + 1}") for k, w in enumerate(init)]
+        w_params = [Param(w, f"fusion.w{k + 1}")
+                    for k, w in enumerate(fusion.identity_weights(bcfg.dim))]
 
     named = {"table": table, **{p.name: p for p in w_params or []}}
     opt = make_optimizer(cfg.optimizer, list(named.values()), cfg.eta2)

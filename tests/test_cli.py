@@ -433,6 +433,28 @@ class TestExitCodes:
                        f"output_dir = {tmp_path}/out\n", encoding="utf-8")
         assert main(["prepare", "--config", str(cfg)]) == 3
 
+    def test_output_dir_that_is_a_file_is_data_error(self, workspace, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(workspace["config"].read_text().replace(
+            f"output_dir = {workspace['out']}", f"output_dir = {taken}"), encoding="utf-8")
+        assert main(["prepare", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--checkpoint"),
+                                               ("train", "--aux-users")])
+    @pytest.mark.usefixtures("trained")
+    def test_directory_given_as_input_file_is_data_error(self, workspace, tmp_path,
+                                                         monkeypatch, capsys, command, flag):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        assert main([command, "--config", str(workspace["config"]), flag, str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
     def test_user_with_every_item_is_data_error(self, tmp_path, capsys):
         # Users with fewer rows than splits stay in train, so "a" holds both items.
         (tmp_path / "log.tsv").write_text("a\tx\t1\na\ty\t1\nb\tx\t1\nc\ty\t1\n",

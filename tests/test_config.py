@@ -20,8 +20,7 @@ def test_every_field_has_a_default():
     for name, value in cfg.snapshot().items():
         assert value is not None or name in ("interactions", "user_attributes",
                                              "item_attributes", "rating_column",
-                                             "timestamp_column", "delimiter",
-                                             "max_neighbors", "patience")
+                                             "delimiter", "max_neighbors", "patience")
 
 
 def test_load_and_roundtrip(tmp_path):
@@ -42,6 +41,13 @@ def test_unknown_key_rejected_by_name(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[train]\nwarmup = 5\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="warmup"):
+        load_config(path)
+
+
+def test_timestamp_column_rejected_by_name(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[data]\ntimestamp_column = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="timestamp_column"):
         load_config(path)
 
 

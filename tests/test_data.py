@@ -56,12 +56,6 @@ class TestLoadInteractions:
         with pytest.raises(DataError):
             load_interactions(tmp_path / "absent.csv")
 
-    def test_named_columns_with_header(self, tmp_path):
-        path = write(tmp_path, "n.csv", "item,user,score\ni1,u1,2.0\ni2,u1,1.0\n")
-        ds = load_interactions(path, InteractionSchema(user="user", item="item",
-                                                       rating="score"))
-        assert ds.n == 1 and ds.m == 2
-
     def test_implicit_when_no_rating_column(self, tmp_path):
         path = write(tmp_path, "imp.csv", "u1,i1\nu2,i2\n")
         ds = load_interactions(path, InteractionSchema(rating=None))
@@ -73,16 +67,13 @@ class TestLoadInteractions:
         ds = load_interactions(path)
         assert len(ds) == 2
 
-    def test_timestamp_column_parsed(self, tmp_path):
-        path = write(tmp_path, "ts.csv", "u1,i1,1.0,100\nu1,i2,1.0,50\n")
-        ds = load_interactions(path, InteractionSchema(timestamp=3))
-        assert ds.timestamps is not None
-        assert ds.timestamps.tolist() == [100.0, 50.0]
-
-    def test_bad_timestamp_reports_line(self, tmp_path):
-        path = write(tmp_path, "ts.csv", "u1,i1,1.0,100\nu1,i2,1.0,later\n")
-        with pytest.raises(DataError, match=":2"):
-            load_interactions(path, InteractionSchema(timestamp=3))
+    def test_extra_columns_ignored(self, tmp_path):
+        three = load_interactions(write(tmp_path, "3.csv", "u1,i1,1.0\nu1,i2,2.0\nu2,i1,3.0\n"))
+        four = load_interactions(write(tmp_path, "4.csv",
+                                       "u1,i1,1.0,100\nu1,i2,2.0,50\nu2,i1,3.0,later\n"))
+        for name in ("users", "items", "ratings"):
+            assert np.array_equal(getattr(four, name), getattr(three, name))
+        assert (four.user_ids, four.item_ids) == (three.user_ids, three.item_ids)
 
     def test_remap_roundtrip_is_identity(self, tmp_path):
         path = write(tmp_path, "r.csv", "alice,art,1\nbob,books,2\nalice,books,3\n")
