@@ -20,7 +20,7 @@ end.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +393,27 @@ class AuxiliaryExtractor:
     def zero_grad(self) -> None:
         for p in self.params():
             p.zero_grad()
+
+
+@dataclass
+class AuxnetConfig:
+    """Interior MLP widths, similarity-GCN depth, and batch-norm settings of
+    both extractors.  An empty ``hidden`` leaves the encoder one affine map."""
+
+    hidden: list[int] = field(default_factory=lambda: [256])
+    gcn_layers: int = 2
+    bn_momentum: float = 0.1
+    bn_eps: float = 1e-5
+
+    def validate(self) -> None:
+        if self.gcn_layers < 0:
+            raise ValueError(f"gcn_layers must be >= 0, got {self.gcn_layers}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
+        if not self.bn_eps >= 0.0:
+            raise ValueError(f"bn_eps must be >= 0, got {self.bn_eps}")
 
 
 def build_extractor(in_dim: int, dim: int, hidden, gcn_layers: int,

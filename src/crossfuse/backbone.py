@@ -9,7 +9,7 @@ same propagation chain into the layer-0 table by ``LightGCN.backward``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,8 +22,9 @@ class BackboneConfig:
     """Propagation depth, layer-combination weights, and ranking regularizer."""
 
     dim: int = 64
-    num_layers: int = 3
-    alphas: np.ndarray | None = None  # length num_layers + 1; None = uniform
+    num_layers: int = field(default=3, metadata={"key": "layers"})
+    # length num_layers + 1; None = uniform; not settable from a config file
+    alphas: np.ndarray | None = field(default=None, metadata={"key": None})
     lambda_reg: float = 1e-4
 
     def resolved_alphas(self) -> np.ndarray:

@@ -1,19 +1,18 @@
 """Command-line pipeline: prepare, train-aux, train, evaluate, ablate, and
 verify-gradients.
 
-Every command reads one config file, writes its artifacts under the output
-directory (overridable with the CROSSFUSE_OUTPUT_DIR environment variable),
-and records a manifest with the config snapshot, seed, code version, and
-input checksums.  Exit codes: 0 success, 1 usage, 2 config, 3 data or
-pipeline order, 4 numerical failure.
+Every command reads one config file, writes its artifacts under its
+``[paths] output_dir``, and records a manifest with the config snapshot,
+seed, code version, and input checksums.  Exit codes: 0 success, 1 usage,
+2 config, 3 data or pipeline order, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
-import os
 import sys
 import zipfile
 from pathlib import Path
@@ -23,8 +22,8 @@ import numpy as np
 from . import __version__, auxnet, fusion, gradcheck
 from .backbone import BackboneConfig, LightGCN, init_embeddings
 from .config import ConfigError, RunConfig, load_config
-from .data import (DataError, InteractionDataset, InteractionSchema, encode_auxiliary,
-                   load_interactions, make_fields, split_dataset, split_truth,
+from .data import (DataError, InteractionDataset, encode_auxiliary, load_interactions,
+                   make_fields, split_dataset, split_truth,
                    write_remap_table, TEST)
 from .evaluate import category_kl, write_report_json, write_report_text
 from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
@@ -109,7 +108,7 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 
 def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(os.environ.get("CROSSFUSE_OUTPUT_DIR", cfg.output_dir))
+    out = Path(cfg.paths.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -126,17 +125,12 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs: list[Path])
     doc = {
         "command": command,
         "code_version": __version__,
-        "seed": cfg.seed,
+        "seed": cfg.train.seed,
         "config": cfg.snapshot(),
         "inputs": {str(p): _sha256(p) for p in inputs if p is not None and Path(p).exists()},
     }
     (out / f"manifest_{command}.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _schema(cfg: RunConfig) -> InteractionSchema:
-    return InteractionSchema(user=cfg.user_column, item=cfg.item_column,
-                             rating=cfg.rating_column, delimiter=cfg.delimiter)
 
 
 def _save_dataset(out: Path, ds: InteractionDataset) -> None:
@@ -178,33 +172,34 @@ def _load_fields(path: Path):
 
 def cmd_prepare(args) -> int:
     cfg = load_config(args.config)
-    if cfg.interactions is None:
+    paths, gcfg = cfg.paths, cfg.graph
+    if paths.interactions is None:
         raise ConfigError("missing required key [paths] interactions")
     out = _out_dir(cfg)
 
-    ds = load_interactions(cfg.interactions, _schema(cfg))
-    ds = split_dataset(ds, (cfg.train_ratio, cfg.validation_ratio, cfg.test_ratio), cfg.seed)
+    ds = load_interactions(paths.interactions, cfg.data)
+    ds = split_dataset(ds, cfg.data.ratios, cfg.train.seed)
     _save_dataset(out, ds)
     write_remap_table(out / "user_remap.tsv", ds.user_ids)
     write_remap_table(out / "item_remap.tsv", ds.item_ids)
 
     R = interaction_matrix(ds, binarize=True)
-    sim_u = build_similarity_graph(R, "rows", cfg.epsilon_user, cfg.similarity,
-                                   cfg.max_neighbors)
-    sim_v = build_similarity_graph(R, "columns", cfg.epsilon_item, cfg.similarity,
-                                   cfg.max_neighbors)
+    sim_u = build_similarity_graph(R, "rows", gcfg.epsilon_user, gcfg.similarity,
+                                   gcfg.max_neighbors)
+    sim_v = build_similarity_graph(R, "columns", gcfg.epsilon_item, gcfg.similarity,
+                                   gcfg.max_neighbors)
     adj = normalize_bipartite(ds)
     save_graph(out / "user_sim.graph", sim_u)
     save_graph(out / "item_sim.graph", sim_v)
     save_graph(out / "adjacency.graph", adj)
 
-    inputs = [Path(args.config), Path(cfg.interactions)]
-    for side, attr_path, count, ids in (("user", cfg.user_attributes, ds.n, ds.user_ids),
-                                        ("item", cfg.item_attributes, ds.m, ds.item_ids)):
+    inputs = [Path(args.config), Path(paths.interactions)]
+    for side, attr_path, count, ids in (("user", paths.user_attributes, ds.n, ds.user_ids),
+                                        ("item", paths.item_attributes, ds.m, ds.item_ids)):
         if attr_path is None:
             continue
         id_map = {raw: idx for idx, raw in enumerate(ids)}
-        feats = encode_auxiliary(attr_path, count, id_map=id_map, delimiter=cfg.delimiter)
+        feats = encode_auxiliary(attr_path, count, id_map=id_map, delimiter=cfg.data.delimiter)
         auxnet.save_dense_matrix(out / f"{side}_attr.mat", feats.values)
         _save_fields(out / f"{side}_attr_fields.json", feats.fields)
         inputs.append(Path(attr_path))
@@ -225,11 +220,12 @@ def cmd_prepare(args) -> int:
 
 
 def _build_extractors(cfg: RunConfig, user_dim: int, item_dim: int):
-    rng = np.random.default_rng(cfg.seed)
-    user_net = auxnet.build_extractor(user_dim, cfg.dim, cfg.hidden, cfg.gcn_layers,
-                                      rng, cfg.bn_momentum, cfg.bn_eps, name="user")
-    item_net = auxnet.build_extractor(item_dim, cfg.dim, cfg.hidden, cfg.gcn_layers,
-                                      rng, cfg.bn_momentum, cfg.bn_eps, name="item")
+    rng = np.random.default_rng(cfg.train.seed)
+    acfg, dim = cfg.auxnet, cfg.backbone.dim
+    user_net = auxnet.build_extractor(user_dim, dim, acfg.hidden, acfg.gcn_layers,
+                                      rng, acfg.bn_momentum, acfg.bn_eps, name="user")
+    item_net = auxnet.build_extractor(item_dim, dim, acfg.hidden, acfg.gcn_layers,
+                                      rng, acfg.bn_momentum, acfg.bn_eps, name="item")
     return user_net, item_net
 
 
@@ -247,29 +243,32 @@ def cmd_train_aux(args) -> int:
     sim_v = load_graph(out / "item_sim.graph")
 
     user_net, item_net = _build_extractors(cfg, user_x.shape[1], item_x.shape[1])
-    result = train_stage1(ds, user_net, item_net, user_x, item_x, sim_u, sim_v,
-                          cfg.train_config())
+    result = train_stage1(ds, user_net, item_net, user_x, item_x, sim_u, sim_v, cfg.train)
     auxnet.save_dense_matrix(out / "aux_users.mat", result.user_features)
     auxnet.save_dense_matrix(out / "aux_items.mat", result.item_features)
     result.log.write(out / "train_log.tsv")
     _write_manifest(out, "train-aux", cfg, [Path(args.config)])
     final = result.log.records[-1].loss
-    print(f"stage 1 done: {cfg.epochs} epochs, final loss {final:.6g}")
+    print(f"stage 1 done: {cfg.train.epochs} epochs, final loss {final:.6g}")
     return 0
 
 
 def _load_aux(out: Path, args, ds: InteractionDataset,
               dim: int) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The feature matrices stage 2 trains against: the ``--aux-users`` /
-    ``--aux-items`` files, else stage 1's; (None, None) when either is
-    missing.  A matrix that is not one ``dim``-wide row per user (per item)
-    is a :class:`DataError`."""
-    user_path = Path(args.aux_users) if getattr(args, "aux_users", None) else out / "aux_users.mat"
-    item_path = Path(args.aux_items) if getattr(args, "aux_items", None) else out / "aux_items.mat"
-    if not user_path.exists() or not item_path.exists():
+    ``--aux-items`` files, else stage 1's; (None, None) when stage 1's are
+    missing.  A given file that does not exist, or a matrix that is not one
+    ``dim``-wide row per user (per item), is a :class:`DataError`."""
+    paths = []
+    for flag in ("aux_users", "aux_items"):
+        given = getattr(args, flag, None)
+        if given and not Path(given).exists():
+            raise DataError(f"{given} not found (--{flag.replace('_', '-')})")
+        paths.append(Path(given) if given else out / f"{flag}.mat")
+    if not all(path.exists() for path in paths):
         return None, None
     mats = []
-    for path, rows, side in ((user_path, ds.n, "users"), (item_path, ds.m, "items")):
+    for path, rows, side in zip(paths, (ds.n, ds.m), ("users", "items")):
         mat = auxnet.load_dense_matrix(path)
         if mat.shape != (rows, dim):
             raise DataError(f"{path}: feature matrix is {mat.shape[0]}x{mat.shape[1]}, "
@@ -280,18 +279,17 @@ def _load_aux(out: Path, args, ds: InteractionDataset,
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    fcfg = cfg.fusion_config()
     out = _out_dir(cfg)
     ds = _load_dataset(out)
     adj = load_graph(out / "adjacency.graph")
-    a_users, a_items = _load_aux(out, args, ds, cfg.dim)
-    if fcfg.active and a_users is None:
+    a_users, a_items = _load_aux(out, args, ds, cfg.backbone.dim)
+    if cfg.fusion.active and a_users is None:
         raise PipelineOrderError("stage-2 training needs stage-1 products; run "
                                  "`crossfuse train-aux` first or pass --aux-users/--aux-items")
 
-    table = init_embeddings(ds.n + ds.m, cfg.dim, cfg.seed)
-    result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone_config(),
-                          cfg.train_config(), fcfg)
+    table = init_embeddings(ds.n + ds.m, cfg.backbone.dim, cfg.train.seed)
+    result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone, cfg.train,
+                          cfg.fusion)
     ckpt = pack_stage2_state(result.state, cfg.snapshot(), a_users, a_items)
     save_checkpoint(out / "model.ckpt", ckpt)
     result.log.write(out / "train_log.tsv")
@@ -345,7 +343,7 @@ def cmd_evaluate(args) -> int:
                                                num_layers=trained["layers"]))
     truth = split_truth(ds, TEST)
     recs, report = score(ds, model, params, trained["variant"], ckpt.tensors.get("aux_users"),
-                         ckpt.tensors.get("aux_items"), truth, cfg.topn,
+                         ckpt.tensors.get("aux_items"), truth, cfg.eval.topn,
                          keep_per_user=args.per_user)
     write_report_text(report, out / "metrics.tsv")
     write_report_json(report, out / "metrics.json")
@@ -358,9 +356,9 @@ def cmd_evaluate(args) -> int:
 
     if args.kl:
         histories = {u: ds.train_items(u).tolist() for u in recs}
-        kl, _ = category_kl(histories, recs, cats, cfg.kl_categories)
+        kl, _ = category_kl(histories, recs, cats, cfg.eval.kl_categories)
         (out / "kl.json").write_text(
-            json.dumps({"top_categories": cfg.kl_categories, "kl": kl}, sort_keys=True)
+            json.dumps({"top_categories": cfg.eval.kl_categories, "kl": kl}, sort_keys=True)
             + "\n", encoding="utf-8")
         print(f"category consistency kl: {kl:.6g}")
 
@@ -375,20 +373,19 @@ def cmd_ablate(args) -> int:
     out = _out_dir(cfg)
     ds = _load_dataset(out)
     adj = load_graph(out / "adjacency.graph")
-    a_users, a_items = _load_aux(out, args, ds, cfg.dim)
+    a_users, a_items = _load_aux(out, args, ds, cfg.backbone.dim)
     if a_users is None:
         raise PipelineOrderError("ablation needs stage-1 products; run `crossfuse train-aux`")
 
     truth = split_truth(ds, TEST)
     rows = []
     for variant in fusion.VARIANTS:
-        vcfg = cfg.fusion_config()
-        vcfg.variant = variant
-        table = init_embeddings(ds.n + ds.m, cfg.dim, cfg.seed)
-        result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone_config(),
-                              cfg.train_config(), vcfg)
+        table = init_embeddings(ds.n + ds.m, cfg.backbone.dim, cfg.train.seed)
+        result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone, cfg.train,
+                              dataclasses.replace(cfg.fusion, variant=variant))
         params = {k: Param(v) for k, v in result.state.selected().items()}
-        _, report = score(ds, result.model, params, variant, a_users, a_items, truth, cfg.topn)
+        _, report = score(ds, result.model, params, variant, a_users, a_items, truth,
+                          cfg.eval.topn)
         row = {"variant": variant}
         for metric, n, value in report.rows():
             row[f"{metric}@{n}"] = value

@@ -26,19 +26,34 @@ class DataError(Exception):
 
 
 @dataclass
-class InteractionSchema:
-    """Column layout of a delimited interaction log.
+class DataConfig:
+    """Column layout of a delimited interaction log and the split ratios.
 
-    Columns are zero-based indices; further columns are ignored.  ``rating``
-    may be None for implicit logs (every observed pair then gets rating 1).
-    ``delimiter`` None sniffs tab vs comma from the first line.  A first line
-    whose rating column is not a number is a header and is skipped.
+    Columns are zero-based indices; further columns are ignored.
+    ``rating_column`` may be None for implicit logs (every observed pair then
+    gets rating 1).  ``delimiter`` None sniffs tab vs comma from the first
+    line.  A first line whose rating column is not a number is a header and is
+    skipped.
     """
 
-    user: int = 0
-    item: int = 1
-    rating: int | None = 2
+    user_column: int = 0
+    item_column: int = 1
+    rating_column: int | None = 2
     delimiter: str | None = None
+    train_ratio: float = 0.72
+    validation_ratio: float = 0.08
+    test_ratio: float = 0.20
+
+    @property
+    def ratios(self) -> tuple[float, float, float]:
+        return (self.train_ratio, self.validation_ratio, self.test_ratio)
+
+    def validate(self) -> None:
+        for key in ("user_column", "item_column", "rating_column"):
+            column = getattr(self, key)
+            if column is not None and column < 0:
+                raise ValueError(f"{key} must be >= 0, got {column}")
+        check_split_ratios(self.ratios)
 
 
 class InteractionDataset:
@@ -150,7 +165,7 @@ def _is_float(text: str) -> bool:
         return False
 
 
-def load_interactions(path: str | Path, schema: InteractionSchema | None = None) -> InteractionDataset:
+def load_interactions(path: str | Path, cfg: DataConfig | None = None) -> InteractionDataset:
     """Parse a delimited interaction log into a re-indexed dataset.
 
     Raw user/item identifiers are mapped to contiguous indices in first
@@ -158,7 +173,7 @@ def load_interactions(path: str | Path, schema: InteractionSchema | None = None)
     dropped with a warning.  All triplets start in the train split; use
     :func:`split_dataset` to assign validation/test tags.
     """
-    schema = schema or InteractionSchema()
+    cfg = cfg or DataConfig()
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -166,9 +181,9 @@ def load_interactions(path: str | Path, schema: InteractionSchema | None = None)
         raise DataError(f"cannot read interaction file {path}: {exc}") from exc
 
     lines = text.splitlines()
-    delim = schema.delimiter or _sniff_delimiter(lines[0] if lines else ",")
+    delim = cfg.delimiter or _sniff_delimiter(lines[0] if lines else ",")
 
-    c_user, c_item, c_rating = schema.user, schema.item, schema.rating
+    c_user, c_item, c_rating = cfg.user_column, cfg.item_column, cfg.rating_column
     start = 0
     if lines and c_rating is not None:
         first = lines[0].split(delim)

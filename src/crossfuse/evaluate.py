@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -93,9 +93,18 @@ def check_topn(topn: Sequence[int]) -> None:
         raise ValueError(f"topn must list cut-offs >= 1, got {list(topn)}")
 
 
-def check_kl_categories(top_categories: int) -> None:
-    if top_categories < 1:
-        raise ValueError(f"kl_categories must be >= 1, got {top_categories}")
+@dataclass
+class EvalConfig:
+    """Top-N cut-offs of the ranking metrics and the number of top categories
+    the category-consistency divergence compares."""
+
+    topn: list[int] = field(default_factory=lambda: [5, 10])
+    kl_categories: int = 6
+
+    def validate(self) -> None:
+        check_topn(self.topn)
+        if self.kl_categories < 1:
+            raise ValueError(f"kl_categories must be >= 1, got {self.kl_categories}")
 
 
 def ranking_metrics(recommendations: Mapping[int, np.ndarray],

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import struct
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,23 @@ def check_similarity(epsilon: float, variant: str) -> None:
         raise ValueError("epsilon must lie in [0, 1]")
     if variant not in ("cosine", "printed"):
         raise ValueError(f"unknown similarity variant {variant!r}")
+
+
+@dataclass
+class GraphConfig:
+    """Similarity thresholds and variant, and the optional neighbor cap, of
+    the user-user and item-item graphs."""
+
+    epsilon_user: float = 0.3
+    epsilon_item: float = 0.3
+    similarity: str = "cosine"
+    max_neighbors: int | None = None
+
+    def validate(self) -> None:
+        check_similarity(self.epsilon_user, self.similarity)
+        check_similarity(self.epsilon_item, self.similarity)
+        if self.max_neighbors is not None and self.max_neighbors < 0:
+            raise ValueError(f"max_neighbors must be none or >= 0, got {self.max_neighbors}")
 
 
 def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 0.3,

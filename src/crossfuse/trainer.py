@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be none or >= 0, got {self.patience}")
         check_optimizer(self.optimizer)
 
 

@@ -85,6 +85,14 @@ def trained(workspace):
     _run_to(workspace, "train")
 
 
+def _config_at(workspace, out, tmp_path) -> str:
+    """A copy of the workspace config whose output_dir is ``out``."""
+    cfg = tmp_path / "copy.cfg"
+    cfg.write_text(workspace["config"].read_text().replace(
+        f"output_dir = {workspace['out']}", f"output_dir = {out}"), encoding="utf-8")
+    return str(cfg)
+
+
 class TestPipeline:
     def test_prepare(self, workspace):
         assert main(["prepare", "--config", str(workspace["config"])]) == 0
@@ -96,12 +104,12 @@ class TestPipeline:
             assert (out / name).exists(), name
 
     @pytest.mark.usefixtures("prepared")
-    def test_train_before_train_aux_is_ordering_error(self, workspace, tmp_path, monkeypatch):
+    def test_train_before_train_aux_is_ordering_error(self, workspace, tmp_path):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("aux_*.mat"))
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        cfg = _config_at(workspace, out, tmp_path)
         assert (out / "dataset.npz").exists()
-        assert main(["train", "--config", str(workspace["config"])]) == 3
+        assert main(["train", "--config", cfg]) == 3
 
     @pytest.mark.usefixtures("prepared")
     def test_train_aux(self, workspace):
@@ -184,7 +192,7 @@ class TestPipeline:
         """A user without test items has no list and stays out of the KL mean."""
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        cfg = _config_at(workspace, out, tmp_path)
         with np.load(out / "dataset.npz") as z:
             arrays = dict(z)
         arrays["split"][(arrays["users"] == 0) & (arrays["split"] == TEST)] = TRAIN
@@ -198,7 +206,7 @@ class TestPipeline:
             return category_kl(histories, recs, cats, top)
 
         monkeypatch.setattr(cli, "category_kl", spy)
-        assert main(["evaluate", "--config", str(workspace["config"]), "--kl"]) == 0
+        assert main(["evaluate", "--config", cfg, "--kl"]) == 0
         recs, cats, top = seen["recs"], seen["cats"], seen["top"]
         assert 0 not in recs and len(recs) == ds.n - 1
         scored = {u: ds.train_items(u).tolist() for u in recs}
@@ -227,12 +235,6 @@ class TestExternalInterfaces:
                      "--aux-users", str(ext_u), "--aux-items", str(ext_v)]) == 0
         ckpt = load_checkpoint(out / "model.ckpt")
         assert np.array_equal(ckpt.tensors["aux_users"], load_dense_matrix(ext_u))
-
-    def test_output_dir_env_override(self, workspace, tmp_path, monkeypatch):
-        override = tmp_path / "elsewhere"
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(override))
-        assert main(["prepare", "--config", str(workspace["config"])]) == 0
-        assert (override / "dataset.npz").exists()
 
     @pytest.mark.usefixtures("trained")
     def test_training_log_format(self, workspace):
@@ -310,11 +312,11 @@ class TestExitCodes:
         ("train-aux", "dataset.npz", "truncate"),
     ])
     @pytest.mark.usefixtures("trained")
-    def test_damaged_artifact_is_data_error(self, workspace, tmp_path, monkeypatch, capsys,
-                                            command, name, damage):
+    def test_damaged_artifact_is_data_error(self, workspace, tmp_path, capsys, command, name,
+                                            damage):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        cfg = _config_at(workspace, out, tmp_path)
         path = out / name
         if damage == "stage-1-checkpoint":
             trained_config = load_checkpoint(path).meta["config"]
@@ -332,7 +334,7 @@ class TestExitCodes:
             else:
                 del raw[-8:]
             path.write_bytes(bytes(raw))
-        assert main([command, "--config", str(workspace["config"])]) == 3
+        assert main([command, "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
@@ -341,11 +343,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("region", ["magic", "version", "shape", "indptr", "indices",
                                         "values", "trailer"])
     @pytest.mark.usefixtures("trained")
-    def test_flipped_bit_in_graph_file_is_data_error(self, workspace, tmp_path, monkeypatch,
-                                                     capsys, command, name, region):
+    def test_flipped_bit_in_graph_file_is_data_error(self, workspace, tmp_path, capsys,
+                                                     command, name, region):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        cfg = _config_at(workspace, out, tmp_path)
         path = out / name
         raw = bytearray(path.read_bytes())
         rows, _, nnz = struct.unpack_from("<QQQ", raw, 8)
@@ -354,20 +356,19 @@ class TestExitCodes:
         k = ["magic", "version", "shape", "indptr", "indices", "values", "trailer"].index(region)
         raw[(bounds[k] + bounds[k + 1]) // 2] ^= 0x10
         path.write_bytes(bytes(raw))
-        assert main([command, "--config", str(workspace["config"])]) == 3
+        assert main([command, "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
     @pytest.mark.usefixtures("prepared")
-    def test_version_1_graph_file_asks_for_prepare(self, workspace, tmp_path, monkeypatch,
-                                                  capsys):
+    def test_version_1_graph_file_asks_for_prepare(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        cfg = _config_at(workspace, out, tmp_path)
         path = out / "adjacency.graph"
         raw = path.read_bytes()
         path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])  # version 1 had no CRC
-        assert main(["train", "--config", str(workspace["config"])]) == 3
+        assert main(["train", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "graph format version 1" in err and "re-run `crossfuse prepare`" in err
 
@@ -377,14 +378,13 @@ class TestExitCodes:
         (("m", 8), ("m", 8)),
     ], ids=["wrong-width", "too-few-user-rows", "item-matrix-as-users"])
     @pytest.mark.usefixtures("prepared")
-    def test_feature_matrix_of_wrong_shape_is_data_error(self, workspace, tmp_path,
-                                                         monkeypatch, capsys, users_shape,
-                                                         items_shape):
+    def test_feature_matrix_of_wrong_shape_is_data_error(self, workspace, tmp_path, capsys,
+                                                         users_shape, items_shape):
         from crossfuse.auxnet import save_dense_matrix
 
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        cfg = _config_at(workspace, out, tmp_path)
         z = np.load(out / "dataset.npz")
         sizes = {"n": int(z["n"][0]), "m": int(z["m"][0])}
         sizes["n-1"] = sizes["n"] - 1
@@ -393,36 +393,34 @@ class TestExitCodes:
         for name, (rows, width) in (("u", users_shape), ("v", items_shape)):
             paths.append(tmp_path / f"{name}.mat")
             save_dense_matrix(paths[-1], rng.normal(size=(sizes[rows], width)))
-        assert main(["train", "--config", str(workspace["config"]),
+        assert main(["train", "--config", cfg,
                      "--aux-users", str(paths[0]), "--aux-items", str(paths[1])]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert not (out / "model.ckpt").exists()
 
     @pytest.mark.usefixtures("trained")
-    def test_unknown_category_field_is_config_error(self, workspace, tmp_path, monkeypatch,
-                                                    capsys):
+    def test_unknown_category_field_is_config_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
-        assert main(["evaluate", "--config", str(workspace["config"]), "--kl",
+        cfg = _config_at(workspace, out, tmp_path)
+        assert main(["evaluate", "--config", cfg, "--kl",
                      "--category-field", "bogus"]) == 2
         assert "unknown category field 'bogus'" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
     @pytest.mark.usefixtures("trained")
-    def test_non_finite_scores_are_numerical_error(self, workspace, tmp_path, monkeypatch,
-                                                   capsys):
+    def test_non_finite_scores_are_numerical_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
+        cfg = _config_at(workspace, out, tmp_path)
         ckpt = load_checkpoint(out / "model.ckpt")
         tensors = dict(ckpt.tensors)
         for name in ("last.table", "best.table"):
             tensors[name] = tensors[name].copy()
             tensors[name][0] = np.nan
         save_checkpoint(out / "model.ckpt", Checkpoint(ckpt.meta, tensors))
-        assert main(["evaluate", "--config", str(workspace["config"])]) == 4
+        assert main(["evaluate", "--config", cfg]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: non-finite effective features")
         assert not (out / "metrics.json").exists()
@@ -446,14 +444,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag", [("evaluate", "--checkpoint"),
                                                ("train", "--aux-users")])
     @pytest.mark.usefixtures("trained")
-    def test_directory_given_as_input_file_is_data_error(self, workspace, tmp_path,
-                                                         monkeypatch, capsys, command, flag):
+    def test_directory_given_as_input_file_is_data_error(self, workspace, tmp_path, capsys,
+                                                         command, flag):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
-        monkeypatch.setenv("CROSSFUSE_OUTPUT_DIR", str(out))
-        assert main([command, "--config", str(workspace["config"]), flag, str(tmp_path)]) == 3
+        cfg = _config_at(workspace, out, tmp_path)
+        assert main([command, "--config", cfg, flag, str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", ["cross", "none"])
+    @pytest.mark.usefixtures("trained")
+    def test_missing_aux_users_file_is_data_error(self, workspace, tmp_path, capsys, variant):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        cfg = tmp_path / "variant.cfg"
+        cfg.write_text(workspace["config"].read_text().replace(
+            f"output_dir = {workspace['out']}", f"output_dir = {out}").replace(
+            "[fusion]\n", f"[fusion]\nvariant = {variant}\n"), encoding="utf-8")
+        missing = tmp_path / "absent_users.mat"
+        assert main(["train", "--config", str(cfg), "--aux-users", str(missing),
+                     "--aux-items", str(out / "aux_items.mat")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(missing) in err
 
     def test_user_with_every_item_is_data_error(self, tmp_path, capsys):
         # Users with fewer rows than splits stay in train, so "a" holds both items.

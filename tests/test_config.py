@@ -5,14 +5,14 @@ from crossfuse.config import ConfigError, RunConfig, load_config, write_config
 
 def test_defaults_match_best_reported_settings():
     cfg = RunConfig()
-    assert cfg.eta1 == 0.001
-    assert cfg.epsilon_user == 0.3
-    assert cfg.epsilon_item == 0.3
-    assert cfg.lambda1 == 0.05
-    assert cfg.lambda2 == 0.001
-    assert cfg.epochs == 200
-    assert cfg.dim == 64
-    assert cfg.layers == 3
+    assert cfg.train.eta1 == 0.001
+    assert cfg.graph.epsilon_user == 0.3
+    assert cfg.graph.epsilon_item == 0.3
+    assert cfg.fusion.lambda1 == 0.05
+    assert cfg.fusion.lambda2 == 0.001
+    assert cfg.train.epochs == 200
+    assert cfg.backbone.dim == 64
+    assert cfg.backbone.num_layers == 3
 
 
 def test_every_field_has_a_default():
@@ -28,9 +28,9 @@ def test_load_and_roundtrip(tmp_path):
     path.write_text("[train]\nepochs = 7\nseed = 3\n[fusion]\nlambda1 = 0.5\n",
                     encoding="utf-8")
     cfg = load_config(path)
-    assert cfg.epochs == 7
-    assert cfg.seed == 3
-    assert cfg.lambda1 == 0.5
+    assert cfg.train.epochs == 7
+    assert cfg.train.seed == 3
+    assert cfg.fusion.lambda1 == 0.5
     out = tmp_path / "full.cfg"
     write_config(cfg, out)
     again = load_config(out)
@@ -70,12 +70,37 @@ def test_bad_value_reports_key(tmp_path):
     ("backbone", "dim = 0", "dim"),
     ("fusion", "graph_loss = hinge", "graph_loss"),
     ("eval", "kl_categories = 0", "kl_categories"),
-    ("eval", "kl_categories = -2", "kl_categories")])
+    ("eval", "kl_categories = -2", "kl_categories"),
+    ("auxnet", "gcn_layers = -1", "gcn_layers"),
+    ("auxnet", "hidden = 0", "hidden"),
+    ("auxnet", "hidden = -5", "hidden"),
+    ("auxnet", "bn_momentum = 7", "bn_momentum"),
+    ("auxnet", "bn_eps = -1", "bn_eps"),
+    ("graph", "max_neighbors = -1", "max_neighbors"),
+    ("data", "user_column = -1", "user_column"),
+    ("train", "patience = -3", "patience")])
 def test_values_the_sub_configs_reject_are_config_errors(tmp_path, section, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=message):
         load_config(path)
+
+
+def test_snapshot_holds_exactly_the_written_keys(tmp_path):
+    path = tmp_path / "full.cfg"
+    write_config(RunConfig(), path)
+    written = [line.split(" = ")[0] for line in path.read_text(encoding="utf-8").splitlines()
+               if " = " in line]
+    assert len(written) == 36
+    assert sorted(RunConfig().snapshot()) == sorted(written)
+
+
+def test_keys_land_on_their_section_fields(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[backbone]\nlayers = 2\n[auxnet]\nbn_eps = 0.001\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.backbone.num_layers == 2
+    assert cfg.auxnet.bn_eps == 0.001
 
 
 def test_missing_file():
@@ -85,9 +110,9 @@ def test_missing_file():
 
 def test_sub_config_extraction():
     cfg = RunConfig()
-    assert cfg.train_config().epochs == 200
-    assert cfg.backbone_config().num_layers == 3
-    assert cfg.fusion_config().variant == "cross"
+    assert cfg.train.epochs == 200
+    assert cfg.backbone.num_layers == 3
+    assert cfg.fusion.variant == "cross"
 
 
 def test_optional_values_parse(tmp_path):
@@ -95,6 +120,6 @@ def test_optional_values_parse(tmp_path):
     path.write_text("[data]\nrating_column = none\n[train]\npatience = none\n"
                     "[eval]\ntopn = 5, 10, 20\n", encoding="utf-8")
     cfg = load_config(path)
-    assert cfg.rating_column is None
-    assert cfg.patience is None
-    assert cfg.topn == [5, 10, 20]
+    assert cfg.data.rating_column is None
+    assert cfg.train.patience is None
+    assert cfg.eval.topn == [5, 10, 20]

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_dataset
-from crossfuse.data import (TEST, TRAIN, VALIDATION, DataError,
-                            InteractionDataset, InteractionSchema, _split_counts,
+from crossfuse.data import (TEST, TRAIN, VALIDATION, DataConfig, DataError,
+                            InteractionDataset, _split_counts,
                             encode_auxiliary, load_interactions, make_fields,
                             one_hot_matrix, sample_negatives, split_dataset,
                             write_remap_table)
@@ -58,7 +58,7 @@ class TestLoadInteractions:
 
     def test_implicit_when_no_rating_column(self, tmp_path):
         path = write(tmp_path, "imp.csv", "u1,i1\nu2,i2\n")
-        ds = load_interactions(path, InteractionSchema(rating=None))
+        ds = load_interactions(path, DataConfig(rating_column=None))
         assert ds.implicit
         assert np.all(ds.ratings == 1.0)
 
