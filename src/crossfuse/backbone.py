@@ -69,6 +69,15 @@ class GraphFeatures:
         return self.values[self.num_users:]
 
 
+@dataclass(frozen=True)
+class RowBlock:
+    """Sorted node indices and the adjacency's rows at them, ``adj[rows]``:
+    sliced once per batch and read by both of its propagation passes."""
+
+    rows: np.ndarray
+    adj: sp.csr_matrix
+
+
 class LightGCN:
     """Parameter-free propagation: features = sum_k alpha_k * adj^k @ E0.
 
@@ -85,22 +94,27 @@ class LightGCN:
         self.adj = adj.tocsr()
         if (self.adj != self.adj.T).nnz:
             raise ValueError("adjacency must be symmetric")
+        self.row_nnz = np.diff(self.adj.indptr)
         self.num_users = num_users
         self.cfg = cfg
         self.alphas = cfg.resolved_alphas()
 
-    def forward(self, table: Param, rows: np.ndarray | None = None) -> GraphFeatures:
-        """Combined features at every node, or only at the sorted node indices
-        ``rows``; ``num_users`` then counts the user rows among them.
+    def row_block(self, rows: np.ndarray) -> RowBlock:
+        """The adjacency's rows at the sorted node indices ``rows``."""
+        return RowBlock(rows, self.adj[rows])
 
-        With ``rows``, layers 0 to L-1 still propagate over every node and the
-        last layer is ``adj[rows] @ cur``.  Each of its rows sums the same terms
-        in the same order as the full product's row, so the result is bit for
-        bit the full features at ``rows``."""
+    def forward(self, table: Param, block: RowBlock | None = None) -> GraphFeatures:
+        """Combined features at every node, or only at the node indices
+        ``block.rows``; ``num_users`` then counts the user rows among them.
+
+        With ``block``, layers 0 to L-1 still propagate over every node and
+        the last layer is ``block.adj @ cur``.  Each of its rows sums the same
+        terms in the same order as the full product's row, so the result is
+        bit for bit the full features at ``block.rows``."""
         if table.value.shape[0] != self.adj.shape[0]:
             raise ValueError(f"embedding table has {table.value.shape[0]} rows, adjacency "
                              f"expects {self.adj.shape[0]}")
-        take = slice(None) if rows is None else rows
+        take = slice(None) if block is None else block.rows
         layers = self.cfg.num_layers
         cur = table.value
         values = self.alphas[0] * cur[take]
@@ -108,28 +122,29 @@ class LightGCN:
             cur = np.asarray(self.adj @ cur)
             values += self.alphas[k] * cur[take]
         if layers:
-            last = self.adj if rows is None else self.adj[rows]
+            last = self.adj if block is None else block.adj
             values += self.alphas[layers] * np.asarray(last @ cur)
-        num_users = self.num_users if rows is None else int(np.searchsorted(rows, self.num_users))
+        num_users = (self.num_users if block is None
+                     else int(np.searchsorted(block.rows, self.num_users)))
         return GraphFeatures(values=values, num_users=num_users)
 
-    def backward(self, d_features: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, d_features: np.ndarray, block: RowBlock | None = None) -> np.ndarray:
         """Pull a gradient on the combined features back to the layer-0 table
         via the transpose chain sum_k alpha_k (adj^T)^k, with adj^T = adj.
 
-        With ``rows``, ``d_features`` is the gradient at the sorted node
-        indices ``rows`` and zero elsewhere, and the first product is
-        ``adj[rows].T @ d_features``.  Scipy's CSC loop visits the columns in
+        With ``block``, ``d_features`` is the gradient at the node indices
+        ``block.rows`` and zero elsewhere, and the first product is
+        ``block.adj.T @ d_features``.  Scipy's CSC loop visits the columns in
         ascending order, so each output row adds the full product's terms in
         the same order, less its +0.0 terms; a sum that starts at +0.0 is never
         -0.0, so those terms change no bit."""
-        if rows is None:
+        if block is None:
             out = self.alphas[0] * d_features
             first = self.adj
         else:
             out = np.full((self.adj.shape[0], d_features.shape[1]), self.alphas[0] * 0.0)
-            out[rows] = self.alphas[0] * d_features
-            first = self.adj[rows].T
+            out[block.rows] = self.alphas[0] * d_features
+            first = block.adj.T
         cur = d_features
         for k in range(1, self.cfg.num_layers + 1):
             cur = np.asarray((first if k == 1 else self.adj) @ cur)

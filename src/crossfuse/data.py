@@ -33,7 +33,9 @@ class DataConfig:
     ``rating_column`` may be None for implicit logs (every observed pair then
     gets rating 1).  ``delimiter`` None sniffs tab vs comma from the first
     line.  A first line whose rating column is not a number is a header and is
-    skipped.
+    skipped.  An implicit log gets no header detection, since no rule tells a
+    header from string ids: its header line would load as one more user and
+    item, so remove it first.
     """
 
     user_column: int = 0
@@ -105,8 +107,10 @@ class InteractionDataset:
     def _ensure_adjacency(self):
         if self._adjacency is None:
             tr = self.split_indices(TRAIN)
-            users, items = self.users[tr], self.items[tr]
-            indices = items[np.lexsort((items, users))]
+            users = self.users[tr]
+            # a validated split repeats no pair, so sorting the pair keys
+            # orders items within each user exactly as a (user, item) lexsort
+            indices = np.sort(users * self.m + self.items[tr]) % self.m
             indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(users, minlength=self.n), out=indptr[1:])
             indptr.flags.writeable = False
@@ -144,8 +148,9 @@ class InteractionDataset:
             raise DataError("item index out of range")
         if not np.all(np.isfinite(self.ratings)):
             raise DataError("non-finite rating value")
-        key = (self.split.astype(np.int64) * self.n + self.users) * self.m + self.items
-        if len(np.unique(key)) != t:
+        # plain np.unique hashes (numpy >= 2.3); a sort is much faster here
+        key = np.sort((self.split.astype(np.int64) * self.n + self.users) * self.m + self.items)
+        if np.any(key[1:] == key[:-1]):
             raise DataError("duplicate (user, item) pair within a split")
 
     def with_split(self, split: np.ndarray) -> "InteractionDataset":
@@ -169,8 +174,9 @@ def load_interactions(path: str | Path, cfg: DataConfig | None = None) -> Intera
     """Parse a delimited interaction log into a re-indexed dataset.
 
     Raw user/item identifiers are mapped to contiguous indices in first
-    appearance order.  Exact duplicate (user, item) pairs after the first are
-    dropped with a warning.  All triplets start in the train split; use
+    appearance order, duplicate rows included.  Of a repeated (user, item)
+    pair only the first row is kept, with its rating; one warning gives the
+    number of rows dropped.  All triplets start in the train split; use
     :func:`split_dataset` to assign validation/test tags.
     """
     cfg = cfg or DataConfig()
@@ -192,8 +198,6 @@ def load_interactions(path: str | Path, cfg: DataConfig | None = None) -> Intera
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     users, items, ratings = [], [], []
-    seen: set[tuple[int, int]] = set()
-    dropped = 0
     width = max(c for c in (c_user, c_item, c_rating) if c is not None) + 1
 
     for lineno in range(start, len(lines)):
@@ -212,24 +216,31 @@ def load_interactions(path: str | Path, cfg: DataConfig | None = None) -> Intera
                 r = float(r_text)
             except ValueError:
                 raise DataError(f"{path}:{lineno + 1}: bad rating value {r_text!r}") from None
-        u = user_index.setdefault(raw_u, len(user_index))
-        i = item_index.setdefault(raw_i, len(item_index))
-        if (u, i) in seen:
-            dropped += 1
-            continue
-        seen.add((u, i))
-        users.append(u)
-        items.append(i)
+        users.append(user_index.setdefault(raw_u, len(user_index)))
+        items.append(item_index.setdefault(raw_i, len(item_index)))
         ratings.append(r)
 
     if not users:
         raise DataError(f"{path}: no interaction rows")
+    users = np.array(users, dtype=np.int64)
+    items = np.array(items, dtype=np.int64)
+    ratings = np.array(ratings, dtype=np.float64)
+    # a stable sort of the pair keys puts each pair's rows in file order, so
+    # the first row of each run of equal keys is the pair's first row
+    key = users * len(item_index) + items
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    dropped = len(key) - int(np.count_nonzero(first))
     if dropped:
         log.warning("%s: dropped %d duplicate (user, item) rows", path, dropped)
+        keep = np.sort(order[first])
+        users, items, ratings = users[keep], items[keep], ratings[keep]
 
     return InteractionDataset(
         n=len(user_index), m=len(item_index),
-        users=np.array(users), items=np.array(items), ratings=np.array(ratings),
+        users=users, items=items, ratings=ratings,
         split=np.zeros(len(users), dtype=np.int8),
         user_ids=list(user_index), item_ids=list(item_index),
     )

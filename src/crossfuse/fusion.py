@@ -227,8 +227,9 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
 
 
 def _batch_rows(model: LightGCN, batch, rated: bool):
-    """The sorted node rows a batch reads, and the batch with its users and
-    items replaced by their positions among the user and the item rows.
+    """The adjacency's row block at the sorted node rows a batch reads, and
+    the batch with its users and items replaced by their positions among the
+    user and the item rows.
 
     Restricting the outermost products costs a row slice and this mapping per
     batch, a fixed cost that only a large skipped share repays, so the rows
@@ -247,7 +248,7 @@ def _batch_rows(model: LightGCN, batch, rated: bool):
         return None, batch
     mask = np.zeros(size, dtype=bool)
     mask[nodes] = True
-    if (2 * int(np.diff(model.adj.indptr)[mask].sum()) > model.adj.nnz
+    if (2 * int(model.row_nnz[mask].sum()) > model.adj.nnz
             or nodes[0].max() >= n or nodes[1:].min() < n):
         return None, batch
     rows = np.flatnonzero(mask)
@@ -255,7 +256,7 @@ def _batch_rows(model: LightGCN, batch, rated: bool):
     local[1:] -= np.searchsorted(rows, n)
     mapped = arr.copy()
     mapped[:, :width] = local.T
-    return rows, mapped
+    return model.row_block(rows), mapped
 
 
 def fused_objective_grad(model: LightGCN, table: Param,
@@ -267,25 +268,25 @@ def fused_objective_grad(model: LightGCN, table: Param,
     table, and the squared-norm regularizer on that table.
 
     The objective reads only the batch's rows, so when ``_batch_rows`` picks
-    them both passes run on those rows alone (``LightGCN.forward`` and
-    ``backward`` with ``rows``) and the objective runs on |rows|-row feature
-    matrices; every result is bit for bit the full passes'.  Weighted
+    them both passes run on their one row block alone (``LightGCN.forward``
+    and ``backward`` with ``block``) and the objective runs on |rows|-row
+    feature matrices; every result is bit for bit the full passes'.  Weighted
     summation reads its matrices from ``w_params`` and accumulates their
     gradients there.  Returns the total loss.
     """
     weights = tuple(p.value for p in w_params) if w_params else None
-    rows, batch = _batch_rows(model, batch, cfg.rated)
-    feats = model.forward(table, rows)
-    if rows is not None:
+    block, batch = _batch_rows(model, batch, cfg.rated)
+    feats = model.forward(table, block)
+    if block is not None:
         if a_users is not None:
-            a_users = a_users[rows[:feats.num_users]]
+            a_users = a_users[block.rows[:feats.num_users]]
         if a_items is not None:
-            a_items = a_items[rows[feats.num_users:] - model.num_users]
+            a_items = a_items[block.rows[feats.num_users:] - model.num_users]
     loss, dU, dV, dW = feature_objective(feats.users, feats.items, a_users, a_items,
                                          batch, cfg, weights)
     for p, g in zip(w_params or [], dW):
         p.grad += g
-    table.grad += model.backward(np.concatenate([dU, dV], axis=0), rows)
+    table.grad += model.backward(np.concatenate([dU, dV], axis=0), block)
     lam = model.cfg.lambda_reg
     if lam:
         loss += lam * float(np.sum(table.value ** 2))

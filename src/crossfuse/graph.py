@@ -49,9 +49,9 @@ def isolated_nodes(R: sp.spmatrix, axis: str = "rows") -> np.ndarray:
     return np.flatnonzero(counts == 0)
 
 
-def check_similarity(epsilon: float, variant: str) -> None:
+def check_similarity(epsilon: float, variant: str, key: str = "epsilon") -> None:
     if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
+        raise ValueError(f"{key} must lie in [0, 1], got {epsilon}")
     if variant not in ("cosine", "printed"):
         raise ValueError(f"unknown similarity variant {variant!r}")
 
@@ -67,8 +67,8 @@ class GraphConfig:
     max_neighbors: int | None = None
 
     def validate(self) -> None:
-        check_similarity(self.epsilon_user, self.similarity)
-        check_similarity(self.epsilon_item, self.similarity)
+        for key in ("epsilon_user", "epsilon_item"):
+            check_similarity(getattr(self, key), self.similarity, key)
         if self.max_neighbors is not None and self.max_neighbors < 0:
             raise ValueError(f"max_neighbors must be none or >= 0, got {self.max_neighbors}")
 

@@ -70,8 +70,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.eta1 <= 0 or self.eta2 <= 0:
-            raise ValueError("learning rates must be positive")
+        for key in ("eta1", "eta2"):
+            rate = getattr(self, key)
+            if rate <= 0:
+                raise ValueError(f"{key} must be positive, got {rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -204,7 +204,7 @@ def _bits(arr: np.ndarray) -> tuple:
 
 
 class TestRestrictedPropagation:
-    """``forward(table, rows)`` and ``backward(d, rows)`` against the full
+    """``forward`` and ``backward`` on ``row_block(rows)`` against the full
     passes, bit for bit: the restricted products add the same nonzero terms
     in the same order, and a partial sum that starts at +0.0 is never -0.0,
     so the +0.0 terms they skip change nothing."""
@@ -219,13 +219,14 @@ class TestRestrictedPropagation:
 
     def _check(self, model, table, rows, d_rows):
         full = model.forward(table)
-        got = model.forward(table, rows)
+        block = model.row_block(rows)
+        got = model.forward(table, block)
         assert _bits(got.values) == _bits(full.values[rows])
         assert got.num_users == int(np.sum(rows < model.num_users))
         assert _bits(got.users) == _bits(full.users[rows[rows < model.num_users]])
         d_full = np.zeros((model.adj.shape[0], d_rows.shape[1]))
         d_full[rows] = d_rows
-        assert _bits(model.backward(d_rows, rows)) == _bits(model.backward(d_full))
+        assert _bits(model.backward(d_rows, block)) == _bits(model.backward(d_full))
 
     @pytest.mark.parametrize("layers", [0, 1, 2, 3])
     @pytest.mark.parametrize("which", ["all", "one-user", "one-item", "users", "items",

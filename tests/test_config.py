@@ -78,7 +78,9 @@ def test_bad_value_reports_key(tmp_path):
     ("auxnet", "bn_eps = -1", "bn_eps"),
     ("graph", "max_neighbors = -1", "max_neighbors"),
     ("data", "user_column = -1", "user_column"),
-    ("train", "patience = -3", "patience")])
+    ("train", "patience = -3", "patience"),
+    ("train", "eta2 = 0", "eta2"),
+    ("graph", "epsilon_item = 1.5", "epsilon_item")])
 def test_values_the_sub_configs_reject_are_config_errors(tmp_path, section, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")

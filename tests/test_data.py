@@ -1,12 +1,15 @@
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_dataset
 from crossfuse.data import (TEST, TRAIN, VALIDATION, DataConfig, DataError,
-                            InteractionDataset, _split_counts,
-                            encode_auxiliary, load_interactions, make_fields,
+                            InteractionDataset, _is_float, _sniff_delimiter,
+                            _split_counts, encode_auxiliary, load_interactions, make_fields,
                             one_hot_matrix, sample_negatives, split_dataset,
                             write_remap_table)
 
@@ -84,6 +87,132 @@ class TestLoadInteractions:
         assert len(rows) == len(ds.user_ids)
         for raw, idx in rows:
             assert ds.user_ids[int(idx)] == raw
+
+
+def per_line_reference(path, cfg):
+    """Reference loader: one line at a time, dropping a repeated pair as it is
+    read through a set of the pairs seen so far, exactly as the loader did
+    before it deduplicated by sorting.  Returns the loaded arrays, the raw id
+    lists and the number of rows dropped."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    delim = cfg.delimiter or _sniff_delimiter(lines[0] if lines else ",")
+    c_user, c_item, c_rating = cfg.user_column, cfg.item_column, cfg.rating_column
+    start = 0
+    if lines and c_rating is not None:
+        first = lines[0].split(delim)
+        start = int(len(first) > c_rating and not _is_float(first[c_rating].strip()))
+    user_index, item_index = {}, {}
+    users, items, ratings = [], [], []
+    seen = set()
+    dropped = 0
+    width = max(c for c in (c_user, c_item, c_rating) if c is not None) + 1
+    for lineno in range(start, len(lines)):
+        line = lines[lineno].strip()
+        if not line:
+            continue
+        parts = line.split(delim)
+        if len(parts) < width:
+            raise DataError(f"{path}:{lineno + 1}: expected at least {width} columns, got {len(parts)}")
+        raw_u = parts[c_user].strip()
+        raw_i = parts[c_item].strip()
+        r = 1.0
+        if c_rating is not None:
+            r_text = parts[c_rating].strip()
+            try:
+                r = float(r_text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno + 1}: bad rating value {r_text!r}") from None
+        u = user_index.setdefault(raw_u, len(user_index))
+        i = item_index.setdefault(raw_i, len(item_index))
+        if (u, i) in seen:
+            dropped += 1
+            continue
+        seen.add((u, i))
+        users.append(u)
+        items.append(i)
+        ratings.append(r)
+    if not users:
+        raise DataError(f"{path}: no interaction rows")
+    return (np.array(users), np.array(items), np.array(ratings),
+            list(user_index), list(item_index), dropped)
+
+
+@st.composite
+def interaction_logs(draw):
+    """A log text and the config that reads it: string ids drawn from small
+    pools, so pairs repeat with different ratings, plus an optional header,
+    blank lines, extra columns, tabs or commas, and implicit logs."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    implicit = draw(st.booleans())
+    extra = draw(st.integers(0, 2))
+    n_users, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lines = []
+    if not implicit and draw(st.booleans()):
+        lines.append(delim.join(["user", "item", "rating"] + ["note"] * extra))
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  "])))
+            continue
+        row = [f"u{draw(st.integers(0, n_users - 1))}", f"i{draw(st.integers(0, n_items - 1))}"]
+        if not implicit:
+            row.append(draw(st.sampled_from(["1", "2.5", "-3", "4e0", " 5 "])))
+        row += [draw(st.sampled_from(["x", "", "7"])) for _ in range(extra)]
+        lines.append(delim.join(row))
+    cfg = DataConfig(rating_column=None if implicit else 2)
+    return "\n".join(lines) + "\n", cfg
+
+
+def dropped_counts(records):
+    """The row counts the loader's duplicate warnings report."""
+    return [int(r.getMessage().split("dropped ")[1].split()[0]) for r in records
+            if "duplicate" in r.getMessage()]
+
+
+class TestLoaderMatchesPerLineReference:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(interaction_logs())
+    def test_generated_logs_load_identically(self, tmp_path, caplog, case):
+        text, cfg = case
+        path = write(tmp_path, "log.txt", text)
+        try:
+            expected = per_line_reference(path, cfg)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_interactions(path, cfg)
+            assert str(got.value) == str(exc)
+            return
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="crossfuse.data"):
+            ds = load_interactions(path, cfg)
+        users, items, ratings, user_ids, item_ids, dropped = expected
+        for got, want in ((ds.users, users), (ds.items, items), (ds.ratings, ratings)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert (ds.user_ids, ds.item_ids) == (user_ids, item_ids)
+        assert dropped_counts(caplog.records) == ([dropped] if dropped else [])
+
+    def test_first_row_of_a_repeated_pair_keeps_its_rating(self, tmp_path, caplog):
+        path = write(tmp_path, "dup.csv", "u1,i1,1\nu2,i1,4\nu1,i1,2\nu1,i2,3\nu1,i1,5\n")
+        with caplog.at_level(logging.WARNING, logger="crossfuse.data"):
+            ds = load_interactions(path)
+        assert ds.users.tolist() == [0, 1, 0]
+        assert ds.items.tolist() == [0, 0, 1]
+        assert ds.ratings.tolist() == [1.0, 4.0, 3.0]
+        assert dropped_counts(caplog.records) == [2]
+
+    @pytest.mark.parametrize("bad", ["u9,i9", "u9,i9,oops"])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_bad_line_reports_the_reference_line_number(self, tmp_path, bad, at):
+        lines = ["user,item,rating", "u1,i1,1", "", "u1,i1,2", "u2,i2,1", "u2,i1,3", "u1,i2,1"]
+        lines.insert(at + 1, bad)
+        path = write(tmp_path, "bad.csv", "\n".join(lines) + "\n")
+        with pytest.raises(DataError) as want:
+            per_line_reference(path, DataConfig())
+        with pytest.raises(DataError, match=f":{at + 2}: ") as got:
+            load_interactions(path)
+        assert str(got.value) == str(want.value)
 
 
 class TestEncodeAuxiliary:
@@ -361,6 +490,74 @@ class TestTrainCsr:
             indptr[0] = 1
         with pytest.raises(ValueError):
             indices[0] = 1
+
+
+def lexsort_csr(ds):
+    """Reference train CSR: the train pairs ordered by a (user, item) lexsort."""
+    tr = ds.split_indices(TRAIN)
+    users, items = ds.users[tr], ds.items[tr]
+    indptr = np.zeros(ds.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(users, minlength=ds.n), out=indptr[1:])
+    return indptr, items[np.lexsort((items, users))]
+
+
+@st.composite
+def tagged_triples(draw, unique):
+    """(n, m, split, users, items); with ``unique`` no (split, user, item)
+    triple repeats, otherwise repeats are likely."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    triple = st.tuples(st.integers(0, 2), st.integers(0, n - 1), st.integers(0, m - 1))
+    if unique:
+        triples = draw(st.lists(triple, min_size=1, max_size=30, unique=True))
+    else:
+        triples = draw(st.lists(triple, min_size=1, max_size=12))
+    split, users, items = (np.array(c, dtype=np.int64) for c in zip(*triples))
+    return n, m, split.astype(np.int8), users, items
+
+
+def make_tagged(n, m, split, users, items):
+    return InteractionDataset(n=n, m=m, users=users, items=items,
+                              ratings=np.ones(len(users)), split=split)
+
+
+class TestSortedPairKeys:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(tagged_triples(unique=False))
+    def test_validate_rejects_exactly_a_repeated_triple(self, case):
+        n, m, split, users, items = case
+        triples = list(zip(split.tolist(), users.tolist(), items.tolist()))
+        if len(set(triples)) == len(triples):
+            make_tagged(n, m, split, users, items)
+        else:
+            with pytest.raises(DataError, match="duplicate"):
+                make_tagged(n, m, split, users, items)
+
+    def test_same_pair_in_two_splits_passes(self):
+        ds = make_tagged(2, 3, np.array([TRAIN, TEST, VALIDATION], dtype=np.int8),
+                         np.array([1, 1, 1]), np.array([2, 2, 2]))
+        assert len(ds) == 3
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(tagged_triples(unique=True))
+    def test_train_csr_equals_lexsort_form(self, case):
+        ds = make_tagged(*case)
+        indptr, indices = ds.train_csr()
+        want_indptr, want_indices = lexsort_csr(ds)
+        for got, want in ((indptr, want_indptr), (indices, want_indices)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_train_csr_with_trainless_users_and_one_user(self):
+        ds = make_tagged(4, 6, np.array([TEST, TRAIN, TRAIN, TEST, TRAIN], dtype=np.int8),
+                         np.array([0, 2, 2, 3, 2]), np.array([1, 5, 0, 4, 3]))
+        indptr, indices = ds.train_csr()
+        assert indptr.tolist() == [0, 0, 0, 3, 3]
+        assert indices.tolist() == [0, 3, 5]
+        one = make_tagged(1, 4, np.zeros(3, dtype=np.int8), np.zeros(3, dtype=np.int64),
+                          np.array([3, 0, 2]))
+        for got, want in zip(one.train_csr(), lexsort_csr(one)):
+            assert np.array_equal(got, want)
+        assert one.train_items(0).tolist() == [0, 2, 3]
 
 
 class TestDatasetInvariants:
