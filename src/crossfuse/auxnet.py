@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataError
-from .optim import Param, indicator
+from .optim import Param, indicator, scatter_rows
 
 
 def save_dense_matrix(path, mat: np.ndarray) -> None:
@@ -443,8 +443,8 @@ def squared_score_loss(a_users: np.ndarray, a_items: np.ndarray,
     ai = a_items[i]
     e = np.einsum("ij,ij->i", au, ai) - r
     loss = float(np.sum(e * e))
-    dAu = indicator(u, len(a_users)) @ ((2.0 * e)[:, None] * ai)
-    dAv = indicator(i, len(a_items)) @ ((2.0 * e)[:, None] * au)
+    dAu = scatter_rows(u, len(a_users), (2.0 * e)[:, None] * ai)
+    dAv = scatter_rows(i, len(a_items), (2.0 * e)[:, None] * au)
     return loss, dAu, dAv
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .optim import Param, indicator
+from .optim import Param, scatter_rows
 
 
 @dataclass
@@ -188,9 +188,9 @@ def bpr_loss_and_feature_grad(users_feat: np.ndarray, items_feat: np.ndarray,
     loss = float(log_sigmoid_loss(x).sum())
 
     c = sigmoid(x) - 1.0  # d(-ln sigma(x))/dx
-    dU = indicator(u, len(users_feat)) @ (c[:, None] * (gp - gn))
+    dU = scatter_rows(u, len(users_feat), c[:, None] * (gp - gn))
     cg = c[:, None] * gu
     # positives first, then negatives: the order each item's rows are summed in
-    dV = indicator(np.concatenate([ip, ineg]), len(items_feat)) @ np.concatenate([cg, -cg])
+    dV = scatter_rows(np.concatenate([ip, ineg]), len(items_feat), np.concatenate([cg, -cg]))
     return loss, dU, dV
 

@@ -23,8 +23,7 @@ from . import __version__, auxnet, fusion, gradcheck
 from .backbone import BackboneConfig, LightGCN, init_embeddings
 from .config import ConfigError, RunConfig, load_config
 from .data import (DataError, InteractionDataset, encode_auxiliary, load_interactions,
-                   make_fields, split_dataset, split_truth,
-                   write_remap_table, TEST)
+                   make_fields, split_dataset, write_remap_table, TEST)
 from .evaluate import category_kl, write_report_json, write_report_text
 from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
                     load_graph, normalize_bipartite, save_graph)
@@ -341,9 +340,8 @@ def cmd_evaluate(args) -> int:
     params = {k: Param(v) for k, v in unpack_stage2_state(ckpt).selected().items()}
     model = LightGCN(adj, ds.n, BackboneConfig(dim=params["table"].value.shape[1],
                                                num_layers=trained["layers"]))
-    truth = split_truth(ds, TEST)
-    recs, report = score(ds, model, params, trained["variant"], ckpt.tensors.get("aux_users"),
-                         ckpt.tensors.get("aux_items"), truth, cfg.eval.topn,
+    top, report = score(ds, model, params, trained["variant"], ckpt.tensors.get("aux_users"),
+                         ckpt.tensors.get("aux_items"), ds.split_csr(TEST), cfg.eval.topn,
                          keep_per_user=args.per_user)
     write_report_text(report, out / "metrics.tsv")
     write_report_json(report, out / "metrics.json")
@@ -355,6 +353,7 @@ def cmd_evaluate(args) -> int:
             json.dumps(detail, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
     if args.kl:
+        recs = top.as_dict()
         histories = {u: ds.train_items(u).tolist() for u in recs}
         kl, _ = category_kl(histories, recs, cats, cfg.eval.kl_categories)
         (out / "kl.json").write_text(
@@ -377,7 +376,7 @@ def cmd_ablate(args) -> int:
     if a_users is None:
         raise PipelineOrderError("ablation needs stage-1 products; run `crossfuse train-aux`")
 
-    truth = split_truth(ds, TEST)
+    truth = ds.split_csr(TEST)
     rows = []
     for variant in fusion.VARIANTS:
         table = init_embeddings(ds.n + ds.m, cfg.backbone.dim, cfg.train.seed)

@@ -63,8 +63,8 @@ class InteractionDataset:
 
     Users and items are contiguous integers; the original raw identifiers are
     kept in ``user_ids`` / ``item_ids`` so results can be reported against the
-    source log.  The train adjacency (CSR plus per-user item sets) covers the
-    train split only and is built on first use.
+    source log.  Each split's items per user (``split_csr``) and the train
+    split's per-user item sets are built on first use.
     """
 
     def __init__(self, n: int, m: int, users: np.ndarray, items: np.ndarray,
@@ -79,7 +79,8 @@ class InteractionDataset:
         self.split = np.asarray(split, dtype=np.int8)
         self.user_ids = list(user_ids) if user_ids is not None else [str(u) for u in range(self.n)]
         self.item_ids = list(item_ids) if item_ids is not None else [str(i) for i in range(self.m)]
-        self._adjacency = None
+        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._sets: list[frozenset] | None = None
         self.validate()
 
     # -- basic views ---------------------------------------------------
@@ -102,37 +103,40 @@ class InteractionDataset:
                                 self.items[idx].astype(np.float64),
                                 self.ratings[idx]])
 
-    # -- train adjacency -----------------------------------------------
+    # -- per-split adjacency -------------------------------------------
 
-    def _ensure_adjacency(self):
-        if self._adjacency is None:
-            tr = self.split_indices(TRAIN)
-            users = self.users[tr]
+    def split_csr(self, tag: int) -> tuple[np.ndarray, np.ndarray]:
+        """One split as read-only CSR: ``indices[indptr[u]:indptr[u + 1]]``
+        are user u's items in that split, sorted.  Built on first use."""
+        if tag not in self._csr:
+            at = self.split_indices(tag)
+            users = self.users[at]
             # a validated split repeats no pair, so sorting the pair keys
             # orders items within each user exactly as a (user, item) lexsort
-            indices = np.sort(users * self.m + self.items[tr]) % self.m
+            indices = np.sort(users * self.m + self.items[at]) % self.m
             indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(users, minlength=self.n), out=indptr[1:])
             indptr.flags.writeable = False
             indices.flags.writeable = False
-            flat, bounds = indices.tolist(), indptr.tolist()
-            sets = [frozenset(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-            self._adjacency = (indptr, indices, sets)
-        return self._adjacency
-
-    def train_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The train split as read-only CSR: ``indices[indptr[u]:indptr[u + 1]]``
-        are user u's train items, sorted."""
-        indptr, indices, _ = self._ensure_adjacency()
-        return indptr, indices
+            self._csr[tag] = (indptr, indices)
+        return self._csr[tag]
 
     def train_items(self, u: int) -> np.ndarray:
         """Sorted train-split items of user u, as a read-only view."""
-        indptr, indices, _ = self._ensure_adjacency()
+        indptr, indices = self.split_csr(TRAIN)
         return indices[indptr[u]:indptr[u + 1]]
 
+    def _train_sets(self) -> list[frozenset]:
+        """Each user's train items as a set, built on first use: only the
+        negative sampler needs them."""
+        if self._sets is None:
+            indptr, indices = self.split_csr(TRAIN)
+            flat, bounds = indices.tolist(), indptr.tolist()
+            self._sets = [frozenset(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        return self._sets
+
     def train_item_set(self, u: int) -> frozenset:
-        return self._ensure_adjacency()[2][u]
+        return self._train_sets()[u]
 
     # -- consistency ----------------------------------------------------
 
@@ -477,13 +481,13 @@ def split_dataset(ds: InteractionDataset, ratios: tuple[float, float, float],
 
 
 def split_truth(ds: InteractionDataset, tag: int) -> dict[int, set[int]]:
-    """Each user's items in one split, keyed by user index; users without
-    an interaction in the split are absent."""
-    idx = ds.split_indices(tag)
-    truth: dict[int, set[int]] = {}
-    for u, i in zip(ds.users[idx].tolist(), ds.items[idx].tolist()):
-        truth.setdefault(u, set()).add(i)
-    return truth
+    """Each user's items in one split as a set, keyed by user index in
+    ascending order (the mapping form of ``ds.split_csr(tag)``); users
+    without an interaction in the split are absent."""
+    indptr, indices = ds.split_csr(tag)
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return {u: set(flat[bounds[u]:bounds[u + 1]])
+            for u in np.flatnonzero(np.diff(indptr)).tolist()}
 
 
 def _replay(rng: np.random.Generator, state: dict, m: int, count: int) -> None:
@@ -506,24 +510,30 @@ def sample_negatives(ds: InteractionDataset, users: np.ndarray,
     """
     users = np.asarray(users, dtype=np.int64).tolist()
     m = ds.m
-    item_sets = ds._ensure_adjacency()[2]
+    item_sets = ds._train_sets()
     # Room for rejections (about 7% of draws on the desk data), so one block
     # usually covers the batch; a short block is topped up, never redrawn.
     slack = len(users) // 8 + 16
     start = rng.bit_generator.state
     block = rng.integers(0, m, size=len(users) + slack).tolist()
-    used = 0
+    used, size = 0, len(block)
     out = []
     for k, u in enumerate(users):
         pos = item_sets[u]
+        if used < size and block[used] not in pos:
+            # the common case: the next draw is accepted at once
+            out.append(block[used])
+            used += 1
+            continue
         if len(pos) >= m:
             _replay(rng, start, m, used)
             raise DataError(f"user {u} has interacted with every item; "
                             f"no negative can be sampled")
         tries = 0
         while True:
-            if used == len(block):
+            if used == size:
                 block += rng.integers(0, m, size=len(users) - k + slack).tolist()
+                size = len(block)
             i = block[used]
             used += 1
             if i not in pos:
@@ -534,7 +544,7 @@ def sample_negatives(ds: InteractionDataset, users: np.ndarray,
                 i = int(rng.choice(np.setdiff1d(np.arange(m), ds.train_items(u))))
                 start = rng.bit_generator.state
                 block = rng.integers(0, m, size=len(users) - k - 1 + slack).tolist()
-                used = 0
+                used, size = 0, len(block)
                 break
         out.append(i)
     _replay(rng, start, m, used)

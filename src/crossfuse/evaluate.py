@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionDataset
+from .data import TRAIN, InteractionDataset
 
 KL_SMOOTHING = 1e-9
 
@@ -25,39 +25,79 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def recommend_all(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset,
-                  n: int, users: Sequence[int] | None = None,
-                  chunk: int = 1024) -> dict[int, np.ndarray]:
-    """Top-n lists for many users at once, excluding each user's train items.
+@dataclass(frozen=True)
+class TopN:
+    """Top-n lists of many users as one matrix: row r holds user
+    ``users[r]``'s list, best first, in its first ``lengths[r]`` columns and
+    -1 after them."""
 
-    Items are ranked by descending score, ties by ascending item index (the
-    order of a stable argsort of the negated scores), and each list is cut at
-    the user's pool of unseen items.  Scores must be finite.
-    """
-    if users is None:
-        users = range(ds.n)
-    users = np.asarray(list(users), dtype=np.int64)
-    indptr, indices = ds.train_csr()
+    users: np.ndarray
+    items: np.ndarray
+    lengths: np.ndarray
+
+    def as_dict(self) -> dict[int, np.ndarray]:
+        """Each user's list, keyed by user in row order, as a view of its row."""
+        return {u: self.items[r, :k]
+                for r, (u, k) in enumerate(zip(self.users.tolist(), self.lengths.tolist()))}
+
+
+def _rank_rows(neg: np.ndarray, keep: int) -> np.ndarray:
+    """Columns of each row's ``keep`` smallest entries, ordered by (value,
+    column), for 1 <= keep <= the row length."""
+    nth = np.partition(neg, keep - 1, axis=1)[:, keep - 1]
+    chosen = neg <= nth[:, None]
+    # a row with more than ``keep`` entries at or below its keep-th value has
+    # a tie there, which must go to the smaller columns: those rows are
+    # ranked below from all their candidates, and hold a placeholder here
+    ties = np.flatnonzero(np.count_nonzero(chosen, axis=1) != keep)
+    chosen[ties] = False
+    chosen[ties, :keep] = True
+    flat = np.flatnonzero(chosen)
+    order = np.argsort(neg.ravel()[flat].reshape(-1, keep), axis=1, kind="stable")
+    out = np.take_along_axis((flat % neg.shape[1]).reshape(-1, keep), order, axis=1)
+    if len(ties):
+        sub = neg[ties]
+        r, c = np.nonzero(sub <= nth[ties, None])
+        order = np.lexsort((c, sub[r, c], r))
+        first = np.searchsorted(r[order], np.arange(len(ties)))
+        out[ties] = c[order][first[:, None] + np.arange(keep)]
+    return out
+
+
+def top_n(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset, n: int,
+          users: np.ndarray, chunk: int = 1024) -> TopN:
+    """Top-n lists of ``users`` (in that row order), excluding each user's
+    train items.
+
+    Items are ranked by descending score ``g_users[u] @ g_items[i]``, ties by
+    ascending item index (the order of a stable argsort of the negated
+    scores), and each list is cut at the user's pool of unseen items.  Scores
+    are computed ``chunk`` users at a time and must be finite."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    users = np.asarray(users, dtype=np.int64)
+    indptr, indices = ds.split_csr(TRAIN)
     keep = min(n, ds.m)
-    out: dict[int, np.ndarray] = {}
+    counts = indptr[users + 1] - indptr[users]
+    items = np.empty((len(users), keep), dtype=np.int64)
     for lo in range(0, len(users), chunk):
         block = users[lo:lo + chunk]
         neg = g_users[block] @ g_items.T
         np.negative(neg, out=neg)
-        counts = indptr[block + 1] - indptr[block]
-        rows, k = _ragged(counts)
+        rows, k = _ragged(counts[lo:lo + chunk])
         neg[rows, indices[indptr[block][rows] + k]] = np.inf
-        # every item at or above the n-th score, ordered by (row, -score, item)
-        nth = np.partition(neg, keep - 1, axis=1)[:, keep - 1]
-        r, c = np.nonzero(neg <= nth[:, None])
-        v = neg[r, c]
-        order = np.lexsort((c, v, r))
-        r, c = r[order], c[order]
-        first = np.searchsorted(r, np.arange(len(block)))
-        lengths = np.minimum(n, ds.m - counts)
-        for row, u in enumerate(block.tolist()):
-            out[u] = c[first[row]:first[row] + lengths[row]]
-    return out
+        items[lo:lo + chunk] = _rank_rows(neg, keep)
+    lengths = np.minimum(n, ds.m - counts)
+    items[np.arange(keep) >= lengths[:, None]] = -1
+    return TopN(users, items, lengths)
+
+
+def recommend_all(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset,
+                  n: int, users: Sequence[int] | None = None,
+                  chunk: int = 1024) -> dict[int, np.ndarray]:
+    """``top_n`` as a mapping from user to list, for every user by default."""
+    users = np.arange(ds.n) if users is None else np.fromiter(users, np.int64)
+    return top_n(g_users, g_items, ds, n, users, chunk).as_dict()
 
 
 @dataclass
@@ -107,35 +147,36 @@ class EvalConfig:
             raise ValueError(f"kl_categories must be >= 1, got {self.kl_categories}")
 
 
-def ranking_metrics(recommendations: Mapping[int, np.ndarray],
-                    ground_truth: Mapping[int, set],
-                    topn: Sequence[int],
-                    keep_per_user: bool = False) -> RankingReport:
+def score_top_n(top: TopN, truth: tuple[np.ndarray, np.ndarray], topn: Sequence[int],
+                keep_per_user: bool = False, skipped: int = 0) -> RankingReport:
     """Per-user precision/recall/F1, truncated reciprocal rank, and normalized
-    discounted cumulative gain, macro-averaged over users with test items.
+    discounted cumulative gain of ``top``'s lists, macro-averaged over its
+    rows.
 
-    A user with test items but no recommendation list is skipped and counted.
-    Means are sums in ascending user order, one user after the other.
+    ``truth`` is CSR over the rows of ``top``: row r's relevant items are
+    ``indices[indptr[r]:indptr[r + 1]]``, sorted, distinct and not empty.
+    ``skipped`` counts users with relevant items but no list.  Means are sums
+    in row order, one user after the other.
     """
     check_topn(topn)
     topn = sorted(set(int(n) for n in topn))
     width = topn[-1]
-    truths = {u: set(map(int, ground_truth[u])) for u in sorted(ground_truth)}
-    truths = {u: t for u, t in truths.items() if t}
-    scored = [u for u in truths if u in recommendations]
-    lists = [np.asarray(recommendations[u])[:width] for u in scored]
+    indptr, indices = truth
+    sizes = np.diff(indptr)
+    count = len(top.users)
 
-    # hit[r, k]: the k-th item recommended to scored user r is in their truth set
-    lengths = np.array([len(x) for x in lists], dtype=np.int64)
-    sizes = np.array([len(truths[u]) for u in scored], dtype=np.int64)
-    rows, ranks = _ragged(lengths)
-    recommended = np.concatenate(lists + [np.empty(0, np.int64)]).astype(np.int64)
-    truth_rows, _ = _ragged(sizes)
-    truth_items = np.fromiter(chain.from_iterable(truths[u] for u in scored), np.int64,
-                              count=int(sizes.sum()))
-    span = max(recommended.max(initial=0), truth_items.max(initial=0)) + 1
-    hit = np.zeros((len(scored), width), dtype=bool)
-    hit[rows, ranks] = np.isin(rows * span + recommended, truth_rows * span + truth_items)
+    # hit[r, k]: the k-th item recommended to row r is among its truth items;
+    # rows are sorted, so the row-keyed truth is one ascending array
+    listed = top.items[:, :width]
+    span = max(int(listed.max(initial=0)), int(indices.max(initial=0))) + 1
+    row_of = np.arange(count)[:, None]
+    keys = np.repeat(np.arange(count), sizes) * span + indices
+    wanted = row_of * span + listed
+    at = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
+    hit = np.zeros((count, width), dtype=bool)
+    if len(keys):
+        hit[:, :listed.shape[1]] = ((keys[at] == wanted)
+                                    & (np.arange(listed.shape[1]) < top.lengths[:, None]))
 
     disc = np.array([1.0 / math.log2(k + 2) for k in range(width)])
     dcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)
@@ -156,17 +197,42 @@ def ranking_metrics(recommendations: Mapping[int, np.ndarray],
         values["mrr"][n] = np.where(first <= n, 1.0 / first, 0.0)
         values["ndcg"][n] = dcg[:, n - 1] / ideal[np.minimum(sizes, n) - 1]
 
-    evaluated = len(scored)
-    means = {m: {n: (float(np.cumsum(v)[-1]) / evaluated if evaluated else 0.0)
+    means = {m: {n: (float(np.cumsum(v)[-1]) / count if count else 0.0)
                  for n, v in vals.items()}
              for m, vals in values.items()}
     per_user = None
     if keep_per_user:
         as_lists = {m: {n: v.tolist() for n, v in vals.items()} for m, vals in values.items()}
         per_user = {u: {m: {n: v[r] for n, v in vals.items()} for m, vals in as_lists.items()}
-                    for r, u in enumerate(scored)}
-    return RankingReport(topn=topn, means=means, users_evaluated=evaluated,
-                         users_skipped=len(truths) - evaluated, per_user=per_user)
+                    for r, u in enumerate(top.users.tolist())}
+    return RankingReport(topn=topn, means=means, users_evaluated=count,
+                         users_skipped=skipped, per_user=per_user)
+
+
+def ranking_metrics(recommendations: Mapping[int, np.ndarray],
+                    ground_truth: Mapping[int, set],
+                    topn: Sequence[int],
+                    keep_per_user: bool = False) -> RankingReport:
+    """``score_top_n`` over mappings from user to list and to relevant items,
+    for the users with relevant items, in ascending user order.  A user with
+    relevant items but no list is skipped and counted."""
+    check_topn(topn)
+    width = max(topn)
+    truths = {u: sorted(set(map(int, ground_truth[u]))) for u in sorted(ground_truth)}
+    truths = {u: t for u, t in truths.items() if t}
+    scored = [u for u in truths if u in recommendations]
+    lists = [np.asarray(recommendations[u])[:width] for u in scored]
+
+    lengths = np.array([len(x) for x in lists], dtype=np.int64)
+    items = np.full((len(scored), width), -1, dtype=np.int64)
+    items[_ragged(lengths)] = np.concatenate(lists + [np.empty(0, np.int64)])
+    sizes = np.array([len(truths[u]) for u in scored], dtype=np.int64)
+    indptr = np.zeros(len(scored) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(truths[u] for u in scored), np.int64,
+                          count=int(indptr[-1]))
+    return score_top_n(TopN(np.array(scored, dtype=np.int64), items, lengths),
+                       (indptr, indices), topn, keep_per_user, len(truths) - len(scored))
 
 
 @dataclass

@@ -6,6 +6,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+try:  # the loop scipy's own CSC product runs; not public scipy API
+    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
+except ImportError:  # pragma: no cover
+    _csc_matvecs = None
+
 
 def indicator(index: np.ndarray, size: int) -> sp.csr_matrix:
     """(size, len(index)) 0/1 matrix whose product with a (len(index), d)
@@ -16,6 +21,30 @@ def indicator(index: np.ndarray, size: int) -> sp.csr_matrix:
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(index, minlength=size), out=indptr[1:])
     return sp.csr_matrix((np.ones(len(index)), order, indptr), shape=(size, len(index)))
+
+
+def scatter_rows(index: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """``indicator(index, size) @ values`` bit for bit, without building the
+    matrix: a (size, d) float64 array whose row r sums the rows b of the
+    (len(index), d) ``values`` with ``index[b] == r``, adding them in
+    ascending b onto +0.0.
+
+    The implicit matrix is CSC with one 1.0 per column b, at row
+    ``index[b]``, and runs through the loop scipy's CSC product uses.  That
+    loop checks no index, so an index outside [0, size) raises
+    ``ValueError`` here first."""
+    index = np.asarray(index, dtype=np.intp)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2 or len(values) != len(index):
+        raise ValueError(f"values must be ({len(index)}, d), got shape {values.shape}")
+    if len(index) and (index.min() < 0 or index.max() >= size):
+        raise ValueError(f"row index outside [0, {size})")
+    if _csc_matvecs is None:
+        return indicator(index, size) @ values
+    out = np.zeros((size, values.shape[1]))
+    _csc_matvecs(size, len(index), values.shape[1], np.arange(len(index) + 1),
+                 index, np.ones(len(index)), values, out)
+    return out
 
 
 class Param:

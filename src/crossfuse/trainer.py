@@ -25,9 +25,10 @@ import scipy.sparse as sp
 
 from . import auxnet, fusion
 from .backbone import BackboneConfig, LightGCN
-from .data import (TRAIN, VALIDATION, DataError, InteractionDataset, sample_negatives,
-                   split_truth)
-from .evaluate import RankingReport, ranking_metrics, recommend_all
+from .data import TRAIN, VALIDATION, DataError, InteractionDataset, sample_negatives
+from .evaluate import RankingReport, TopN, score_top_n, top_n
+# perfbench's tracer patches the mapping forms as attributes of this module
+from .evaluate import ranking_metrics, recommend_all  # noqa: F401
 from .optim import Param, check_optimizer, make_optimizer
 
 CHECKPOINT_MAGIC = b"CFCK"
@@ -237,20 +238,26 @@ class Stage2Result:
 
 
 def score(ds: InteractionDataset, model: LightGCN, params: dict[str, Param],
-          variant: str, a_users, a_items, truth: dict[int, set], topn,
-          keep_per_user: bool = False) -> tuple[dict[int, np.ndarray], RankingReport]:
-    """Top-``max(topn)`` unseen items for each user in ``truth`` by the
-    variant's score under ``params`` (named as in ``Stage2State``), and their
-    ranking metrics; validation, ``evaluate`` and ``ablate`` all score here.
-    Non-finite effective features raise :class:`DivergenceError`."""
+          variant: str, a_users, a_items, truth: tuple[np.ndarray, np.ndarray], topn,
+          keep_per_user: bool = False) -> tuple[TopN, RankingReport]:
+    """Top-``max(topn)`` unseen items for each user with items in ``truth``
+    (a split as ``ds.split_csr`` gives it) by the variant's score under
+    ``params`` (named as in ``Stage2State``), and their ranking metrics;
+    validation, ``evaluate`` and ``ablate`` all score here.  Non-finite
+    effective features raise :class:`DivergenceError`."""
     feats = model.forward(params["table"])
     weights = tuple(params[k].value for k in sorted(params) if k != "table") or None
     eff_u, eff_v = fusion.effective_features(variant, feats.users, feats.items,
                                              a_users, a_items, weights)
     if not (np.isfinite(eff_u).all() and np.isfinite(eff_v).all()):
         raise DivergenceError(stage=2, epoch=None, what="effective features")
-    recs = recommend_all(eff_u, eff_v, ds, max(topn), sorted(truth))
-    return recs, ranking_metrics(recs, truth, topn, keep_per_user=keep_per_user)
+    indptr, indices = truth
+    users = np.flatnonzero(np.diff(indptr))
+    top = top_n(eff_u, eff_v, ds, max(topn), users)
+    # the other users' rows are empty, so the listed users' row starts and the
+    # end delimit the truth rows of ``top``
+    rows = (np.append(indptr[users], indptr[-1]), indices)
+    return top, score_top_n(top, rows, topn, keep_per_user)
 
 
 def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
@@ -286,7 +293,8 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     named = {"table": table, **{p.name: p for p in w_params or []}}
     opt = make_optimizer(cfg.optimizer, list(named.values()), cfg.eta2)
     rng = np.random.default_rng(cfg.seed)
-    val_truth = split_truth(ds, VALIDATION)
+    val_truth = ds.split_csr(VALIDATION)
+    validate = len(val_truth[1]) > 0
     log = TrainingLog()
 
     start_epoch = 0
@@ -310,7 +318,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     epochs_run = start_epoch
     for epoch, loss, t0 in _epochs(ds, cfg, opt, rng, 2, fcfg.rated, step, start_epoch):
         val_metric = float("nan")
-        if val_truth:
+        if validate:
             _, report = score(ds, model, named, fcfg.variant, a_users, a_items, val_truth,
                               [10])
             val_metric = report.means["ndcg"][10]
@@ -323,7 +331,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
         epochs_run = epoch
         log.add(EpochRecord(stage=2, epoch=epoch, loss=loss, val_metric=val_metric,
                             wall_time=time.perf_counter() - t0))
-        if cfg.patience is not None and val_truth and stale > cfg.patience:
+        if cfg.patience is not None and validate and stale > cfg.patience:
             break
 
     state = Stage2State(

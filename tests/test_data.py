@@ -10,7 +10,7 @@ from conftest import make_random_dataset
 from crossfuse.data import (TEST, TRAIN, VALIDATION, DataConfig, DataError,
                             InteractionDataset, _is_float, _sniff_delimiter,
                             _split_counts, encode_auxiliary, load_interactions, make_fields,
-                            one_hot_matrix, sample_negatives, split_dataset,
+                            one_hot_matrix, sample_negatives, split_dataset, split_truth,
                             write_remap_table)
 
 
@@ -485,16 +485,16 @@ class TestTrainCsr:
             items = ds.train_items(u)
             with pytest.raises(ValueError):
                 items[:] = 0
-        indptr, indices = ds.train_csr()
+        indptr, indices = ds.split_csr(TRAIN)
         with pytest.raises(ValueError):
             indptr[0] = 1
         with pytest.raises(ValueError):
             indices[0] = 1
 
 
-def lexsort_csr(ds):
-    """Reference train CSR: the train pairs ordered by a (user, item) lexsort."""
-    tr = ds.split_indices(TRAIN)
+def lexsort_csr(ds, tag=TRAIN):
+    """Reference split CSR: the split's pairs ordered by a (user, item) lexsort."""
+    tr = ds.split_indices(tag)
     users, items = ds.users[tr], ds.items[tr]
     indptr = np.zeros(ds.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(users, minlength=ds.n), out=indptr[1:])
@@ -541,21 +541,27 @@ class TestSortedPairKeys:
     @given(tagged_triples(unique=True))
     def test_train_csr_equals_lexsort_form(self, case):
         ds = make_tagged(*case)
-        indptr, indices = ds.train_csr()
-        want_indptr, want_indices = lexsort_csr(ds)
-        for got, want in ((indptr, want_indptr), (indices, want_indices)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        for tag in (TRAIN, VALIDATION, TEST):
+            indptr, indices = ds.split_csr(tag)
+            want_indptr, want_indices = lexsort_csr(ds, tag)
+            for got, want in ((indptr, want_indptr), (indices, want_indices)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        truth = split_truth(ds, VALIDATION)
+        assert list(truth) == sorted(truth)
+        tr = ds.split_indices(VALIDATION)
+        assert truth == {u: set(ds.items[tr][ds.users[tr] == u].tolist())
+                         for u in set(ds.users[tr].tolist())}
 
     def test_train_csr_with_trainless_users_and_one_user(self):
         ds = make_tagged(4, 6, np.array([TEST, TRAIN, TRAIN, TEST, TRAIN], dtype=np.int8),
                          np.array([0, 2, 2, 3, 2]), np.array([1, 5, 0, 4, 3]))
-        indptr, indices = ds.train_csr()
+        indptr, indices = ds.split_csr(TRAIN)
         assert indptr.tolist() == [0, 0, 0, 3, 3]
         assert indices.tolist() == [0, 3, 5]
         one = make_tagged(1, 4, np.zeros(3, dtype=np.int8), np.zeros(3, dtype=np.int64),
                           np.array([3, 0, 2]))
-        for got, want in zip(one.train_csr(), lexsort_csr(one)):
+        for got, want in zip(one.split_csr(TRAIN), lexsort_csr(one)):
             assert np.array_equal(got, want)
         assert one.train_items(0).tolist() == [0, 2, 3]
 

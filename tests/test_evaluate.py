@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfuse import synthetic
-from crossfuse.data import TEST, TRAIN, InteractionDataset, split_dataset
-from crossfuse.evaluate import (KL_SMOOTHING, CategoryProfile, category_kl, ranking_metrics,
-                                recommend_all, write_report_json, write_report_text)
+from crossfuse.data import TEST, TRAIN, VALIDATION, InteractionDataset, split_dataset
+from crossfuse.evaluate import (KL_SMOOTHING, CategoryProfile, TopN, category_kl,
+                                ranking_metrics, recommend_all, score_top_n, top_n,
+                                write_report_json, write_report_text)
 
 
 def _one_user(m: int, train_items=()) -> InteractionDataset:
@@ -212,6 +213,84 @@ class TestBlockRankingMatchesPerUserReference:
         assert rep.means == means
         assert rep.per_user == per_user
         assert (rep.users_evaluated, rep.users_skipped) == (evaluated, skipped)
+
+
+def assert_matrix_equals_reference(top, g_users, g_items, ds, n, users):
+    """``top`` holds the reference lists row by row, -1 after each."""
+    expect = _reference_lists(g_users, g_items, ds, n, users)
+    assert top.users.tolist() == list(users)
+    assert top.items.shape == (len(users), min(n, ds.m))
+    for r, u in enumerate(users):
+        k = top.lengths[r]
+        assert top.items[r, :k].tolist() == expect[u].tolist()
+        assert (top.items[r, k:] == -1).all()
+
+
+class TestMatrixCore:
+    """``top_n`` and ``score_top_n``, the matrix forms the mappings adapt."""
+
+    def test_tie_rows_from_duplicated_item_columns(self):
+        data = synthetic.generate(num_users=200, num_items=300, num_categories=5, seed=0)
+        ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=0)
+        rng = np.random.default_rng(0)
+        g_users = rng.normal(size=(ds.n, 8))
+        g_items = rng.normal(size=(ds.m, 8))
+        g_items[1::2] = g_items[::2]  # every odd item scores as its even neighbour
+        users = list(range(ds.n))
+        top = top_n(g_users, g_items, ds, 9, users, chunk=64)
+        assert_matrix_equals_reference(top, g_users, g_items, ds, 9, users)
+        # many rows do tie at their 9th unseen score, so the cut splits a pair
+        ties = 0
+        for u in users:
+            s = g_users[u] @ g_items.T
+            s = np.sort(np.delete(s, ds.train_items(u)))[::-1]
+            ties += s[8] == s[9]
+        assert ties > 20
+
+    def test_pools_shorter_than_n(self):
+        held = [[0, 1, 2, 3], [1, 2, 3, 4, 5], [], [0, 1, 2, 3, 4, 5]]
+        users = [u for u, items in enumerate(held) for _ in items] + [2]
+        items = [i for items in held for i in items] + [0]
+        split = [TRAIN] * (len(users) - 1) + [TEST]
+        ds = InteractionDataset(n=4, m=6, users=np.array(users), items=np.array(items),
+                                ratings=np.ones(len(users)), split=np.array(split, dtype=np.int8))
+        rng = np.random.default_rng(3)
+        g_users, g_items = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
+        top = top_n(g_users, g_items, ds, 4, [3, 0, 1, 2])
+        assert top.lengths.tolist() == [0, 2, 1, 4]
+        assert_matrix_equals_reference(top, g_users, g_items, ds, 4, [3, 0, 1, 2])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(ranking_cases())
+    def test_matrix_equals_reference(self, case):
+        g_users, g_items, ds, n, users, chunk, _, _ = case
+        top = top_n(g_users, g_items, ds, n, users, chunk=chunk)
+        assert_matrix_equals_reference(top, g_users, g_items, ds, n, users)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(ranking_cases())
+    def test_split_truth_rows_score_as_the_mapping(self, case):
+        g_users, g_items, ds, n, _, chunk, _, topn = case
+        # every user with a test item, scored against the split as CSR rows
+        indptr, indices = ds.split_csr(TEST)
+        users = np.flatnonzero(np.diff(indptr))
+        top = top_n(g_users, g_items, ds, max(topn), users, chunk=chunk)
+        rows = (np.append(indptr[users], indptr[-1]), indices)
+        got = score_top_n(top, rows, topn, keep_per_user=True)
+        truth = {u: set(indices[indptr[u]:indptr[u + 1]].tolist()) for u in users.tolist()}
+        want = ranking_metrics(recommend_all(g_users, g_items, ds, max(topn), users.tolist()),
+                               truth, topn, keep_per_user=True)
+        assert (got.means, got.per_user, got.users_evaluated, got.users_skipped) == (
+            want.means, want.per_user, want.users_evaluated, want.users_skipped)
+
+    def test_padding_is_never_a_hit(self):
+        # a -1 pad keys one below the row's first key, which is the previous
+        # row's largest possible item: it must not count
+        top = TopN(np.array([0, 1]), np.array([[4, 0], [3, -1]]), np.array([2, 1]))
+        rep = score_top_n(top, (np.array([0, 1, 2]), np.array([4, 3])), [2],
+                          keep_per_user=True)
+        assert rep.per_user[1]["precision"][2] == 0.5
+        assert rep.per_user[0]["precision"][2] == 0.5
 
 
 class TestCategoryKl:
