@@ -480,16 +480,6 @@ def split_dataset(ds: InteractionDataset, ratios: tuple[float, float, float],
     return ds.with_split(split)
 
 
-def split_truth(ds: InteractionDataset, tag: int) -> dict[int, set[int]]:
-    """Each user's items in one split as a set, keyed by user index in
-    ascending order (the mapping form of ``ds.split_csr(tag)``); users
-    without an interaction in the split are absent."""
-    indptr, indices = ds.split_csr(tag)
-    flat, bounds = indices.tolist(), indptr.tolist()
-    return {u: set(flat[bounds[u]:bounds[u + 1]])
-            for u in np.flatnonzero(np.diff(indptr)).tolist()}
-
-
 def _replay(rng: np.random.Generator, state: dict, m: int, count: int) -> None:
     """Put ``rng`` where ``count`` scalar ``integers(0, m)`` calls from ``state``
     would leave it; one ``size=count`` call consumes the stream identically."""

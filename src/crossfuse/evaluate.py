@@ -165,18 +165,16 @@ def score_top_n(top: TopN, truth: tuple[np.ndarray, np.ndarray], topn: Sequence[
     sizes = np.diff(indptr)
     count = len(top.users)
 
-    # hit[r, k]: the k-th item recommended to row r is among its truth items;
-    # rows are sorted, so the row-keyed truth is one ascending array
+    # hit[r, k]: the k-th item recommended to row r is among its truth items.
+    # The keys row * span + item of the sorted truth rows ascend, and the end
+    # sentinel exceeds every wanted key, so each lookup lands on a key.
     listed = top.items[:, :width]
     span = max(int(listed.max(initial=0)), int(indices.max(initial=0))) + 1
-    row_of = np.arange(count)[:, None]
-    keys = np.repeat(np.arange(count), sizes) * span + indices
-    wanted = row_of * span + listed
-    at = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
+    keys = np.append(np.repeat(np.arange(count), sizes) * span + indices, count * span)
+    wanted = np.arange(count)[:, None] * span + listed
     hit = np.zeros((count, width), dtype=bool)
-    if len(keys):
-        hit[:, :listed.shape[1]] = ((keys[at] == wanted)
-                                    & (np.arange(listed.shape[1]) < top.lengths[:, None]))
+    hit[:, :listed.shape[1]] = ((keys[np.searchsorted(keys, wanted)] == wanted)
+                                & (np.arange(listed.shape[1]) < top.lengths[:, None]))
 
     disc = np.array([1.0 / math.log2(k + 2) for k in range(width)])
     dcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)

@@ -36,3 +36,12 @@ def make_random_dataset(seed: int, n: int = 8, m: int = 12,
     return InteractionDataset(n=n, m=m, users=np.array(users), items=np.array(items),
                               ratings=np.ones(len(users)),
                               split=np.zeros(len(users), dtype=np.int8))
+
+
+def split_truth(ds: InteractionDataset, tag: int) -> dict[int, set[int]]:
+    """Each user's items in one split as a set, keyed by user in ascending
+    order: the mapping form of ``ds.split_csr(tag)`` that
+    ``evaluate.ranking_metrics`` takes."""
+    indptr, indices = ds.split_csr(tag)
+    return {u: set(indices[indptr[u]:indptr[u + 1]].tolist())
+            for u in np.flatnonzero(np.diff(indptr)).tolist()}

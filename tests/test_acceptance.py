@@ -13,10 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_random_dataset
+from conftest import make_random_dataset, split_truth
 from crossfuse import auxnet, fusion, gradcheck, synthetic
 from crossfuse.backbone import BackboneConfig, LightGCN, init_embeddings
-from crossfuse.data import TEST, split_dataset, split_truth
+from crossfuse.data import TEST, split_dataset
 from crossfuse.evaluate import category_kl, ranking_metrics, recommend_all
 from crossfuse.graph import (build_similarity_graph, interaction_matrix,
                              normalize_bipartite)

@@ -10,7 +10,7 @@ from conftest import make_random_dataset
 from crossfuse.data import (TEST, TRAIN, VALIDATION, DataConfig, DataError,
                             InteractionDataset, _is_float, _sniff_delimiter,
                             _split_counts, encode_auxiliary, load_interactions, make_fields,
-                            one_hot_matrix, sample_negatives, split_dataset, split_truth,
+                            one_hot_matrix, sample_negatives, split_dataset,
                             write_remap_table)
 
 
@@ -547,11 +547,6 @@ class TestSortedPairKeys:
             for got, want in ((indptr, want_indptr), (indices, want_indices)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-        truth = split_truth(ds, VALIDATION)
-        assert list(truth) == sorted(truth)
-        tr = ds.split_indices(VALIDATION)
-        assert truth == {u: set(ds.items[tr][ds.users[tr] == u].tolist())
-                         for u in set(ds.users[tr].tolist())}
 
     def test_train_csr_with_trainless_users_and_one_user(self):
         ds = make_tagged(4, 6, np.array([TEST, TRAIN, TRAIN, TEST, TRAIN], dtype=np.int8),

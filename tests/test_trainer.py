@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import split_truth
 from crossfuse import auxnet, fusion, synthetic, trainer
 from crossfuse.backbone import BackboneConfig, init_embeddings
-from crossfuse.data import TRAIN, VALIDATION, InteractionDataset, split_dataset, split_truth
+from crossfuse.data import TRAIN, VALIDATION, InteractionDataset, split_dataset
 from crossfuse.evaluate import ranking_metrics, recommend_all
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
 from crossfuse.optim import Adam, Param, Sgd, make_optimizer
