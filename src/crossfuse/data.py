@@ -506,24 +506,18 @@ def sample_negatives(ds: InteractionDataset, users: np.ndarray,
     slack = len(users) // 8 + 16
     start = rng.bit_generator.state
     block = rng.integers(0, m, size=len(users) + slack).tolist()
-    used, size = 0, len(block)
+    used = 0
     out = []
     for k, u in enumerate(users):
         pos = item_sets[u]
-        if used < size and block[used] not in pos:
-            # the common case: the next draw is accepted at once
-            out.append(block[used])
-            used += 1
-            continue
         if len(pos) >= m:
             _replay(rng, start, m, used)
             raise DataError(f"user {u} has interacted with every item; "
                             f"no negative can be sampled")
         tries = 0
         while True:
-            if used == size:
+            if used == len(block):
                 block += rng.integers(0, m, size=len(users) - k + slack).tolist()
-                size = len(block)
             i = block[used]
             used += 1
             if i not in pos:
@@ -534,7 +528,7 @@ def sample_negatives(ds: InteractionDataset, users: np.ndarray,
                 i = int(rng.choice(np.setdiff1d(np.arange(m), ds.train_items(u))))
                 start = rng.bit_generator.state
                 block = rng.integers(0, m, size=len(users) - k - 1 + slack).tolist()
-                used, size = 0, len(block)
+                used = 0
                 break
         out.append(i)
     _replay(rng, start, m, used)

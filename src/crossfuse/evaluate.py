@@ -49,6 +49,7 @@ def _rank_rows(neg: np.ndarray, keep: int) -> np.ndarray:
     # a row with more than ``keep`` entries at or below its keep-th value has
     # a tie there, which must go to the smaller columns: those rows are
     # ranked below from all their candidates, and hold a placeholder here
+    # (the lexsort alone ranks every row correctly, at about twice the cost)
     ties = np.flatnonzero(np.count_nonzero(chosen, axis=1) != keep)
     chosen[ties] = False
     chosen[ties, :keep] = True

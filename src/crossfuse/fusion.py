@@ -324,27 +324,6 @@ class TemporalEmbeddings:
                 raise ValueError("a node's previous period must precede the current one")
 
 
-def _coupling_term(lam: float, periods: np.ndarray, own: np.ndarray, other: np.ndarray,
-                   table: np.ndarray, prior: dict, side: int) -> tuple[float, np.ndarray]:
-    """One term of the period-coupling penalty: ``lam`` times the squared
-    gaps between each pair's previous-period score and the score with the
-    own node's current vector, and its gradient on ``table``, the own side's
-    current table.  ``periods`` holds each pair's own-node previous period
-    (-1 for none); ``side`` is the own side's index in a ``prior`` entry.
-    The pairs are grouped by previous period."""
-    gaps = np.zeros(len(own))
-    rows = np.zeros((len(own), table.shape[1]))
-    if lam:
-        for t in np.unique(periods[periods >= 0]).tolist():
-            at = np.flatnonzero(periods == t)
-            own_prev, other_prev = prior[t][side][own[at]], prior[t][1 - side][other[at]]
-            gap = (np.einsum("ij,ij->i", own_prev, other_prev)
-                   - np.einsum("ij,ij->i", table[own[at]], other_prev))
-            gaps[at] = gap
-            rows[at] = (-2.0 * lam * gap)[:, None] * other_prev
-    return lam * float(np.sum(gaps * gaps)), scatter_rows(own, len(table), rows)
-
-
 def temporal_fusion_loss(emb: TemporalEmbeddings, batch, lambda1: float, lambda2: float
                          ) -> tuple[float, np.ndarray, np.ndarray]:
     """Penalty tying current-period scores to the frozen previous-period ones.
@@ -356,12 +335,23 @@ def temporal_fusion_loss(emb: TemporalEmbeddings, batch, lambda1: float, lambda2
     """
     emb.validate()
     u, i = _as_pairs(batch)
-    none = np.full(len(u), -1)
-    tu = emb.prev_user_period[u] if len(emb.prev_user_period) else none
-    ti = emb.prev_item_period[i] if len(emb.prev_item_period) else none
-    l1, dHu = _coupling_term(lambda1, tu, u, i, emb.user_table, emb.prior, 0)
-    l2, dHi = _coupling_term(lambda2, ti, i, u, emb.item_table, emb.prior, 1)
-    return l1 + l2, dHu, dHi
+    dHu = np.zeros_like(emb.user_table)
+    dHi = np.zeros_like(emb.item_table)
+    penalty = 0.0
+    for uu, ii in zip(u, i):
+        tu = int(emb.prev_user_period[uu]) if len(emb.prev_user_period) else -1
+        ti = int(emb.prev_item_period[ii]) if len(emb.prev_item_period) else -1
+        if lambda1 and tu >= 0:
+            hu_prev, hi_prev = emb.prior[tu]
+            gap = hu_prev[uu] @ hi_prev[ii] - emb.user_table[uu] @ hi_prev[ii]
+            penalty += lambda1 * gap * gap
+            dHu[uu] += -2.0 * lambda1 * gap * hi_prev[ii]
+        if lambda2 and ti >= 0:
+            hu_prev, hi_prev = emb.prior[ti]
+            gap = hu_prev[uu] @ hi_prev[ii] - hu_prev[uu] @ emb.item_table[ii]
+            penalty += lambda2 * gap * gap
+            dHi[ii] += -2.0 * lambda2 * gap * hu_prev[uu]
+    return float(penalty), dHu, dHi
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-try:  # the loop scipy's own CSC product runs; not public scipy API
-    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
-except ImportError:  # pragma: no cover
-    _csc_matvecs = None
+# the loop scipy's own CSC product runs; not public scipy API
+from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
 
 
 def indicator(index: np.ndarray, size: int) -> sp.csr_matrix:
@@ -39,8 +37,6 @@ def scatter_rows(index: np.ndarray, size: int, values: np.ndarray) -> np.ndarray
         raise ValueError(f"values must be ({len(index)}, d), got shape {values.shape}")
     if len(index) and (index.min() < 0 or index.max() >= size):
         raise ValueError(f"row index outside [0, {size})")
-    if _csc_matvecs is None:
-        return indicator(index, size) @ values
     out = np.zeros((size, values.shape[1]))
     _csc_matvecs(size, len(index), values.shape[1], np.arange(len(index) + 1),
                  index, np.ones(len(index)), values, out)

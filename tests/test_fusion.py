@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import make_random_dataset
 from crossfuse.auxnet import squared_score_loss
@@ -366,58 +364,3 @@ class TestTemporalFusion:
                 fd = (up - down) / (2 * h)
                 got = grad.ravel()[k]
                 assert abs(got - fd) / max(1.0, abs(got), abs(fd)) <= 1e-6
-
-
-def _reference_temporal(emb, batch, lambda1, lambda2):
-    """The penalty pair by pair, in batch order, each gradient row a ``+=``."""
-    u, i = np.asarray(batch, dtype=np.int64).T
-    dHu = np.zeros_like(emb.user_table)
-    dHi = np.zeros_like(emb.item_table)
-    penalty = 0.0
-    for uu, ii in zip(u, i):
-        tu = int(emb.prev_user_period[uu]) if len(emb.prev_user_period) else -1
-        ti = int(emb.prev_item_period[ii]) if len(emb.prev_item_period) else -1
-        if lambda1 and tu >= 0:
-            hu_prev, hi_prev = emb.prior[tu]
-            gap = hu_prev[uu] @ hi_prev[ii] - emb.user_table[uu] @ hi_prev[ii]
-            penalty += lambda1 * gap * gap
-            dHu[uu] += -2.0 * lambda1 * gap * hi_prev[ii]
-        if lambda2 and ti >= 0:
-            hu_prev, hi_prev = emb.prior[ti]
-            gap = hu_prev[uu] @ hi_prev[ii] - hu_prev[uu] @ emb.item_table[ii]
-            penalty += lambda2 * gap * gap
-            dHi[ii] += -2.0 * lambda2 * gap * hu_prev[uu]
-    return float(penalty), dHu, dHi
-
-
-@st.composite
-def temporal_cases(draw):
-    """Up to three prior periods, nodes with and without history (or no
-    history arrays at all), repeated pairs, and weights that may be 0."""
-    n, m, d = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    period = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    prior = {t: (rng.normal(size=(n, d)), rng.normal(size=(m, d))) for t in range(period)}
-    history = st.integers(-1, period - 1)
-    prev_u = draw(st.one_of(st.just([]), st.lists(history, min_size=n, max_size=n)))
-    prev_i = draw(st.one_of(st.just([]), st.lists(history, min_size=m, max_size=m)))
-    emb = TemporalEmbeddings(period=period, user_table=rng.normal(size=(n, d)),
-                             item_table=rng.normal(size=(m, d)), prior=prior,
-                             prev_user_period=np.array(prev_u, dtype=np.int64),
-                             prev_item_period=np.array(prev_i, dtype=np.int64))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
-    batch = draw(st.lists(pair, min_size=1, max_size=12))
-    weight = st.sampled_from([0.0, 0.3, 1.0])
-    return emb, batch, draw(weight), draw(weight)
-
-
-class TestTemporalMatchesPairLoop:
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(temporal_cases())
-    def test_penalty_and_gradients_match_reference(self, case):
-        emb, batch, lambda1, lambda2 = case
-        penalty, dHu, dHi = temporal_fusion_loss(emb, batch, lambda1, lambda2)
-        want_penalty, want_u, want_i = _reference_temporal(emb, batch, lambda1, lambda2)
-        assert penalty == pytest.approx(want_penalty, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(dHu, want_u, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(dHi, want_i, rtol=1e-12, atol=1e-12)

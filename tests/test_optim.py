@@ -49,19 +49,8 @@ class TestScatterRows:
         assert scatter_rows(np.array([0, 0, 0]), 1, values)[0, 0] == 1e16
         assert scatter_rows(np.array([0, 0, 0]), 1, values[::-1])[0, 0] == 1e16 + 2
 
-    @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
-    def test_fallback_gives_the_same_bytes(self, case, monkeypatch):
-        index, size, cols = SCATTER_CASES[case]
-        values = _values(len(index), cols, seed=2)
-        want = scatter_rows(index, size, values)
-        monkeypatch.setattr(optim, "_csc_matvecs", None)
-        assert scatter_rows(index, size, values).tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("index", [[0, -1, 2], [0, 4, 1], [5]])
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_index_outside_rows_raises(self, index, fallback, monkeypatch):
-        if fallback:
-            monkeypatch.setattr(optim, "_csc_matvecs", None)
+    def test_index_outside_rows_raises(self, index):
         with pytest.raises(ValueError):
             scatter_rows(np.array(index), 4, np.ones((len(index), 2)))
 
