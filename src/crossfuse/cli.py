@@ -293,8 +293,9 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "model.ckpt", ckpt)
     result.log.write(out / "train_log.tsv")
     _write_manifest(out, "train", cfg, [Path(args.config)])
-    best = result.best_metric if np.isfinite(result.best_metric) else float("nan")
-    print(f"stage 2 done: {result.epochs_run} epochs, best validation ndcg@10 {best:.6g}")
+    state = result.state
+    best = state.best_metric if np.isfinite(state.best_metric) else float("nan")
+    print(f"stage 2 done: {state.epoch} epochs, best validation ndcg@10 {best:.6g}")
     return 0
 
 

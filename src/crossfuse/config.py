@@ -10,6 +10,7 @@ rejected by name, bad values by the section's ``validate``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
@@ -26,13 +27,11 @@ class ConfigError(Exception):
     """Bad key, bad value, or missing required entry in a run config."""
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -46,9 +45,8 @@ def _optional(parse):
 # field annotation -> parser of the key's text
 PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
-    "bool": _parse_bool,
     "int | None": _optional(int),
     "str | None": _optional(str),
     "list[int]": _parse_int_list,
@@ -134,19 +132,3 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     return cfg
 
-
-def write_config(cfg: RunConfig, path: str | Path) -> None:
-    """Emit a full config file with every key stated explicitly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, section in cfg.sections().items():
-            fh.write(f"[{name}]\n")
-            for key, f in sorted(_keys(section).items()):
-                value = getattr(section, f.name)
-                if isinstance(value, list):
-                    text = ", ".join(str(v) for v in value)
-                elif value is None:
-                    text = "none"
-                else:
-                    text = str(value)
-                fh.write(f"{key} = {text}\n")
-            fh.write("\n")

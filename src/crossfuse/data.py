@@ -427,10 +427,10 @@ def _split_counts(total: int, ratios: np.ndarray) -> np.ndarray:
 
 
 def check_split_ratios(ratios) -> np.ndarray:
-    """(train, validation, test) as an array: non-negative, summing to 1."""
+    """(train, validation, test) as an array: finite, non-negative, summing to 1."""
     ratios_arr = np.asarray(ratios, dtype=np.float64)
-    if ratios_arr.shape != (3,) or np.any(ratios_arr < 0):
-        raise ValueError("ratios must be three non-negative numbers")
+    if ratios_arr.shape != (3,) or not np.all(np.isfinite(ratios_arr) & (ratios_arr >= 0)):
+        raise ValueError("ratios must be three finite non-negative numbers")
     if abs(ratios_arr.sum() - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
     if ratios_arr[0] <= 0:

@@ -5,15 +5,14 @@ computed per pair: r_a = a_u.a_i, r_c1 = g_u.a_i, r_c2 = a_u.g_i.  Fusion
 minimizes (r_a - r_c1)^2 and (r_a - r_c2)^2 so the two feature spaces agree
 on predictions instead of coordinates; no new parameters are introduced.
 The module also carries the concatenation and (weighted) summation baseline
-losses, the one stage-2 objective and step every variant trains through, a
-temporal variant that couples consecutive-period embeddings, and
+losses, the one stage-2 objective and step every variant trains through, and
 independently coded closed-form gradients used to cross-check every backward
 pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +27,16 @@ VARIANTS = ("cross", "concat", "plain-sum", "weighted-sum", "none")
 class FusionConfig:
     """Fusion variant, loss weights, and the stage-2 graph-loss flavor.
 
-    ``include_negatives`` applies to ``graph_loss = "bpr"`` only: it adds each
-    (user, sampled negative) pair to the cross terms.  Under ``"mse"`` the
-    batch already holds the zero-rated padded negatives as rows, so they
-    always enter the cross terms and the flag changes nothing.  The baselines
-    (concat, plain-sum, weighted-sum) always train on rated rows and ignore
-    both ``graph_loss`` and the flag.
+    The cross terms cover each batch row's (user, item) pair: the observed
+    positive under ``graph_loss = "bpr"``, and every rated row under
+    ``"mse"``, the zero-rated padded negatives of implicit data included.  The baselines (concat, plain-sum,
+    weighted-sum) always train on rated rows and ignore ``graph_loss``.
     """
 
     variant: str = "cross"
     lambda1: float = 0.05
     lambda2: float = 0.001
     graph_loss: str = "bpr"  # bpr | mse
-    include_negatives: bool = False
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -215,11 +211,7 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
     else:
         loss, dU, dV = bpr_loss_and_feature_grad(g_users, g_items, batch)
     if variant == "cross" and (cfg.lambda1 or cfg.lambda2):
-        arr = np.asarray(batch)
-        pairs = arr[:, :2]
-        if cfg.graph_loss == "bpr" and cfg.include_negatives:
-            pairs = np.concatenate([pairs, arr[:, [0, 2]]], axis=0)
-        l1, l2, cU, cV = cross_fusion_loss(g_users, g_items, a_users, a_items, pairs, cfg)
+        l1, l2, cU, cV = cross_fusion_loss(g_users, g_items, a_users, a_items, batch, cfg)
         loss += cfg.lambda1 * l1 + cfg.lambda2 * l2
         dU = dU + cU
         dV = dV + cV
@@ -292,66 +284,6 @@ def fused_objective_grad(model: LightGCN, table: Param,
         loss += lam * float(np.sum(table.value ** 2))
         table.grad += 2.0 * lam * table.value
     return loss
-
-
-# ---------------------------------------------------------------------------
-# Temporal variant
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TemporalEmbeddings:
-    """Per-period embedding tables for sequence models.
-
-    ``period`` is the period being trained; ``prior`` maps earlier period
-    indices to frozen (user_table, item_table) pairs.  ``prev_user_period``
-    and ``prev_item_period`` give each node's most recent active earlier
-    period, -1 when it has none.
-    """
-
-    period: int
-    user_table: np.ndarray
-    item_table: np.ndarray
-    prior: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    prev_user_period: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    prev_item_period: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-
-    def validate(self) -> None:
-        for t_prev in self.prior:
-            if t_prev >= self.period:
-                raise ValueError(f"prior period {t_prev} is not before period {self.period}")
-        for arr in (self.prev_user_period, self.prev_item_period):
-            if len(arr) and arr.max() >= self.period:
-                raise ValueError("a node's previous period must precede the current one")
-
-
-def temporal_fusion_loss(emb: TemporalEmbeddings, batch, lambda1: float, lambda2: float
-                         ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Penalty tying current-period scores to the frozen previous-period ones.
-
-    For each (user, item) pair the first term holds g_u^t against the user's
-    previous-period item vector, the second holds g_i^t against the item's
-    previous-period user vector; pairs without the relevant history contribute
-    zero.  The host sequence model's own loss is supplied externally.
-    """
-    emb.validate()
-    u, i = _as_pairs(batch)
-    dHu = np.zeros_like(emb.user_table)
-    dHi = np.zeros_like(emb.item_table)
-    penalty = 0.0
-    for uu, ii in zip(u, i):
-        tu = int(emb.prev_user_period[uu]) if len(emb.prev_user_period) else -1
-        ti = int(emb.prev_item_period[ii]) if len(emb.prev_item_period) else -1
-        if lambda1 and tu >= 0:
-            hu_prev, hi_prev = emb.prior[tu]
-            gap = hu_prev[uu] @ hi_prev[ii] - emb.user_table[uu] @ hi_prev[ii]
-            penalty += lambda1 * gap * gap
-            dHu[uu] += -2.0 * lambda1 * gap * hi_prev[ii]
-        if lambda2 and ti >= 0:
-            hu_prev, hi_prev = emb.prior[ti]
-            gap = hu_prev[uu] @ hi_prev[ii] - hu_prev[uu] @ emb.item_table[ii]
-            penalty += lambda2 * gap * gap
-            dHi[ii] += -2.0 * lambda2 * gap * hu_prev[uu]
-    return float(penalty), dHu, dHi
 
 
 # ---------------------------------------------------------------------------

@@ -295,31 +295,6 @@ def _check_weighted_sum_grad(inst: Instance, rng, fd_tol) -> CheckResult:
                        err, fd_tol)
 
 
-def _check_temporal_grad(inst: Instance, rng, fd_tol) -> CheckResult:
-    n, m, d = inst.ds.n, inst.ds.m, 4
-    prior = {0: (rng.normal(size=(n, d)), rng.normal(size=(m, d))),
-             1: (rng.normal(size=(n, d)), rng.normal(size=(m, d)))}
-    emb = fusion.TemporalEmbeddings(
-        period=2,
-        user_table=rng.normal(size=(n, d)),
-        item_table=rng.normal(size=(m, d)),
-        prior=prior,
-        prev_user_period=rng.integers(-1, 2, size=n),
-        prev_item_period=rng.integers(-1, 2, size=m),
-    )
-    batch = inst.rated[:, :2].astype(np.int64)
-    _, dHu, dHi = fusion.temporal_fusion_loss(emb, batch, 0.6, 0.4)
-
-    def loss():
-        val, _, _ = fusion.temporal_fusion_loss(emb, batch, 0.6, 0.4)
-        return val
-
-    err = max(max_rel_error(dHu, central_difference(loss, emb.user_table)),
-              max_rel_error(dHi, central_difference(loss, emb.item_table)))
-    return CheckResult("period-coupling loss: current-period gradients vs finite differences",
-                       err, fd_tol)
-
-
 def _check_closed_forms(inst: Instance, rng, exact_tol) -> list[CheckResult]:
     lam1, lam2 = 0.35, 0.15
     out = []
@@ -371,7 +346,6 @@ def run_suite(seed: int = 0, n: int = 8, m: int = 12, d: int = 4,
         _check_fused_objective_grad(inst, rng, fd_tol),
         _check_concat_grad(inst, rng, fd_tol),
         _check_weighted_sum_grad(inst, rng, fd_tol),
-        _check_temporal_grad(inst, rng, fd_tol),
         _check_stage1_repeated_rows(inst, rng, fd_tol),
     ]
     results.extend(_check_closed_forms(inst, rng, exact_tol))

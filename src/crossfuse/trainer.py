@@ -231,8 +231,6 @@ class Stage2Result:
     table: Param
     model: LightGCN
     log: TrainingLog
-    best_metric: float
-    epochs_run: int
     state: Stage2State
     fusion_weights: list[np.ndarray] | None = None
 
@@ -346,8 +344,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     )
     for k, values in state.selected().items():
         named[k].value[...] = values
-    return Stage2Result(table=table, model=model, log=log, best_metric=best_metric,
-                        epochs_run=epochs_run, state=state,
+    return Stage2Result(table=table, model=model, log=log, state=state,
                         fusion_weights=[p.value for p in w_params] if w_params else None)
 
 

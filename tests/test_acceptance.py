@@ -34,7 +34,7 @@ def report(number: int, passed: bool, detail: str) -> None:
 # Criteria 1 and 2: gradient correctness and closed-form agreement
 # ---------------------------------------------------------------------------
 
-FD_CHECKS = 8
+FD_CHECKS = 7
 EXACT_CHECKS = 5
 
 

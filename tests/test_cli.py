@@ -291,8 +291,15 @@ class TestExitCodes:
         ("evaluate", "topn = 5, 10", "topn = 0"),
         ("evaluate", "topn = 5, 10", "topn = 5, 10\nkl_categories = 0"),
         ("evaluate", "topn = 5, 10", "topn = 5, 10\nkl_categories = -2"),
+        ("prepare", "[data]\n", "[data]\ntrain_ratio = nan\n"),
+        ("train", "[train]\n", "[train]\neta2 = nan\n"),
+        ("train", "[train]\n", "[train]\neta2 = inf\n"),
+        ("train", "[backbone]\n", "[backbone]\nlambda_reg = nan\n"),
+        ("train", "[backbone]\n", "[backbone]\nlambda_reg = inf\n"),
+        ("train-aux", "[auxnet]\n", "[auxnet]\nbn_eps = inf\n"),
     ], ids=["optimizer-train", "optimizer-train-aux", "similarity", "epsilon", "ratios",
-            "topn", "kl-categories-0", "kl-categories-negative"])
+            "topn", "kl-categories-0", "kl-categories-negative", "train-ratio-nan",
+            "eta2-nan", "eta2-inf", "lambda-reg-nan", "lambda-reg-inf", "bn-eps-inf"])
     def test_bad_value_is_config_error(self, workspace, tmp_path, capsys, command, old, new):
         text = workspace["config"].read_text()
         assert old in text
@@ -483,8 +490,8 @@ class TestExitCodes:
     def test_verify_gradients_passes(self, capsys):
         assert main(["verify-gradients", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 13
-        assert "all 13 gradient checks passed" in out
+        assert out.count("PASS") == 12
+        assert "all 12 gradient checks passed" in out
 
     def test_verify_gradients_fails_with_impossible_tolerance(self, capsys):
         assert main(["verify-gradients", "--seed", "7", "--exact-tol", "1e-18"]) == 4

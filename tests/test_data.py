@@ -340,12 +340,13 @@ class TestSplitDataset:
         assert np.array_equal(split_dataset(ds, ratios, seed).split,
                               list_append_split(ds, ratios, seed))
 
-    def test_bad_ratios(self):
+    @pytest.mark.parametrize("ratios", [(0.5, 0.2, 0.2), (0.0, 0.5, 0.5), (np.nan, 0.08, 0.2),
+                                        (0.72, np.nan, 0.2), (np.inf, 0.08, 0.2),
+                                        (0.72, 0.08, -np.inf)])
+    def test_bad_ratios(self, ratios):
         ds = self._uniform_ds(2, 5)
         with pytest.raises(ValueError):
-            split_dataset(ds, (0.5, 0.2, 0.2), seed=0)
-        with pytest.raises(ValueError):
-            split_dataset(ds, (0.0, 0.5, 0.5), seed=0)
+            split_dataset(ds, ratios, seed=0)
 
 
 def per_row_negatives(ds, users, rng):

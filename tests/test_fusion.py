@@ -4,11 +4,10 @@ import pytest
 from conftest import make_random_dataset
 from crossfuse.auxnet import squared_score_loss
 from crossfuse.backbone import BackboneConfig, LightGCN
-from crossfuse.fusion import (FusionConfig, TemporalEmbeddings, concat_fusion_loss,
-                              cross_fusion_loss, effective_features, feature_objective,
+from crossfuse.fusion import (FusionConfig, concat_fusion_loss, cross_fusion_loss,
+                              effective_features, feature_objective,
                               fused_mse_grad_analytic, fused_objective_grad,
-                              identity_weights, temporal_fusion_loss,
-                              weighted_sum_fusion_loss)
+                              identity_weights, weighted_sum_fusion_loss)
 from crossfuse.gradcheck import central_difference, max_rel_error
 from crossfuse.graph import normalize_bipartite
 from crossfuse.optim import Param
@@ -173,31 +172,12 @@ class TestFusedObjective:
         assert np.max(np.abs(dGu - eGu)) <= 1e-10
         assert np.max(np.abs(dGv - eGv)) <= 1e-10
 
-    def test_include_negatives_is_a_no_op_under_mse(self, small_world):
-        # Squared-error batches carry the zero-rated padded negatives as rows,
-        # so they enter the cross terms with or without the flag.
-        g_u, g_v, a_u, a_v, batch = small_world
-        padded = np.concatenate([batch, np.column_stack(
-            [batch[:, 0], (batch[:, 1] + 3) % len(g_v), np.zeros(len(batch))])])
-        out = {}
-        for flag in (False, True):
-            for graph_loss, rows in (("mse", padded), ("bpr", padded.astype(np.int64))):
-                cfg = FusionConfig(variant="cross", lambda1=0.4, lambda2=0.6,
-                                   graph_loss=graph_loss, include_negatives=flag)
-                out[graph_loss, flag] = feature_objective(g_u, g_v, a_u, a_v, rows, cfg)
-        off, on = out["mse", False], out["mse", True]
-        assert off[0] == on[0]
-        assert np.array_equal(off[1], on[1]) and np.array_equal(off[2], on[2])
-        assert out["bpr", False][0] != out["bpr", True][0]  # the flag is live under bpr
-
-    @pytest.mark.parametrize("variant, graph_loss, negatives", [
-        ("cross", "bpr", False), ("cross", "bpr", True), ("cross", "mse", False),
-        ("none", "bpr", False), ("concat", "bpr", False), ("plain-sum", "bpr", False),
-        ("weighted-sum", "bpr", False)])
-    def test_step_gradients_match_finite_differences(self, variant, graph_loss, negatives):
+    @pytest.mark.parametrize("variant, graph_loss", [
+        ("cross", "bpr"), ("cross", "mse"), ("none", "bpr"), ("concat", "bpr"),
+        ("plain-sum", "bpr"), ("weighted-sum", "bpr")])
+    def test_step_gradients_match_finite_differences(self, variant, graph_loss):
         ds, model, table, a_u, a_v, ranked = self._setup(seed=3)
-        cfg = FusionConfig(variant=variant, lambda1=0.4, lambda2=0.7,
-                           graph_loss=graph_loss, include_negatives=negatives)
+        cfg = FusionConfig(variant=variant, lambda1=0.4, lambda2=0.7, graph_loss=graph_loss)
         rng = np.random.default_rng(5)
         # rated rows: each positive with a rating, then its negative rated zero
         rated = np.concatenate([
@@ -228,12 +208,9 @@ class TestFusedObjective:
             else:
                 total = np.sum(np.logaddexp(0.0, -dot(gu[u], gv[i] - gv[third.astype(int)])))
             if variant == "cross":
-                pu, pi = u, i
-                if graph_loss == "bpr" and negatives:
-                    pu, pi = np.concatenate([u, u]), np.concatenate([i, third.astype(int)])
-                r_a = dot(a_u[pu], a_v[pi])
-                total += cfg.lambda1 * np.sum((r_a - dot(gu[pu], a_v[pi])) ** 2)
-                total += cfg.lambda2 * np.sum((r_a - dot(a_u[pu], gv[pi])) ** 2)
+                r_a = dot(a_u[u], a_v[i])
+                total += cfg.lambda1 * np.sum((r_a - dot(gu[u], a_v[i])) ** 2)
+                total += cfg.lambda2 * np.sum((r_a - dot(a_u[u], gv[i])) ** 2)
             return float(total) + model.cfg.lambda_reg * float(np.sum(table.value ** 2))
 
         table.zero_grad()
@@ -303,64 +280,3 @@ class TestBaselineLosses:
                 qi = a_v[i] @ weights[2].T + g_v[i] @ weights[3].T
                 expect = np.einsum("ij,ij->i", pu, qi)
             assert np.allclose(scores, expect)
-
-
-class TestTemporalFusion:
-    def _emb(self, seed=0, n=5, m=7, d=4):
-        rng = np.random.default_rng(seed)
-        prior = {0: (rng.normal(size=(n, d)), rng.normal(size=(m, d))),
-                 1: (rng.normal(size=(n, d)), rng.normal(size=(m, d)))}
-        return TemporalEmbeddings(
-            period=2,
-            user_table=rng.normal(size=(n, d)),
-            item_table=rng.normal(size=(m, d)),
-            prior=prior,
-            prev_user_period=np.array([0, 1, -1, 1, 0]),
-            prev_item_period=np.array([1, 0, -1, 0, 1, -1, 0]),
-        )
-
-    def test_matching_prior_embeddings_zero_penalty(self):
-        emb = self._emb()
-        emb.user_table = emb.prior[0][0].copy()
-        emb.item_table = emb.prior[0][1].copy()
-        emb.prev_user_period = np.zeros(5, dtype=np.int64)
-        emb.prev_item_period = np.zeros(7, dtype=np.int64)
-        penalty, dHu, dHi = temporal_fusion_loss(emb, [[0, 1], [2, 3]], 0.5, 0.5)
-        assert penalty == pytest.approx(0.0)
-        assert np.allclose(dHu, 0) and np.allclose(dHi, 0)
-
-    def test_zero_weights_zero_everything(self):
-        emb = self._emb()
-        penalty, dHu, dHi = temporal_fusion_loss(emb, [[0, 1], [1, 2]], 0.0, 0.0)
-        assert penalty == 0.0
-        assert np.all(dHu == 0) and np.all(dHi == 0)
-
-    def test_missing_history_contributes_zero(self):
-        emb = self._emb()
-        penalty, dHu, dHi = temporal_fusion_loss(emb, [[2, 2]], 1.0, 1.0)
-        assert penalty == 0.0
-
-    def test_prior_period_after_current_rejected(self):
-        emb = self._emb()
-        emb.prev_user_period = np.array([0, 1, 2, 1, 0])  # 2 is not before period 2
-        with pytest.raises(ValueError, match="previous period"):
-            temporal_fusion_loss(emb, [[0, 1]], 0.5, 0.5)
-
-    def test_gradients_match_finite_differences(self):
-        emb = self._emb(seed=4)
-        batch = [[0, 0], [1, 4], [3, 1], [4, 6]]
-        _, dHu, dHi = temporal_fusion_loss(emb, batch, 0.8, 0.3)
-
-        h = 1e-6
-        for table, grad in ((emb.user_table, dHu), (emb.item_table, dHi)):
-            flat = table.ravel()
-            for k in np.random.default_rng(0).choice(flat.size, size=10, replace=False):
-                keep = flat[k]
-                flat[k] = keep + h
-                up, _, _ = temporal_fusion_loss(emb, batch, 0.8, 0.3)
-                flat[k] = keep - h
-                down, _, _ = temporal_fusion_loss(emb, batch, 0.8, 0.3)
-                flat[k] = keep
-                fd = (up - down) / (2 * h)
-                got = grad.ravel()[k]
-                assert abs(got - fd) / max(1.0, abs(got), abs(fd)) <= 1e-6

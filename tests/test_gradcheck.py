@@ -37,8 +37,8 @@ def test_random_instance_is_well_formed():
 def test_suite_passes_and_is_complete():
     results = run_suite(seed=123)
     names = [r.name for r in results]
-    assert len(results) == 13
-    assert len(set(names)) == 13
+    assert len(results) == 12
+    assert len(set(names)) == 12
     for r in results:
         assert r.passed, f"{r.name}: {r.max_error}"
 
@@ -63,7 +63,7 @@ def test_repeated_rows_check_covers_merged_node_classes(monkeypatch):
     for seed in range(4):
         seen.clear()
         results = run_suite(seed=seed)
-        assert len(results) == 13 and all(r.passed for r in results)
+        assert len(results) == 12 and all(r.passed for r in results)
         for nodes, classes, stored in seen[-2:]:
             assert classes < nodes      # some isolated nodes merged
             assert stored > classes     # and other nodes still have neighbours

@@ -59,9 +59,8 @@ class TestScatterRows:
             scatter_rows(np.array([0, 1]), 3, np.ones((3, 2)))
 
 
-STAGE2_CONFIGS = [("cross", "bpr", False), ("cross", "bpr", True), ("cross", "mse", False),
-                  ("none", "bpr", False), ("none", "mse", False), ("concat", "bpr", False),
-                  ("plain-sum", "bpr", False), ("weighted-sum", "bpr", False)]
+STAGE2_CONFIGS = [("cross", "bpr"), ("cross", "mse"), ("none", "bpr"), ("none", "mse"),
+                  ("concat", "bpr"), ("plain-sum", "bpr"), ("weighted-sum", "bpr")]
 
 
 @pytest.fixture
@@ -77,15 +76,15 @@ def no_matrix(monkeypatch):
 
 
 class TestHotPathBuildsNoMatrix:
-    @pytest.mark.parametrize("variant, graph_loss, negatives", STAGE2_CONFIGS)
-    def test_stage2_step(self, request, variant, graph_loss, negatives):
+    @pytest.mark.parametrize("variant, graph_loss", STAGE2_CONFIGS)
+    def test_stage2_step(self, request, variant, graph_loss):
         ds = make_random_dataset(0, n=10, m=14)
         rng = np.random.default_rng(0)
         model = LightGCN(normalize_bipartite(ds), ds.n, BackboneConfig(dim=4, num_layers=2))
         table = init_embeddings(ds.n + ds.m, 4, seed=0)
         a_u, a_v = rng.normal(size=(ds.n, 4)), rng.normal(size=(ds.m, 4))
         cfg = fusion.FusionConfig(variant=variant, lambda1=0.5, lambda2=0.5,
-                                  graph_loss=graph_loss, include_negatives=negatives)
+                                  graph_loss=graph_loss)
         w_params = ([Param(w) for w in fusion.identity_weights(4)]
                     if variant == "weighted-sum" else None)
         u, i = ds.users[:6], ds.items[:6]

@@ -191,7 +191,7 @@ class TestStage2:
         plain = train_stage2(ds, adj, t2, None, None, bcfg, quick_cfg(),
                              fusion.FusionConfig(variant="none"))
         assert np.array_equal(zero.table.value, plain.table.value)
-        assert zero.best_metric == plain.best_metric
+        assert zero.state.best_metric == plain.state.best_metric
 
     def test_ordering_enforced(self):
         data, ds, adj, _ = self._stage1()
@@ -235,7 +235,7 @@ class TestStage2:
 
     def test_weighted_sum_returns_the_best_epochs_weights(self):
         """The returned table and weights are the best validation epoch's, and
-        scoring them on validation reproduces ``best_metric`` exactly."""
+        scoring them on validation reproduces the state's ``best_metric`` exactly."""
         data, ds, adj, s1 = self._stage1()
         bcfg = BackboneConfig(dim=D, num_layers=1)
         fcfg = fusion.FusionConfig(variant="weighted-sum")
@@ -247,7 +247,7 @@ class TestStage2:
 
         res = run(7)
         best_epoch = max(res.log.records, key=lambda r: r.val_metric).epoch
-        assert best_epoch < res.epochs_run
+        assert best_epoch < res.state.epoch
         upto_best = run(best_epoch)
         assert np.array_equal(res.table.value, upto_best.table.value)
         for w, ref in zip(res.fusion_weights, upto_best.fusion_weights, strict=True):
@@ -259,7 +259,7 @@ class TestStage2:
                                                  tuple(res.fusion_weights))
         truth = split_truth(ds, VALIDATION)
         recs = recommend_all(eff_u, eff_v, ds, 10, sorted(truth))
-        assert ranking_metrics(recs, truth, [10]).means["ndcg"][10] == res.best_metric
+        assert ranking_metrics(recs, truth, [10]).means["ndcg"][10] == res.state.best_metric
 
 
 def _reference_step(model, table, a_users, a_items, batch, cfg, w_params=None):
@@ -279,9 +279,8 @@ def _reference_step(model, table, a_users, a_items, batch, cfg, w_params=None):
     return loss
 
 
-STAGE2_CONFIGS = [("cross", "bpr", False), ("cross", "bpr", True), ("cross", "mse", False),
-                  ("none", "bpr", False), ("none", "mse", False), ("concat", "bpr", False),
-                  ("plain-sum", "bpr", False), ("weighted-sum", "bpr", False)]
+STAGE2_CONFIGS = [("cross", "bpr"), ("cross", "mse"), ("none", "bpr"), ("none", "mse"),
+                  ("concat", "bpr"), ("plain-sum", "bpr"), ("weighted-sum", "bpr")]
 
 
 class TestRestrictedStep:
@@ -300,12 +299,12 @@ class TestRestrictedStep:
             size=(ds.m, 16))
 
     @pytest.mark.parametrize("batch_size", [64, 1024])
-    @pytest.mark.parametrize("variant, graph_loss, negatives", STAGE2_CONFIGS)
+    @pytest.mark.parametrize("variant, graph_loss", STAGE2_CONFIGS)
     def test_every_trained_array_equals_the_full_step(self, desk, monkeypatch, batch_size,
-                                                       variant, graph_loss, negatives):
+                                                       variant, graph_loss):
         ds, adj, a_u, a_v = desk
         fcfg = fusion.FusionConfig(variant=variant, lambda1=0.5, lambda2=0.3,
-                                   graph_loss=graph_loss, include_negatives=negatives)
+                                   graph_loss=graph_loss)
         bcfg = BackboneConfig(dim=16, num_layers=2, lambda_reg=1e-4)
         cfg = quick_cfg(epochs=2, batch_size=batch_size, seed=2)
 
@@ -477,4 +476,4 @@ class TestCheckpoint:
                                fcfg, resume=resumed_state)
 
         assert np.array_equal(full.table.value, resumed.table.value)
-        assert full.best_metric == resumed.best_metric
+        assert full.state.best_metric == resumed.state.best_metric
