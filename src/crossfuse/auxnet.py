@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataError
-from .optim import Param, indicator, scatter_rows
+from .optim import Param, scatter_rows
 
 
 def save_dense_matrix(path, mat: np.ndarray) -> None:
@@ -58,14 +58,12 @@ class DistinctRows:
     """An attribute matrix as its distinct rows plus the map back to all rows.
 
     ``values[inverse]`` is the original matrix (one row per node class, in
-    :class:`NodeClasses`); ``counts`` holds how many nodes each distinct row
-    stands for, and ``scatter @ d`` sums an array indexed like ``inverse``
-    over each distinct row's occurrences."""
+    :class:`NodeClasses`), and ``counts`` holds how many nodes each distinct
+    row stands for."""
 
     values: np.ndarray
     inverse: np.ndarray
     counts: np.ndarray
-    scatter: sp.csr_matrix
 
 
 def distinct_rows(x: np.ndarray) -> DistinctRows:
@@ -75,8 +73,7 @@ def distinct_rows(x: np.ndarray) -> DistinctRows:
         raise ValueError("expected a 2-d attribute matrix")
     values, inverse, counts = np.unique(x, axis=0, return_inverse=True, return_counts=True)
     inverse = inverse.reshape(-1)
-    return DistinctRows(values, inverse, counts.astype(np.float64),
-                        indicator(inverse, len(values)))
+    return DistinctRows(values, inverse, counts.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -86,14 +83,13 @@ class NodeClasses:
 
     ``rows`` gives each class its distinct attribute row (counts stay per
     node, so the encoder is unchanged); ``sim`` is the similarity graph over
-    classes; ``counts`` holds each class's size, ``inverse`` maps nodes to
-    classes and ``scatter @ d`` sums a per-node array over each class."""
+    classes; ``counts`` holds each class's size and ``inverse`` maps nodes
+    to classes."""
 
     rows: DistinctRows
     sim: sp.csr_matrix
     counts: np.ndarray
     inverse: np.ndarray
-    scatter: sp.csr_matrix
 
 
 def node_classes(x: np.ndarray, sim: sp.spmatrix) -> NodeClasses:
@@ -123,10 +119,9 @@ def node_classes(x: np.ndarray, sim: sp.spmatrix) -> NodeClasses:
     sub = sim[reps]
     class_sim = sp.csr_matrix((sub.data, inverse[sub.indices], sub.indptr),
                               shape=(len(reps), len(reps)))
-    class_rows = DistinctRows(rows.values, rows.inverse[reps], rows.counts,
-                              indicator(rows.inverse[reps], len(rows.values)))
+    class_rows = DistinctRows(rows.values, rows.inverse[reps], rows.counts)
     return NodeClasses(class_rows, class_sim, np.bincount(inverse).astype(np.float64),
-                       inverse, indicator(inverse, len(reps)))
+                       inverse)
 
 
 class Affine:
@@ -276,7 +271,7 @@ class AuxEncoder:
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients from the per-row output gradient;
         returns the gradient with respect to the distinct input rows."""
-        d = self._rows.scatter @ d_out
+        d = scatter_rows(self._rows.inverse, len(self._rows.values), d_out)
         for block in reversed(self.blocks):
             d = block.backward(d)
         return d
@@ -385,7 +380,8 @@ class AuxiliaryExtractor:
         return a
 
     def backward(self, d_a: np.ndarray) -> None:
-        self.encoder.backward(self.gcn.backward(self._classes.scatter @ d_a))
+        d_classes = scatter_rows(self._classes.inverse, len(self._classes.counts), d_a)
+        self.encoder.backward(self.gcn.backward(d_classes))
 
     def params(self):
         return self.encoder.params() + self.gcn.params()

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, auxnet, fusion, gradcheck
+from . import __version__, auxnet, fusion, gradcheck, store
 from .backbone import BackboneConfig, LightGCN, init_embeddings
 from .config import ConfigError, RunConfig, load_config
 from .data import (DataError, InteractionDataset, encode_auxiliary, load_interactions,
@@ -28,9 +28,8 @@ from .evaluate import category_kl, write_report_json, write_report_text
 from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
                     load_graph, normalize_bipartite, save_graph)
 from .optim import Param
-from .trainer import (DivergenceError, PipelineOrderError, load_checkpoint,
-                      pack_stage2_state, save_checkpoint, score, train_stage1,
-                      train_stage2, unpack_stage2_state)
+from .trainer import (DivergenceError, PipelineOrderError, pack_stage2_state, score,
+                      train_stage1, train_stage2, unpack_stage2_state)
 
 
 class UsageError(Exception):
@@ -150,7 +149,9 @@ def _load_dataset(out: Path) -> InteractionDataset:
                 user_ids=[str(x) for x in z["user_ids"]],
                 item_ids=[str(x) for x in z["item_ids"]],
             )
-    except (OSError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+    # a damaged zip directory can name an unknown zip version or an encrypted member
+    except (OSError, EOFError, IndexError, KeyError, ValueError, NotImplementedError,
+            RuntimeError, zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: not a prepared dataset ({exc})") from exc
 
 
@@ -289,8 +290,8 @@ def cmd_train(args) -> int:
     table = init_embeddings(ds.n + ds.m, cfg.backbone.dim, cfg.train.seed)
     result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone, cfg.train,
                           cfg.fusion)
-    ckpt = pack_stage2_state(result.state, cfg.snapshot(), a_users, a_items)
-    save_checkpoint(out / "model.ckpt", ckpt)
+    store.save(out / "model.ckpt",
+               pack_stage2_state(result.state, cfg.snapshot(), a_users, a_items))
     result.log.write(out / "train_log.tsv")
     _write_manifest(out, "train", cfg, [Path(args.config)])
     state = result.state
@@ -330,7 +331,7 @@ def cmd_evaluate(args) -> int:
     ckpt_path = Path(args.checkpoint) if args.checkpoint else out / "model.ckpt"
     if not ckpt_path.exists():
         raise DataError(f"{ckpt_path} not found; run `crossfuse train` first")
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = store.load(ckpt_path, "checkpoint")
 
     # the model is the one the checkpoint records, whatever this config says
     trained = ckpt.meta.get("config", {})
@@ -341,8 +342,8 @@ def cmd_evaluate(args) -> int:
     params = {k: Param(v) for k, v in unpack_stage2_state(ckpt).selected().items()}
     model = LightGCN(adj, ds.n, BackboneConfig(dim=params["table"].value.shape[1],
                                                num_layers=trained["layers"]))
-    top, report = score(ds, model, params, trained["variant"], ckpt.tensors.get("aux_users"),
-                         ckpt.tensors.get("aux_items"), ds.split_csr(TEST), cfg.eval.topn,
+    top, report = score(ds, model, params, trained["variant"], ckpt.arrays.get("aux_users"),
+                         ckpt.arrays.get("aux_items"), ds.split_csr(TEST), cfg.eval.topn,
                          keep_per_user=args.per_user)
     write_report_text(report, out / "metrics.tsv")
     write_report_json(report, out / "metrics.json")

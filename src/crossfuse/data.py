@@ -18,7 +18,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
-SPLIT_NAMES = ("train", "validation", "test")
 
 
 class DataError(Exception):

@@ -8,20 +8,16 @@ user-user / item-item similarity graphs, and reads and writes them.
 from __future__ import annotations
 
 import logging
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import store
 from .data import TRAIN, DataError, InteractionDataset
 
 log = logging.getLogger(__name__)
-
-GRAPH_MAGIC = b"CFGB"
-GRAPH_VERSION = 2
 
 # Bound on one row block's co-count product in the similarity build (a
 # float64 value and an int32 column per entry), counted as if every entry of
@@ -193,51 +189,41 @@ def check_csr(mat: sp.csr_matrix) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Binary persistence
+# Graph files
 # ---------------------------------------------------------------------------
 
 def save_graph(path: str | Path, mat: sp.csr_matrix) -> None:
-    """Write a CSR matrix as magic/version/shape header plus little-endian
-    offsets, indices, and 64-bit values, then a CRC32 of all of them."""
+    """Write a CSR matrix as a :mod:`store` file: meta ``{"kind": "graph",
+    "shape": [rows, cols]}`` and the arrays ``indptr`` and ``indices``
+    (int64) and ``data`` (float64)."""
     mat = mat.tocsr()
     mat.sort_indices()
-    parts = [GRAPH_MAGIC, struct.pack("<I", GRAPH_VERSION),
-             struct.pack("<QQQ", mat.shape[0], mat.shape[1], mat.nnz),
-             np.ascontiguousarray(mat.indptr, dtype="<i8"),
-             np.ascontiguousarray(mat.indices, dtype="<i8"),
-             np.ascontiguousarray(mat.data, dtype="<f8")]
-    crc = 0
-    with open(path, "wb") as fh:
-        for part in parts:
-            fh.write(part)
-            crc = zlib.crc32(part, crc)
-        fh.write(struct.pack("<I", crc))
+    store.save(path, store.ArrayFile(
+        {"kind": "graph", "shape": list(mat.shape)},
+        {"indptr": mat.indptr.astype(np.int64), "indices": mat.indices.astype(np.int64),
+         "data": mat.data.astype(np.float64, copy=False)}))
 
 
 def load_graph(path: str | Path) -> sp.csr_matrix:
-    """Read a graph that ``save_graph`` wrote.  A wrong magic, version, size
-    or checksum, row offsets that do not run from 0 to nnz without
-    decreasing, a column index outside the shape, or a matrix that fails
-    ``check_csr`` is a :class:`DataError`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 36 or raw[:4] != GRAPH_MAGIC:
-        raise DataError(f"{path}: not a graph file")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != GRAPH_VERSION:
-        raise DataError(f"{path}: graph format version {version}, expected {GRAPH_VERSION}; "
-                        "re-run `crossfuse prepare`")
-    rows, cols, nnz = struct.unpack_from("<QQQ", raw, 8)
-    if len(raw) != 36 + 8 * (rows + 1 + 2 * nnz):
-        raise DataError(f"{path}: graph payload size mismatch")
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(memoryview(raw)[:-4]) != stored_crc:
-        raise DataError(f"{path}: checksum mismatch, file is corrupt")
-    off = 32
-    indptr = np.frombuffer(raw, dtype="<i8", count=rows + 1, offset=off).astype(np.int64)
-    off += (rows + 1) * 8
-    indices = np.frombuffer(raw, dtype="<i8", count=nnz, offset=off).astype(np.int64)
-    off += nnz * 8
-    values = np.frombuffer(raw, dtype="<f8", count=nnz, offset=off).astype(np.float64)
+    """Read a graph that ``save_graph`` wrote.  A file ``store.load`` rejects
+    or that holds no graph, arrays that do not fit the shape, row offsets
+    that do not run from 0 to nnz without decreasing, a column index outside
+    the shape, or a matrix failing ``check_csr`` is a :class:`DataError`."""
+    try:
+        doc = store.load(path, "graph")
+    except DataError as exc:
+        raise DataError(f"{exc}; re-run `crossfuse prepare`") from exc
+    shape = doc.meta.get("shape")
+    if (doc.meta.get("kind") != "graph" or sorted(doc.arrays) != ["data", "indices", "indptr"]
+            or not isinstance(shape, list) or len(shape) != 2
+            or not all(type(s) is int and s >= 0 for s in shape)):
+        raise DataError(f"{path}: not a graph file; re-run `crossfuse prepare`")
+    rows, cols = shape
+    indptr, indices, values = doc.arrays["indptr"], doc.arrays["indices"], doc.arrays["data"]
+    if (indptr.shape != (rows + 1,) or indices.ndim != 1 or values.shape != indices.shape
+            or (indptr.dtype, indices.dtype, values.dtype) != (np.int64, np.int64, np.float64)):
+        raise DataError(f"{path}: graph arrays do not fit a {rows}x{cols} matrix")
+    nnz = len(indices)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise DataError(f"{path}: row offsets do not run from 0 to {nnz} without decreasing")
     if nnz and (indices.min() < 0 or indices.max() >= cols):

@@ -4,28 +4,16 @@ stages, and the row scatter every loss uses to return its gradient."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 # the loop scipy's own CSC product runs; not public scipy API
 from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
 
 
-def indicator(index: np.ndarray, size: int) -> sp.csr_matrix:
-    """(size, len(index)) 0/1 matrix whose product with a (len(index), d)
-    array sums the rows sharing an index, adding them in their original order
-    exactly as numpy's unbuffered ``add.at`` does; rows no index names come
-    out zero."""
-    order = np.argsort(index, kind="stable")
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(index, minlength=size), out=indptr[1:])
-    return sp.csr_matrix((np.ones(len(index)), order, indptr), shape=(size, len(index)))
-
-
 def scatter_rows(index: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
-    """``indicator(index, size) @ values`` bit for bit, without building the
-    matrix: a (size, d) float64 array whose row r sums the rows b of the
+    """A (size, d) float64 array whose row r sums the rows b of the
     (len(index), d) ``values`` with ``index[b] == r``, adding them in
-    ascending b onto +0.0.
+    ascending b onto +0.0 as numpy's unbuffered ``add.at`` does; rows no
+    index names come out zero.
 
     The implicit matrix is CSC with one 1.0 per column b, at row
     ``index[b]``, and runs through the loop scipy's CSC product uses.  That

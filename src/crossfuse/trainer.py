@@ -6,33 +6,27 @@ against those frozen features through one step shared by every fusion
 variant (the variants differ only in their feature-level objective),
 tracking validation NDCG@10 for model selection and early stopping.  Both
 stages train through one minibatch loop, ``_epochs``, and are deterministic
-functions of (data, config, seed); checkpoints
+functions of (data, config, seed); checkpoints (:mod:`store` files)
 capture parameters, optimizer moments, and the random stream so a resumed
 run is bit-for-bit the uninterrupted one.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 import time
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import auxnet, fusion
+from . import auxnet, fusion, store
 from .backbone import BackboneConfig, LightGCN
-from .data import TRAIN, VALIDATION, DataError, InteractionDataset, sample_negatives
+from .data import TRAIN, VALIDATION, InteractionDataset, sample_negatives
 from .evaluate import RankingReport, TopN, score_top_n, top_n
 # perfbench's tracer patches the mapping forms as attributes of this module
 from .evaluate import ranking_metrics, recommend_all  # noqa: F401
 from .optim import Param, check_optimizer, make_optimizer
-
-CHECKPOINT_MAGIC = b"CFCK"
-CHECKPOINT_VERSION = 2
 
 
 class DivergenceError(Exception):
@@ -48,14 +42,6 @@ class DivergenceError(Exception):
 
 class PipelineOrderError(Exception):
     """Stage 2 started without stage-1 products."""
-
-
-class CheckpointVersionError(DataError):
-    pass
-
-
-class CheckpointCorruptError(DataError):
-    pass
 
 
 @dataclass
@@ -348,96 +334,11 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
                         fusion_weights=[p.value for p in w_params] if w_params else None)
 
 
-# ---------------------------------------------------------------------------
-# Checkpoint files
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Checkpoint:
-    """A named bag of tensors plus a JSON-able metadata dict."""
-
-    meta: dict
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-_DTYPES = {0: "<f8", 1: "<i8"}
-_DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
-
-
-def _tensor_bytes(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype not in _DTYPE_CODES:
-        arr = arr.astype(np.float64)
-    code = _DTYPE_CODES[arr.dtype]
-    head = struct.pack("<BB", code, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return head + dims + arr.astype(_DTYPES[code]).tobytes()
-
-
-def _tensor_from(buf: bytes) -> np.ndarray:
-    code, ndim = struct.unpack_from("<BB", buf, 0)
-    dims = struct.unpack_from(f"<{ndim}Q", buf, 2) if ndim else ()
-    data = np.frombuffer(buf, dtype=_DTYPES[code], offset=2 + 8 * ndim)
-    return data.reshape(dims).copy()
-
-
-def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """magic + version, section count, length-prefixed named sections, crc32."""
-    sections: list[tuple[str, int, bytes]] = [
-        ("meta", 0, json.dumps(ckpt.meta, sort_keys=True).encode())]
-    for name in sorted(ckpt.tensors):
-        sections.append((name, 1, _tensor_bytes(ckpt.tensors[name])))
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<I", CHECKPOINT_VERSION)
-    body += struct.pack("<I", len(sections))
-    for name, kind, payload in sections:
-        enc = name.encode()
-        body += struct.pack("<I", len(enc)) + enc
-        body += struct.pack("<B", kind)
-        body += struct.pack("<Q", len(payload)) + payload
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
-    Path(path).write_bytes(bytes(body))
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointCorruptError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"{path}: checkpoint format version {version}, "
-                                     f"expected {CHECKPOINT_VERSION}")
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(raw[:-4]) != stored_crc:
-        raise CheckpointCorruptError(f"{path}: checksum mismatch, file is corrupt")
-    (count,) = struct.unpack_from("<I", raw, 8)
-    off = 12
-    meta: dict = {}
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off:off + name_len].decode()
-        off += name_len
-        (kind,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        (size,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        payload = raw[off:off + size]
-        off += size
-        if kind == 0:
-            meta = json.loads(payload.decode())
-        else:
-            tensors[name] = _tensor_from(payload)
-    return Checkpoint(meta=meta, tensors=tensors)
-
-
 def pack_stage2_state(state: Stage2State, config_snapshot: dict,
                       a_users: np.ndarray | None = None,
-                      a_items: np.ndarray | None = None) -> Checkpoint:
+                      a_items: np.ndarray | None = None) -> store.ArrayFile:
     """Bundle a stage-2 state (plus the frozen auxiliary features) into a
-    writable checkpoint.  The generator state is PCG64's, plain integers, so
+    checkpoint that ``store.save`` writes.  The generator state is PCG64's, plain integers, so
     it goes into the JSON metadata as it is."""
     meta = {
         "kind": "stage2",
@@ -448,19 +349,19 @@ def pack_stage2_state(state: Stage2State, config_snapshot: dict,
         "rng_state": state.rng_state,
         "config": config_snapshot,
     }
-    tensors = {f"last.{k}": v for k, v in state.params.items()}
-    tensors.update({f"best.{k}": v for k, v in state.best_params.items()})
-    tensors.update({f"opt.{k}": v for k, v in state.opt_tensors.items()})
+    arrays = {f"last.{k}": v for k, v in state.params.items()}
+    arrays.update({f"best.{k}": v for k, v in state.best_params.items()})
+    arrays.update({f"opt.{k}": v for k, v in state.opt_tensors.items()})
     if a_users is not None:
-        tensors["aux_users"] = np.asarray(a_users)
+        arrays["aux_users"] = np.asarray(a_users)
     if a_items is not None:
-        tensors["aux_items"] = np.asarray(a_items)
-    return Checkpoint(meta=meta, tensors=tensors)
+        arrays["aux_items"] = np.asarray(a_items)
+    return store.ArrayFile(meta, arrays)
 
 
-def unpack_stage2_state(ckpt: Checkpoint) -> Stage2State:
+def unpack_stage2_state(ckpt: store.ArrayFile) -> Stage2State:
     def prefixed(prefix: str) -> dict[str, np.ndarray]:
-        return {k[len(prefix):]: v for k, v in ckpt.tensors.items() if k.startswith(prefix)}
+        return {k[len(prefix):]: v for k, v in ckpt.arrays.items() if k.startswith(prefix)}
 
     meta = ckpt.meta
     return Stage2State(

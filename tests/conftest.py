@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,17 @@ def tiny_dataset() -> InteractionDataset:
         ratings=np.ones(len(users)),
         split=np.zeros(len(users), dtype=np.int8),
     )
+
+
+def old_graph_bytes(indptr, indices, values, shape) -> bytes:
+    """A graph file in the retired CFGB layout (version 2): magic, version,
+    rows, cols and nnz, the little-endian offsets, indices and values, then a
+    CRC32."""
+    body = (b"CFGB" + struct.pack("<I", 2)
+            + struct.pack("<QQQ", shape[0], shape[1], len(indices))
+            + np.asarray(indptr, "<i8").tobytes() + np.asarray(indices, "<i8").tobytes()
+            + np.asarray(values, "<f8").tobytes())
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def make_random_dataset(seed: int, n: int = 8, m: int = 12,

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import make_random_dataset, split_truth
-from crossfuse import auxnet, fusion, gradcheck, synthetic
+from crossfuse import auxnet, fusion, gradcheck, store, synthetic
 from crossfuse.backbone import BackboneConfig, LightGCN, init_embeddings
 from crossfuse.data import TEST, split_dataset
 from crossfuse.evaluate import category_kl, ranking_metrics, recommend_all
 from crossfuse.graph import (build_similarity_graph, interaction_matrix,
                              normalize_bipartite)
-from crossfuse.trainer import (TrainConfig, load_checkpoint, pack_stage2_state,
-                               save_checkpoint, train_stage1, train_stage2,
+from crossfuse.trainer import (TrainConfig, pack_stage2_state, train_stage1, train_stage2,
                                unpack_stage2_state)
 
 
@@ -364,8 +363,8 @@ seed = 11
     state = train_stage2(ds, adj, half_table, s1b.user_features, s1b.item_features,
                          bcfg, replace(cfg10, epochs=5), fcfg).state
     ckpt_path = tmp_path / "mid.ckpt"
-    save_checkpoint(ckpt_path, pack_stage2_state(state, {"stopped_at": 5}))
-    resumed_state = unpack_stage2_state(load_checkpoint(ckpt_path))
+    store.save(ckpt_path, pack_stage2_state(state, {"stopped_at": 5}))
+    resumed_state = unpack_stage2_state(store.load(ckpt_path, "checkpoint"))
     resume_table = init_embeddings(ds.n + ds.m, 8, seed=4)
     resumed = train_stage2(ds, adj, resume_table, s1b.user_features,
                            s1b.item_features, bcfg, cfg10, fcfg,

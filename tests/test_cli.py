@@ -1,15 +1,18 @@
 import json
 import shutil
 import struct
+import zipfile
 
 import numpy as np
 import pytest
 
-from crossfuse import cli, synthetic
+from conftest import old_graph_bytes
+from crossfuse import cli, store, synthetic
 from crossfuse.cli import main
-from crossfuse.data import TEST, TRAIN, InteractionDataset
+from crossfuse.data import TEST, TRAIN, DataError, InteractionDataset
 from crossfuse.evaluate import category_kl
-from crossfuse.trainer import Checkpoint, load_checkpoint, save_checkpoint
+from crossfuse.graph import load_graph
+from crossfuse.store import ArrayFile
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,25 @@ def trained(workspace):
     _run_to(workspace, "train")
 
 
+def _store_regions(raw) -> dict[str, tuple[int, int]]:
+    """Byte ranges of a ``store`` file: magic, version, section count, the
+    metadata section's head (name length, name, kind and size), each
+    section's payload by name, and the trailing checksum."""
+    regions = {"magic": (0, 4), "version": (4, 8), "count": (8, 12)}
+    (count,) = struct.unpack_from("<I", raw, 8)
+    off = 12
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, off)
+        name = bytes(raw[off + 4:off + 4 + name_len]).decode()
+        (size,) = struct.unpack_from("<Q", raw, off + 5 + name_len)
+        start = off + 13 + name_len
+        regions.setdefault("meta-head", (off, start))
+        regions[name] = (start, start + size)
+        off = start + size
+    regions["trailer"] = (off, len(raw))
+    return regions
+
+
 def _config_at(workspace, out, tmp_path) -> str:
     """A copy of the workspace config whose output_dir is ``out``."""
     cfg = tmp_path / "copy.cfg"
@@ -123,9 +145,9 @@ class TestPipeline:
     @pytest.mark.usefixtures("stage1_done")
     def test_train(self, workspace):
         assert main(["train", "--config", str(workspace["config"])]) == 0
-        ckpt = load_checkpoint(workspace["out"] / "model.ckpt")
-        assert "last.table" in ckpt.tensors
-        assert "aux_users" in ckpt.tensors
+        ckpt = store.load(workspace["out"] / "model.ckpt", "checkpoint")
+        assert "last.table" in ckpt.arrays
+        assert "aux_users" in ckpt.arrays
         assert ckpt.meta["epoch"] == 3
 
     @pytest.mark.usefixtures("trained")
@@ -142,12 +164,12 @@ class TestPipeline:
     @pytest.mark.usefixtures("trained")
     def test_evaluate_scores_the_best_validation_table(self, workspace, tmp_path):
         out, cfg = workspace["out"], str(workspace["config"])
-        ckpt = load_checkpoint(out / "model.ckpt")
+        ckpt = store.load(out / "model.ckpt", "checkpoint")
         assert np.isfinite(ckpt.meta["best_metric"])
-        assert not np.array_equal(ckpt.tensors["last.table"], ckpt.tensors["best.table"])
+        assert not np.array_equal(ckpt.arrays["last.table"], ckpt.arrays["best.table"])
         best_only = tmp_path / "best_only.ckpt"
-        save_checkpoint(best_only, Checkpoint(ckpt.meta, {
-            **ckpt.tensors, "last.table": ckpt.tensors["best.table"]}))
+        store.save(best_only, ArrayFile(ckpt.meta, {
+            **ckpt.arrays, "last.table": ckpt.arrays["best.table"]}))
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(best_only)]) == 0
         expect = json.loads((out / "metrics.json").read_text())
         assert main(["evaluate", "--config", cfg]) == 0
@@ -233,8 +255,8 @@ class TestExternalInterfaces:
         save_dense_matrix(ext_v, rng.normal(size=(m, 8)))
         assert main(["train", "--config", str(workspace["config"]),
                      "--aux-users", str(ext_u), "--aux-items", str(ext_v)]) == 0
-        ckpt = load_checkpoint(out / "model.ckpt")
-        assert np.array_equal(ckpt.tensors["aux_users"], load_dense_matrix(ext_u))
+        ckpt = store.load(out / "model.ckpt", "checkpoint")
+        assert np.array_equal(ckpt.arrays["aux_users"], load_dense_matrix(ext_u))
 
     @pytest.mark.usefixtures("trained")
     def test_training_log_format(self, workspace):
@@ -326,12 +348,12 @@ class TestExitCodes:
         cfg = _config_at(workspace, out, tmp_path)
         path = out / name
         if damage == "stage-1-checkpoint":
-            trained_config = load_checkpoint(path).meta["config"]
-            save_checkpoint(path, Checkpoint({"kind": "stage1", "config": trained_config},
-                                             {"user.mlp.w0": np.zeros((2, 2))}))
+            trained_config = store.load(path, "checkpoint").meta["config"]
+            store.save(path, ArrayFile({"kind": "stage1", "config": trained_config},
+                                       {"user.mlp.w0": np.zeros((2, 2))}))
         elif damage == "no-trained-config":
-            ckpt = load_checkpoint(path)
-            save_checkpoint(path, Checkpoint({**ckpt.meta, "config": {}}, ckpt.tensors))
+            ckpt = store.load(path, "checkpoint")
+            store.save(path, ArrayFile({**ckpt.meta, "config": {}}, ckpt.arrays))
         else:
             raw = bytearray(path.read_bytes())
             if damage == "flip-byte":
@@ -347,8 +369,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, name", [("train", "adjacency.graph"),
                                                ("train-aux", "user_sim.graph")])
-    @pytest.mark.parametrize("region", ["magic", "version", "shape", "indptr", "indices",
-                                        "values", "trailer"])
+    @pytest.mark.parametrize("region", ["magic", "version", "count", "meta-head", "meta",
+                                        "data", "indices", "indptr", "trailer"])
     @pytest.mark.usefixtures("trained")
     def test_flipped_bit_in_graph_file_is_data_error(self, workspace, tmp_path, capsys,
                                                      command, name, region):
@@ -357,27 +379,54 @@ class TestExitCodes:
         cfg = _config_at(workspace, out, tmp_path)
         path = out / name
         raw = bytearray(path.read_bytes())
-        rows, _, nnz = struct.unpack_from("<QQQ", raw, 8)
-        bounds = [0, 4, 8, 32, 32 + 8 * (rows + 1), 32 + 8 * (rows + 1 + nnz),
-                  32 + 8 * (rows + 1 + 2 * nnz), len(raw)]
-        k = ["magic", "version", "shape", "indptr", "indices", "values", "trailer"].index(region)
-        raw[(bounds[k] + bounds[k + 1]) // 2] ^= 0x10
+        lo, hi = _store_regions(raw)[region]
+        raw[(lo + hi) // 2] ^= 0x10
         path.write_bytes(bytes(raw))
         assert main([command, "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, name", [("train", "adjacency.graph"),
+                                               ("train-aux", "user_sim.graph")])
     @pytest.mark.usefixtures("prepared")
-    def test_version_1_graph_file_asks_for_prepare(self, workspace, tmp_path, capsys):
+    def test_old_format_graph_file_asks_for_prepare(self, workspace, tmp_path, capsys,
+                                                    command, name):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
         cfg = _config_at(workspace, out, tmp_path)
-        path = out / "adjacency.graph"
-        raw = path.read_bytes()
-        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:-4])  # version 1 had no CRC
-        assert main(["train", "--config", cfg]) == 3
+        path = out / name
+        mat = load_graph(path)
+        path.write_bytes(old_graph_bytes(mat.indptr, mat.indices, mat.data, mat.shape))
+        assert main([command, "--config", cfg]) == 3
         err = capsys.readouterr().err
-        assert "graph format version 1" in err and "re-run `crossfuse prepare`" in err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "not a graph file" in err and "re-run `crossfuse prepare`" in err
+
+    @pytest.mark.usefixtures("prepared")
+    def test_flipped_bit_in_dataset_zip_directory_is_data_error_or_harmless(self, workspace,
+                                                                           tmp_path):
+        """Every single-bit flip from the zip central directory to the end of
+        ``dataset.npz`` either raises DataError or loads the same dataset."""
+        good = (workspace["out"] / "dataset.npz").read_bytes()
+        want = cli._load_dataset(workspace["out"])
+        with zipfile.ZipFile(workspace["out"] / "dataset.npz") as z:
+            start = z.start_dir
+        path = tmp_path / "dataset.npz"
+        harmless = 0
+        for bit in range(8 * start, 8 * len(good)):
+            raw = bytearray(good)
+            raw[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(raw))
+            try:
+                got = cli._load_dataset(tmp_path)
+            except DataError:
+                continue
+            harmless += 1
+            assert (got.n, got.m, got.user_ids, got.item_ids) == (
+                want.n, want.m, want.user_ids, want.item_ids)
+            for key in ("users", "items", "ratings", "split"):
+                assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        assert 0 < harmless < 8 * (len(good) - start)
 
     @pytest.mark.parametrize("users_shape, items_shape", [
         (("n", 5), ("m", 5)),
@@ -421,12 +470,12 @@ class TestExitCodes:
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
         cfg = _config_at(workspace, out, tmp_path)
-        ckpt = load_checkpoint(out / "model.ckpt")
-        tensors = dict(ckpt.tensors)
+        ckpt = store.load(out / "model.ckpt", "checkpoint")
+        tensors = dict(ckpt.arrays)
         for name in ("last.table", "best.table"):
             tensors[name] = tensors[name].copy()
             tensors[name][0] = np.nan
-        save_checkpoint(out / "model.ckpt", Checkpoint(ckpt.meta, tensors))
+        store.save(out / "model.ckpt", ArrayFile(ckpt.meta, tensors))
         assert main(["evaluate", "--config", cfg]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: non-finite effective features")

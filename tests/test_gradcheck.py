@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 
 from crossfuse import gradcheck
@@ -67,3 +69,20 @@ def test_repeated_rows_check_covers_merged_node_classes(monkeypatch):
         for nodes, classes, stored in seen[-2:]:
             assert classes < nodes      # some isolated nodes merged
             assert stored > classes     # and other nodes still have neighbours
+
+
+def test_each_check_draws_its_own_inputs(monkeypatch):
+    # a check that draws more numbers changes its own result and no other's
+    base = run_suite(seed=7)
+    original = gradcheck._check_bpr_embedding_grad
+
+    @functools.wraps(original)
+    def greedy(inst, rng, fd_tol):
+        rng.normal(size=1000)
+        return original(inst, rng, fd_tol)
+
+    monkeypatch.setattr(gradcheck, "_check_bpr_embedding_grad", greedy)
+    changed = run_suite(seed=7)
+    assert changed[0].max_error != base[0].max_error
+    assert [(r.name, r.max_error) for r in changed[1:]] == [
+        (r.name, r.max_error) for r in base[1:]]

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from crossfuse import graph
+from conftest import old_graph_bytes
+from crossfuse import graph, store
 from crossfuse.backbone import BackboneConfig, LightGCN
 from crossfuse.data import DataError, InteractionDataset
 from crossfuse.graph import (build_similarity_graph, check_csr, interaction_matrix,
@@ -341,13 +342,12 @@ class TestPersistence:
             load_graph(path)
 
     @staticmethod
-    def write_raw(path, indptr, indices, values, shape, version=graph.GRAPH_VERSION):
+    def write_raw(path, indptr, indices, values, shape, meta=None):
         """A graph file with a valid checksum around arbitrary CSR arrays."""
-        body = (graph.GRAPH_MAGIC + struct.pack("<I", version)
-                + struct.pack("<QQQ", shape[0], shape[1], len(indices))
-                + np.asarray(indptr, "<i8").tobytes() + np.asarray(indices, "<i8").tobytes()
-                + np.asarray(values, "<f8").tobytes())
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        store.save(path, store.ArrayFile(
+            {"kind": "graph", "shape": list(shape)} if meta is None else meta,
+            {"indptr": np.asarray(indptr, np.int64), "indices": np.asarray(indices, np.int64),
+             "data": np.asarray(values, np.float64)}))
 
     def test_file_ends_in_a_crc32_of_the_rest(self, tmp_path, tiny_dataset):
         path = tmp_path / "adj.graph"
@@ -367,10 +367,72 @@ class TestPersistence:
             with pytest.raises(DataError):
                 load_graph(path)
 
-    def test_version_1_asks_for_prepare(self, tmp_path):
+    def test_old_format_asks_for_prepare(self, tmp_path):
         path = tmp_path / "old.graph"
-        self.write_raw(path, [0, 1, 1], [1], [1.0], (2, 2), version=1)
-        with pytest.raises(DataError, match="version 1.*re-run `crossfuse prepare`"):
+        path.write_bytes(old_graph_bytes([0, 1, 1], [1], [1.0], (2, 2)))
+        with pytest.raises(DataError, match="not a graph file; re-run `crossfuse prepare`"):
+            load_graph(path)
+
+    def test_layout(self, tmp_path):
+        """The meta names the kind and shape; offsets and indices are int64
+        whatever scipy stores them as."""
+        mat = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]]))
+        assert mat.indptr.dtype == np.int32
+        path = tmp_path / "g.graph"
+        save_graph(path, mat)
+        doc = store.load(path, "graph")
+        assert doc.meta == {"kind": "graph", "shape": [2, 3]}
+        assert doc.arrays["indptr"].tolist() == [0, 1, 3]
+        assert doc.arrays["indices"].tolist() == [1, 0, 2]
+        assert doc.arrays["data"].tolist() == [2.0, 1.0, 3.0]
+        assert [doc.arrays[k].dtype for k in ("indptr", "indices", "data")] == [
+            np.int64, np.int64, np.float64]
+
+    @pytest.mark.parametrize("meta", [
+        {"kind": "stage2", "shape": [2, 3]},
+        {"shape": [2, 3]},
+        {"kind": "graph"},
+        {"kind": "graph", "shape": [2]},
+        {"kind": "graph", "shape": [2, -3]},
+        {"kind": "graph", "shape": [2.0, 3]},
+        {"kind": "graph", "shape": "2x3"},
+    ], ids=["other-kind", "no-kind", "no-shape", "short-shape", "negative", "float",
+            "string"])
+    def test_meta_without_a_graph_shape_is_not_a_graph(self, tmp_path, meta):
+        path = tmp_path / "bad.graph"
+        self.write_raw(path, [0, 1, 2], [0, 1], [1.0, 1.0], (2, 3), meta=meta)
+        with pytest.raises(DataError, match="not a graph file; re-run `crossfuse prepare`"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("arrays", [
+        {"indptr": [0, 1, 2], "indices": [0, 1]},
+        {"indptr": [0, 1, 2], "indices": [0, 1], "data": [1.0, 1.0], "extra": [0]},
+    ], ids=["missing", "extra"])
+    def test_other_array_names_are_not_a_graph(self, tmp_path, arrays):
+        path = tmp_path / "bad.graph"
+        store.save(path, store.ArrayFile({"kind": "graph", "shape": [2, 3]},
+                                         {k: np.asarray(v) for k, v in arrays.items()}))
+        with pytest.raises(DataError, match="not a graph file"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("indptr, indices, values", [
+        ([0, 1], [0], [1.0]),
+        ([0, 1, 2, 2], [0, 1], [1.0, 1.0]),
+        ([0, 1, 2], [0, 1], [1.0]),
+        ([0, 1, 2], [[0, 1]], [[1.0, 1.0]]),
+        ([0.0, 1.0, 2.0], [0, 1], [1.0, 1.0]),
+        ([0, 1, 2], [0.0, 1.0], [1.0, 1.0]),
+        ([0, 1, 2], [0, 1], [1, 1]),
+    ], ids=["short-offsets", "long-offsets", "short-values", "two-d", "float-offsets",
+            "float-indices", "int-values"])
+    def test_arrays_that_do_not_fit_the_shape_are_data_error(self, tmp_path, indptr,
+                                                              indices, values):
+        path = tmp_path / "bad.graph"
+        store.save(path, store.ArrayFile(
+            {"kind": "graph", "shape": [2, 3]},
+            {"indptr": np.asarray(indptr), "indices": np.asarray(indices),
+             "data": np.asarray(values)}))
+        with pytest.raises(DataError, match="do not fit a 2x3 matrix"):
             load_graph(path)
 
     @pytest.mark.parametrize("indptr, indices, values, match", [

@@ -6,7 +6,18 @@ from conftest import make_random_dataset
 from crossfuse import auxnet, backbone, fusion, optim
 from crossfuse.backbone import BackboneConfig, LightGCN, init_embeddings
 from crossfuse.graph import normalize_bipartite
-from crossfuse.optim import Param, indicator, scatter_rows
+from crossfuse.optim import Param, scatter_rows
+
+
+def indicator(index: np.ndarray, size: int) -> sp.csr_matrix:
+    """(size, len(index)) 0/1 matrix whose product with a (len(index), d)
+    array sums the rows sharing an index, adding them in their original order
+    exactly as numpy's unbuffered ``add.at`` does; rows no index names come
+    out zero.  The reference ``scatter_rows`` must match bit for bit."""
+    order = np.argsort(index, kind="stable")
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=size), out=indptr[1:])
+    return sp.csr_matrix((np.ones(len(index)), order, indptr), shape=(size, len(index)))
 
 
 def _values(rows: int, cols: int, seed: int = 0) -> np.ndarray:
@@ -63,16 +74,23 @@ STAGE2_CONFIGS = [("cross", "bpr"), ("cross", "mse"), ("none", "bpr"), ("none", 
                   ("concat", "bpr"), ("plain-sum", "bpr"), ("weighted-sum", "bpr")]
 
 
+class _NoMatrices:
+    """``scipy.sparse`` with its matrix and array constructors refused."""
+
+    def __getattr__(self, name):
+        if name.endswith(("_matrix", "_array")):
+            raise AssertionError(f"a per-batch path built a sparse matrix ({name})")
+        return getattr(sp, name)
+
+
 @pytest.fixture
 def no_matrix(monkeypatch):
-    """Make every reachable ``indicator`` raise: a per-batch loss that builds
-    a scatter matrix again fails the test."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a per-batch path built an indicator matrix")
-
+    """Refuse sparse construction through every training module's ``sp``: a
+    per-batch loss or backward pass that builds a scatter matrix again fails
+    the test."""
     for module in (optim, auxnet, backbone, fusion):
-        if hasattr(module, "indicator"):
-            monkeypatch.setattr(module, "indicator", refuse)
+        if hasattr(module, "sp"):
+            monkeypatch.setattr(module, "sp", _NoMatrices())
 
 
 class TestHotPathBuildsNoMatrix:

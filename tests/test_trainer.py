@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import split_truth
-from crossfuse import auxnet, fusion, synthetic, trainer
+from crossfuse import auxnet, fusion, store, synthetic, trainer
 from crossfuse.backbone import BackboneConfig, init_embeddings
-from crossfuse.data import TRAIN, VALIDATION, InteractionDataset, split_dataset
+from crossfuse.data import TRAIN, VALIDATION, DataError, InteractionDataset, split_dataset
 from crossfuse.evaluate import ranking_metrics, recommend_all
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
 from crossfuse.optim import Adam, Param, Sgd, make_optimizer
-from crossfuse.trainer import (Checkpoint, CheckpointCorruptError,
-                               CheckpointVersionError, DivergenceError,
-                               PipelineOrderError, TrainConfig, load_checkpoint,
-                               pack_stage2_state, save_checkpoint, train_stage1,
-                               train_stage2, unpack_stage2_state)
+from crossfuse.store import ArrayFile
+from crossfuse.trainer import (DivergenceError, PipelineOrderError, TrainConfig,
+                               pack_stage2_state, train_stage1, train_stage2,
+                               unpack_stage2_state)
 
 D = 8
 
@@ -407,42 +406,41 @@ class TestMinibatchLoop:
 class TestCheckpoint:
     def test_tensor_and_meta_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        ckpt = Checkpoint(meta={"kind": "test", "epoch": 3},
-                          tensors={"a": rng.normal(size=(4, 5)),
-                                   "b": rng.integers(0, 9, size=7)})
+        ckpt = ArrayFile(meta={"kind": "test", "epoch": 3},
+                         arrays={"a": rng.normal(size=(4, 5)),
+                                 "b": rng.integers(0, 9, size=7)})
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, ckpt)
-        back = load_checkpoint(path)
+        store.save(path, ckpt)
+        back = store.load(path, "checkpoint")
         assert back.meta == ckpt.meta
-        assert np.array_equal(back.tensors["a"], ckpt.tensors["a"])
-        assert np.array_equal(back.tensors["b"], ckpt.tensors["b"])
-        assert back.tensors["b"].dtype == np.int64
+        assert np.array_equal(back.arrays["a"], ckpt.arrays["a"])
+        assert np.array_equal(back.arrays["b"], ckpt.arrays["b"])
+        assert back.arrays["b"].dtype == np.int64
 
     def test_version_bump_detected_before_checksum(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, Checkpoint(meta={"k": 1}, tensors={}))
+        store.save(path, ArrayFile(meta={"k": 1}, arrays={}))
         raw = bytearray(path.read_bytes())
         raw[4] = 99  # version byte
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointVersionError):
-            load_checkpoint(path)
+        with pytest.raises(DataError, match="checkpoint format version 99"):
+            store.load(path, "checkpoint")
 
     def test_corruption_detected(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, Checkpoint(meta={"k": 1},
-                                         tensors={"t": np.ones((3, 3))}))
+        store.save(path, ArrayFile(meta={"k": 1}, arrays={"t": np.ones((3, 3))}))
         raw = bytearray(path.read_bytes())
         raw[-12] ^= 0xFF  # flip a payload byte
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointCorruptError, match="checksum"):
-            load_checkpoint(path)
+        with pytest.raises(DataError, match="checksum"):
+            store.load(path, "checkpoint")
 
     def test_truncated_detected(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, Checkpoint(meta={"k": 1}, tensors={"t": np.ones(5)}))
+        store.save(path, ArrayFile(meta={"k": 1}, arrays={"t": np.ones(5)}))
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(path)
+        with pytest.raises(DataError):
+            store.load(path, "checkpoint")
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         def stage1():
@@ -467,8 +465,8 @@ class TestCheckpoint:
                              s1b.item_features, bcfg, quick_cfg(epochs=5, seed=9),
                              fcfg).state
         path = tmp_path / "mid.ckpt"
-        save_checkpoint(path, pack_stage2_state(state, {"note": "mid"}))
-        resumed_state = unpack_stage2_state(load_checkpoint(path))
+        store.save(path, pack_stage2_state(state, {"note": "mid"}))
+        resumed_state = unpack_stage2_state(store.load(path, "checkpoint"))
 
         table_resume = init_embeddings(ds2.n + ds2.m, D, seed=9)
         resumed = train_stage2(ds2, adj2, table_resume, s1b.user_features,
