@@ -41,6 +41,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="crossfuse",
                      description="Feature-fusion collaborative filtering pipeline")
@@ -63,7 +69,7 @@ def build_parser() -> _Parser:
                    help="item attribute field holding category labels")
     with_config(sub.add_parser("ablate", help="compare fusion variants on one config"))
     p = sub.add_parser("verify-gradients", help="run the gradient verification suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--fd-tol", type=float, default=gradcheck.FD_TOL)
     p.add_argument("--exact-tol", type=float, default=gradcheck.EXACT_TOL)
     return parser
@@ -184,22 +190,19 @@ def cmd_prepare(args) -> int:
     write_remap_table(out / "item_remap.tsv", ds.item_ids)
 
     R = interaction_matrix(ds, binarize=True)
-    sim_u = build_similarity_graph(R, "rows", gcfg.epsilon_user, gcfg.similarity,
-                                   gcfg.max_neighbors)
-    sim_v = build_similarity_graph(R, "columns", gcfg.epsilon_item, gcfg.similarity,
-                                   gcfg.max_neighbors)
+    sim_u = build_similarity_graph(R, "rows", gcfg.epsilon_user, gcfg.similarity)
+    sim_v = build_similarity_graph(R, "columns", gcfg.epsilon_item, gcfg.similarity)
     adj = normalize_bipartite(ds)
     save_graph(out / "user_sim.graph", sim_u)
     save_graph(out / "item_sim.graph", sim_v)
     save_graph(out / "adjacency.graph", adj)
 
     inputs = [Path(args.config), Path(paths.interactions)]
-    for side, attr_path, count, ids in (("user", paths.user_attributes, ds.n, ds.user_ids),
-                                        ("item", paths.item_attributes, ds.m, ds.item_ids)):
+    for side, attr_path, ids in (("user", paths.user_attributes, ds.user_ids),
+                                 ("item", paths.item_attributes, ds.item_ids)):
         if attr_path is None:
             continue
-        id_map = {raw: idx for idx, raw in enumerate(ids)}
-        feats = encode_auxiliary(attr_path, count, id_map=id_map, delimiter=cfg.data.delimiter)
+        feats = encode_auxiliary(attr_path, ids, cfg.data.delimiter)
         auxnet.save_dense_matrix(out / f"{side}_attr.mat", feats.values)
         _save_fields(out / f"{side}_attr_fields.json", feats.fields)
         inputs.append(Path(attr_path))
@@ -339,7 +342,7 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{ckpt_path}: not a stage-2 checkpoint recording its fusion "
                         "variant and layer count")
     cats = _item_category_labels(out, args.category_field) if args.kl else None
-    params = {k: Param(v) for k, v in unpack_stage2_state(ckpt).selected().items()}
+    params = {k: Param(v) for k, v in unpack_stage2_state(ckpt, ckpt_path).selected().items()}
     model = LightGCN(adj, ds.n, BackboneConfig(dim=params["table"].value.shape[1],
                                                num_layers=trained["layers"]))
     top, report = score(ds, model, params, trained["variant"], ckpt.arrays.get("aux_users"),

@@ -249,11 +249,11 @@ def load_interactions(path: str | Path, cfg: DataConfig | None = None) -> Intera
     )
 
 
-def write_remap_table(path: str | Path, raw_ids: Sequence[str], delimiter: str = "\t") -> None:
-    """Persist the raw-id to internal-index mapping as two-column text."""
+def write_remap_table(path: str | Path, raw_ids: Sequence[str]) -> None:
+    """Persist the raw-id to internal-index mapping as tab-separated text."""
     with open(path, "w", encoding="utf-8") as fh:
         for idx, raw in enumerate(raw_ids):
-            fh.write(f"{raw}{delimiter}{idx}\n")
+            fh.write(f"{raw}\t{idx}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +265,7 @@ class AttributeField:
     """One categorical attribute inside a concatenated one-hot encoding.
 
     The field owns ``len(categories) + 1`` consecutive slots starting at
-    ``offset``; the extra slot is the blank token used for missing or unknown
-    values.
+    ``offset``; the extra slot is the blank token used for missing values.
     """
 
     name: str
@@ -281,13 +280,11 @@ class AttributeField:
     def blank_index(self) -> int:
         return self.offset + len(self.categories)
 
-    def slot(self, value: str | None) -> int:
-        if value is None or value == "":
+    def slot(self, value: str) -> int:
+        """The slot of one of the field's categories, or the blank for ``""``."""
+        if value == "":
             return self.blank_index
-        try:
-            return self.offset + self.categories.index(value)
-        except ValueError:
-            return self.blank_index
+        return self.offset + self.categories.index(value)
 
 
 @dataclass
@@ -322,9 +319,7 @@ def make_fields(names: Sequence[str], categories: Sequence[Sequence[str]]) -> li
 
 def one_hot_matrix(labels: np.ndarray, fields: list[AttributeField]) -> AuxFeatureMatrix:
     """Encode per-node category slots (rows x fields of slot values, -1 = blank)."""
-    labels = np.atleast_2d(np.asarray(labels))
-    if labels.shape[0] == 1 and len(fields) == 1:
-        labels = labels.T
+    labels = np.asarray(labels)
     rows = labels.shape[0]
     dim = sum(f.cardinality for f in fields)
     values = np.zeros((rows, dim))
@@ -338,19 +333,18 @@ def one_hot_matrix(labels: np.ndarray, fields: list[AttributeField]) -> AuxFeatu
     return mat
 
 
-def encode_auxiliary(path: str | Path, node_count: int,
-                     fields: list[AttributeField] | None = None,
-                     id_map: dict[str, int] | None = None,
+def encode_auxiliary(path: str | Path, ids: Sequence[str],
                      delimiter: str | None = None) -> AuxFeatureMatrix:
-    """Encode a delimited attribute table into a concatenated one-hot matrix.
+    """Encode a delimited attribute table into a concatenated one-hot matrix
+    with one row per entry of ``ids``, the dataset's raw node ids in index
+    order.
 
-    The first column is the node id (raw when ``id_map`` is given, otherwise
-    an integer internal index); remaining columns are categorical values and
-    an empty cell means missing.  When ``fields`` is None the categories are
-    inferred from the file (sorted lexicographically) and the fields are
-    named ``field_1``, ``field_2``, ...; otherwise values absent
-    from the supplied descriptors map to the blank token.  Nodes without a row
-    get the blank token in every field.
+    The first column is a raw node id from the interaction log; remaining
+    columns are categorical values and an empty cell means missing.  The
+    categories are inferred from the file (sorted lexicographically) and the
+    fields are named ``field_1``, ``field_2``, ...  Nodes without a row get
+    the blank token in every field.  An id not in ``ids`` or a second row for
+    one node is a :class:`DataError`.
     """
     path = Path(path)
     try:
@@ -360,6 +354,7 @@ def encode_auxiliary(path: str | Path, node_count: int,
 
     lines = text.splitlines()
     delim = delimiter or _sniff_delimiter(lines[0] if lines else ",")
+    id_map = {raw: idx for idx, raw in enumerate(ids)}
 
     rows: dict[int, list[str]] = {}
     width = None
@@ -368,18 +363,11 @@ def encode_auxiliary(path: str | Path, node_count: int,
             continue
         parts = [p.strip() for p in line.split(delim)]
         raw = parts[0]
-        if id_map is not None:
-            if raw not in id_map:
-                raise DataError(f"{path}:{lineno + 1}: node id {raw!r} not present in the dataset")
-            node = id_map[raw]
-        else:
-            if not raw.lstrip("-").isdigit():
-                raise DataError(f"{path}:{lineno + 1}: node id {raw!r} is not an integer index")
-            node = int(raw)
-        if not (0 <= node < node_count):
-            raise DataError(f"{path}:{lineno + 1}: node id {node} outside [0, {node_count})")
+        if raw not in id_map:
+            raise DataError(f"{path}:{lineno + 1}: node id {raw!r} not present in the dataset")
+        node = id_map[raw]
         if node in rows:
-            raise DataError(f"{path}:{lineno + 1}: duplicate row for node {node}")
+            raise DataError(f"{path}:{lineno + 1}: duplicate row for node {raw!r}")
         vals = parts[1:]
         rows[node] = vals
         width = max(width or 0, len(vals))
@@ -387,25 +375,19 @@ def encode_auxiliary(path: str | Path, node_count: int,
     if width is None:
         raise DataError(f"{path}: no attribute rows")
 
-    if fields is None:
-        distinct: list[set[str]] = [set() for _ in range(width)]
-        for vals in rows.values():
-            for j in range(width):
-                v = vals[j] if j < len(vals) else ""
-                if v:
-                    distinct[j].add(v)
-        fields = make_fields([f"field_{j + 1}" for j in range(width)],
-                             [sorted(d) for d in distinct])
+    distinct = [sorted({vals[j] for vals in rows.values() if j < len(vals) and vals[j]})
+                for j in range(width)]
+    fields = make_fields([f"field_{j + 1}" for j in range(width)], distinct)
 
     dim = sum(f.cardinality for f in fields)
-    values = np.zeros((node_count, dim))
-    for node in range(node_count):
+    values = np.zeros((len(ids), dim))
+    for node in range(len(ids)):
         vals = rows.get(node, [])
         for j, f in enumerate(fields):
             v = vals[j] if j < len(vals) else ""
             values[node, f.slot(v)] = 1.0
 
-    mat = AuxFeatureMatrix(rows=node_count, dim=dim, values=values, fields=list(fields))
+    mat = AuxFeatureMatrix(rows=len(ids), dim=dim, values=values, fields=fields)
     mat.validate()
     return mat
 

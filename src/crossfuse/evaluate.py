@@ -270,8 +270,11 @@ def category_kl(histories: Mapping[int, Sequence[int]],
     smoothed so the divergence stays defined when a category is never
     recommended.  Users with empty histories are skipped.  Each user's sums
     run over their own categories only, and the mean is a sum in ascending
-    user order, one user after the other.
+    user order, one user after the other.  ``top_categories`` below 1 is a
+    ``ValueError``.
     """
+    if top_categories < 1:
+        raise ValueError(f"top_categories must be >= 1, got {top_categories}")
     users = sorted(histories)
     keys = np.array(sorted(map(int, item_categories)), dtype=np.int64)
     cats_of = [item_categories[k] for k in keys.tolist()]
@@ -286,8 +289,7 @@ def category_kl(histories: Mapping[int, Sequence[int]],
 
     # each row's categories by descending history count, ties to the smaller label
     present = np.count_nonzero(hist, axis=1)
-    width = (np.minimum(present, top_categories) if top_categories >= 0
-             else np.maximum(present + top_categories, 0))
+    width = np.minimum(present, top_categories)
     top = np.argsort(-hist, axis=1, kind="stable")[:, :width.max(initial=0)]
     p_all = np.take_along_axis(hist, top, axis=1)
     q_all = np.take_along_axis(recs, top, axis=1) + KL_SMOOTHING

@@ -26,10 +26,9 @@ log = logging.getLogger(__name__)
 _BLOCK_BYTES = 8 << 20
 
 
-def interaction_matrix(ds: InteractionDataset, split: int = TRAIN,
-                       binarize: bool = False) -> sp.csr_matrix:
-    """n x m rating matrix R over one split (values 1 when ``binarize``)."""
-    idx = ds.split_indices(split)
+def interaction_matrix(ds: InteractionDataset, *, binarize: bool = False) -> sp.csr_matrix:
+    """n x m rating matrix R over the train split (values 1 when ``binarize``)."""
+    idx = ds.split_indices(TRAIN)
     vals = np.ones(len(idx)) if binarize else ds.ratings[idx]
     mat = sp.coo_matrix((vals, (ds.users[idx], ds.items[idx])), shape=(ds.n, ds.m))
     out = mat.tocsr()
@@ -54,24 +53,19 @@ def check_similarity(epsilon: float, variant: str, key: str = "epsilon") -> None
 
 @dataclass
 class GraphConfig:
-    """Similarity thresholds and variant, and the optional neighbor cap, of
-    the user-user and item-item graphs."""
+    """Similarity thresholds and variant of the user-user and item-item graphs."""
 
     epsilon_user: float = 0.3
     epsilon_item: float = 0.3
     similarity: str = "cosine"
-    max_neighbors: int | None = None
 
     def validate(self) -> None:
         for key in ("epsilon_user", "epsilon_item"):
             check_similarity(getattr(self, key), self.similarity, key)
-        if self.max_neighbors is not None and self.max_neighbors < 0:
-            raise ValueError(f"max_neighbors must be none or >= 0, got {self.max_neighbors}")
 
 
 def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 0.3,
-                           variant: str = "cosine",
-                           max_neighbors: int | None = None) -> sp.csr_matrix:
+                           variant: str = "cosine") -> sp.csr_matrix:
     """Thresholded similarity graph over R's rows (users) or columns (items).
 
     Off-diagonal entry (u, v) is the similarity between the binarized
@@ -79,8 +73,6 @@ def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 
     is exactly 1 for every node, including zero-interaction nodes which keep
     only the self-loop (logged).  The ``printed`` variant divides co-counts by
     the product of squared norms instead of the standard cosine denominator.
-    ``max_neighbors`` optionally caps each node's off-diagonal degree by
-    keeping entries ranked in both endpoints' top lists, preserving symmetry.
     """
     check_similarity(epsilon, variant)
     if axis not in ("rows", "columns"):
@@ -123,28 +115,12 @@ def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 
         vs.append(np.minimum(C.data[at[upper]], 1.0))
     r, c, v = np.concatenate(rs), np.concatenate(cs), np.concatenate(vs)
 
-    if max_neighbors is not None and len(v):
-        r, c, v = _cap_neighbors(size, r, c, v, max_neighbors)
-
     rows = np.concatenate([r, c, np.arange(size)])
     cols = np.concatenate([c, r, np.arange(size)])
     vals = np.concatenate([v, v, np.ones(size)])
     out = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     out.sort_indices()
     return out
-
-
-def _cap_neighbors(size, r, c, v, top):
-    """Keep an edge only when it ranks in the top lists of both endpoints."""
-    order = np.lexsort((np.minimum(r, c) * size + np.maximum(r, c), -v))
-    rank = [0] * size
-    keep = np.zeros(len(v), dtype=bool)
-    for k, a, b in zip(order.tolist(), r[order].tolist(), c[order].tolist()):
-        if rank[a] < top and rank[b] < top:
-            keep[k] = True
-            rank[a] += 1
-            rank[b] += 1
-    return r[keep], c[keep], v[keep]
 
 
 def normalize_bipartite(ds: InteractionDataset) -> sp.csr_matrix:

@@ -1,5 +1,5 @@
-"""Trainable-parameter containers, the optimizers used by both training
-stages, and the row scatter every loss uses to return its gradient."""
+"""Trainable-parameter containers, the Adam optimizer both training stages
+use, and the row scatter every loss uses to return its gradient."""
 
 from __future__ import annotations
 
@@ -46,27 +46,6 @@ class Param:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
-
-
-class Sgd:
-    """Plain gradient descent at a constant rate."""
-
-    def __init__(self, params, lr: float):
-        self.params = list(params)
-        self.lr = float(lr)
-
-    def step(self) -> None:
-        for p in self.params:
-            p.value -= self.lr * p.grad
-
-    def state(self) -> dict:
-        return {"kind": "sgd"}
-
-    def load_state(self, meta: dict, tensors: dict) -> None:
-        pass
-
-    def state_tensors(self) -> dict:
-        return {}
 
 
 class Adam:
@@ -123,16 +102,3 @@ class Adam:
             self.m[i][...] = tensors[f"m{i}"]
             self.v[i][...] = tensors[f"v{i}"]
 
-
-OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
-
-
-def check_optimizer(name: str) -> None:
-    if name not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {name!r} "
-                         f"(expected {' or '.join(map(repr, OPTIMIZERS))})")
-
-
-def make_optimizer(name: str, params, lr: float):
-    check_optimizer(name)
-    return OPTIMIZERS[name](params, lr)

@@ -22,11 +22,11 @@ import scipy.sparse as sp
 
 from . import auxnet, fusion, store
 from .backbone import BackboneConfig, LightGCN
-from .data import TRAIN, VALIDATION, InteractionDataset, sample_negatives
+from .data import TRAIN, VALIDATION, DataError, InteractionDataset, sample_negatives
 from .evaluate import RankingReport, TopN, score_top_n, top_n
 # perfbench's tracer patches the mapping forms as attributes of this module
 from .evaluate import ranking_metrics, recommend_all  # noqa: F401
-from .optim import Param, check_optimizer, make_optimizer
+from .optim import Adam, Param
 
 
 class DivergenceError(Exception):
@@ -46,13 +46,12 @@ class PipelineOrderError(Exception):
 
 @dataclass
 class TrainConfig:
-    """Learning rates, loop sizes, optimizer choice, and the random seed."""
+    """Learning rates, loop sizes, early stopping, and the random seed."""
 
     eta1: float = 0.001
     eta2: float = 0.001
     epochs: int = 200
     batch_size: int = 1024
-    optimizer: str = "adam"
     patience: int | None = 20  # None disables early stopping
     seed: int = 0
 
@@ -67,7 +66,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.patience is not None and self.patience < 0:
             raise ValueError(f"patience must be none or >= 0, got {self.patience}")
-        check_optimizer(self.optimizer)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -165,7 +165,7 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
     user_classes = auxnet.node_classes(user_x, sim_user)
     item_classes = auxnet.node_classes(item_x, sim_item)
     rng = np.random.default_rng(cfg.seed)
-    opt = make_optimizer(cfg.optimizer, user_net.params() + item_net.params(), cfg.eta1)
+    opt = Adam(user_net.params() + item_net.params(), cfg.eta1)
     log = TrainingLog()
 
     def step(batch) -> float:
@@ -275,7 +275,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
                     for k, w in enumerate(fusion.identity_weights(bcfg.dim))]
 
     named = {"table": table, **{p.name: p for p in w_params or []}}
-    opt = make_optimizer(cfg.optimizer, list(named.values()), cfg.eta2)
+    opt = Adam(list(named.values()), cfg.eta2)
     rng = np.random.default_rng(cfg.seed)
     val_truth = ds.split_csr(VALIDATION)
     validate = len(val_truth[1]) > 0
@@ -359,18 +359,28 @@ def pack_stage2_state(state: Stage2State, config_snapshot: dict,
     return store.ArrayFile(meta, arrays)
 
 
-def unpack_stage2_state(ckpt: store.ArrayFile) -> Stage2State:
+def unpack_stage2_state(ckpt: store.ArrayFile, path: str | Path) -> Stage2State:
+    """The stage-2 state a checkpoint read from ``path`` holds.  A metadata
+    key that is missing or of the wrong type, or a missing last or best
+    ``table``, is a :class:`DataError` naming the file."""
     def prefixed(prefix: str) -> dict[str, np.ndarray]:
         return {k[len(prefix):]: v for k, v in ckpt.arrays.items() if k.startswith(prefix)}
 
     meta = ckpt.meta
-    return Stage2State(
-        epoch=int(meta["epoch"]),
-        params=prefixed("last."),
-        best_params=prefixed("best."),
-        best_metric=float(meta["best_metric"]),
-        stale_epochs=int(meta["stale_epochs"]),
-        opt_meta=meta["opt"],
-        opt_tensors=prefixed("opt."),
-        rng_state=meta["rng_state"],
-    )
+    try:
+        state = Stage2State(
+            epoch=int(meta["epoch"]),
+            params=prefixed("last."),
+            best_params=prefixed("best."),
+            best_metric=float(meta["best_metric"]),
+            stale_epochs=int(meta["stale_epochs"]),
+            opt_meta=meta["opt"],
+            opt_tensors=prefixed("opt."),
+            rng_state=meta["rng_state"],
+        )
+        if "table" not in state.params or "table" not in state.best_params:
+            raise KeyError("table")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: incomplete stage-2 checkpoint "
+                        f"({type(exc).__name__}: {exc})") from exc
+    return state

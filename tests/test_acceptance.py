@@ -364,7 +364,7 @@ seed = 11
                          bcfg, replace(cfg10, epochs=5), fcfg).state
     ckpt_path = tmp_path / "mid.ckpt"
     store.save(ckpt_path, pack_stage2_state(state, {"stopped_at": 5}))
-    resumed_state = unpack_stage2_state(store.load(ckpt_path, "checkpoint"))
+    resumed_state = unpack_stage2_state(store.load(ckpt_path, "checkpoint"), ckpt_path)
     resume_table = init_embeddings(ds.n + ds.m, 8, seed=4)
     resumed = train_stage2(ds, adj, resume_table, s1b.user_features,
                            s1b.item_features, bcfg, cfg10, fcfg,

@@ -305,8 +305,13 @@ class TestExitCodes:
         assert "config error: epochs must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, old, new", [
-        ("train", "[train]\n", "[train]\noptimizer = lbfgs\n"),
-        ("train-aux", "[train]\n", "[train]\noptimizer = lbfgs\n"),
+        ("train", "[train]\n", "[train]\noptimizer = adam\n"),
+        ("train-aux", "[train]\n", "[train]\noptimizer = adam\n"),
+        ("prepare", "[graph]\n", "[graph]\nmax_neighbors = 3\n"),
+        ("prepare", "seed = 1", "seed = -1"),
+        ("train-aux", "seed = 1", "seed = -1"),
+        ("train", "seed = 1", "seed = -1"),
+        ("ablate", "seed = 1", "seed = -1"),
         ("prepare", "[graph]\n", "[graph]\nsimilarity = bogus\n"),
         ("prepare", "epsilon_user = 0.2", "epsilon_user = 2"),
         ("prepare", "[data]\n", "[data]\ntrain_ratio = 0.92\n"),
@@ -319,7 +324,8 @@ class TestExitCodes:
         ("train", "[backbone]\n", "[backbone]\nlambda_reg = nan\n"),
         ("train", "[backbone]\n", "[backbone]\nlambda_reg = inf\n"),
         ("train-aux", "[auxnet]\n", "[auxnet]\nbn_eps = inf\n"),
-    ], ids=["optimizer-train", "optimizer-train-aux", "similarity", "epsilon", "ratios",
+    ], ids=["optimizer-train", "optimizer-train-aux", "max-neighbors", "seed-prepare",
+            "seed-train-aux", "seed-train", "seed-ablate", "similarity", "epsilon", "ratios",
             "topn", "kl-categories-0", "kl-categories-negative", "train-ratio-nan",
             "eta2-nan", "eta2-inf", "lambda-reg-nan", "lambda-reg-inf", "bn-eps-inf"])
     def test_bad_value_is_config_error(self, workspace, tmp_path, capsys, command, old, new):
@@ -366,6 +372,24 @@ class TestExitCodes:
         assert main([command, "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("part, key", [
+        ("meta", "epoch"), ("meta", "best_metric"), ("meta", "stale_epochs"), ("meta", "opt"),
+        ("meta", "rng_state"), ("arrays", "last.table"), ("arrays", "best.table")])
+    @pytest.mark.usefixtures("trained")
+    def test_incomplete_checkpoint_is_data_error(self, workspace, tmp_path, capsys, part,
+                                                 key):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        cfg = _config_at(workspace, out, tmp_path)
+        path = out / "model.ckpt"
+        ckpt = store.load(path, "checkpoint")
+        del getattr(ckpt, part)[key]
+        store.save(path, ckpt)
+        assert main(["evaluate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: incomplete stage-2 checkpoint (KeyError: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command, name", [("train", "adjacency.graph"),
                                                ("train-aux", "user_sim.graph")])
@@ -541,6 +565,12 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out.count("PASS") == 12
         assert "all 12 gradient checks passed" in out
+
+    def test_verify_gradients_negative_seed_is_usage_error(self, capsys):
+        assert main(["verify-gradients", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --seed: seed must be an integer >= 0")
+        assert "usage: crossfuse" in err
 
     def test_verify_gradients_fails_with_impossible_tolerance(self, capsys):
         assert main(["verify-gradients", "--seed", "7", "--exact-tol", "1e-18"]) == 4

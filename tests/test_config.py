@@ -23,7 +23,7 @@ def test_every_field_has_a_default():
     for name, value in cfg.snapshot().items():
         assert value is not None or name in ("interactions", "user_attributes",
                                              "item_attributes", "rating_column",
-                                             "delimiter", "max_neighbors", "patience")
+                                             "delimiter", "patience")
 
 
 def test_load(tmp_path):
@@ -47,6 +47,16 @@ def test_timestamp_column_rejected_by_name(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[data]\ntimestamp_column = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="timestamp_column"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("train", "optimizer = adam", "optimizer"),
+    ("graph", "max_neighbors = 3", "max_neighbors")])
+def test_removed_keys_rejected_by_name(tmp_path, section, line, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"unknown config key \[{section}\] {key}$"):
         load_config(path)
 
 
@@ -75,9 +85,9 @@ def test_bad_value_reports_key(tmp_path):
     ("auxnet", "hidden = -5", "hidden"),
     ("auxnet", "bn_momentum = 7", "bn_momentum"),
     ("auxnet", "bn_eps = -1", "bn_eps"),
-    ("graph", "max_neighbors = -1", "max_neighbors"),
     ("data", "user_column = -1", "user_column"),
     ("train", "patience = -3", "patience"),
+    ("train", "seed = -1", "seed"),
     ("train", "eta2 = 0", "eta2"),
     ("graph", "epsilon_item = 1.5", "epsilon_item"),
     ("data", "train_ratio = nan", "train_ratio"),
@@ -116,7 +126,7 @@ def test_readme_config_table_lists_every_key_and_default():
     expected = {name: {key: text(getattr(section, f.name)) for key, f in _keys(section).items()}
                 for name, section in sections.items()}
     assert rows == expected
-    assert sum(map(len, rows.values())) == len(RunConfig().snapshot()) == 35
+    assert sum(map(len, rows.values())) == len(RunConfig().snapshot()) == 33
 
 
 def test_keys_land_on_their_section_fields(tmp_path):

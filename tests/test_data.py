@@ -218,50 +218,47 @@ class TestLoaderMatchesPerLineReference:
 class TestEncodeAuxiliary:
     def test_concatenated_one_hot_offsets(self, tmp_path):
         # field 1 has 3 categories (a, b, c), field 2 has 2 (x, y); plus blanks
-        path = write(tmp_path, "a.csv", "0,b,x\n1,a,y\n2,c,x\n")
-        mat = encode_auxiliary(path, node_count=3)
+        path = write(tmp_path, "a.csv", "n0,b,x\nn1,a,y\nn2,c,x\n")
+        mat = encode_auxiliary(path, ["n0", "n1", "n2"])
         assert mat.dim == (3 + 1) + (2 + 1)
         assert mat.values[0, 1] == 1.0  # 'b' is index 1 in sorted (a, b, c)
         assert mat.values[0, 4] == 1.0  # 'x' is index 0 at offset 4
         assert mat.values.sum() == 2 * 3
 
     def test_missing_value_gets_blank_token(self, tmp_path):
-        path = write(tmp_path, "m.csv", "0,a,\n1,b,x\n")
-        mat = encode_auxiliary(path, node_count=2)
+        path = write(tmp_path, "m.csv", "n0,a,\nn1,b,x\n")
+        mat = encode_auxiliary(path, ["n0", "n1"])
         f2 = mat.fields[1]
         assert mat.values[0, f2.blank_index] == 1.0
 
     def test_missing_node_row_gets_all_blanks(self, tmp_path):
-        path = write(tmp_path, "m.csv", "0,a\n2,b\n")
-        mat = encode_auxiliary(path, node_count=3)
+        path = write(tmp_path, "m.csv", "n0,a\nn2,b\n")
+        mat = encode_auxiliary(path, ["n0", "n1", "n2"])
         f = mat.fields[0]
         assert mat.values[1, f.blank_index] == 1.0
 
-    def test_unknown_category_maps_to_blank_with_fixed_fields(self, tmp_path):
-        fields = make_fields(["color"], [["red", "blue"]])
-        path = write(tmp_path, "u.csv", "0,green\n1,red\n")
-        mat = encode_auxiliary(path, node_count=2, fields=fields)
-        assert mat.values[0, fields[0].blank_index] == 1.0
-        assert mat.values[1, fields[0].offset] == 1.0
-
-    def test_node_out_of_range_rejected(self, tmp_path):
-        path = write(tmp_path, "o.csv", "5,a\n")
-        with pytest.raises(DataError, match="outside"):
-            encode_auxiliary(path, node_count=3)
+    def test_rows_follow_the_order_of_ids(self, tmp_path):
+        # integer-looking ids are raw ids too, not row indices
+        path = write(tmp_path, "o.csv", "3,x\n10,y\n")
+        mat = encode_auxiliary(path, ["10", "3"])
+        f = mat.fields[0]
+        assert mat.rows == 2
+        assert mat.values[0, f.offset + f.categories.index("y")] == 1.0
+        assert mat.values[1, f.offset + f.categories.index("x")] == 1.0
 
     def test_duplicate_node_rejected(self, tmp_path):
-        path = write(tmp_path, "d.csv", "0,a\n0,b\n")
-        with pytest.raises(DataError, match="duplicate"):
-            encode_auxiliary(path, node_count=2)
+        path = write(tmp_path, "d.csv", "n0,a\nn0,b\n")
+        with pytest.raises(DataError, match=":2: duplicate row for node 'n0'"):
+            encode_auxiliary(path, ["n0", "n1"])
 
     def test_unknown_raw_id_rejected(self, tmp_path):
         path = write(tmp_path, "r.csv", "stranger,a\n")
         with pytest.raises(DataError, match="not present"):
-            encode_auxiliary(path, node_count=2, id_map={"known": 0})
+            encode_auxiliary(path, ["known"])
 
     def test_row_ones_equal_field_count(self, tmp_path):
-        path = write(tmp_path, "p.csv", "0,a,x,q\n1,b,,q\n2,,y,\n")
-        mat = encode_auxiliary(path, node_count=4)
+        path = write(tmp_path, "p.csv", "n0,a,x,q\nn1,b,,q\nn2,,y,\n")
+        mat = encode_auxiliary(path, ["n0", "n1", "n2", "n3"])
         assert np.all(mat.values.sum(axis=1) == 3)
 
 

@@ -330,6 +330,11 @@ class TestCategoryKl:
         kl, profiles = category_kl(hist, recs, cats, top_categories=2)
         assert profiles[0].history.tolist() == [0.5, 0.5]
 
+    @pytest.mark.parametrize("top", [0, -2])
+    def test_fewer_than_one_top_category_rejected(self, top):
+        with pytest.raises(ValueError, match="top_categories must be >= 1"):
+            category_kl({0: [0]}, {0: [0]}, {0: [0]}, top)
+
     def test_top_k_restriction(self):
         cats = {0: [0], 1: [1], 2: [2]}
         hist = {0: [0, 0, 0, 1, 1, 2]}
@@ -393,7 +398,7 @@ def category_cases(draw):
     histories = {u: draw(items) for u in users}
     recommendations = {u: np.array(draw(items), dtype=np.int64)
                        for u in users if draw(st.booleans())}
-    return histories, recommendations, item_categories, draw(st.integers(-2, 14))
+    return histories, recommendations, item_categories, draw(st.integers(1, 14))
 
 
 class TestCategoryKlMatchesPerUserReference:

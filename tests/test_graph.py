@@ -68,15 +68,6 @@ class TestSimilarityGraph:
         b = build_similarity_graph(Rr, "rows", epsilon=0.0)
         assert np.allclose(a.toarray(), b.toarray())
 
-    def test_max_neighbors_cap(self):
-        rng = np.random.default_rng(0)
-        R = sp.csr_matrix((rng.random((12, 20)) < 0.4).astype(float))
-        sim = build_similarity_graph(R, "rows", epsilon=0.05, max_neighbors=2)
-        dense = sim.toarray()
-        off_degrees = (dense > 0).sum(axis=1) - 1
-        assert np.all(off_degrees <= 2)
-        assert np.array_equal(dense, dense.T)
-
     @settings(max_examples=40, deadline=None)
     @given(binary_matrices, st.floats(0.05, 0.95))
     def test_symmetry_range_and_contract(self, dense, epsilon):
@@ -99,23 +90,9 @@ class TestSimilarityGraph:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def reference_cap(size, r, c, v, top):
-    """The per-edge cap loop over numpy scalars, as the build first wrote it."""
-    order = np.lexsort((np.minimum(r, c) * size + np.maximum(r, c), -v))
-    rank = [0] * size
-    keep = np.zeros(len(v), dtype=bool)
-    for k in order:
-        a, b = int(r[k]), int(c[k])
-        if rank[a] < top and rank[b] < top:
-            keep[k] = True
-            rank[a] += 1
-            rank[b] += 1
-    return r[keep], c[keep], v[keep]
-
-
-def whole_matrix_graph(R, axis="rows", epsilon=0.3, variant="cosine", max_neighbors=None):
+def whole_matrix_graph(R, axis="rows", epsilon=0.3, variant="cosine"):
     """The similarity build over the whole product: D @ (B @ B.T) @ D, its
-    strict upper triangle, the threshold, the cap, mirroring and the diagonal."""
+    strict upper triangle, the threshold, mirroring and the diagonal."""
     B = R.tocsr() if axis == "rows" else R.T.tocsr()
     B = B.astype(bool).astype(np.float64)
     size = B.shape[0]
@@ -130,8 +107,6 @@ def whole_matrix_graph(R, axis="rows", epsilon=0.3, variant="cosine", max_neighb
     upper = sp.triu(S, k=1).tocoo()
     keep = upper.data >= epsilon
     r, c, v = upper.row[keep], upper.col[keep], np.minimum(upper.data[keep], 1.0)
-    if max_neighbors is not None and len(v):
-        r, c, v = reference_cap(size, r, c, v, max_neighbors)
     rows = np.concatenate([r, c, np.arange(size)])
     cols = np.concatenate([c, r, np.arange(size)])
     vals = np.concatenate([v, v, np.ones(size)])
@@ -167,17 +142,25 @@ class TestBlockedSimilarityBuild:
         dense[0, :3] = dense[1, :3] = 1.0  # a similarity of exactly 1
         return sp.csr_matrix(dense)
 
+    @staticmethod
+    def counts() -> sp.csc_matrix:
+        # the same pattern with repeat interactions (values 1-3), column major:
+        # the build binarizes whatever layout and counts it is given
+        R = TestBlockedSimilarityBuild.interactions()
+        R.data = np.random.default_rng(4).integers(1, 4, size=R.nnz).astype(np.float64)
+        return R.tocsc()
+
     @pytest.mark.parametrize("rows", [1, 3, None], ids=["1-row", "3-rows", "whole"])
-    @pytest.mark.parametrize("max_neighbors", [None, 2])
+    @pytest.mark.parametrize("given", ["binary", "counts"])
     @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("variant", ["cosine", "printed"])
     @pytest.mark.parametrize("axis", ["rows", "columns"])
-    def test_equals_whole_matrix_formula(self, axis, variant, epsilon, max_neighbors, rows):
-        R = self.interactions()
+    def test_equals_whole_matrix_formula(self, axis, variant, epsilon, given, rows):
+        R = self.interactions() if given == "binary" else self.counts()
         size = R.shape[0] if axis == "rows" else R.shape[1]
         with mock.patch.object(graph, "_BLOCK_BYTES", block_rows(rows, size)):
-            got = build_similarity_graph(R, axis, epsilon, variant, max_neighbors)
-        assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant, max_neighbors))
+            got = build_similarity_graph(R, axis, epsilon, variant)
+        assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant))
 
     def test_budget_below_one_row_still_takes_one_row(self):
         R = self.interactions()
@@ -188,14 +171,13 @@ class TestBlockedSimilarityBuild:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(binary_matrices, st.sampled_from(["rows", "columns"]),
            st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.sampled_from(["cosine", "printed"]),
-           st.sampled_from([None, 1, 2]), st.sampled_from([1, 2, 3, None]))
-    def test_property_equals_whole_matrix_formula(self, dense, axis, epsilon, variant,
-                                                  max_neighbors, rows):
+           st.sampled_from([1, 2, 3, None]))
+    def test_property_equals_whole_matrix_formula(self, dense, axis, epsilon, variant, rows):
         R = sp.csr_matrix(dense)
         size = R.shape[0] if axis == "rows" else R.shape[1]
         with mock.patch.object(graph, "_BLOCK_BYTES", block_rows(rows, size)):
-            got = build_similarity_graph(R, axis, epsilon, variant, max_neighbors)
-        assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant, max_neighbors))
+            got = build_similarity_graph(R, axis, epsilon, variant)
+        assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant))
 
     def test_traced_peak_is_a_fraction_of_the_whole_product(self):
         # dense co-counts: about 80% of user pairs share an item
@@ -214,22 +196,6 @@ class TestBlockedSimilarityBuild:
         want, whole = traced_peak(whole_matrix_graph)
         assert_same_csr(got, want)
         assert blocked < whole / 3
-
-
-class TestCapNeighbors:
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
-    def test_equals_the_numpy_scalar_loop(self, size, seed, top):
-        rng = np.random.default_rng(seed)
-        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
-        pick = rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))]
-        r = np.array([pairs[k][0] for k in pick], dtype=np.int64)
-        c = np.array([pairs[k][1] for k in pick], dtype=np.int64)
-        v = rng.choice([0.25, 0.5, 0.75, 1.0], size=len(pick))  # many ties
-        got = graph._cap_neighbors(size, r, c, v, top)
-        want = reference_cap(size, r, c, v, top)
-        for x, y in zip(got, want):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestNormalizeBipartite:

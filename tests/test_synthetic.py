@@ -38,6 +38,5 @@ def test_written_files_load_back(tmp_path):
     ds = load_interactions(paths["interactions"])
     assert ds.n == 20
     assert ds.m == data.dataset.m or ds.m <= 30  # only interacted items appear
-    id_map = {raw: idx for idx, raw in enumerate(ds.user_ids)}
-    feats = encode_auxiliary(paths["user_attributes"], ds.n, id_map=id_map)
+    feats = encode_auxiliary(paths["user_attributes"], ds.user_ids)
     assert feats.rows == ds.n

@@ -7,7 +7,7 @@ from crossfuse.backbone import BackboneConfig, init_embeddings
 from crossfuse.data import TRAIN, VALIDATION, DataError, InteractionDataset, split_dataset
 from crossfuse.evaluate import ranking_metrics, recommend_all
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
-from crossfuse.optim import Adam, Param, Sgd, make_optimizer
+from crossfuse.optim import Adam, Param
 from crossfuse.store import ArrayFile
 from crossfuse.trainer import (DivergenceError, PipelineOrderError, TrainConfig,
                                pack_stage2_state, train_stage1, train_stage2,
@@ -42,22 +42,12 @@ def quick_cfg(**kw):
 
 class TestOptimizers:
     def test_zero_learning_rate_is_identity(self):
-        for name in ("sgd", "adam"):
-            p = Param(np.array([1.0, -2.0, 3.0]))
-            # a tiny positive rate times zero steps is the honest identity;
-            # rate exactly 0 must also leave values untouched
-            opt = make_optimizer(name, [p], 0.0)
-            p.grad[...] = np.array([5.0, -1.0, 0.5])
-            before = p.value.copy()
-            opt.step()
-            assert np.array_equal(p.value, before)
-
-    def test_sgd_step(self):
-        p = Param(np.array([1.0]))
-        opt = Sgd([p], 0.5)
-        p.grad[...] = np.array([2.0])
+        p = Param(np.array([1.0, -2.0, 3.0]))
+        opt = Adam([p], 0.0)
+        p.grad[...] = np.array([5.0, -1.0, 0.5])
+        before = p.value.copy()
         opt.step()
-        assert p.value[0] == 0.0
+        assert np.array_equal(p.value, before)
 
     def test_adam_state_roundtrip(self):
         p = Param(np.array([1.0, 2.0]))
@@ -102,10 +92,6 @@ class TestOptimizers:
             assert np.array_equal(opt.v[k], v[k])
         assert sorted(opt.state_tensors()) == ["m0", "m1", "m2", "v0", "v1", "v2"]
 
-    def test_unknown_optimizer(self):
-        with pytest.raises(ValueError):
-            make_optimizer("lbfgs", [], 0.1)
-
 
 class TestStage1:
     def test_loss_descends_on_fittable_instance(self):
@@ -136,14 +122,15 @@ class TestStage1:
 
     def test_divergent_run_aborts_with_epoch(self):
         data, ds, sim_u, sim_v, _ = make_world()
-        # purely affine extractors so an absurd rate genuinely diverges
+        # purely affine extractors so an absurd rate genuinely diverges: Adam
+        # moves each value by about the rate per step, so 1e200 overflows
         rng = np.random.default_rng(0)
         user_net = auxnet.build_extractor(data.user_features.dim, D, [], 0, rng)
         item_net = auxnet.build_extractor(data.item_features.dim, D, [], 0, rng)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             train_stage1(ds, user_net, item_net, data.user_features.values,
                          data.item_features.values, sim_u, sim_v,
-                         quick_cfg(eta1=1e6, optimizer="sgd", epochs=60))
+                         quick_cfg(eta1=1e200, epochs=60))
         assert err.value.stage == 1
         assert err.value.epoch >= 1
 
@@ -397,7 +384,7 @@ class TestMinibatchLoop:
                 pytest.raises(DivergenceError) as err:
             train_stage2(ds, adj, init_embeddings(ds.n + ds.m, D, seed=0), None, None,
                          BackboneConfig(dim=D, num_layers=1),
-                         quick_cfg(eta2=1e6, optimizer="sgd", epochs=60, batch_size=32),
+                         quick_cfg(eta2=1e200, epochs=60, batch_size=32),
                          fusion.FusionConfig(variant="none", graph_loss="mse"))
         assert err.value.stage == 2
         assert err.value.epoch >= 1
@@ -466,7 +453,7 @@ class TestCheckpoint:
                              fcfg).state
         path = tmp_path / "mid.ckpt"
         store.save(path, pack_stage2_state(state, {"note": "mid"}))
-        resumed_state = unpack_stage2_state(store.load(path, "checkpoint"))
+        resumed_state = unpack_stage2_state(store.load(path, "checkpoint"), path)
 
         table_resume = init_embeddings(ds2.n + ds2.m, D, seed=9)
         resumed = train_stage2(ds2, adj2, table_resume, s1b.user_features,
