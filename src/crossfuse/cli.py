@@ -341,11 +341,20 @@ def cmd_evaluate(args) -> int:
     if ckpt.meta.get("kind") != "stage2" or not {"variant", "layers"} <= trained.keys():
         raise DataError(f"{ckpt_path}: not a stage-2 checkpoint recording its fusion "
                         "variant and layer count")
+    variant, layers = trained["variant"], trained["layers"]
+    if variant not in fusion.VARIANTS:
+        raise DataError(f"{ckpt_path}: unknown fusion variant {variant!r} in the checkpoint")
+    if type(layers) is not int or layers < 0:
+        raise DataError(f"{ckpt_path}: layer count {layers!r} in the checkpoint is not an "
+                        "integer >= 0")
+    if variant not in ("cross", "none") and not {"aux_users", "aux_items"} <= ckpt.arrays.keys():
+        raise DataError(f"{ckpt_path}: a {variant} checkpoint without its auxiliary features "
+                        "(aux_users, aux_items)")
     cats = _item_category_labels(out, args.category_field) if args.kl else None
     params = {k: Param(v) for k, v in unpack_stage2_state(ckpt, ckpt_path).selected().items()}
     model = LightGCN(adj, ds.n, BackboneConfig(dim=params["table"].value.shape[1],
-                                               num_layers=trained["layers"]))
-    top, report = score(ds, model, params, trained["variant"], ckpt.arrays.get("aux_users"),
+                                               num_layers=layers))
+    top, report = score(ds, model, params, variant, ckpt.arrays.get("aux_users"),
                          ckpt.arrays.get("aux_items"), ds.split_csr(TEST), cfg.eval.topn,
                          keep_per_user=args.per_user)
     write_report_text(report, out / "metrics.tsv")

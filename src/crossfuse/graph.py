@@ -13,16 +13,19 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+# the numeric loop of scipy's own CSR product; not public scipy API
+from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
 
 from . import store
 from .data import TRAIN, DataError, InteractionDataset
 
 log = logging.getLogger(__name__)
 
-# Bound on one row block's co-count product in the similarity build (a
-# float64 value and an int32 column per entry), counted as if every entry of
-# the block were stored.  The block's scaling adds at most one float64 array
-# of the same length.
+# Bound on one row block's co-counts in the similarity build (a float64 value
+# and an int32 column per entry), counted as if every entry of the block were
+# stored.  The build's one product buffer has exactly that size, so the
+# product loop, which checks no capacity, can never write past it.  The
+# block's scaling adds at most one float64 array of the same length.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -97,22 +100,44 @@ def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 
     # Upper-triangle edges, one row block at a time: block [lo, hi) meets only
     # the nodes after lo, and each co-count c is scaled as (inv[r] * c) *
     # inv[col], the order of D @ C @ D, so every kept value has the bits the
-    # whole product gives it.
+    # whole product gives it.  The co-counts come from the numeric pass of
+    # scipy's product alone, into one buffer sized for the widest block as if
+    # it were dense.  Its left operand is the block's rows of B, a view of
+    # B's row offsets (the loop reads them only pairwise), with item j
+    # renumbered 2j + 1.  Its right operand is B.T with item j's row split at
+    # lo: row 2j holds the nodes up to lo, row 2j + 1 those after it, and
+    # only the split moves from block to block.
     BT = B.T.tocsr()
+    items = B.shape[1]
     step = max(1, _BLOCK_BYTES // (12 * max(size, 1)))
+    width = min(step, size)
+    bound = width * (size - 1)
+    idx = np.int32 if max(bound, B.nnz, size, 2 * items + 1) < 2**31 else np.int64
+    a_indptr, a_indices = B.indptr.astype(idx, copy=False), 2 * B.indices.astype(idx) + 1
+    b_indptr, b_indices = np.empty(2 * items + 1, idx), BT.indices.astype(idx, copy=False)
+    b_indptr[0::2] = BT.indptr
+    # B.T's entries as sorted (item, node) keys, to find each block's splits
+    starts = np.arange(items, dtype=np.int64) * size
+    keys = np.repeat(starts, np.diff(BT.indptr)) + BT.indices
+    c_indptr, c_indices, c_data = np.empty(width + 1, idx), np.empty(bound, idx), np.empty(bound)
     rs, cs, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for lo in range(0, size, step):
         hi = min(lo + step, size)
-        C = B[lo:hi] @ BT[:, lo + 1:]
-        C.data *= np.repeat(inv[lo:hi], np.diff(C.indptr))
-        C.data *= inv[lo + 1:][C.indices]
-        at = np.flatnonzero(C.data >= epsilon)
-        r = np.searchsorted(C.indptr, at, side="right") - 1 + lo
-        c = C.indices[at] + (lo + 1)
+        b_indptr[1::2] = np.searchsorted(keys, starts + (lo + 1))
+        _csr_matmat(hi - lo, size, a_indptr[lo:hi + 1], a_indices, B.data,
+                    b_indptr, b_indices, BT.data, c_indptr, c_indices, c_data)
+        indptr = c_indptr[:hi - lo + 1]
+        nnz = indptr[-1]
+        indices, data = c_indices[:nnz], c_data[:nnz]
+        data *= np.repeat(inv[lo:hi], np.diff(indptr))
+        data *= inv[indices]
+        at = np.flatnonzero(data >= epsilon)
+        r = np.searchsorted(indptr, at, side="right") - 1 + lo
+        c = indices[at]
         upper = c > r
         rs.append(r[upper])
         cs.append(c[upper])
-        vs.append(np.minimum(C.data[at[upper]], 1.0))
+        vs.append(np.minimum(data[at[upper]], 1.0))
     r, c, v = np.concatenate(rs), np.concatenate(cs), np.concatenate(vs)
 
     rows = np.concatenate([r, c, np.arange(size)])

@@ -391,9 +391,37 @@ class TestExitCodes:
         assert err.startswith(f"data error: {path}: incomplete stage-2 checkpoint (KeyError: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("snapshot, dropped, message", [
+        ({"variant": "bogus"}, (), "unknown fusion variant 'bogus'"),
+        ({"variant": ["cross"]}, (), "unknown fusion variant ['cross']"),
+        ({"layers": "x"}, (), "layer count 'x'"),
+        ({"layers": -1}, (), "layer count -1"),
+        ({"layers": True}, (), "layer count True"),
+        ({"layers": 1.0}, (), "layer count 1.0"),
+        ({"variant": "concat"}, ("aux_users", "aux_items"), "a concat checkpoint without"),
+        ({"variant": "plain-sum"}, ("aux_items",), "a plain-sum checkpoint without"),
+        ({"variant": "weighted-sum"}, ("aux_users",), "a weighted-sum checkpoint without"),
+    ], ids=["variant-bogus", "variant-list", "layers-text", "layers-negative", "layers-bool",
+            "layers-float", "concat-no-aux", "plain-sum-no-aux-items",
+            "weighted-sum-no-aux-users"])
+    @pytest.mark.usefixtures("trained")
+    def test_bad_config_snapshot_is_data_error(self, workspace, tmp_path, capsys, snapshot,
+                                               dropped, message):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        cfg = _config_at(workspace, out, tmp_path)
+        path = out / "model.ckpt"
+        ckpt = store.load(path, "checkpoint")
+        store.save(path, ArrayFile(
+            {**ckpt.meta, "config": {**ckpt.meta["config"], **snapshot}},
+            {k: v for k, v in ckpt.arrays.items() if k not in dropped}))
+        assert main(["evaluate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command, name", [("train", "adjacency.graph"),
                                                ("train-aux", "user_sim.graph")])
-    @pytest.mark.parametrize("region", ["magic", "version", "count", "meta-head", "meta",
+    @pytest.mark.parametrize("region",["magic", "version", "count", "meta-head", "meta",
                                         "data", "indices", "indptr", "trailer"])
     @pytest.mark.usefixtures("trained")
     def test_flipped_bit_in_graph_file_is_data_error(self, workspace, tmp_path, capsys,

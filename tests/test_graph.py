@@ -14,6 +14,7 @@ from conftest import old_graph_bytes
 from crossfuse import graph, store
 from crossfuse.backbone import BackboneConfig, LightGCN
 from crossfuse.data import DataError, InteractionDataset
+from crossfuse.graph import _csr_matmat as graph_csr_matmat
 from crossfuse.graph import (build_similarity_graph, check_csr, interaction_matrix,
                              isolated_nodes, load_graph, normalize_bipartite, save_graph)
 from crossfuse.optim import Param
@@ -178,6 +179,39 @@ class TestBlockedSimilarityBuild:
         with mock.patch.object(graph, "_BLOCK_BYTES", block_rows(rows, size)):
             got = build_similarity_graph(R, axis, epsilon, variant)
         assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant))
+
+    @pytest.mark.parametrize("rows", [1, 3, None, 50],
+                             ids=["1-row", "3-rows", "whole", "beyond-size"])
+    @pytest.mark.parametrize("axis", ["rows", "columns"])
+    def test_all_pairs_sharing_an_item_fill_the_block_buffer(self, axis, rows):
+        # every pair of nodes shares an item, so the first block's co-counts
+        # are dense: exactly the buffer the budget sizes
+        R = sp.csr_matrix(np.ones((11, 10)))
+        size = R.shape[0] if axis == "rows" else R.shape[1]
+        filled = []
+
+        def product(n_row, n_col, *arrays):
+            graph_csr_matmat(n_row, n_col, *arrays)
+            indptr, indices = arrays[6], arrays[7]
+            filled.append((int(indptr[n_row]), len(indices)))
+
+        with mock.patch.object(graph, "_BLOCK_BYTES", block_rows(rows, size)), \
+                mock.patch.object(graph, "_csr_matmat", product):
+            got = build_similarity_graph(R, axis, 0.3)
+        assert_same_csr(got, whole_matrix_graph(R, axis, 0.3))
+        bound = min(rows or size, size) * (size - 1)
+        assert filled[0] == (bound, bound)
+        assert all(nnz <= cap for nnz, cap in filled)
+
+    def test_runs_no_symbolic_pass(self):
+        # scipy's sparse product sizes its output with this pass first
+        R = self.interactions()
+        with mock.patch("scipy.sparse._compressed.csr_matmat_maxnnz",
+                        side_effect=AssertionError("symbolic pass")):
+            got = build_similarity_graph(R, "rows", 0.3)
+            with pytest.raises(AssertionError, match="symbolic pass"):
+                whole_matrix_graph(R, "rows", 0.3)
+        assert_same_csr(got, whole_matrix_graph(R, "rows", 0.3))
 
     def test_traced_peak_is_a_fraction_of_the_whole_product(self):
         # dense co-counts: about 80% of user pairs share an item
