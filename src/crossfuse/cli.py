@@ -28,8 +28,8 @@ from .evaluate import category_kl, write_report_json, write_report_text
 from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
                     load_graph, normalize_bipartite, save_graph)
 from .optim import Param
-from .trainer import (DivergenceError, PipelineOrderError, pack_stage2_state, score,
-                      train_stage1, train_stage2, unpack_stage2_state)
+from .trainer import (DivergenceError, PipelineOrderError, load_selected_model,
+                      pack_stage2_state, score, train_stage1, train_stage2)
 
 
 class UsageError(Exception):
@@ -52,22 +52,24 @@ def build_parser() -> _Parser:
                      description="Feature-fusion collaborative filtering pipeline")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def with_config(p):
+    def with_config(name, handler, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="run config file")
+        p.set_defaults(handler=handler)
         return p
 
-    with_config(sub.add_parser("prepare", help="ingest data, split, build graphs"))
-    with_config(sub.add_parser("train-aux", help="stage 1: fit the attribute pipeline"))
-    p = with_config(sub.add_parser("train", help="stage 2: fit the backbone with fusion"))
+    with_config("prepare", cmd_prepare, "ingest data, split, build graphs")
+    with_config("train-aux", cmd_train_aux, "stage 1: fit the attribute pipeline")
+    p = with_config("train", cmd_train, "stage 2: fit the backbone with fusion")
     p.add_argument("--aux-users", default=None, help="external user feature matrix file")
     p.add_argument("--aux-items", default=None, help="external item feature matrix file")
-    p = with_config(sub.add_parser("evaluate", help="rank, score, and report metrics"))
+    p = with_config("evaluate", cmd_evaluate, "rank, score, and report metrics")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--kl", action="store_true", help="also report category consistency")
     p.add_argument("--per-user", action="store_true", help="keep per-user metric detail")
     p.add_argument("--category-field", default=None,
                    help="item attribute field holding category labels")
-    with_config(sub.add_parser("ablate", help="compare fusion variants on one config"))
+    with_config("ablate", cmd_ablate, "compare fusion variants on one config")
     p = sub.add_parser("verify-gradients", help="run the gradient verification suite")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--fd-tol", type=float, default=gradcheck.FD_TOL)
@@ -86,16 +88,15 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    handlers = {
-        "prepare": cmd_prepare,
-        "train-aux": cmd_train_aux,
-        "train": cmd_train,
-        "evaluate": cmd_evaluate,
-        "ablate": cmd_ablate,
-        "verify-gradients": cmd_verify_gradients,
-    }
+    if args.command == "verify-gradients":
+        return cmd_verify_gradients(args)
     try:
-        return handlers[args.command](args)
+        cfg = load_config(args.config)
+        if args.command == "prepare" and cfg.paths.interactions is None:
+            raise ConfigError("missing required key [paths] interactions")
+        out = Path(cfg.paths.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.handler(args, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -110,12 +111,6 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.paths.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -167,85 +162,98 @@ def _save_fields(path: Path, fields) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+_PREPARE = "; re-run `crossfuse prepare`"
+
+
 def _load_fields(path: Path):
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return make_fields([f["name"] for f in doc], [f["categories"] for f in doc])
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        return make_fields([f["name"] for f in doc], [f["categories"] for f in doc])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not an attribute field list ({exc}){_PREPARE}") from exc
+
+
+def _graph(out: Path, ds: InteractionDataset, name: str):
+    """The workspace's ``name``.graph, checked to be square over the
+    dataset's users and items (``adjacency``), its users (``user_sim``) or
+    its items (``item_sim``)."""
+    size = {"adjacency": ds.n + ds.m, "user_sim": ds.n, "item_sim": ds.m}[name]
+    path = out / f"{name}.graph"
+    mat = load_graph(path)
+    if mat.shape != (size, size):
+        raise DataError(f"{path}: graph is {mat.shape[0]}x{mat.shape[1]}, expected "
+                        f"{size}x{size} for the prepared dataset{_PREPARE}")
+    return mat
+
+
+def _matrix(path: Path, rows: int, dim: int | None, what: str, rerun: str) -> np.ndarray:
+    """The dense matrix file at ``path``, checked to have ``rows`` rows and,
+    unless ``dim`` is None, ``dim`` columns; ``what`` names what the shape
+    counts and ``rerun`` how to remake the file."""
+    mat = auxnet.load_dense_matrix(path)
+    if mat.shape[0] != rows or (dim is not None and mat.shape[1] != dim):
+        want = f"{rows} rows" if dim is None else f"{rows}x{dim}"
+        raise DataError(f"{path}: feature matrix is {mat.shape[0]}x{mat.shape[1]}, "
+                        f"expected {want} ({what}){rerun}")
+    return mat
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the arguments, the config and the output directory
 # ---------------------------------------------------------------------------
 
-def cmd_prepare(args) -> int:
-    cfg = load_config(args.config)
+def cmd_prepare(args, cfg: RunConfig, out: Path) -> int:
+    """Build every product, then write them all: a build that fails leaves
+    the workspace as it was."""
     paths, gcfg = cfg.paths, cfg.graph
-    if paths.interactions is None:
-        raise ConfigError("missing required key [paths] interactions")
-    out = _out_dir(cfg)
-
     ds = load_interactions(paths.interactions, cfg.data)
     ds = split_dataset(ds, cfg.data.ratios, cfg.train.seed)
-    _save_dataset(out, ds)
-    write_remap_table(out / "user_remap.tsv", ds.user_ids)
-    write_remap_table(out / "item_remap.tsv", ds.item_ids)
-
     R = interaction_matrix(ds, binarize=True)
     sim_u = build_similarity_graph(R, "rows", gcfg.epsilon_user, gcfg.similarity)
     sim_v = build_similarity_graph(R, "columns", gcfg.epsilon_item, gcfg.similarity)
     adj = normalize_bipartite(ds)
+    attrs = {side: encode_auxiliary(attr_path, ids, cfg.data.delimiter)
+             for side, attr_path, ids in (("user", paths.user_attributes, ds.user_ids),
+                                          ("item", paths.item_attributes, ds.item_ids))
+             if attr_path is not None}
+    report = {"users": ds.n, "items": ds.m, "interactions": len(ds),
+              "isolated_users": len(isolated_nodes(R, "rows")),
+              "isolated_items": len(isolated_nodes(R, "columns")),
+              "user_sim_nnz": sim_u.nnz, "item_sim_nnz": sim_v.nnz}
+
+    _save_dataset(out, ds)
+    write_remap_table(out / "user_remap.tsv", ds.user_ids)
+    write_remap_table(out / "item_remap.tsv", ds.item_ids)
     save_graph(out / "user_sim.graph", sim_u)
     save_graph(out / "item_sim.graph", sim_v)
     save_graph(out / "adjacency.graph", adj)
-
-    inputs = [Path(args.config), Path(paths.interactions)]
-    for side, attr_path, ids in (("user", paths.user_attributes, ds.user_ids),
-                                 ("item", paths.item_attributes, ds.item_ids)):
-        if attr_path is None:
-            continue
-        feats = encode_auxiliary(attr_path, ids, cfg.data.delimiter)
+    for side, feats in attrs.items():
         auxnet.save_dense_matrix(out / f"{side}_attr.mat", feats.values)
         _save_fields(out / f"{side}_attr_fields.json", feats.fields)
-        inputs.append(Path(attr_path))
-
-    report = [
-        f"users\t{ds.n}",
-        f"items\t{ds.m}",
-        f"interactions\t{len(ds)}",
-        f"isolated_users\t{len(isolated_nodes(R, 'rows'))}",
-        f"isolated_items\t{len(isolated_nodes(R, 'columns'))}",
-        f"user_sim_nnz\t{sim_u.nnz}",
-        f"item_sim_nnz\t{sim_v.nnz}",
-    ]
-    (out / "build_report.txt").write_text("\n".join(report) + "\n", encoding="utf-8")
-    _write_manifest(out, "prepare", cfg, inputs)
+    (out / "build_report.txt").write_text(
+        "".join(f"{key}\t{value}\n" for key, value in report.items()), encoding="utf-8")
+    inputs = (args.config, paths.interactions, paths.user_attributes, paths.item_attributes)
+    _write_manifest(out, "prepare", cfg, [Path(p) for p in inputs if p is not None])
     print(f"prepared {ds.n} users x {ds.m} items into {out}")
     return 0
 
 
-def _build_extractors(cfg: RunConfig, user_dim: int, item_dim: int):
-    rng = np.random.default_rng(cfg.train.seed)
-    acfg, dim = cfg.auxnet, cfg.backbone.dim
-    user_net = auxnet.build_extractor(user_dim, dim, acfg.hidden, acfg.gcn_layers,
-                                      rng, acfg.bn_momentum, acfg.bn_eps, name="user")
-    item_net = auxnet.build_extractor(item_dim, dim, acfg.hidden, acfg.gcn_layers,
-                                      rng, acfg.bn_momentum, acfg.bn_eps, name="item")
-    return user_net, item_net
-
-
-def cmd_train_aux(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(cfg)
+def cmd_train_aux(args, cfg: RunConfig, out: Path) -> int:
     ds = _load_dataset(out)
     for side in ("user", "item"):
         if not (out / f"{side}_attr.mat").exists():
             raise DataError(f"no {side} attribute matrix in {out}; prepare with "
                             f"[paths] {side}_attributes set")
-    user_x = auxnet.load_dense_matrix(out / "user_attr.mat")
-    item_x = auxnet.load_dense_matrix(out / "item_attr.mat")
-    sim_u = load_graph(out / "user_sim.graph")
-    sim_v = load_graph(out / "item_sim.graph")
+    user_x, item_x = (_matrix(out / f"{side}_attr.mat", rows, None, f"{side}s", _PREPARE)
+                      for side, rows in (("user", ds.n), ("item", ds.m)))
+    sim_u, sim_v = _graph(out, ds, "user_sim"), _graph(out, ds, "item_sim")
 
-    user_net, item_net = _build_extractors(cfg, user_x.shape[1], item_x.shape[1])
+    rng = np.random.default_rng(cfg.train.seed)
+    acfg, dim = cfg.auxnet, cfg.backbone.dim
+    user_net, item_net = [
+        auxnet.build_extractor(x.shape[1], dim, acfg.hidden, acfg.gcn_layers, rng,
+                               acfg.bn_momentum, acfg.bn_eps, name=side)
+        for side, x in (("user", user_x), ("item", item_x))]
     result = train_stage1(ds, user_net, item_net, user_x, item_x, sim_u, sim_v, cfg.train)
     auxnet.save_dense_matrix(out / "aux_users.mat", result.user_features)
     auxnet.save_dense_matrix(out / "aux_items.mat", result.item_features)
@@ -270,26 +278,17 @@ def _load_aux(out: Path, args, ds: InteractionDataset,
         paths.append(Path(given) if given else out / f"{flag}.mat")
     if not all(path.exists() for path in paths):
         return None, None
-    mats = []
-    for path, rows, side in zip(paths, (ds.n, ds.m), ("users", "items")):
-        mat = auxnet.load_dense_matrix(path)
-        if mat.shape != (rows, dim):
-            raise DataError(f"{path}: feature matrix is {mat.shape[0]}x{mat.shape[1]}, "
-                            f"expected {rows}x{dim} ({side} x [backbone] dim)")
-        mats.append(mat)
-    return mats[0], mats[1]
+    # stage 1's own files name the command that remakes them
+    return tuple(_matrix(path, rows, dim, f"{side} x [backbone] dim",
+                         "; re-run `crossfuse train-aux`" if path == out / f"aux_{side}.mat"
+                         else "")
+                 for path, rows, side in zip(paths, (ds.n, ds.m), ("users", "items")))
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(cfg)
+def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     ds = _load_dataset(out)
-    adj = load_graph(out / "adjacency.graph")
+    adj = _graph(out, ds, "adjacency")
     a_users, a_items = _load_aux(out, args, ds, cfg.backbone.dim)
-    if cfg.fusion.active and a_users is None:
-        raise PipelineOrderError("stage-2 training needs stage-1 products; run "
-                                 "`crossfuse train-aux` first or pass --aux-users/--aux-items")
-
     table = init_embeddings(ds.n + ds.m, cfg.backbone.dim, cfg.train.seed)
     result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone, cfg.train,
                           cfg.fusion)
@@ -303,7 +302,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _item_category_labels(out: Path, field_name: str | None) -> dict[int, list[int]]:
+def _item_category_labels(out: Path, ds: InteractionDataset,
+                          field_name: str | None) -> dict[int, list[int]]:
     fields_path = out / "item_attr_fields.json"
     mat_path = out / "item_attr.mat"
     if not fields_path.exists() or not mat_path.exists():
@@ -314,49 +314,25 @@ def _item_category_labels(out: Path, field_name: str | None) -> dict[int, list[i
         raise ConfigError(f"unknown category field {field_name!r}; item attributes "
                           f"have {names}")
     fld = fields[0] if field_name is None else fields[names.index(field_name)]
-    values = auxnet.load_dense_matrix(mat_path)
-    out_map: dict[int, list[int]] = {}
-    for i in range(values.shape[0]):
-        block = values[i, fld.offset:fld.offset + fld.cardinality]
-        slot = int(np.argmax(block))
-        if slot < len(fld.categories):  # blank token carries no category
-            out_map[i] = [slot]
-        else:
-            out_map[i] = []
-    return out_map
+    values = _matrix(mat_path, ds.m, sum(f.cardinality for f in fields),
+                     "items x attribute slots", _PREPARE)
+    slots = np.argmax(values[:, fld.offset:fld.offset + fld.cardinality], axis=1)
+    # the field's last slot is the blank token, which carries no category
+    return {i: [s] if s < len(fld.categories) else [] for i, s in enumerate(slots.tolist())}
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(cfg)
+def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     ds = _load_dataset(out)
-    adj = load_graph(out / "adjacency.graph")
+    adj = _graph(out, ds, "adjacency")
     ckpt_path = Path(args.checkpoint) if args.checkpoint else out / "model.ckpt"
-    if not ckpt_path.exists():
-        raise DataError(f"{ckpt_path} not found; run `crossfuse train` first")
-    ckpt = store.load(ckpt_path, "checkpoint")
-
     # the model is the one the checkpoint records, whatever this config says
-    trained = ckpt.meta.get("config", {})
-    if ckpt.meta.get("kind") != "stage2" or not {"variant", "layers"} <= trained.keys():
-        raise DataError(f"{ckpt_path}: not a stage-2 checkpoint recording its fusion "
-                        "variant and layer count")
-    variant, layers = trained["variant"], trained["layers"]
-    if variant not in fusion.VARIANTS:
-        raise DataError(f"{ckpt_path}: unknown fusion variant {variant!r} in the checkpoint")
-    if type(layers) is not int or layers < 0:
-        raise DataError(f"{ckpt_path}: layer count {layers!r} in the checkpoint is not an "
-                        "integer >= 0")
-    if variant not in ("cross", "none") and not {"aux_users", "aux_items"} <= ckpt.arrays.keys():
-        raise DataError(f"{ckpt_path}: a {variant} checkpoint without its auxiliary features "
-                        "(aux_users, aux_items)")
-    cats = _item_category_labels(out, args.category_field) if args.kl else None
-    params = {k: Param(v) for k, v in unpack_stage2_state(ckpt, ckpt_path).selected().items()}
+    variant, layers, selected, a_users, a_items = load_selected_model(ckpt_path, ds)
+    cats = _item_category_labels(out, ds, args.category_field) if args.kl else None
+    params = {k: Param(v) for k, v in selected.items()}
     model = LightGCN(adj, ds.n, BackboneConfig(dim=params["table"].value.shape[1],
                                                num_layers=layers))
-    top, report = score(ds, model, params, variant, ckpt.arrays.get("aux_users"),
-                         ckpt.arrays.get("aux_items"), ds.split_csr(TEST), cfg.eval.topn,
-                         keep_per_user=args.per_user)
+    top, report = score(ds, model, params, variant, a_users, a_items, ds.split_csr(TEST),
+                        cfg.eval.topn, keep_per_user=args.per_user)
     write_report_text(report, out / "metrics.tsv")
     write_report_json(report, out / "metrics.json")
     if args.per_user and report.per_user is not None:
@@ -381,15 +357,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(cfg)
+def cmd_ablate(args, cfg: RunConfig, out: Path) -> int:
     ds = _load_dataset(out)
-    adj = load_graph(out / "adjacency.graph")
+    adj = _graph(out, ds, "adjacency")
     a_users, a_items = _load_aux(out, args, ds, cfg.backbone.dim)
-    if a_users is None:
-        raise PipelineOrderError("ablation needs stage-1 products; run `crossfuse train-aux`")
-
     truth = ds.split_csr(TEST)
     rows = []
     for variant in fusion.VARIANTS:

@@ -280,12 +280,6 @@ class AttributeField:
     def blank_index(self) -> int:
         return self.offset + len(self.categories)
 
-    def slot(self, value: str) -> int:
-        """The slot of one of the field's categories, or the blank for ``""``."""
-        if value == "":
-            return self.blank_index
-        return self.offset + self.categories.index(value)
-
 
 @dataclass
 class AuxFeatureMatrix:
@@ -319,15 +313,13 @@ def make_fields(names: Sequence[str], categories: Sequence[Sequence[str]]) -> li
 
 def one_hot_matrix(labels: np.ndarray, fields: list[AttributeField]) -> AuxFeatureMatrix:
     """Encode per-node category slots (rows x fields of slot values, -1 = blank)."""
-    labels = np.asarray(labels)
+    labels = np.asarray(labels).astype(np.int64)
     rows = labels.shape[0]
     dim = sum(f.cardinality for f in fields)
+    offsets = np.array([f.offset for f in fields], dtype=np.int64)
+    blanks = np.array([f.blank_index for f in fields], dtype=np.int64)
     values = np.zeros((rows, dim))
-    for j, f in enumerate(fields):
-        for r in range(rows):
-            v = labels[r, j]
-            slot = f.blank_index if v < 0 else f.offset + int(v)
-            values[r, slot] = 1.0
+    values[np.arange(rows)[:, None], np.where(labels < 0, blanks, offsets + labels)] = 1.0
     mat = AuxFeatureMatrix(rows=rows, dim=dim, values=values, fields=list(fields))
     mat.validate()
     return mat
@@ -379,17 +371,11 @@ def encode_auxiliary(path: str | Path, ids: Sequence[str],
                 for j in range(width)]
     fields = make_fields([f"field_{j + 1}" for j in range(width)], distinct)
 
-    dim = sum(f.cardinality for f in fields)
-    values = np.zeros((len(ids), dim))
-    for node in range(len(ids)):
-        vals = rows.get(node, [])
-        for j, f in enumerate(fields):
-            v = vals[j] if j < len(vals) else ""
-            values[node, f.slot(v)] = 1.0
-
-    mat = AuxFeatureMatrix(rows=len(ids), dim=dim, values=values, fields=fields)
-    mat.validate()
-    return mat
+    index = [{c: k for k, c in enumerate(f.categories)} for f in fields]
+    labels = np.full((len(ids), width), -1, dtype=np.int64)
+    for node, vals in rows.items():
+        labels[node, :len(vals)] = [slots[v] if v else -1 for slots, v in zip(index, vals)]
+    return one_hot_matrix(labels, fields)
 
 
 # ---------------------------------------------------------------------------

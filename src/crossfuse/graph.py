@@ -42,8 +42,9 @@ def interaction_matrix(ds: InteractionDataset, *, binarize: bool = False) -> sp.
 
 def isolated_nodes(R: sp.spmatrix, axis: str = "rows") -> np.ndarray:
     """Indices of rows (or columns) with no stored interaction."""
-    R = R.tocsr() if axis == "rows" else R.T.tocsr()
-    counts = np.diff(R.indptr)
+    R = R.tocsr()
+    counts = (np.diff(R.indptr) if axis == "rows"
+              else np.bincount(R.indices, minlength=R.shape[1]))
     return np.flatnonzero(counts == 0)
 
 
@@ -81,8 +82,10 @@ def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 
     if axis not in ("rows", "columns"):
         raise ValueError("axis must be 'rows' or 'columns'")
 
-    B = R.tocsr() if axis == "rows" else R.T.tocsr()
-    B = B.astype(bool).astype(np.float64)
+    # R binarized; ``astype`` sums duplicates and sorts, so both R and its
+    # transpose come out in canonical CSR form
+    Rb = R.tocsr().astype(bool).astype(np.float64)
+    B, BT = (Rb, Rb.T.tocsr()) if axis == "rows" else (Rb.T.tocsr(), Rb)
     size = B.shape[0]
 
     deg = np.asarray(B.sum(axis=1)).ravel()
@@ -107,7 +110,6 @@ def build_similarity_graph(R: sp.spmatrix, axis: str = "rows", epsilon: float = 
     # renumbered 2j + 1.  Its right operand is B.T with item j's row split at
     # lo: row 2j holds the nodes up to lo, row 2j + 1 those after it, and
     # only the split moves from block to block.
-    BT = B.T.tocsr()
     items = B.shape[1]
     step = max(1, _BLOCK_BYTES // (12 * max(size, 1)))
     width = min(step, size)

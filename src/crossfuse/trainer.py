@@ -263,8 +263,9 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     bcfg.validate()
     fcfg.validate()
     if fcfg.active and (a_users is None or a_items is None):
-        raise PipelineOrderError("stage 2 needs the stage-1 feature matrices "
-                                 "(or externally supplied ones) when fusion is enabled")
+        raise PipelineOrderError("stage 2 needs the stage-1 feature matrices when fusion "
+                                 "is enabled; run `crossfuse train-aux` first or pass "
+                                 "--aux-users/--aux-items")
     if fcfg.active and a_users.shape[1] != bcfg.dim:
         raise ValueError(f"auxiliary dimension {a_users.shape[1]} != backbone dim {bcfg.dim}")
 
@@ -384,3 +385,42 @@ def unpack_stage2_state(ckpt: store.ArrayFile, path: str | Path) -> Stage2State:
         raise DataError(f"{path}: incomplete stage-2 checkpoint "
                         f"({type(exc).__name__}: {exc})") from exc
     return state
+
+
+def load_selected_model(path: str | Path, ds: InteractionDataset):
+    """The model the checkpoint at ``path`` selects, for scoring on ``ds``:
+    its fusion variant, layer count, selected arrays by name, and auxiliary
+    user and item features (None when not stored).  A missing or damaged
+    file, a bad config snapshot, a fused variant without its auxiliary
+    features, an incomplete state (:func:`unpack_stage2_state`) or arrays
+    not sized for ``ds`` is a :class:`DataError` naming the file."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{path} not found; run `crossfuse train` first")
+    ckpt = store.load(path, "checkpoint")
+    trained = ckpt.meta.get("config", {})
+    if (ckpt.meta.get("kind") != "stage2" or not isinstance(trained, dict)
+            or not {"variant", "layers"} <= trained.keys()):
+        raise DataError(f"{path}: not a stage-2 checkpoint recording its fusion "
+                        "variant and layer count")
+    variant, layers = trained["variant"], trained["layers"]
+    if variant not in fusion.VARIANTS:
+        raise DataError(f"{path}: unknown fusion variant {variant!r} in the checkpoint")
+    if type(layers) is not int or layers < 0:
+        raise DataError(f"{path}: layer count {layers!r} in the checkpoint is not an "
+                        "integer >= 0")
+    if variant not in ("cross", "none") and not {"aux_users", "aux_items"} <= ckpt.arrays.keys():
+        raise DataError(f"{path}: a {variant} checkpoint without its auxiliary features "
+                        "(aux_users, aux_items)")
+    params = unpack_stage2_state(ckpt, path).selected()
+    table = params["table"]
+    if table.ndim != 2 or table.shape[0] != ds.n + ds.m:
+        raise DataError(f"{path}: embedding table of shape {table.shape}, expected "
+                        f"{ds.n + ds.m} rows (users + items of the prepared dataset); "
+                        "re-run `crossfuse train`")
+    aux = [ckpt.arrays.get("aux_users"), ckpt.arrays.get("aux_items")]
+    for name, arr, rows in zip(("aux_users", "aux_items"), aux, (ds.n, ds.m)):
+        if arr is not None and arr.shape != (rows, table.shape[1]):
+            raise DataError(f"{path}: {name} of shape {arr.shape}, expected "
+                            f"({rows}, {table.shape[1]}); re-run `crossfuse train`")
+    return variant, layers, params, aux[0], aux[1]

@@ -59,7 +59,35 @@ seed = 1
 [eval]
 topn = 5, 10
 """, encoding="utf-8")
-    return {"config": cfg, "out": out}
+    return {"config": cfg, "out": out, "inputs": paths}
+
+
+@pytest.fixture(scope="module")
+def short_inputs(workspace, tmp_path_factory):
+    """The first half of the workspace's interaction log, and its attribute
+    files filtered to the ids that half keeps, by ``[paths]`` key."""
+    root = tmp_path_factory.mktemp("short")
+    inputs = workspace["inputs"]
+    lines = inputs["interactions"].read_text().splitlines(keepends=True)
+    half = lines[:len(lines) // 2]
+    kept = {part for line in half for part in line.split("\t")[:2]}
+    short = {"interactions": root / "interactions.tsv"}
+    short["interactions"].write_text("".join(half), encoding="utf-8")
+    for key in ("user_attributes", "item_attributes"):
+        rows = inputs[key].read_text().splitlines(keepends=True)
+        short[key] = root / f"{key}.tsv"
+        short[key].write_text("".join(row for row in rows if row.split("\t")[0] in kept),
+                              encoding="utf-8")
+    return short
+
+
+@pytest.fixture(scope="module")
+def short_prepared(workspace, short_inputs, tmp_path_factory):
+    """A workspace prepared on the shorter log and the filtered attribute files."""
+    root = tmp_path_factory.mktemp("short_prepared")
+    out = root / "out"
+    assert main(["prepare", "--config", _config_at(workspace, out, root, **short_inputs)]) == 0
+    return out
 
 
 def _run_to(workspace, last: str) -> None:
@@ -107,12 +135,22 @@ def _store_regions(raw) -> dict[str, tuple[int, int]]:
     return regions
 
 
-def _config_at(workspace, out, tmp_path) -> str:
-    """A copy of the workspace config whose output_dir is ``out``."""
+def _config_at(workspace, out, tmp_path, **inputs) -> str:
+    """A copy of the workspace config whose output_dir is ``out`` and whose
+    ``[paths]`` keys named in ``inputs`` are the given files."""
+    text = workspace["config"].read_text().replace(
+        f"output_dir = {workspace['out']}", f"output_dir = {out}")
+    for key, path in inputs.items():
+        text = text.replace(f"{key} = {workspace['inputs'][key]}", f"{key} = {path}")
     cfg = tmp_path / "copy.cfg"
-    cfg.write_text(workspace["config"].read_text().replace(
-        f"output_dir = {workspace['out']}", f"output_dir = {out}"), encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
     return str(cfg)
+
+
+def _one_data_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestPipeline:
@@ -345,15 +383,20 @@ class TestExitCodes:
         ("train", "adjacency.graph", "truncate"),
         ("train", "aux_users.mat", "truncate"),
         ("train-aux", "dataset.npz", "truncate"),
+        ("train-aux", "user_attr.mat", "from-shorter-log"),
+        ("train-aux", "user_sim.graph", "from-shorter-log"),
+        ("train", "adjacency.graph", "from-shorter-log"),
     ])
     @pytest.mark.usefixtures("trained")
-    def test_damaged_artifact_is_data_error(self, workspace, tmp_path, capsys, command, name,
-                                            damage):
+    def test_damaged_artifact_is_data_error(self, workspace, tmp_path, capsys, request,
+                                            command, name, damage):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
         cfg = _config_at(workspace, out, tmp_path)
         path = out / name
-        if damage == "stage-1-checkpoint":
+        if damage == "from-shorter-log":
+            shutil.copy(request.getfixturevalue("short_prepared") / name, path)
+        elif damage == "stage-1-checkpoint":
             trained_config = store.load(path, "checkpoint").meta["config"]
             store.save(path, ArrayFile({"kind": "stage1", "config": trained_config},
                                        {"user.mlp.w0": np.zeros((2, 2))}))
@@ -370,8 +413,7 @@ class TestExitCodes:
                 del raw[-8:]
             path.write_bytes(bytes(raw))
         assert main([command, "--config", cfg]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(path) in _one_data_error(capsys)
 
     @pytest.mark.parametrize("part, key", [
         ("meta", "epoch"), ("meta", "best_metric"), ("meta", "stale_epochs"), ("meta", "opt"),
@@ -506,6 +548,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.usefixtures("trained")
+    def test_failed_prepare_leaves_the_workspace_unchanged(self, workspace, short_inputs,
+                                                          tmp_path, capsys):
+        """The unfiltered attribute files name users the shorter log lacks, so
+        prepare fails after building everything else, and writes nothing."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = _config_at(workspace, out, tmp_path, interactions=short_inputs["interactions"])
+        assert main(["prepare", "--config", cfg]) == 3
+        assert "not present in the dataset" in _one_data_error(capsys)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        cfg = _config_at(workspace, out, tmp_path)
+        for command in ("evaluate", "train-aux", "train", "ablate"):
+            assert main([command, "--config", cfg]) == 0, command
+
+    @pytest.mark.usefixtures("trained")
+    def test_checkpoint_of_another_dataset_is_data_error(self, workspace, short_prepared,
+                                                         tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(short_prepared, out)
+        shutil.copy(workspace["out"] / "model.ckpt", out / "model.ckpt")
+        cfg = _config_at(workspace, out, tmp_path)
+        assert main(["evaluate", "--config", cfg]) == 3
+        assert f"data error: {out / 'model.ckpt'}: embedding table" in _one_data_error(capsys)
 
     @pytest.mark.usefixtures("trained")
     def test_unknown_category_field_is_config_error(self, workspace, tmp_path, capsys):
