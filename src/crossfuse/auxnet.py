@@ -172,8 +172,14 @@ class BatchNorm:
             n = x.shape[0] if counts is None else counts.sum()
             if n < 2:
                 raise ValueError("batch normalization needs at least 2 rows in train mode")
-            mu = np.average(x, axis=0, weights=counts)
-            var = np.average(np.square(x - mu), axis=0, weights=counts)
+            # the arithmetic np.average runs, without its per-call checks;
+            # counts are integer class sizes, so n is exact in any order
+            if counts is None:
+                mu = x.sum(axis=0) / n
+                var = np.square(x - mu).sum(axis=0) / n
+            else:
+                mu = (x * counts[:, None]).sum(axis=0) / n
+                var = (np.square(x - mu) * counts[:, None]).sum(axis=0) / n
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:

@@ -335,8 +335,8 @@ def encode_auxiliary(path: str | Path, ids: Sequence[str],
     columns are categorical values and an empty cell means missing.  The
     categories are inferred from the file (sorted lexicographically) and the
     fields are named ``field_1``, ``field_2``, ...  Nodes without a row get
-    the blank token in every field.  An id not in ``ids`` or a second row for
-    one node is a :class:`DataError`.
+    the blank token in every field.  An id not in ``ids``, a second row for
+    one node, or a file without attribute columns is a :class:`DataError`.
     """
     path = Path(path)
     try:
@@ -366,6 +366,8 @@ def encode_auxiliary(path: str | Path, ids: Sequence[str],
 
     if width is None:
         raise DataError(f"{path}: no attribute rows")
+    if width == 0:
+        raise DataError(f"{path}: no attribute columns (each row holds only a node id)")
 
     distinct = [sorted({vals[j] for vals in rows.values() if j < len(vals) and vals[j]})
                 for j in range(width)]

@@ -49,7 +49,15 @@ class Param:
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction (decay 0.9/0.999, eps 1e-8)."""
+    """Adaptive-moment estimation with bias correction (decay 0.9/0.999, eps 1e-8).
+
+    The optimizer adopts the storage of its parameters: their values and
+    gradients are copied into one flat value buffer and one flat gradient
+    buffer, and each ``Param.value``/``grad`` is rebound to a view of its
+    slice.  Every operation of the update is elementwise, so one pass over
+    the flat buffers gives the bits one pass per parameter would.  Code that
+    trains a parameter must write into ``value`` and ``grad``, never rebind
+    them, and a parameter belongs to one optimizer at a time."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -59,37 +67,60 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
-        self._work = [(np.empty_like(p.value), np.empty_like(p.value)) for p in self.params]
+        total = sum(p.value.size for p in self.params)
+        self._value = np.empty(total)
+        self._grad = np.empty(total)
+        slices = []
+        lo = 0
+        for p in self.params:
+            shape, hi = p.value.shape, lo + p.value.size
+            self._value[lo:hi] = p.value.ravel()
+            self._grad[lo:hi] = p.grad.ravel()
+            p.value = self._value[lo:hi].reshape(shape)
+            p.grad = self._grad[lo:hi].reshape(shape)
+            slices.append((lo, hi, shape))
+            lo = hi
+        # allocated after the adopted arrays are released, so adoption adds
+        # no second copy of a large table to the peak
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self._work = (np.empty(total), np.empty(total))
+        self.m = [self._m[lo:hi].reshape(shape) for lo, hi, shape in slices]
+        self.v = [self._v[lo:hi].reshape(shape) for lo, hi, shape in slices]
+
+    def zero_grad(self) -> None:
+        self._grad.fill(0.0)
 
     def step(self) -> None:
         """m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g^2;
         value -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
-        in two preallocated buffers per parameter."""
+        over the flat buffers in two preallocated work buffers."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._work):
-            np.multiply(p.grad, 1.0 - self.beta1, out=a)
-            m *= self.beta1
-            m += a
-            np.square(p.grad, out=a)
-            a *= 1.0 - self.beta2
-            v *= self.beta2
-            v += a
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            np.divide(m, c1, out=b)
-            b *= self.lr
-            b /= a
-            p.value -= b
+        g, m, v = self._grad, self._m, self._v
+        a, b = self._work
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m *= self.beta1
+        m += a
+        np.square(g, out=a)
+        a *= 1.0 - self.beta2
+        v *= self.beta2
+        v += a
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, c1, out=b)
+        b *= self.lr
+        b /= a
+        self._value -= b
 
     def state(self) -> dict:
         return {"kind": "adam", "t": self.t}
 
     def state_tensors(self) -> dict:
+        """Each parameter's moments, ``m{i}`` and ``v{i}``, as views of the
+        flat moment buffers."""
         out = {}
         for i, (m, v) in enumerate(zip(self.m, self.v)):
             out[f"m{i}"] = m
@@ -101,4 +132,3 @@ class Adam:
         for i in range(len(self.params)):
             self.m[i][...] = tensors[f"m{i}"]
             self.v[i][...] = tensors[f"v{i}"]
-

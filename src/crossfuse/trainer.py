@@ -109,8 +109,8 @@ def _epochs(ds: InteractionDataset, cfg: TrainConfig, opt, rng: np.random.Genera
 
     Rated batches are (user, item, rating) rows, padded 1:1 with zero-rated
     sampled negatives when the data is implicit; otherwise a batch is int64
-    (user, positive, sampled negative).  Each batch zeroes the gradients of
-    ``opt.params``, calls ``step(batch)`` for the loss, and takes one
+    (user, positive, sampled negative).  Each batch zeroes the optimizer's
+    gradient buffer, calls ``step(batch)`` for the loss, and takes one
     optimizer step.  Yields ``(epoch, epoch_loss, t0)`` after each epoch,
     ``t0`` being the epoch's start on ``time.perf_counter``.
     """
@@ -129,8 +129,7 @@ def _epochs(ds: InteractionDataset, cfg: TrainConfig, opt, rng: np.random.Genera
                     batch = np.concatenate([batch, zero_rated], axis=0)
                 else:
                     batch = np.column_stack([batch[:, :2].astype(np.int64), negs])
-            for p in opt.params:
-                p.zero_grad()
+            opt.zero_grad()
             loss = step(batch)
             if not np.isfinite(loss):
                 raise DivergenceError(stage=stage, epoch=epoch)
@@ -392,8 +391,9 @@ def load_selected_model(path: str | Path, ds: InteractionDataset):
     its fusion variant, layer count, selected arrays by name, and auxiliary
     user and item features (None when not stored).  A missing or damaged
     file, a bad config snapshot, a fused variant without its auxiliary
-    features, an incomplete state (:func:`unpack_stage2_state`) or arrays
-    not sized for ``ds`` is a :class:`DataError` naming the file."""
+    features, an incomplete state (:func:`unpack_stage2_state`), arrays not
+    sized for ``ds`` or weighted-sum matrices that are missing or not
+    dim x dim is a :class:`DataError` naming the file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path} not found; run `crossfuse train` first")
@@ -418,6 +418,13 @@ def load_selected_model(path: str | Path, ds: InteractionDataset):
         raise DataError(f"{path}: embedding table of shape {table.shape}, expected "
                         f"{ds.n + ds.m} rows (users + items of the prepared dataset); "
                         "re-run `crossfuse train`")
+    if variant == "weighted-sum":
+        square = (table.shape[1], table.shape[1])
+        for name in (f"fusion.w{k}" for k in range(1, 5)):
+            if name not in params or params[name].shape != square:
+                found = f"of shape {params[name].shape}" if name in params else "missing"
+                raise DataError(f"{path}: weighted-sum matrix {name} {found}, expected "
+                                f"{square}; re-run `crossfuse train`")
     aux = [ckpt.arrays.get("aux_users"), ckpt.arrays.get("aux_items")]
     for name, arr, rows in zip(("aux_users", "aux_items"), aux, (ds.n, ds.m)):
         if arr is not None and arr.shape != (rows, table.shape[1]):

@@ -86,6 +86,22 @@ class TestEncoder:
             assert np.all(bn.running_var > 0)
 
 
+class TestBatchNorm:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["rows", "counts"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_moments_are_np_average_bytes(self, weighted, seed):
+        rng = np.random.default_rng(seed)
+        rows, dim = rng.integers(2, 40), rng.integers(1, 40)
+        x = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)
+        counts = rng.integers(1, 6, size=rows).astype(np.float64) if weighted else None
+        bn = BatchNorm(dim, momentum=1.0)
+        bn.forward(x, True, counts)
+        mu = np.average(x, axis=0, weights=counts)
+        var = np.average(np.square(x - mu), axis=0, weights=counts)
+        assert bn.running_mean.tobytes() == mu.tobytes()
+        assert bn.running_var.tobytes() == var.tobytes()
+
+
 def repeated_one_hot(rng, rows: int, pairs: int) -> np.ndarray:
     """Two one-hot fields of 4 categories each, with the category pair drawn
     from ``pairs`` fixed ones, so rows repeat whenever rows > pairs."""

@@ -461,6 +461,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("weights, message", [
+        ({k: np.eye(3) for k in range(1, 5)}, "fusion.w1 of shape (3, 3), expected (8, 8)"),
+        ({1: np.eye(8), 2: np.eye(8), 3: np.zeros((8, 3)), 4: np.eye(8)},
+         "fusion.w3 of shape (8, 3), expected (8, 8)"),
+        ({k: np.eye(8) for k in range(1, 4)}, "fusion.w4 missing, expected (8, 8)"),
+    ], ids=["all-3x3", "w3-8x3", "no-w4"])
+    @pytest.mark.usefixtures("trained")
+    def test_misshaped_weighted_sum_matrices_are_data_error(self, workspace, tmp_path,
+                                                            capsys, weights, message):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        cfg = _config_at(workspace, out, tmp_path)
+        path = out / "model.ckpt"
+        ckpt = store.load(path, "checkpoint")
+        arrays = dict(ckpt.arrays)
+        for k, w in weights.items():
+            arrays[f"last.fusion.w{k}"] = arrays[f"best.fusion.w{k}"] = w
+        store.save(path, ArrayFile(
+            {**ckpt.meta, "config": {**ckpt.meta["config"], "variant": "weighted-sum"}},
+            arrays))
+        assert main(["evaluate", "--config", cfg]) == 3
+        err = _one_data_error(capsys)
+        assert err.startswith(f"data error: {path}: weighted-sum matrix {message}")
+
     @pytest.mark.parametrize("command, name", [("train", "adjacency.graph"),
                                                ("train-aux", "user_sim.graph")])
     @pytest.mark.parametrize("region",["magic", "version", "count", "meta-head", "meta",
@@ -564,6 +588,16 @@ class TestExitCodes:
         cfg = _config_at(workspace, out, tmp_path)
         for command in ("evaluate", "train-aux", "train", "ablate"):
             assert main([command, "--config", cfg]) == 0, command
+
+    def test_attribute_file_of_bare_ids_is_data_error(self, workspace, tmp_path, capsys):
+        bare = tmp_path / "items.tsv"
+        rows = workspace["inputs"]["item_attributes"].read_text().splitlines()
+        bare.write_text("".join(row.split("\t")[0] + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = _config_at(workspace, out, tmp_path, item_attributes=bare)
+        assert main(["prepare", "--config", cfg]) == 3
+        assert f"{bare}: no attribute columns" in _one_data_error(capsys)
+        assert not any(out.iterdir())
 
     @pytest.mark.usefixtures("trained")
     def test_checkpoint_of_another_dataset_is_data_error(self, workspace, short_prepared,

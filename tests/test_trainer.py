@@ -93,6 +93,64 @@ class TestOptimizers:
         assert sorted(opt.state_tensors()) == ["m0", "m1", "m2", "v0", "v1", "v2"]
 
 
+class TestFlatBuffers:
+    """Adam adopts its parameters: each value and gradient is a view of the
+    optimizer's flat buffers for as long as it trains."""
+
+    @staticmethod
+    def recording_adam(monkeypatch) -> list[Adam]:
+        made = []
+
+        class Recorded(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(trainer, "Adam", Recorded)
+        return made
+
+    @staticmethod
+    def assert_adopted(opt: Adam, params: list[Param]) -> None:
+        assert opt.params == params
+        for p in params:
+            assert np.shares_memory(p.value, opt._value), p.name
+            assert np.shares_memory(p.grad, opt._grad), p.name
+        tensors = opt.state_tensors()
+        assert sorted(tensors) == sorted(f"{k}{i}" for k in "mv" for i in range(len(params)))
+        for i, p in enumerate(params):
+            assert tensors[f"m{i}"].shape == tensors[f"v{i}"].shape == p.value.shape
+
+    def test_stage1_trains_views_and_zeroes_one_buffer(self, monkeypatch):
+        data, ds, sim_u, sim_v, _ = make_world()
+        user_net, item_net = make_nets(data)
+        made = self.recording_adam(monkeypatch)
+
+        def refused(self):
+            raise AssertionError(f"{self.name}: zeroed one parameter at a time")
+
+        monkeypatch.setattr(Param, "zero_grad", refused)
+        train_stage1(ds, user_net, item_net, data.user_features.values,
+                     data.item_features.values, sim_u, sim_v, quick_cfg(epochs=2))
+        (opt,) = made
+        self.assert_adopted(opt, user_net.params() + item_net.params())
+
+    def test_weighted_sum_stage2_trains_views(self, monkeypatch):
+        data, ds, sim_u, sim_v, adj = make_world()
+        user_net, item_net = make_nets(data)
+        s1 = train_stage1(ds, user_net, item_net, data.user_features.values,
+                          data.item_features.values, sim_u, sim_v, quick_cfg(epochs=2))
+        made = self.recording_adam(monkeypatch)
+        table = init_embeddings(ds.n + ds.m, D, seed=0)
+        res = train_stage2(ds, adj, table, s1.user_features, s1.item_features,
+                           BackboneConfig(dim=D, num_layers=1), quick_cfg(epochs=2),
+                           fusion.FusionConfig(variant="weighted-sum"))
+        (opt,) = made
+        assert len(opt.params) == 5 and opt.params[0] is res.table is table
+        self.assert_adopted(opt, opt.params)
+        for w, p in zip(res.fusion_weights, opt.params[1:]):
+            assert w is p.value
+
+
 class TestStage1:
     def test_loss_descends_on_fittable_instance(self):
         data, ds, sim_u, sim_v, _ = make_world()
