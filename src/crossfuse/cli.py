@@ -344,7 +344,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
 
     if args.kl:
         recs = top.as_dict()
-        histories = {u: ds.train_items(u).tolist() for u in recs}
+        histories = {u: ds.train_items(u) for u in recs}
         kl, _ = category_kl(histories, recs, cats, cfg.eval.kl_categories)
         (out / "kl.json").write_text(
             json.dumps({"top_categories": cfg.eval.kl_categories, "kl": kl}, sort_keys=True)

@@ -17,6 +17,10 @@ from .data import TRAIN, InteractionDataset
 
 KL_SMOOTHING = 1e-9
 
+# bytes of one block of scores in ``top_n`` (its ranking scratch takes as
+# many again): a block holds max(1, _RANK_BYTES // (8 * items)) users
+_RANK_BYTES = 2 << 20
+
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row index and position within the row of every entry of consecutive
@@ -41,10 +45,13 @@ class TopN:
                 for r, (u, k) in enumerate(zip(self.users.tolist(), self.lengths.tolist()))}
 
 
-def _rank_rows(neg: np.ndarray, keep: int) -> np.ndarray:
+def _rank_rows(neg: np.ndarray, keep: int, scratch: np.ndarray) -> np.ndarray:
     """Columns of each row's ``keep`` smallest entries, ordered by (value,
-    column), for 1 <= keep <= the row length."""
-    nth = np.partition(neg, keep - 1, axis=1)[:, keep - 1]
+    column), for 1 <= keep <= the row length.  ``scratch``, of ``neg``'s
+    shape and dtype, is overwritten."""
+    np.copyto(scratch, neg)
+    scratch.partition(keep - 1, axis=1)
+    nth = scratch[:, keep - 1]
     chosen = neg <= nth[:, None]
     # a row with more than ``keep`` entries at or below its keep-th value has
     # a tie there, which must go to the smaller columns: those rows are
@@ -66,28 +73,36 @@ def _rank_rows(neg: np.ndarray, keep: int) -> np.ndarray:
 
 
 def top_n(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset, n: int,
-          users: np.ndarray, chunk: int = 1024) -> TopN:
+          users: np.ndarray, chunk: int | None = None) -> TopN:
     """Top-n lists of ``users`` (in that row order), excluding each user's
     train items.
 
     Items are ranked by descending score ``g_users[u] @ g_items[i]``, ties by
     ascending item index (the order of a stable argsort of the negated
     scores), and each list is cut at the user's pool of unseen items.  Scores
-    are computed ``chunk`` users at a time and must be finite."""
+    must be finite.  They are computed a block of users at a time, into one
+    score buffer and ranked through one scratch buffer that every block
+    reuses; a block holds ``chunk`` users, by default as many as fit
+    ``_RANK_BYTES`` at 8 bytes a score."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     users = np.asarray(users, dtype=np.int64)
     indptr, indices = ds.split_csr(TRAIN)
     keep = min(n, ds.m)
+    if chunk is None:
+        chunk = max(1, _RANK_BYTES // (8 * ds.m))
     counts = indptr[users + 1] - indptr[users]
     items = np.empty((len(users), keep), dtype=np.int64)
+    scores = np.empty((min(chunk, len(users)), ds.m), np.result_type(g_users, g_items))
+    scratch = np.empty_like(scores)
     for lo in range(0, len(users), chunk):
         block = users[lo:lo + chunk]
-        neg = g_users[block] @ g_items.T
+        neg = scores[:len(block)]
+        np.matmul(g_users[block], g_items.T, out=neg)
         np.negative(neg, out=neg)
         rows, k = _ragged(counts[lo:lo + chunk])
         neg[rows, indices[indptr[block][rows] + k]] = np.inf
-        items[lo:lo + chunk] = _rank_rows(neg, keep)
+        items[lo:lo + chunk] = _rank_rows(neg, keep, scratch[:len(block)])
     lengths = np.minimum(n, ds.m - counts)
     items[np.arange(keep) >= lengths[:, None]] = -1
     return TopN(users, items, lengths)
@@ -95,7 +110,7 @@ def top_n(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset, n: i
 
 def recommend_all(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset,
                   n: int, users: Sequence[int] | None = None,
-                  chunk: int = 1024) -> dict[int, np.ndarray]:
+                  chunk: int | None = None) -> dict[int, np.ndarray]:
     """``top_n`` as a mapping from user to list, for every user by default."""
     users = np.arange(ds.n) if users is None else np.fromiter(users, np.int64)
     return top_n(g_users, g_items, ds, n, users, chunk).as_dict()
@@ -249,8 +264,11 @@ def _category_counts(lists: Sequence[Sequence[int]], keys: np.ndarray,
                      incidence: sp.csr_matrix) -> np.ndarray:
     """Rows x labels counts of the categories of each row's listed items, an
     item counted once per listing and per category."""
-    lengths = np.array([len(x) for x in lists], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(lists), np.int64, count=int(lengths.sum()))
+    # one concatenation of per-row arrays: an array-valued list converts
+    # whole, where iterating it would box its entries one by one
+    parts = [np.asarray(x, dtype=np.int64) for x in lists]
+    lengths = np.array([len(x) for x in parts], dtype=np.int64)
+    flat = np.concatenate(parts + [np.empty(0, np.int64)])
     # items without a category entry land on the incidence's empty last row
     at = np.where(np.isin(flat, keys), np.searchsorted(keys, flat), len(keys))
     listed = sp.csr_matrix((np.ones(len(flat)), (np.repeat(np.arange(len(lists)), lengths), at)),

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfuse import synthetic
+from crossfuse import evaluate, synthetic
 from crossfuse.data import TEST, TRAIN, VALIDATION, InteractionDataset, split_dataset
 from crossfuse.evaluate import (KL_SMOOTHING, CategoryProfile, TopN, category_kl,
                                 ranking_metrics, recommend_all, score_top_n, top_n,
@@ -293,6 +295,60 @@ class TestMatrixCore:
         assert rep.per_user[0]["precision"][2] == 0.5
 
 
+def _split_users(ds: InteractionDataset, tag: int) -> np.ndarray:
+    indptr, _ = ds.split_csr(tag)
+    return np.flatnonzero(np.diff(indptr))
+
+
+@pytest.fixture(scope="module")
+def mid_ranking():
+    """The mid dataset with float-valued random features of dim 64."""
+    data = synthetic.generate(3000, 2000, 10, seed=0, interactions_per_user=(40, 80))
+    ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=0)
+    rng = np.random.default_rng(0)
+    return ds, rng.normal(size=(ds.n, 64)), rng.normal(size=(ds.m, 64))
+
+
+class TestScoreBlocks:
+    """Score blocks of any height rank alike, and the default block is
+    bounded by ``_RANK_BYTES``.  Float-valued scores are not exact, so equal
+    lists need every block's product to round like every other's."""
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_block_height_leaves_lists_unchanged(self, mid_ranking, n):
+        ds, g_users, g_items = mid_ranking
+        users = _split_users(ds, TEST)
+        want = top_n(g_users, g_items, ds, n, users, chunk=len(users))
+        for chunk in (1, 97, 1024, None):
+            got = top_n(g_users, g_items, ds, n, users, chunk=chunk)
+            assert np.array_equal(got.items, want.items), chunk
+            assert np.array_equal(got.lengths, want.lengths), chunk
+
+    def test_traced_peak_is_bounded_by_the_budget(self, mid_ranking):
+        ds, g_users, g_items = mid_ranking
+        users = _split_users(ds, TEST)
+        ds.split_csr(TRAIN)  # built once per split, outside any one call
+        tracemalloc.start()
+        try:
+            top_n(g_users, g_items, ds, 20, users)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1024-user blocks and their partition copies peaked at about 35 MB here
+        assert peak < 3 * evaluate._RANK_BYTES
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_desk_ranks_each_split_in_one_block(self, seed):
+        data = synthetic.generate(200, 300, 5, seed=seed)
+        ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=seed)
+        rng = np.random.default_rng(seed)
+        g_users, g_items = rng.normal(size=(ds.n, 16)), rng.normal(size=(ds.m, 16))
+        for tag in (VALIDATION, TEST):
+            with mock.patch.object(evaluate, "_rank_rows", wraps=evaluate._rank_rows) as spy:
+                top_n(g_users, g_items, ds, 20, _split_users(ds, tag))
+            assert spy.call_count == 1
+
+
 class TestCategoryKl:
     def test_identical_distributions_zero(self):
         cats = {0: [0], 1: [1]}
@@ -388,16 +444,28 @@ def assert_kl_equals_reference(histories, recommendations, item_categories, top)
 def category_cases(draw):
     """Repeated items, items with no, one or several (even repeated)
     categories, items missing from the category map, users with no list, and
-    up to 14 categories per user, so per-user sums run past 8 terms."""
+    up to 14 categories per user, so per-user sums run past 8 terms.  Each
+    list is a Python list, an int64 or int32 array, or a row view of a
+    padded matrix, as ``TopN.as_dict`` gives."""
     m = draw(st.integers(1, 30))
     labels = st.integers(-3, 40)
     item_categories = {i: draw(st.lists(labels, max_size=3))
                        for i in draw(st.sets(st.integers(0, m - 1)))}
     items = st.lists(st.integers(0, m - 1), max_size=40)
     users = draw(st.lists(st.integers(0, 50), max_size=12, unique=True))
-    histories = {u: draw(items) for u in users}
-    recommendations = {u: np.array(draw(items), dtype=np.int64)
-                       for u in users if draw(st.booleans())}
+
+    def one_list():
+        listed, form = draw(items), draw(st.sampled_from(["list", "int64", "int32", "row"]))
+        if form == "list":
+            return listed
+        if form == "row":
+            rows = np.full((3, len(listed) + 2), -1, dtype=np.int64)
+            rows[1, :len(listed)] = listed
+            return rows[1, :len(listed)]
+        return np.array(listed, dtype=form)
+
+    histories = {u: one_list() for u in users}
+    recommendations = {u: one_list() for u in users if draw(st.booleans())}
     return histories, recommendations, item_categories, draw(st.integers(1, 14))
 
 
@@ -413,9 +481,10 @@ class TestCategoryKlMatchesPerUserReference:
         ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=seed)
         rng = np.random.default_rng(seed)
         recs = recommend_all(rng.normal(size=(ds.n, 16)), rng.normal(size=(ds.m, 16)), ds, 20)
-        histories = {u: ds.train_items(u).tolist() for u in range(ds.n)}
-        for top in (1, 3, 6):
-            assert_kl_equals_reference(histories, recs, data.item_categories, top)
+        for histories in ({u: ds.train_items(u) for u in range(ds.n)},
+                          {u: ds.train_items(u).tolist() for u in range(ds.n)}):
+            for top in (1, 3, 6):
+                assert_kl_equals_reference(histories, recs, data.item_categories, top)
 
     def test_mid_shape(self):
         # 3000 users x 2000 items over 10 categories, 40-80 history and 20
