@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import TRAIN, InteractionDataset
 
@@ -27,6 +26,16 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows holding ``counts`` entries each."""
     rows = np.repeat(np.arange(len(counts)), counts)
     return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _flatten(lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and int64 concatenation of ``lists``: arrays through one
+    concatenation, anything else through one pass of ``np.fromiter``."""
+    lengths = np.fromiter(map(len, lists), np.int64, count=len(lists))
+    if all(isinstance(x, np.ndarray) for x in lists):
+        return lengths, np.concatenate([*lists, np.empty(0, np.int64)], dtype=np.int64,
+                                       casting="unsafe")
+    return lengths, np.fromiter(chain.from_iterable(lists), np.int64, count=int(lengths.sum()))
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,8 @@ def top_n(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset, n: i
     Items are ranked by descending score ``g_users[u] @ g_items[i]``, ties by
     ascending item index (the order of a stable argsort of the negated
     scores), and each list is cut at the user's pool of unseen items.  Scores
-    must be finite.  They are computed a block of users at a time, into one
+    must be finite.  They are computed negated, as products of the negated
+    user rows with the item features, a block of users at a time, into one
     score buffer and ranked through one scratch buffer that every block
     reuses; a block holds ``chunk`` users, by default as many as fit
     ``_RANK_BYTES`` at 8 bytes a score."""
@@ -98,8 +108,11 @@ def top_n(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset, n: i
     for lo in range(0, len(users), chunk):
         block = users[lo:lo + chunk]
         neg = scores[:len(block)]
-        np.matmul(g_users[block], g_items.T, out=neg)
-        np.negative(neg, out=neg)
+        # the block's own copy of its user rows, negated in place, gives
+        # the negated scores bit for bit with no pass over the score block
+        rows_u = g_users[block]
+        np.negative(rows_u, out=rows_u)
+        np.matmul(rows_u, g_items.T, out=neg)
         rows, k = _ragged(counts[lo:lo + chunk])
         neg[rows, indices[indptr[block][rows] + k]] = np.inf
         items[lo:lo + chunk] = _rank_rows(neg, keep, scratch[:len(block)])
@@ -229,24 +242,34 @@ def ranking_metrics(recommendations: Mapping[int, np.ndarray],
                     keep_per_user: bool = False) -> RankingReport:
     """``score_top_n`` over mappings from user to list and to relevant items,
     for the users with relevant items, in ascending user order.  A user with
-    relevant items but no list is skipped and counted."""
+    relevant items but no list is skipped and counted.  Relevant items are
+    integer ids; repeats count once."""
     check_topn(topn)
     width = max(topn)
-    truths = {u: sorted(set(map(int, ground_truth[u]))) for u in sorted(ground_truth)}
-    truths = {u: t for u, t in truths.items() if t}
-    scored = [u for u in truths if u in recommendations]
+    users = sorted(ground_truth)
+    # every user's relevant items in one flat pass: sorted within each user
+    # by one lexsort, then repeats dropped against their neighbours
+    counts, items = _flatten([ground_truth[u] for u in users])
+    rows = np.repeat(np.arange(len(users)), counts)
+    order = np.lexsort((items, rows))
+    rows, items = rows[order], items[order]
+    fresh = np.ones(len(items), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]) | (items[1:] != items[:-1])
+    rows, items = rows[fresh], items[fresh]
+    sizes = np.bincount(rows, minlength=len(users))
+    listed = np.fromiter((u in recommendations for u in users), bool, count=len(users))
+    chosen = (sizes > 0) & listed
+    scored = [users[r] for r in np.flatnonzero(chosen).tolist()]
     lists = [np.asarray(recommendations[u])[:width] for u in scored]
 
     lengths = np.array([len(x) for x in lists], dtype=np.int64)
-    items = np.full((len(scored), width), -1, dtype=np.int64)
-    items[_ragged(lengths)] = np.concatenate(lists + [np.empty(0, np.int64)])
-    sizes = np.array([len(truths[u]) for u in scored], dtype=np.int64)
+    top = np.full((len(scored), width), -1, dtype=np.int64)
+    top[_ragged(lengths)] = np.concatenate(lists + [np.empty(0, np.int64)])
     indptr = np.zeros(len(scored) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(truths[u] for u in scored), np.int64,
-                          count=int(indptr[-1]))
-    return score_top_n(TopN(np.array(scored, dtype=np.int64), items, lengths),
-                       (indptr, indices), topn, keep_per_user, len(truths) - len(scored))
+    np.cumsum(sizes[chosen], out=indptr[1:])
+    return score_top_n(TopN(np.array(scored, dtype=np.int64), top, lengths),
+                       (indptr, items[chosen[rows]]), topn, keep_per_user,
+                       int(np.count_nonzero(sizes)) - len(scored))
 
 
 @dataclass
@@ -260,27 +283,55 @@ class CategoryProfile:
     recommended: np.ndarray
 
 
-def _category_counts(lists: Sequence[Sequence[int]], keys: np.ndarray,
-                     incidence: sp.csr_matrix) -> np.ndarray:
-    """Rows x labels counts of the categories of each row's listed items, an
-    item counted once per listing and per category."""
-    # one concatenation of per-row arrays: an array-valued list converts
-    # whole, where iterating it would box its entries one by one
-    parts = [np.asarray(x, dtype=np.int64) for x in lists]
-    lengths = np.array([len(x) for x in parts], dtype=np.int64)
-    flat = np.concatenate(parts + [np.empty(0, np.int64)])
-    # items without a category entry land on the incidence's empty last row
-    at = np.where(np.isin(flat, keys), np.searchsorted(keys, flat), len(keys))
-    listed = sp.csr_matrix((np.ones(len(flat)), (np.repeat(np.arange(len(lists)), lengths), at)),
-                           shape=(len(lists), len(keys) + 1))
-    return (listed @ incidence).toarray()
+@dataclass(frozen=True, eq=False)
+class CategoryProfiles(Sequence):
+    """Many users' category profiles as matrices, read as a sequence of
+    :class:`CategoryProfile`: profile i is user ``users[i]`` over the first
+    ``widths[i]`` columns of row i of ``categories``, ``history`` and
+    ``recommended``.  A profile is built when indexed; its ``history`` and
+    ``recommended`` are views of those rows."""
+
+    users: np.ndarray
+    widths: np.ndarray
+    categories: np.ndarray
+    history: np.ndarray
+    recommended: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CategoryProfiles(self.users[i], self.widths[i], self.categories[i],
+                                    self.history[i], self.recommended[i])
+        w = self.widths[i]
+        return CategoryProfile(user=int(self.users[i]), categories=self.categories[i, :w].tolist(),
+                               history=self.history[i, :w], recommended=self.recommended[i, :w])
+
+
+def _category_counts(lengths: np.ndarray, items: np.ndarray, slot: np.ndarray,
+                     starts: np.ndarray, label_at: np.ndarray, labels: int) -> np.ndarray:
+    """Rows x labels counts of the categories of consecutive rows of
+    ``lengths[r]`` listed ``items`` each, an item counted once per listing
+    and per category.
+
+    Item id k has the categories ``label_at[starts[s]:starts[s + 1]]`` with
+    ``s = slot[k + 1]``; ``slot`` covers ids -1 to its length - 2, and an id
+    below or past that clips onto its ends."""
+    at = slot[np.clip(items, -1, len(slot) - 2) + 1]
+    # one entry per (listing, category) pair
+    listing, k = _ragged(starts[at + 1] - starts[at])
+    rows = np.repeat(np.arange(len(lengths)), lengths)[listing]
+    return np.bincount(rows * labels + label_at[starts[at[listing]] + k],
+                       minlength=len(lengths) * labels).reshape(len(lengths), labels)
 
 
 def category_kl(histories: Mapping[int, Sequence[int]],
                 recommendations: Mapping[int, Sequence[int]],
                 item_categories: Mapping[int, Sequence[int]],
-                top_categories: int) -> tuple[float, list[CategoryProfile]]:
-    """Mean divergence between history and recommendation category mixes.
+                top_categories: int) -> tuple[float, CategoryProfiles]:
+    """Mean divergence between history and recommendation category mixes,
+    and the profiles of the users it averages, in ascending user order.
 
     Each user's distribution is restricted to their ``top_categories`` most
     frequent history categories (ties toward the smaller label); items with
@@ -290,31 +341,47 @@ def category_kl(histories: Mapping[int, Sequence[int]],
     run over their own categories only, and the mean is a sum in ascending
     user order, one user after the other.  ``top_categories`` below 1 is a
     ``ValueError``.
+
+    Item ids are integers; ``item_categories`` keys them from 0 (a negative
+    key is a ``ValueError``), and a listed id with no key, such as the -1
+    padding of a ``TopN`` row, has no category.  The ids map to their
+    categories through one dense int64 table of (largest key + 3) entries,
+    8 bytes per id up to the largest key.
     """
     if top_categories < 1:
         raise ValueError(f"top_categories must be >= 1, got {top_categories}")
     users = sorted(histories)
-    keys = np.array(sorted(map(int, item_categories)), dtype=np.int64)
-    cats_of = [item_categories[k] for k in keys.tolist()]
-    sizes = [len(c) for c in cats_of]
+    keys = np.fromiter(item_categories, np.int64, count=len(item_categories))
+    if len(keys) and keys.min() < 0:
+        raise ValueError(f"item ids must be >= 0, got key {int(keys.min())}")
+    cats_of = list(item_categories.values())
+    sizes = np.fromiter(map(len, cats_of), np.int64, count=len(cats_of))
     labels, label_at = np.unique(np.fromiter(chain.from_iterable(cats_of), np.int64,
-                                             count=sum(sizes)), return_inverse=True)
-    incidence = sp.csr_matrix((np.ones(len(label_at)),
-                               (np.repeat(np.arange(len(keys)), sizes), label_at)),
-                              shape=(len(keys) + 1, len(labels)))
-    hist = _category_counts([histories[u] for u in users], keys, incidence)
-    recs = _category_counts([recommendations.get(u, ()) for u in users], keys, incidence)
+                                             count=int(sizes.sum())), return_inverse=True)
+    # key k at slot[k + 1]; every other entry, the two ends that ids below 0
+    # and past the largest key clip onto included, holds position len(keys),
+    # which has no categories
+    slot = np.full(int(keys.max(initial=-1)) + 3, len(keys), dtype=np.int64)
+    slot[keys + 1] = np.arange(len(keys))
+    starts = np.zeros(len(keys) + 2, dtype=np.int64)
+    np.cumsum(np.append(sizes, 0), out=starts[1:])
+    tables = (slot, starts, label_at, len(labels))
+    hist = _category_counts(*_flatten([histories[u] for u in users]), *tables)
+    empty = np.empty(0, np.int64)
+    recs = _category_counts(*_flatten([recommendations.get(u, empty) for u in users]), *tables)
 
-    # each row's categories by descending history count, ties to the smaller label
+    # each scored row's categories by descending history count, ties to the
+    # smaller label
     present = np.count_nonzero(hist, axis=1)
-    width = np.minimum(present, top_categories)
+    scored = np.flatnonzero(present)
+    hist, recs = hist[scored], recs[scored]
+    width = np.minimum(present[scored], top_categories)
     top = np.argsort(-hist, axis=1, kind="stable")[:, :width.max(initial=0)]
-    p_all = np.take_along_axis(hist, top, axis=1)
+    p_all = np.take_along_axis(hist, top, axis=1).astype(np.float64)
     q_all = np.take_along_axis(recs, top, axis=1) + KL_SMOOTHING
-    scored = np.flatnonzero(present > 0)
-    kl = np.zeros(len(users))
-    for j in np.unique(width[scored]).tolist():
-        rows = scored[width[scored] == j]
+    kl = np.zeros(len(scored))
+    for j in np.unique(width).tolist():
+        rows = np.flatnonzero(width == j)
         p = p_all[rows, :j]
         p = p / p.sum(axis=1, keepdims=True)
         q = q_all[rows, :j]
@@ -323,13 +390,11 @@ def category_kl(histories: Mapping[int, Sequence[int]],
         p_all[rows, :j] = p
         q_all[rows, :j] = q
 
-    names = labels[top].tolist()
-    profiles = [CategoryProfile(user=users[r], categories=names[r][:w],
-                                history=p_all[r, :w], recommended=q_all[r, :w])
-                for r, w in zip(scored.tolist(), width[scored].tolist())]
-    if not profiles:
-        return 0.0, []
-    return float(np.cumsum(kl[scored])[-1]) / len(profiles), profiles
+    profiles = CategoryProfiles(np.array(users, dtype=np.int64)[scored], width, labels[top],
+                                p_all, q_all)
+    if not len(scored):
+        return 0.0, profiles
+    return float(np.cumsum(kl)[-1]) / len(scored), profiles
 
 
 # ---------------------------------------------------------------------------

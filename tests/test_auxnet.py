@@ -309,9 +309,22 @@ def assert_classes_match_per_node(x: np.ndarray, sim: sp.csr_matrix, layers: int
     out = got.forward(x, sim, "train")
     got.backward(d_a)
 
+    # The per-node GCN runs in long double.  Identical isolated nodes have
+    # zero batch variance, where each batch norm scales the rounding of its
+    # per-node terms by 1/sqrt(eps), about 316, before they cancel in the
+    # sum the class path takes exactly; the encoder gradient is therefore
+    # summed per distinct row in long double as well, rounded once and
+    # handed to the encoder on each row's first node.
+    ld = np.longdouble
     h_nodes = ref.encoder.forward(x, "train")
-    expect, cache = reference_gcn_forward(ref.gcn, sim, h_nodes)
-    ref.encoder.backward(reference_gcn_backward(ref.gcn, sim, cache, d_a))
+    expect, cache = reference_gcn_forward(ref.gcn, sim.astype(ld), h_nodes.astype(ld))
+    d_nodes = reference_gcn_backward(ref.gcn, sim.astype(ld), cache, d_a.astype(ld))
+    rows = distinct_rows(x)
+    d_sums = np.zeros((len(rows.values), d), dtype=ld)
+    np.add.at(d_sums, rows.inverse, d_nodes)
+    d_rows = np.zeros((n, d))
+    d_rows[np.unique(rows.inverse, return_index=True)[1]] = d_sums
+    ref.encoder.backward(d_rows)
 
     assert np.max(np.abs(out - expect)) <= 1e-10
     scale = max(np.max(np.abs(p.grad)) for p in ref.params())
@@ -383,6 +396,14 @@ class TestNodeClasses:
         classes = node_classes(self.X, sim)
         assert classes.inverse.tolist() == [0, 1, 2, 0, 1, 1, 2, 1, 0, 1]
         assert_classes_match_per_node(self.X, sim, 2)
+
+    def test_identical_isolated_nodes_at_zero_variance(self):
+        # three copies of one row and no edges: one class, zero batch
+        # variance in every batch norm, and an exactly zero encoder gradient
+        # on the class path
+        sim = graph_from(3, [], np.ones(3))
+        assert node_classes(self.PATTERNS[[0, 0, 0]], sim).counts.tolist() == [3]
+        assert_classes_match_per_node(self.PATTERNS[[0, 0, 0]], sim, 2)
 
     def test_zero_layers(self):
         sim = graph_from(10, self.LINKED, np.ones(10))

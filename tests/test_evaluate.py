@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from crossfuse import evaluate, synthetic
 from crossfuse.data import TEST, TRAIN, VALIDATION, InteractionDataset, split_dataset
-from crossfuse.evaluate import (KL_SMOOTHING, CategoryProfile, TopN, category_kl,
-                                ranking_metrics, recommend_all, score_top_n, top_n,
-                                write_report_json, write_report_text)
+from crossfuse.evaluate import (KL_SMOOTHING, CategoryProfile, CategoryProfiles, TopN,
+                                category_kl, ranking_metrics, recommend_all, score_top_n,
+                                top_n, write_report_json, write_report_text)
 
 
 def _one_user(m: int, train_items=()) -> InteractionDataset:
@@ -178,7 +178,8 @@ def _reference_metrics(recs, ground_truth, topn):
 @st.composite
 def ranking_cases(draw):
     """Integer-valued features (many tied scores), train sets up to every
-    item, empty truth sets, and truth for users that get no list."""
+    item, empty truth sets, truth for users that get no list, and truth as a
+    set, an unsorted list with repeats, or an int64 array."""
     n_users, m, dim = draw(st.integers(1, 24)), draw(st.integers(1, 10)), draw(st.integers(1, 3))
     ints = st.integers(-2, 2)
     g_users = np.array(draw(st.lists(st.lists(ints, min_size=dim, max_size=dim),
@@ -194,7 +195,15 @@ def ranking_cases(draw):
                             ratings=np.ones(len(users)), split=np.array(split, dtype=np.int8))
     order = draw(st.permutations(range(n_users)))
     ranked = order[:draw(st.integers(0, n_users))]
-    truth = {u: draw(item_sets) for u in draw(st.sets(st.integers(0, n_users - 1)))}
+
+    def one_truth():
+        form = draw(st.sampled_from(["set", "list", "array"]))
+        if form == "set":
+            return draw(item_sets)
+        listed = draw(st.lists(st.integers(0, m - 1), max_size=12))
+        return listed if form == "list" else np.array(listed, dtype=np.int64)
+
+    truth = {u: one_truth() for u in draw(st.sets(st.integers(0, n_users - 1)))}
     n = draw(st.integers(1, m + 2))
     topn = draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=3))
     return g_users, g_items, ds, n, ranked, draw(st.integers(1, 4)), truth, topn
@@ -391,6 +400,24 @@ class TestCategoryKl:
         with pytest.raises(ValueError, match="top_categories must be >= 1"):
             category_kl({0: [0]}, {0: [0]}, {0: [0]}, top)
 
+    def test_ids_without_a_key_have_no_category(self):
+        # -1 pads an uncut top-n row; 5 and 99 lie past every key
+        cats = {0: [0], 1: [1], 3: [0]}
+        hist = {0: [0, -1, 1, 5, 99, -7]}
+        recs = {0: np.array([1, -1, -1, 5])}
+        kl, profiles = category_kl(hist, recs, cats, top_categories=2)
+        assert profiles[0].history.tolist() == [0.5, 0.5]
+        assert kl == _reference_category_kl(hist, recs, cats, 2)[0]
+        assert_kl_equals_reference({0: [0, -1, 1]}, {0: [1, -1]}, cats, 2)
+
+    def test_empty_category_map(self):
+        kl, profiles = category_kl({0: [0, -1, 1]}, {0: [0]}, {}, 2)
+        assert kl == 0.0 and len(profiles) == 0 and list(profiles) == []
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError, match="item ids must be >= 0"):
+            category_kl({0: [0]}, {0: [0]}, {0: [0], -1: [1]}, 2)
+
     def test_top_k_restriction(self):
         cats = {0: [0], 1: [1], 2: [2]}
         hist = {0: [0, 0, 0, 1, 1, 2]}
@@ -443,30 +470,69 @@ def assert_kl_equals_reference(histories, recommendations, item_categories, top)
 @st.composite
 def category_cases(draw):
     """Repeated items, items with no, one or several (even repeated)
-    categories, items missing from the category map, users with no list, and
-    up to 14 categories per user, so per-user sums run past 8 terms.  Each
-    list is a Python list, an int64 or int32 array, or a row view of a
-    padded matrix, as ``TopN.as_dict`` gives."""
+    categories, items missing from the category map, ids below 0 and past
+    every key, an empty map, users with no list, and up to 14 categories per
+    user, so per-user sums run past 8 terms.  Each list is a Python list, an
+    int64 or int32 array, a row view of a padded matrix, as ``TopN.as_dict``
+    gives, or a whole padded row, -1 entries included."""
     m = draw(st.integers(1, 30))
     labels = st.integers(-3, 40)
-    item_categories = {i: draw(st.lists(labels, max_size=3))
-                       for i in draw(st.sets(st.integers(0, m - 1)))}
-    items = st.lists(st.integers(0, m - 1), max_size=40)
+    keys = draw(st.one_of(st.just(set()), st.sets(st.integers(0, m - 1))))
+    item_categories = {i: draw(st.lists(labels, max_size=3)) for i in keys}
+    items = st.lists(st.integers(-3, m + 2), max_size=40)
     users = draw(st.lists(st.integers(0, 50), max_size=12, unique=True))
 
     def one_list():
-        listed, form = draw(items), draw(st.sampled_from(["list", "int64", "int32", "row"]))
+        listed = draw(items)
+        form = draw(st.sampled_from(["list", "int64", "int32", "row", "padded"]))
         if form == "list":
             return listed
-        if form == "row":
+        if form in ("row", "padded"):
             rows = np.full((3, len(listed) + 2), -1, dtype=np.int64)
             rows[1, :len(listed)] = listed
-            return rows[1, :len(listed)]
+            return rows[1, :len(listed)] if form == "row" else rows[1]
         return np.array(listed, dtype=form)
 
     histories = {u: one_list() for u in users}
     recommendations = {u: one_list() for u in users if draw(st.booleans())}
     return histories, recommendations, item_categories, draw(st.integers(1, 14))
+
+
+class TestCategoryProfiles:
+    @pytest.fixture
+    def profiles(self):
+        cats = {0: [0], 1: [1], 2: [2], 3: [0, 2]}
+        hist = {4: [0, 1, 1], 2: [], 7: [3, 2, 0, 0], 9: [2]}
+        recs = {4: [1], 7: [0, 3], 9: [2, 2]}
+        profiles = category_kl(hist, recs, cats, top_categories=3)[1]
+        assert isinstance(profiles, CategoryProfiles)
+        return profiles
+
+    def test_len_and_indexing(self, profiles):
+        assert len(profiles) == 3
+        assert [profiles[i].user for i in range(3)] == [4, 7, 9]
+        assert profiles[-1].user == 9 and profiles[-3].user == 4
+        assert profiles[1].categories == [0, 2]
+        assert profiles[1].history.tolist() == [0.6, 0.4]
+        assert profiles[2].categories == [2]
+
+    def test_index_past_the_end_raises(self, profiles):
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                profiles[i]
+
+    def test_iteration_and_slicing(self, profiles):
+        users = [p.user for p in profiles]
+        assert users == [4, 7, 9]
+        assert [p.user for p in profiles[1:]] == [7, 9]
+        assert [p.user for p in profiles[::-2]] == [9, 4]
+        assert len(profiles[5:]) == 0
+
+    def test_rows_are_views_of_one_matrix(self, profiles):
+        for p in list(profiles) + list(profiles[1:]):
+            assert np.shares_memory(p.history, profiles.history)
+            assert np.shares_memory(p.recommended, profiles.recommended)
+            assert p.history.dtype == p.recommended.dtype == np.float64
 
 
 class TestCategoryKlMatchesPerUserReference:
