@@ -256,12 +256,10 @@ class AuxEncoder:
     def out_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def forward(self, x: np.ndarray | DistinctRows, mode: str = "train") -> np.ndarray:
-        """Output for every row of ``x``; a plain matrix is grouped here, so
-        callers that run many forwards on one input group it once with
-        :func:`distinct_rows` and pass that instead."""
+    def forward(self, rows: DistinctRows, mode: str = "train") -> np.ndarray:
+        """Output for every row of the matrix ``rows`` groups (see
+        :func:`distinct_rows`, run once per input, not per forward)."""
         train = _check_mode(mode)
-        rows = x if isinstance(x, DistinctRows) else distinct_rows(x)
         if rows.values.shape[1] != self.in_dim:
             raise ValueError(f"encoder expects width {self.in_dim}, got {rows.values.shape[1]}")
         if train:
@@ -372,12 +370,9 @@ class AuxiliaryExtractor:
         self.output: np.ndarray | None = None
         self._classes: NodeClasses | None = None
 
-    def forward(self, x: np.ndarray | NodeClasses, sim: sp.spmatrix,
-                mode: str = "train") -> np.ndarray:
-        """Features for every node.  ``x`` and ``sim`` are grouped into node
-        classes here unless ``x`` is already :func:`node_classes` of them,
-        as callers that run many forwards on one input pass it."""
-        classes = x if isinstance(x, NodeClasses) else node_classes(x, sim)
+    def forward(self, classes: NodeClasses, mode: str = "train") -> np.ndarray:
+        """Features for every node of ``classes`` (see :func:`node_classes`,
+        run once per input, not per forward)."""
         h = self.encoder.forward(classes.rows, mode)
         a = self.gcn.forward(classes.sim, h, mode, classes.counts)[classes.inverse]
         if mode == "train":
@@ -391,10 +386,6 @@ class AuxiliaryExtractor:
 
     def params(self):
         return self.encoder.params() + self.gcn.params()
-
-    def zero_grad(self) -> None:
-        for p in self.params():
-            p.zero_grad()
 
 
 @dataclass

@@ -90,6 +90,12 @@ def main(argv=None) -> int:
         return 1
     if args.command == "verify-gradients":
         return cmd_verify_gradients(args)
+    if args.command == "train" and bool(args.aux_users) != bool(args.aux_items):
+        given, missing = (("--aux-users", "--aux-items") if args.aux_users
+                          else ("--aux-items", "--aux-users"))
+        print(f"error: {given} needs {missing}: stage 2 takes both external feature "
+              "matrices or neither", file=sys.stderr)
+        return 1
     try:
         cfg = load_config(args.config)
         if args.command == "prepare" and cfg.paths.interactions is None:
@@ -266,10 +272,11 @@ def cmd_train_aux(args, cfg: RunConfig, out: Path) -> int:
 
 def _load_aux(out: Path, args, ds: InteractionDataset,
               dim: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The feature matrices stage 2 trains against: the ``--aux-users`` /
-    ``--aux-items`` files, else stage 1's; (None, None) when stage 1's are
-    missing.  A given file that does not exist, or a matrix that is not one
-    ``dim``-wide row per user (per item), is a :class:`DataError`."""
+    """The feature matrices stage 2 trains against: the ``--aux-users`` and
+    ``--aux-items`` files, which ``main`` lets through only as a pair, else
+    stage 1's; (None, None) when stage 1's are missing.  A given file that
+    does not exist, or a matrix that is not one ``dim``-wide row per user
+    (per item), is a :class:`DataError`."""
     paths = []
     for flag in ("aux_users", "aux_items"):
         given = getattr(args, flag, None)

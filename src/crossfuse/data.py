@@ -95,9 +95,9 @@ class InteractionDataset:
     def split_indices(self, tag: int) -> np.ndarray:
         return np.flatnonzero(self.split == tag)
 
-    def triplets(self, tag: int | None = None) -> np.ndarray:
-        """(t, 3) float array of (user, item, rating), optionally one split."""
-        idx = slice(None) if tag is None else self.split_indices(tag)
+    def triplets(self, tag: int) -> np.ndarray:
+        """(t, 3) float array of (user, item, rating) of one split."""
+        idx = self.split_indices(tag)
         return np.column_stack([self.users[idx].astype(np.float64),
                                 self.items[idx].astype(np.float64),
                                 self.ratings[idx]])

@@ -272,43 +272,6 @@ def ranking_metrics(recommendations: Mapping[int, np.ndarray],
                        int(np.count_nonzero(sizes)) - len(scored))
 
 
-@dataclass
-class CategoryProfile:
-    """A user's history and recommendation distributions over their top
-    categories."""
-
-    user: int
-    categories: list[int]
-    history: np.ndarray
-    recommended: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class CategoryProfiles(Sequence):
-    """Many users' category profiles as matrices, read as a sequence of
-    :class:`CategoryProfile`: profile i is user ``users[i]`` over the first
-    ``widths[i]`` columns of row i of ``categories``, ``history`` and
-    ``recommended``.  A profile is built when indexed; its ``history`` and
-    ``recommended`` are views of those rows."""
-
-    users: np.ndarray
-    widths: np.ndarray
-    categories: np.ndarray
-    history: np.ndarray
-    recommended: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.users)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return CategoryProfiles(self.users[i], self.widths[i], self.categories[i],
-                                    self.history[i], self.recommended[i])
-        w = self.widths[i]
-        return CategoryProfile(user=int(self.users[i]), categories=self.categories[i, :w].tolist(),
-                               history=self.history[i, :w], recommended=self.recommended[i, :w])
-
-
 def _category_counts(lengths: np.ndarray, items: np.ndarray, slot: np.ndarray,
                      starts: np.ndarray, label_at: np.ndarray, labels: int) -> np.ndarray:
     """Rows x labels counts of the categories of consecutive rows of
@@ -329,18 +292,20 @@ def _category_counts(lengths: np.ndarray, items: np.ndarray, slot: np.ndarray,
 def category_kl(histories: Mapping[int, Sequence[int]],
                 recommendations: Mapping[int, Sequence[int]],
                 item_categories: Mapping[int, Sequence[int]],
-                top_categories: int) -> tuple[float, CategoryProfiles]:
+                top_categories: int) -> tuple[float, np.ndarray]:
     """Mean divergence between history and recommendation category mixes,
-    and the profiles of the users it averages, in ascending user order.
+    and the per-user terms it averages: a float64 array holding one
+    divergence per scored user, in ascending user order.
 
     Each user's distribution is restricted to their ``top_categories`` most
     frequent history categories (ties toward the smaller label); items with
     several categories count once per category.  Recommendation mass is
     smoothed so the divergence stays defined when a category is never
-    recommended.  Users with empty histories are skipped.  Each user's sums
-    run over their own categories only, and the mean is a sum in ascending
-    user order, one user after the other.  ``top_categories`` below 1 is a
-    ``ValueError``.
+    recommended.  A user whose history holds no categorized item is skipped
+    and has no term.  Each user's sums run over their own categories only,
+    and the mean is the sum of the terms in ascending user order, one after
+    the other, over their count (0.0 with no term).  ``top_categories``
+    below 1 is a ``ValueError``.
 
     Item ids are integers; ``item_categories`` keys them from 0 (a negative
     key is a ``ValueError``), and a listed id with no key, such as the -1
@@ -387,14 +352,9 @@ def category_kl(histories: Mapping[int, Sequence[int]],
         q = q_all[rows, :j]
         q = q / q.sum(axis=1, keepdims=True)
         kl[rows] = np.sum(p * np.log(p / q), axis=1)
-        p_all[rows, :j] = p
-        q_all[rows, :j] = q
-
-    profiles = CategoryProfiles(np.array(users, dtype=np.int64)[scored], width, labels[top],
-                                p_all, q_all)
     if not len(scored):
-        return 0.0, profiles
-    return float(np.cumsum(kl)[-1]) / len(scored), profiles
+        return 0.0, kl
+    return float(np.cumsum(kl)[-1]) / len(scored), kl
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,6 @@ def _check_bpr_embedding_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     cfg = BackboneConfig(dim=inst.g_users.shape[1], num_layers=2, lambda_reg=0.01)
     model = LightGCN(inst.adj, inst.ds.n, cfg)
     table = Param(rng.normal(size=(inst.ds.n + inst.ds.m, cfg.dim)))
-    table.zero_grad()
     fusion.fused_objective_grad(model, table, None, None, inst.ranked,
                                 fusion.FusionConfig(variant="none"))
 
@@ -177,15 +176,13 @@ def _stage1_fd_error(inst: Instance, rng, x_u: np.ndarray, x_v: np.ndarray,
     item_net = auxnet.build_extractor(x_v.rows.values.shape[1], d, hidden=[5], gcn_layers=1,
                                       rng=rng, name="v")
 
-    user_net.forward(x_u, sim_u, "train")
-    item_net.forward(x_v, sim_v, "train")
-    user_net.zero_grad()
-    item_net.zero_grad()
+    user_net.forward(x_u, "train")
+    item_net.forward(x_v, "train")
     auxnet.stage1_loss_and_grad(user_net, item_net, inst.rated)
 
     def loss():
-        au = user_net.forward(x_u, sim_u, "train")
-        av = item_net.forward(x_v, sim_v, "train")
+        au = user_net.forward(x_u, "train")
+        av = item_net.forward(x_v, "train")
         val, _, _ = auxnet.squared_score_loss(au, av, inst.rated)
         return val
 
@@ -240,8 +237,6 @@ def _check_fused_objective_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     model = LightGCN(inst.adj, inst.ds.n, cfg)
     table = Param(rng.normal(size=(inst.ds.n + inst.ds.m, d)))
     fcfg = fusion.FusionConfig(variant="cross", lambda1=0.4, lambda2=0.2)
-
-    table.zero_grad()
     fusion.fused_objective_grad(model, table, inst.a_users, inst.a_items, inst.ranked, fcfg)
 
     def loss():

@@ -168,16 +168,16 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
     log = TrainingLog()
 
     def step(batch) -> float:
-        user_net.forward(user_classes, sim_user, "train")
-        item_net.forward(item_classes, sim_item, "train")
+        user_net.forward(user_classes, "train")
+        item_net.forward(item_classes, "train")
         return auxnet.stage1_loss_and_grad(user_net, item_net, batch)
 
     for epoch, loss, t0 in _epochs(ds, cfg, opt, rng, 1, True, step):
         log.add(EpochRecord(stage=1, epoch=epoch, loss=loss,
                             wall_time=time.perf_counter() - t0))
 
-    a_users = user_net.forward(user_classes, sim_user, "eval")
-    a_items = item_net.forward(item_classes, sim_item, "eval")
+    a_users = user_net.forward(user_classes, "eval")
+    a_items = item_net.forward(item_classes, "eval")
     a_users.flags.writeable = False
     a_items.flags.writeable = False
     return Stage1Result(a_users, a_items, log)

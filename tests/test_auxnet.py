@@ -23,7 +23,7 @@ class TestEncoder:
         rng = np.random.default_rng(0)
         enc = AuxEncoder([5, 3], rng)
         x = rng.normal(size=(4, 5))
-        out = enc.forward(x, "eval")
+        out = enc.forward(distinct_rows(x), "eval")
         w, b = enc.blocks[0].w.value, enc.blocks[0].b.value
         assert np.allclose(out, x @ w + b)
 
@@ -34,46 +34,47 @@ class TestEncoder:
             if isinstance(block, Affine):
                 block.w.value[...] = 0.0
         enc.blocks[-1].b.value[...] = np.array([3.0, -1.0])
-        out = enc.forward(np.ones((5, 4)), "eval")
+        out = enc.forward(distinct_rows(np.ones((5, 4))), "eval")
         assert np.allclose(out, [3.0, -1.0])
 
     def test_eval_with_batch_stats_matches_train_output(self):
         rng = np.random.default_rng(2)
         enc = AuxEncoder([6, 5, 3], rng)
         x = rng.normal(size=(10, 6))
-        train_out = enc.forward(x, "train")
+        train_out = enc.forward(distinct_rows(x), "train")
         # force running statistics to the batch statistics the train pass used
         h = x @ enc.blocks[0].w.value + enc.blocks[0].b.value
         bn = enc.blocks[1]
         bn.running_mean = h.mean(axis=0)
         bn.running_var = h.var(axis=0)
-        eval_out = enc.forward(x, "eval")
+        eval_out = enc.forward(distinct_rows(x), "eval")
         assert np.max(np.abs(train_out - eval_out)) <= 1e-10
 
     def test_batch_of_one_rejected_in_train_mode(self):
         enc = AuxEncoder([4, 4, 2], np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least 2 rows"):
-            enc.forward(np.ones((1, 4)), "train")
+            enc.forward(distinct_rows(np.ones((1, 4))), "train")
 
     def test_width_mismatch_rejected(self):
         enc = AuxEncoder([4, 2], np.random.default_rng(0))
         with pytest.raises(ValueError):
-            enc.forward(np.ones((3, 5)), "eval")
+            enc.forward(distinct_rows(np.ones((3, 5))), "eval")
 
     def test_eval_mode_deterministic_and_batch_independent(self):
         rng = np.random.default_rng(3)
         enc = AuxEncoder([5, 4, 3], rng)
-        enc.forward(rng.normal(size=(8, 5)), "train")  # sets running stats
+        enc.forward(distinct_rows(rng.normal(size=(8, 5))), "train")  # sets running stats
         x = rng.normal(size=(6, 5))
-        one = enc.forward(x, "eval")
-        again = np.vstack([enc.forward(x[:3], "eval"), enc.forward(x[3:], "eval")])
+        one = enc.forward(distinct_rows(x), "eval")
+        again = np.vstack([enc.forward(distinct_rows(x[:3]), "eval"),
+                           enc.forward(distinct_rows(x[3:]), "eval")])
         assert np.allclose(one, again)
 
     def test_hidden_activations_non_negative(self):
         rng = np.random.default_rng(4)
         enc = AuxEncoder([6, 5, 4, 2], rng)
         x = rng.normal(size=(9, 6))
-        enc.forward(x, "train")
+        enc.forward(distinct_rows(x), "train")
         # final affine input is the last rectifier output, cached by Affine
         assert np.all(enc.blocks[-1]._x >= 0)
 
@@ -81,7 +82,7 @@ class TestEncoder:
         rng = np.random.default_rng(5)
         enc = AuxEncoder([4, 3, 2], rng)
         for _ in range(20):
-            enc.forward(rng.normal(size=(6, 4)), "train")
+            enc.forward(distinct_rows(rng.normal(size=(6, 4))), "train")
         for bn in enc.batch_norms():
             assert np.all(bn.running_var > 0)
 
@@ -187,8 +188,8 @@ class TestDistinctRows:
                     build_extractor(8, d, [6, 5], 1, r, name="v"))
 
         user_net, item_net = nets()
-        user_net.forward(x_u, sim_u, "train")
-        item_net.forward(x_v, sim_v, "train")
+        user_net.forward(node_classes(x_u, sim_u), "train")
+        item_net.forward(node_classes(x_v, sim_v), "train")
         stage1_loss_and_grad(user_net, item_net, batch)
 
         ref_u, ref_v = nets()
@@ -213,7 +214,7 @@ class TestDistinctRows:
 
     def test_identical_rows_count_toward_batch_size(self):
         enc = AuxEncoder([4, 3, 2], np.random.default_rng(0))
-        out = enc.forward(np.ones((3, 4)), "train")
+        out = enc.forward(distinct_rows(np.ones((3, 4))), "train")
         assert out.shape == (3, 2)
         assert np.array_equal(out[0], out[2])
 
@@ -306,7 +307,7 @@ def assert_classes_match_per_node(x: np.ndarray, sim: sp.csr_matrix, layers: int
 
     got, ref = net(), net()
     d_a = np.random.default_rng(seed + 1).normal(size=(n, d))
-    out = got.forward(x, sim, "train")
+    out = got.forward(classes, "train")
     got.backward(d_a)
 
     # The per-node GCN runs in long double.  Identical isolated nodes have
@@ -316,7 +317,7 @@ def assert_classes_match_per_node(x: np.ndarray, sim: sp.csr_matrix, layers: int
     # summed per distinct row in long double as well, rounded once and
     # handed to the encoder on each row's first node.
     ld = np.longdouble
-    h_nodes = ref.encoder.forward(x, "train")
+    h_nodes = ref.encoder.forward(distinct_rows(x), "train")
     expect, cache = reference_gcn_forward(ref.gcn, sim.astype(ld), h_nodes.astype(ld))
     d_nodes = reference_gcn_backward(ref.gcn, sim.astype(ld), cache, d_a.astype(ld))
     rows = distinct_rows(x)
@@ -338,8 +339,8 @@ def assert_classes_match_per_node(x: np.ndarray, sim: sp.csr_matrix, layers: int
     # A single class makes each affine map a one-row product, which BLAS
     # computes with its matrix-vector kernel and rounds differently from the
     # matrix-matrix kernel the nodes go through; any other class count is exact.
-    expect = reference_gcn_eval(got.gcn, sim, got.encoder.forward(x, "eval"))
-    out = got.forward(classes, sim, "eval")
+    expect = reference_gcn_eval(got.gcn, sim, got.encoder.forward(distinct_rows(x), "eval"))
+    out = got.forward(classes, "eval")
     if len(classes.counts) > 1 or layers == 0:
         assert np.array_equal(out, expect)
     else:
@@ -524,16 +525,15 @@ class TestStage1Loss:
         user_net = build_extractor(5, d, [4], 1, rng, name="u")
         item_net = build_extractor(4, d, [4], 1, rng, name="v")
         batch = np.array([[u, (u + 1) % m, float(u % 2)] for u in range(n)])
+        x_u, x_v = node_classes(x_u, sim_u), node_classes(x_v, sim_v)
 
-        user_net.forward(x_u, sim_u, "train")
-        item_net.forward(x_v, sim_v, "train")
-        user_net.zero_grad()
-        item_net.zero_grad()
+        user_net.forward(x_u, "train")
+        item_net.forward(x_v, "train")
         stage1_loss_and_grad(user_net, item_net, batch)
 
         def loss():
-            au = user_net.forward(x_u, sim_u, "train")
-            av = item_net.forward(x_v, sim_v, "train")
+            au = user_net.forward(x_u, "train")
+            av = item_net.forward(x_v, "train")
             val, _, _ = squared_score_loss(au, av, batch)
             return val
 
@@ -613,8 +613,8 @@ class TestExtractor:
         net = build_extractor(6, 3, [5], 0, rng)
         x = rng.normal(size=(7, 6))
         sim = loop_graph(np.zeros((7, 7)))
-        a = net.forward(x, sim, "eval")
-        a_prime = net.encoder.forward(x, "eval")
+        a = net.forward(node_classes(x, sim), "eval")
+        a_prime = net.encoder.forward(distinct_rows(x), "eval")
         assert np.array_equal(a, a_prime)
 
 

@@ -296,6 +296,33 @@ class TestExternalInterfaces:
         ckpt = store.load(out / "model.ckpt", "checkpoint")
         assert np.array_equal(ckpt.arrays["aux_users"], load_dense_matrix(ext_u))
 
+    @pytest.mark.parametrize("given, missing", [("--aux-users", "--aux-items"),
+                                                ("--aux-items", "--aux-users")])
+    @pytest.mark.usefixtures("stage1_done")
+    def test_one_external_matrix_is_usage_error(self, workspace, tmp_path, capsys, given,
+                                                missing):
+        """One flag alone would pair an external matrix with stage 1's other
+        side; it is refused before anything is read or written."""
+        from crossfuse.auxnet import save_dense_matrix
+
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        ext = tmp_path / "external.mat"
+        save_dense_matrix(ext, np.zeros((3, 8)))
+        cfg = _config_at(workspace, out, tmp_path)
+        assert main(["train", "--config", cfg, given, str(ext)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert missing in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+        fresh = tmp_path / "fresh"
+        cfg = _config_at(workspace, fresh, tmp_path)
+        assert main(["train", "--config", cfg, given, str(ext)]) == 1
+        assert missing in capsys.readouterr().err
+        assert not fresh.exists()
+
     @pytest.mark.usefixtures("trained")
     def test_training_log_format(self, workspace):
         lines = (workspace["out"] / "train_log.tsv").read_text().splitlines()
@@ -659,7 +686,9 @@ class TestExitCodes:
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
         cfg = _config_at(workspace, out, tmp_path)
-        assert main([command, "--config", cfg, flag, str(tmp_path)]) == 3
+        # --aux-users is accepted only beside --aux-items
+        pair = ["--aux-items", str(out / "aux_items.mat")] if command == "train" else []
+        assert main([command, "--config", cfg, flag, str(tmp_path), *pair]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 

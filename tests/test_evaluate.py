@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from crossfuse import evaluate, synthetic
 from crossfuse.data import TEST, TRAIN, VALIDATION, InteractionDataset, split_dataset
-from crossfuse.evaluate import (KL_SMOOTHING, CategoryProfile, CategoryProfiles, TopN,
-                                category_kl, ranking_metrics, recommend_all, score_top_n,
-                                top_n, write_report_json, write_report_text)
+from crossfuse.evaluate import (KL_SMOOTHING, TopN, category_kl, ranking_metrics,
+                                recommend_all, score_top_n, top_n, write_report_json,
+                                write_report_text)
 
 
 def _one_user(m: int, train_items=()) -> InteractionDataset:
@@ -363,9 +363,9 @@ class TestCategoryKl:
         cats = {0: [0], 1: [1]}
         hist = {0: [0, 0, 0, 1]}
         recs = {0: [0, 0, 0, 1]}
-        kl, profiles = category_kl(hist, recs, cats, top_categories=2)
+        kl, per_user = category_kl(hist, recs, cats, top_categories=2)
         assert kl == pytest.approx(0.0, abs=1e-7)
-        assert profiles[0].user == 0
+        assert len(per_user) == 1 and per_user[0] == kl
 
     def test_hand_computed_two_category_kl(self):
         cats = {0: [0], 1: [1]}
@@ -384,16 +384,39 @@ class TestCategoryKl:
         assert kl >= 0.0
 
     def test_empty_history_skipped(self):
+        # user 0 has no history and user 2 only an uncategorized item: only
+        # user 1, p = q = (1,), has a term
         cats = {0: [0]}
-        kl, profiles = category_kl({0: [], 1: [0]}, {1: [0]}, cats, 2)
-        assert len(profiles) == 1
+        kl, per_user = category_kl({0: [], 1: [0], 2: [5]}, {1: [0], 2: [0]}, cats, 2)
+        assert per_user.dtype == np.float64 and per_user.tolist() == [0.0]
+        assert kl == 0.0
 
     def test_multi_category_items_count_once_per_category(self):
-        cats = {0: [0, 1]}
-        hist = {0: [0]}
-        recs = {0: [0]}
-        kl, profiles = category_kl(hist, recs, cats, top_categories=2)
-        assert profiles[0].history.tolist() == [0.5, 0.5]
+        cats = {0: [0, 1], 1: [0]}
+        hist = {0: [0, 1]}                 # p = (2/3, 1/3)
+        recs = {0: [0]}                    # q = (1/2, 1/2)
+        kl, per_user = category_kl(hist, recs, cats, top_categories=2)
+        expect = 2 / 3 * math.log(4 / 3) + 1 / 3 * math.log(2 / 3)
+        assert len(per_user) == 1
+        assert per_user[0] == pytest.approx(expect, abs=1e-12)
+        assert kl == per_user[0]
+
+    def test_per_user_terms_in_ascending_user_order(self):
+        cats = {0: [0], 1: [1], 2: [2], 3: [0, 2]}
+        hist = {4: [0, 1, 1], 2: [], 7: [3, 2, 0, 0], 9: [2]}
+        recs = {4: [1], 7: [0, 3], 9: [2, 2]}
+
+        def term(p, counts):
+            q = [(c + KL_SMOOTHING) / (sum(counts) + KL_SMOOTHING * len(counts))
+                 for c in counts]
+            return sum(a * math.log(a / b) for a, b in zip(p, q))
+
+        kl, per_user = category_kl(hist, recs, cats, top_categories=3)
+        # user 4 over categories (1, 0); user 7 over (0, 2), item 3 counting
+        # toward both; user 9 over (2,); user 2 has no history
+        expect = [term([2 / 3, 1 / 3], [1, 0]), term([0.6, 0.4], [2, 1]), 0.0]
+        assert per_user.tolist() == pytest.approx(expect, rel=1e-12, abs=1e-15)
+        assert kl == (per_user[0] + per_user[1] + per_user[2]) / 3
 
     @pytest.mark.parametrize("top", [0, -2])
     def test_fewer_than_one_top_category_rejected(self, top):
@@ -405,29 +428,38 @@ class TestCategoryKl:
         cats = {0: [0], 1: [1], 3: [0]}
         hist = {0: [0, -1, 1, 5, 99, -7]}
         recs = {0: np.array([1, -1, -1, 5])}
-        kl, profiles = category_kl(hist, recs, cats, top_categories=2)
-        assert profiles[0].history.tolist() == [0.5, 0.5]
-        assert kl == _reference_category_kl(hist, recs, cats, 2)[0]
+        kl, per_user = category_kl(hist, recs, cats, top_categories=2)
+        # p = (1/2, 1/2) over categories 0 and 1; the recommendations hold
+        # one item of category 1 and nothing of category 0
+        q = np.array([KL_SMOOTHING, 1 + KL_SMOOTHING]) / (1 + 2 * KL_SMOOTHING)
+        assert per_user.tolist() == pytest.approx([0.5 * math.log(0.25 / (q[0] * q[1]))],
+                                                  rel=1e-12)
+        assert_kl_equals_reference(hist, recs, cats, 2)
         assert_kl_equals_reference({0: [0, -1, 1]}, {0: [1, -1]}, cats, 2)
 
     def test_empty_category_map(self):
-        kl, profiles = category_kl({0: [0, -1, 1]}, {0: [0]}, {}, 2)
-        assert kl == 0.0 and len(profiles) == 0 and list(profiles) == []
+        kl, per_user = category_kl({0: [0, -1, 1]}, {0: [0]}, {}, 2)
+        assert kl == 0.0 and per_user.dtype == np.float64 and per_user.shape == (0,)
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError, match="item ids must be >= 0"):
             category_kl({0: [0]}, {0: [0]}, {0: [0], -1: [1]}, 2)
 
     def test_top_k_restriction(self):
+        # the top 2 history categories are 0 and 1: p = (3/5, 2/5), and the
+        # recommended item of category 2 falls outside them, so q = (1/2, 1/2)
         cats = {0: [0], 1: [1], 2: [2]}
         hist = {0: [0, 0, 0, 1, 1, 2]}
-        _, profiles = category_kl(hist, {0: [0, 1]}, cats, top_categories=2)
-        assert profiles[0].categories == [0, 1]
+        kl, per_user = category_kl(hist, {0: [0, 1, 2]}, cats, top_categories=2)
+        expect = 0.6 * math.log(1.2) + 0.4 * math.log(0.8)
+        assert len(per_user) == 1
+        assert per_user[0] == pytest.approx(expect, abs=1e-12)
 
 
 def _reference_category_kl(histories, recommendations, item_categories, top_categories):
-    """The per-user, per-item category divergence loop."""
-    profiles = []
+    """The per-user, per-item category divergence loop: the mean and the
+    float64 array of per-user terms."""
+    terms = []
     total = 0.0
     for u in sorted(histories):
         counts = {}
@@ -451,20 +483,23 @@ def _reference_category_kl(histories, recommendations, item_categories, top_cate
 
         kl = float(np.sum(p * np.log(p / q)))
         total += kl
-        profiles.append(CategoryProfile(user=u, categories=list(cats), history=p, recommended=q))
-    if not profiles:
-        return 0.0, []
-    return total / len(profiles), profiles
+        terms.append(kl)
+    if not terms:
+        return 0.0, np.empty(0)
+    return total / len(terms), np.array(terms)
 
 
 def assert_kl_equals_reference(histories, recommendations, item_categories, top):
-    kl, profiles = category_kl(histories, recommendations, item_categories, top)
+    """Per-user terms equal to the reference bit for bit, and a mean that is
+    their sequential sum over their count."""
+    kl, per_user = category_kl(histories, recommendations, item_categories, top)
     want_kl, want = _reference_category_kl(histories, recommendations, item_categories, top)
-    assert kl == want_kl
-    assert [(x.user, x.categories) for x in profiles] == [(y.user, y.categories) for y in want]
-    for x, y in zip(profiles, want):
-        assert x.history.dtype == y.history.dtype and np.array_equal(x.history, y.history)
-        assert np.array_equal(x.recommended, y.recommended)
+    assert per_user.dtype == np.float64 and per_user.shape == want.shape
+    assert per_user.tobytes() == want.tobytes()
+    total = 0.0
+    for term in per_user.tolist():
+        total += term
+    assert kl == (total / len(per_user) if len(per_user) else 0.0) == want_kl
 
 
 @st.composite
@@ -496,43 +531,6 @@ def category_cases(draw):
     histories = {u: one_list() for u in users}
     recommendations = {u: one_list() for u in users if draw(st.booleans())}
     return histories, recommendations, item_categories, draw(st.integers(1, 14))
-
-
-class TestCategoryProfiles:
-    @pytest.fixture
-    def profiles(self):
-        cats = {0: [0], 1: [1], 2: [2], 3: [0, 2]}
-        hist = {4: [0, 1, 1], 2: [], 7: [3, 2, 0, 0], 9: [2]}
-        recs = {4: [1], 7: [0, 3], 9: [2, 2]}
-        profiles = category_kl(hist, recs, cats, top_categories=3)[1]
-        assert isinstance(profiles, CategoryProfiles)
-        return profiles
-
-    def test_len_and_indexing(self, profiles):
-        assert len(profiles) == 3
-        assert [profiles[i].user for i in range(3)] == [4, 7, 9]
-        assert profiles[-1].user == 9 and profiles[-3].user == 4
-        assert profiles[1].categories == [0, 2]
-        assert profiles[1].history.tolist() == [0.6, 0.4]
-        assert profiles[2].categories == [2]
-
-    def test_index_past_the_end_raises(self, profiles):
-        for i in (3, -4):
-            with pytest.raises(IndexError):
-                profiles[i]
-
-    def test_iteration_and_slicing(self, profiles):
-        users = [p.user for p in profiles]
-        assert users == [4, 7, 9]
-        assert [p.user for p in profiles[1:]] == [7, 9]
-        assert [p.user for p in profiles[::-2]] == [9, 4]
-        assert len(profiles[5:]) == 0
-
-    def test_rows_are_views_of_one_matrix(self, profiles):
-        for p in list(profiles) + list(profiles[1:]):
-            assert np.shares_memory(p.history, profiles.history)
-            assert np.shares_memory(p.recommended, profiles.recommended)
-            assert p.history.dtype == p.recommended.dtype == np.float64
 
 
 class TestCategoryKlMatchesPerUserReference:

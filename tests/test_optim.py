@@ -119,7 +119,7 @@ class TestHotPathBuildsNoMatrix:
             x = rng.integers(0, 2, size=(rows, 5)).astype(float)
             sim = sp.identity(rows, format="csr")
             net = auxnet.build_extractor(5, 3, [4], 1, rng, name=name)
-            net.forward(auxnet.node_classes(x, sim), sim, "train")
+            net.forward(auxnet.node_classes(x, sim), "train")
             nets.append(net)
         request.getfixturevalue("no_matrix")
         batch = np.array([[0, 1, 1.0], [2, 3, 0.0], [0, 7, 1.0]])
