@@ -151,35 +151,30 @@ class Affine:
 class BatchNorm:
     """Per-feature normalization; batch statistics in train mode, running
     statistics in eval mode.  Variance is the biased (1/N) estimate in both
-    the normalization and the running update.
+    the normalization and the running update, with momentum 0.1 and eps 1e-5.
 
-    With ``counts`` each input row stands for ``counts[k]`` identical rows of
-    the batch: the moments are count-weighted, and backward takes and returns
-    gradients summed over each row's copies."""
+    Input row k stands for ``counts[k]`` identical rows of the batch: the
+    moments are count-weighted, and backward takes and returns gradients
+    summed over each row's copies."""
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, name: str = "bn"):
+    def __init__(self, dim: int, name: str = "bn"):
         self.gamma = Param(np.ones(dim), f"{name}.gamma")
         self.beta = Param(np.zeros(dim), f"{name}.beta")
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
+        self.momentum = 0.1
+        self.eps = 1e-5
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool,
-                counts: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, counts: np.ndarray) -> np.ndarray:
         if train:
-            n = x.shape[0] if counts is None else counts.sum()
+            n = counts.sum()
             if n < 2:
                 raise ValueError("batch normalization needs at least 2 rows in train mode")
             # the arithmetic np.average runs, without its per-call checks;
             # counts are integer class sizes, so n is exact in any order
-            if counts is None:
-                mu = x.sum(axis=0) / n
-                var = np.square(x - mu).sum(axis=0) / n
-            else:
-                mu = (x * counts[:, None]).sum(axis=0) / n
-                var = (np.square(x - mu) * counts[:, None]).sum(axis=0) / n
+            mu = (x * counts[:, None]).sum(axis=0) / n
+            var = (np.square(x - mu) * counts[:, None]).sum(axis=0) / n
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
@@ -193,10 +188,7 @@ class BatchNorm:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, counts = self._cache
-        if counts is None:
-            n, c = xhat.shape[0], 1.0
-        else:
-            n, c = counts.sum(), counts[:, None]
+        n, c = counts.sum(), counts[:, None]
         self.gamma.grad += (dy * xhat).sum(axis=0)
         self.beta.grad += dy.sum(axis=0)
         dxhat = dy * self.gamma.value
@@ -234,8 +226,7 @@ class AuxEncoder:
     so the cost scales with distinct attribute rows, not with nodes.
     """
 
-    def __init__(self, layer_dims, rng: np.random.Generator,
-                 bn_momentum: float = 0.1, bn_eps: float = 1e-5, name: str = "mlp"):
+    def __init__(self, layer_dims, rng: np.random.Generator, name: str = "mlp"):
         dims = list(layer_dims)
         if len(dims) < 2:
             raise ValueError("layer_dims needs at least input and output sizes")
@@ -243,7 +234,7 @@ class AuxEncoder:
         self.blocks: list = []
         for l in range(len(dims) - 2):
             self.blocks.append(Affine(dims[l], dims[l + 1], rng, f"{name}.{l}"))
-            self.blocks.append(BatchNorm(dims[l + 1], bn_momentum, bn_eps, f"{name}.{l}"))
+            self.blocks.append(BatchNorm(dims[l + 1], f"{name}.{l}"))
             self.blocks.append(Relu())
         self.blocks.append(Affine(dims[-2], dims[-1], rng, f"{name}.{len(dims) - 2}"))
         self._rows: DistinctRows | None = None
@@ -297,14 +288,15 @@ class AuxGcnStack:
     similarities and applies an affine + batch-norm + rectifier transform;
     every layer maps dim -> dim.  K = 0 passes features through unchanged.
 
-    The rows may be node classes (see :class:`NodeClasses`): with ``counts``
-    each row stands for ``counts[k]`` nodes in the batch norms.  A train-mode
-    forward checks a graph's self-loops and builds its transpose for the
-    backward once; later forwards on the same graph object skip both.
+    The rows are node classes (see :class:`NodeClasses`): row k stands for
+    ``counts[k]`` nodes in the batch norms, and counts of ones make them plain
+    nodes.  A train-mode forward checks a graph's self-loops and builds its
+    transpose for the backward once; later forwards on the same graph object
+    skip both.
     """
 
     def __init__(self, dim: int, num_layers: int, rng: np.random.Generator,
-                 bn_momentum: float = 0.1, bn_eps: float = 1e-5, name: str = "gcn"):
+                 name: str = "gcn"):
         if num_layers < 0:
             raise ValueError("num_layers must be >= 0")
         self.dim = dim
@@ -312,13 +304,13 @@ class AuxGcnStack:
         self.layers = []
         for k in range(num_layers):
             self.layers.append((Affine(dim, dim, rng, f"{name}.{k}"),
-                                BatchNorm(dim, bn_momentum, bn_eps, f"{name}.{k}"),
+                                BatchNorm(dim, f"{name}.{k}"),
                                 Relu()))
         self._sim = None
         self._sim_t = None
 
-    def forward(self, sim: sp.spmatrix, h: np.ndarray, mode: str = "train",
-                counts: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, sim: sp.spmatrix, h: np.ndarray, counts: np.ndarray,
+                mode: str = "train") -> np.ndarray:
         train = _check_mode(mode)
         if sim.shape[0] != sim.shape[1] or sim.shape[0] != h.shape[0]:
             raise ValueError("similarity graph must be square over the feature rows")
@@ -360,23 +352,24 @@ def _check_mode(mode: str) -> bool:
 
 
 class AuxiliaryExtractor:
-    """One side (users or items) of the attribute pipeline: MLP then GCN."""
+    """One side (users or items) of the attribute pipeline: MLP then GCN.
+
+    A train-mode forward keeps only what its backward reads: each block's
+    cache and the node classes it ran on, not its output."""
 
     def __init__(self, encoder: AuxEncoder, gcn: AuxGcnStack):
         if encoder.out_dim != gcn.dim:
             raise ValueError("encoder output width must match the convolution stack")
         self.encoder = encoder
         self.gcn = gcn
-        self.output: np.ndarray | None = None
         self._classes: NodeClasses | None = None
 
     def forward(self, classes: NodeClasses, mode: str = "train") -> np.ndarray:
         """Features for every node of ``classes`` (see :func:`node_classes`,
         run once per input, not per forward)."""
         h = self.encoder.forward(classes.rows, mode)
-        a = self.gcn.forward(classes.sim, h, mode, classes.counts)[classes.inverse]
+        a = self.gcn.forward(classes.sim, h, classes.counts, mode)[classes.inverse]
         if mode == "train":
-            self.output = a
             self._classes = classes
         return a
 
@@ -390,32 +383,25 @@ class AuxiliaryExtractor:
 
 @dataclass
 class AuxnetConfig:
-    """Interior MLP widths, similarity-GCN depth, and batch-norm settings of
-    both extractors.  An empty ``hidden`` leaves the encoder one affine map."""
+    """Interior MLP widths and similarity-GCN depth of both extractors.  An
+    empty ``hidden`` leaves the encoder one affine map."""
 
     hidden: list[int] = field(default_factory=lambda: [256])
     gcn_layers: int = 2
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def validate(self) -> None:
         if self.gcn_layers < 0:
             raise ValueError(f"gcn_layers must be >= 0, got {self.gcn_layers}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValueError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
-        if not self.bn_eps >= 0.0:
-            raise ValueError(f"bn_eps must be >= 0, got {self.bn_eps}")
 
 
 def build_extractor(in_dim: int, dim: int, hidden, gcn_layers: int,
-                    rng: np.random.Generator, bn_momentum: float = 0.1,
-                    bn_eps: float = 1e-5, name: str = "aux") -> AuxiliaryExtractor:
+                    rng: np.random.Generator, name: str = "aux") -> AuxiliaryExtractor:
     """Standard two-part extractor; ``hidden`` lists the MLP's interior widths."""
     dims = [in_dim, *hidden, dim]
-    enc = AuxEncoder(dims, rng, bn_momentum, bn_eps, name=f"{name}.mlp")
-    stack = AuxGcnStack(dim, gcn_layers, rng, bn_momentum, bn_eps, name=f"{name}.gcn")
+    enc = AuxEncoder(dims, rng, name=f"{name}.mlp")
+    stack = AuxGcnStack(dim, gcn_layers, rng, name=f"{name}.gcn")
     return AuxiliaryExtractor(enc, stack)
 
 
@@ -442,13 +428,15 @@ def squared_score_loss(a_users: np.ndarray, a_items: np.ndarray,
 
 
 def stage1_loss_and_grad(user_net: AuxiliaryExtractor, item_net: AuxiliaryExtractor,
+                         user_classes: NodeClasses, item_classes: NodeClasses,
                          batch) -> float:
-    """Squared-error objective over the batch; backpropagates through both
-    extractors into every parameter's gradient buffer.  Requires a preceding
-    train-mode forward on each side."""
-    if user_net.output is None or item_net.output is None:
-        raise ValueError("run a train-mode forward before computing gradients")
-    loss, dAu, dAv = squared_score_loss(user_net.output, item_net.output, batch)
+    """One stage-1 step: a train-mode forward of each extractor on its node
+    classes, the squared-error objective over the batch, and the backward
+    pass through both extractors into every parameter's gradient buffer.
+    Returns the loss."""
+    a_users = user_net.forward(user_classes, "train")
+    a_items = item_net.forward(item_classes, "train")
+    loss, dAu, dAv = squared_score_loss(a_users, a_items, batch)
     user_net.backward(dAu)
     item_net.backward(dAv)
     return loss

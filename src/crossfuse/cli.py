@@ -72,8 +72,6 @@ def build_parser() -> _Parser:
     with_config("ablate", cmd_ablate, "compare fusion variants on one config")
     p = sub.add_parser("verify-gradients", help="run the gradient verification suite")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--fd-tol", type=float, default=gradcheck.FD_TOL)
-    p.add_argument("--exact-tol", type=float, default=gradcheck.EXACT_TOL)
     return parser
 
 
@@ -257,8 +255,7 @@ def cmd_train_aux(args, cfg: RunConfig, out: Path) -> int:
     rng = np.random.default_rng(cfg.train.seed)
     acfg, dim = cfg.auxnet, cfg.backbone.dim
     user_net, item_net = [
-        auxnet.build_extractor(x.shape[1], dim, acfg.hidden, acfg.gcn_layers, rng,
-                               acfg.bn_momentum, acfg.bn_eps, name=side)
+        auxnet.build_extractor(x.shape[1], dim, acfg.hidden, acfg.gcn_layers, rng, name=side)
         for side, x in (("user", user_x), ("item", item_x))]
     result = train_stage1(ds, user_net, item_net, user_x, item_x, sim_u, sim_v, cfg.train)
     auxnet.save_dense_matrix(out / "aux_users.mat", result.user_features)
@@ -394,8 +391,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_verify_gradients(args) -> int:
-    results = gradcheck.run_suite(seed=args.seed, fd_tol=args.fd_tol,
-                                  exact_tol=args.exact_tol)
+    results = gradcheck.run_suite(seed=args.seed)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

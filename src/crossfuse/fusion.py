@@ -59,10 +59,6 @@ class FusionConfig:
         return self.variant in ("concat", "plain-sum", "weighted-sum") or self.graph_loss == "mse"
 
 
-def identity_weights(dim: int):
-    return tuple(np.eye(dim) for _ in range(4))
-
-
 # ---------------------------------------------------------------------------
 # Scores and losses
 # ---------------------------------------------------------------------------
@@ -109,6 +105,8 @@ def effective_features(variant: str, g_users: np.ndarray, g_items: np.ndarray,
     Cross fusion (and no fusion) scores with the graph features alone; the
     baselines score with their fused predictor, expressed here as augmented or
     transformed feature matrices so one ranking routine serves every variant.
+    Weighted summation scores with its trained ``weights`` (W1, W2, W3, W4)
+    and refuses to score without them.
     """
     if variant in ("cross", "none"):
         return g_users, g_items
@@ -120,9 +118,16 @@ def effective_features(variant: str, g_users: np.ndarray, g_items: np.ndarray,
     if variant == "plain-sum":
         return g_users + a_users, g_items + a_items
     if variant == "weighted-sum":
-        w1, w2, w3, w4 = weights if weights is not None else identity_weights(g_users.shape[1])
+        w1, w2, w3, w4 = _required_weights(weights)
         return a_users @ w1.T + g_users @ w2.T, a_items @ w3.T + g_items @ w4.T
     raise ValueError(f"unknown fusion variant {variant!r}")
+
+
+def _required_weights(weights):
+    if weights is None:
+        raise ValueError("weighted summation needs its four weight matrices "
+                         "(W1, W2, W3, W4)")
+    return weights
 
 
 def concat_fusion_loss(g_users, g_items, a_users, a_items, batch
@@ -200,9 +205,8 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
         loss, dU, dV = squared_score_loss(g_users + a_users, g_items + a_items, batch)
         return loss, dU, dV, []
     if variant == "weighted-sum":
-        if weights is None:
-            weights = identity_weights(g_users.shape[1])
-        return weighted_sum_fusion_loss(g_users, g_items, a_users, a_items, batch, weights)
+        return weighted_sum_fusion_loss(g_users, g_items, a_users, a_items, batch,
+                                        _required_weights(weights))
     if variant not in ("cross", "none"):
         raise ValueError(f"unknown fusion variant {variant!r}")
 

@@ -176,9 +176,7 @@ def _stage1_fd_error(inst: Instance, rng, x_u: np.ndarray, x_v: np.ndarray,
     item_net = auxnet.build_extractor(x_v.rows.values.shape[1], d, hidden=[5], gcn_layers=1,
                                       rng=rng, name="v")
 
-    user_net.forward(x_u, "train")
-    item_net.forward(x_v, "train")
-    auxnet.stage1_loss_and_grad(user_net, item_net, inst.rated)
+    auxnet.stage1_loss_and_grad(user_net, item_net, x_u, x_v, inst.rated)
 
     def loss():
         au = user_net.forward(x_u, "train")

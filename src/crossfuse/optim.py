@@ -41,9 +41,6 @@ class Param:
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
 

@@ -89,16 +89,20 @@ class TrainingLog:
         self.records.append(rec)
 
     def write(self, path: str | Path) -> None:
-        """Append the records to ``path``, writing the header line first when
-        the file is new."""
+        """Write the records to ``path`` in place of the rows of their stages
+        there, keeping the other stages' rows: a re-run replaces its stage's
+        block, and the file lists stage 1 first."""
         path = Path(path)
-        new = not path.exists()
-        with open(path, "a", encoding="utf-8") as fh:
-            if new:
-                fh.write("stage\tepoch\tloss\tval_ndcg10\twall_time\n")
-            for r in self.records:
-                val = "" if np.isnan(r.val_metric) else repr(r.val_metric)
-                fh.write(f"{r.stage}\t{r.epoch}\t{r.loss!r}\t{val}\t{r.wall_time:.3f}\n")
+        stages = {str(r.stage) for r in self.records}
+        rows = [] if not path.exists() else [
+            line for line in path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+            if line.split("\t", 1)[0] not in stages]
+        for r in self.records:
+            val = "" if np.isnan(r.val_metric) else repr(r.val_metric)
+            rows.append(f"{r.stage}\t{r.epoch}\t{r.loss!r}\t{val}\t{r.wall_time:.3f}\n")
+        rows.sort(key=lambda line: line.split("\t", 1)[0])  # stable: epochs keep their order
+        path.write_text("stage\tepoch\tloss\tval_ndcg10\twall_time\n" + "".join(rows),
+                        encoding="utf-8")
 
 
 def _epochs(ds: InteractionDataset, cfg: TrainConfig, opt, rng: np.random.Generator,
@@ -168,9 +172,8 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
     log = TrainingLog()
 
     def step(batch) -> float:
-        user_net.forward(user_classes, "train")
-        item_net.forward(item_classes, "train")
-        return auxnet.stage1_loss_and_grad(user_net, item_net, batch)
+        return auxnet.stage1_loss_and_grad(user_net, item_net, user_classes, item_classes,
+                                           batch)
 
     for epoch, loss, t0 in _epochs(ds, cfg, opt, rng, 1, True, step):
         log.add(EpochRecord(stage=1, epoch=epoch, loss=loss,
@@ -271,8 +274,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     model = LightGCN(adj.tocsr(), ds.n, bcfg)
     w_params: list[Param] | None = None
     if fcfg.variant == "weighted-sum":
-        w_params = [Param(w, f"fusion.w{k + 1}")
-                    for k, w in enumerate(fusion.identity_weights(bcfg.dim))]
+        w_params = [Param(np.eye(bcfg.dim), f"fusion.w{k}") for k in range(1, 5)]
 
     named = {"table": table, **{p.name: p for p in w_params or []}}
     opt = Adam(list(named.values()), cfg.eta2)

@@ -95,8 +95,9 @@ class TestBatchNorm:
         rows, dim = rng.integers(2, 40), rng.integers(1, 40)
         x = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)
         counts = rng.integers(1, 6, size=rows).astype(np.float64) if weighted else None
-        bn = BatchNorm(dim, momentum=1.0)
-        bn.forward(x, True, counts)
+        bn = BatchNorm(dim)
+        bn.momentum = 1.0
+        bn.forward(x, True, np.ones(rows) if counts is None else counts)
         mu = np.average(x, axis=0, weights=counts)
         var = np.average(np.square(x - mu), axis=0, weights=counts)
         assert bn.running_mean.tobytes() == mu.tobytes()
@@ -187,23 +188,25 @@ class TestDistinctRows:
             return (build_extractor(8, d, [6, 5], 1, r, name="u"),
                     build_extractor(8, d, [6, 5], 1, r, name="v"))
 
+        classes = node_classes(x_u, sim_u), node_classes(x_v, sim_v)
         user_net, item_net = nets()
-        user_net.forward(node_classes(x_u, sim_u), "train")
-        item_net.forward(node_classes(x_v, sim_v), "train")
-        stage1_loss_and_grad(user_net, item_net, batch)
+        stage1_loss_and_grad(user_net, item_net, *classes, batch)
+        # the step keeps no output: the same train forward on fresh copies
+        outputs = [net.forward(c, "train") for net, c in zip(nets(), classes)]
 
         ref_u, ref_v = nets()
-        sides = []
+        sides, ref_outputs = [], []
         for net, x, sim in ((ref_u, x_u, sim_u), (ref_v, x_v, sim_v)):
             h, cache = reference_encoder_forward(net.encoder, x)
-            net.output = net.gcn.forward(sim, h, "train")
+            ref_outputs.append(net.gcn.forward(sim, h, np.ones(len(x)), "train"))
             sides.append((net, cache))
-        _, dAu, dAv = squared_score_loss(ref_u.output, ref_v.output, batch)
+        _, dAu, dAv = squared_score_loss(*ref_outputs, batch)
         for (net, cache), d_a in zip(sides, (dAu, dAv)):
             reference_encoder_backward(net.encoder, cache, net.gcn.backward(d_a))
 
-        for got, ref in ((user_net, ref_u), (item_net, ref_v)):
-            assert np.max(np.abs(got.output - ref.output)) <= 1e-10
+        for got, ref, out, ref_out in zip((user_net, item_net), (ref_u, ref_v), outputs,
+                                          ref_outputs):
+            assert np.max(np.abs(out - ref_out)) <= 1e-10
             scale = max(np.max(np.abs(p.grad)) for p in ref.params())
             for p, q in zip(got.params(), ref.params()):
                 assert np.max(np.abs(p.grad - q.grad)) <= 1e-10 * scale, p.name
@@ -434,23 +437,24 @@ class TestGcnStack:
         stack = AuxGcnStack(3, 1, rng)
         sim = loop_graph(np.zeros((4, 4)))
         h = rng.normal(size=(4, 3))
-        out = stack.forward(sim, h, "train")
+        out = stack.forward(sim, h, np.ones(4), "train")
         # node 0 aggregates only itself: output equals the transform of its own feature
         affine, bn, relu = stack.layers[0]
-        expect = relu.forward(bn.forward(affine.forward(h, True), True), True)
+        expect = relu.forward(bn.forward(affine.forward(h, True), True, np.ones(4)), True)
         assert np.allclose(out[0], expect[0])
 
     def test_identity_transform_hand_aggregation(self):
         rng = np.random.default_rng(1)
-        stack = AuxGcnStack(2, 1, rng, bn_eps=0.0)
+        stack = AuxGcnStack(2, 1, rng)
         affine, bn, relu = stack.layers[0]
+        bn.eps = 0.0
         affine.w.value[...] = np.eye(2)
         affine.b.value[...] = 0.0
         off = np.zeros((2, 2))
         off[0, 1] = off[1, 0] = 0.25
         sim = loop_graph(off)
         h = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = stack.forward(sim, h, "eval")  # running stats are identity at init
+        out = stack.forward(sim, h, np.ones(2), "eval")  # running stats are identity at init
         assert np.allclose(out[0], h[0] + 0.25 * h[1])
 
     def test_matches_dense_oracle(self):
@@ -461,7 +465,7 @@ class TestGcnStack:
         sim = loop_graph(off)
         stack = AuxGcnStack(4, 2, rng)
         h = rng.normal(size=(15, 4))
-        out = stack.forward(sim, h, "train")
+        out = stack.forward(sim, h, np.ones(15), "train")
         dense = sim.toarray()
         cur = h
         for affine, bn, relu in stack.layers:
@@ -475,7 +479,7 @@ class TestGcnStack:
     def test_zero_layers_pass_through(self):
         stack = AuxGcnStack(3, 0, np.random.default_rng(0))
         h = np.random.default_rng(1).normal(size=(5, 3))
-        out = stack.forward(loop_graph(np.zeros((5, 5))), h, "train")
+        out = stack.forward(loop_graph(np.zeros((5, 5))), h, np.ones(5), "train")
         assert out is h
 
     def test_each_new_graph_is_checked_and_transposed(self):
@@ -485,19 +489,20 @@ class TestGcnStack:
         first, second = loop_graph(off + off.T), loop_graph(off.T)  # the second is asymmetric
         stack = AuxGcnStack(3, 2, np.random.default_rng(0))
         fresh = AuxGcnStack(3, 2, np.random.default_rng(0))
-        stack.forward(first, h, "train")
+        ones = np.ones(6)
+        stack.forward(first, h, ones, "train")
         stack.backward(d)
-        stack.forward(second, h, "train")
-        fresh.forward(second, h, "train")
+        stack.forward(second, h, ones, "train")
+        fresh.forward(second, h, ones, "train")
         assert np.array_equal(stack.backward(d), fresh.backward(d))
         with pytest.raises(ValueError, match="self-loops"):
-            stack.forward(sp.csr_matrix(off + off.T), h, "train")
+            stack.forward(sp.csr_matrix(off + off.T), h, ones, "train")
 
     def test_missing_self_loops_rejected(self):
         stack = AuxGcnStack(2, 1, np.random.default_rng(0))
         sim = sp.csr_matrix(np.array([[1.0, 0.2], [0.2, 0.0]]))
         with pytest.raises(ValueError, match="self-loops"):
-            stack.forward(sim, np.ones((2, 2)), "train")
+            stack.forward(sim, np.ones((2, 2)), np.ones(2), "train")
 
 
 class TestStage1Loss:
@@ -527,9 +532,7 @@ class TestStage1Loss:
         batch = np.array([[u, (u + 1) % m, float(u % 2)] for u in range(n)])
         x_u, x_v = node_classes(x_u, sim_u), node_classes(x_v, sim_v)
 
-        user_net.forward(x_u, "train")
-        item_net.forward(x_v, "train")
-        stage1_loss_and_grad(user_net, item_net, batch)
+        stage1_loss_and_grad(user_net, item_net, x_u, x_v, batch)
 
         def loss():
             au = user_net.forward(x_u, "train")
@@ -552,13 +555,6 @@ class TestStage1Loss:
                 fd = (up - down) / (2 * h)
                 got = p.grad.ravel()[k]
                 assert abs(got - fd) / max(1.0, abs(got), abs(fd)) <= 1e-5, p.name
-
-    def test_backward_without_forward_rejected(self):
-        rng = np.random.default_rng(0)
-        a = build_extractor(3, 2, [3], 0, rng)
-        b = build_extractor(3, 2, [3], 0, rng)
-        with pytest.raises(ValueError, match="forward"):
-            stage1_loss_and_grad(a, b, [[0, 0, 1.0]])
 
     def test_gradient_scatter_equals_add_at(self):
         rng = np.random.default_rng(3)

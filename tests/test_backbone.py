@@ -141,7 +141,7 @@ class TestBprLoss:
             batch.append([u, int(pos[0]), neg[0]])
         batch = np.array(batch)
 
-        table.zero_grad()
+        table.grad[...] = 0.0
         fused_objective_grad(model, table, None, None, batch, FusionConfig(variant="none"))
 
         def loss():

@@ -334,6 +334,20 @@ class TestExternalInterfaces:
             float(parts[2])  # loss parses
             float(parts[4])  # wall time parses
 
+    @pytest.mark.usefixtures("stage1_done")
+    def test_rerun_replaces_its_stage_in_the_training_log(self, workspace, tmp_path):
+        """Each command rewrites its own stage's rows and keeps the other
+        stage's, stage 1 first: re-runs leave one block of each."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        cfg = _config_at(workspace, out, tmp_path)
+        expect = [("1", "1"), ("1", "2"), ("1", "3"), ("2", "1"), ("2", "2"), ("2", "3")]
+        for command in ("train", "train", "train-aux"):
+            assert main([command, "--config", cfg]) == 0
+            lines = (out / "train_log.tsv").read_text().splitlines()
+            assert lines[0] == "stage\tepoch\tloss\tval_ndcg10\twall_time"
+            assert [tuple(line.split("\t")[:2]) for line in lines[1:]] == expect, command
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
@@ -388,11 +402,11 @@ class TestExitCodes:
         ("train", "[train]\n", "[train]\neta2 = inf\n"),
         ("train", "[backbone]\n", "[backbone]\nlambda_reg = nan\n"),
         ("train", "[backbone]\n", "[backbone]\nlambda_reg = inf\n"),
-        ("train-aux", "[auxnet]\n", "[auxnet]\nbn_eps = inf\n"),
+        ("train-aux", "gcn_layers = 1", "gcn_layers = -1"),
     ], ids=["optimizer-train", "optimizer-train-aux", "max-neighbors", "seed-prepare",
             "seed-train-aux", "seed-train", "seed-ablate", "similarity", "epsilon", "ratios",
             "topn", "kl-categories-0", "kl-categories-negative", "train-ratio-nan",
-            "eta2-nan", "eta2-inf", "lambda-reg-nan", "lambda-reg-inf", "bn-eps-inf"])
+            "eta2-nan", "eta2-inf", "lambda-reg-nan", "lambda-reg-inf", "gcn-layers-negative"])
     def test_bad_value_is_config_error(self, workspace, tmp_path, capsys, command, old, new):
         text = workspace["config"].read_text()
         assert old in text
@@ -731,9 +745,24 @@ class TestExitCodes:
         assert err.startswith("error: argument --seed: seed must be an integer >= 0")
         assert "usage: crossfuse" in err
 
-    def test_verify_gradients_fails_with_impossible_tolerance(self, capsys):
-        assert main(["verify-gradients", "--seed", "7", "--exact-tol", "1e-18"]) == 4
+    def test_verify_gradients_fails_with_impossible_tolerance(self, capsys, monkeypatch):
+        run_suite = cli.gradcheck.run_suite
+
+        def impossible(seed):
+            results = run_suite(seed=seed)
+            last = results[-1]
+            results[-1] = cli.gradcheck.CheckResult(last.name, last.max_error, 1e-18)
+            return results
+
+        monkeypatch.setattr(cli.gradcheck, "run_suite", impossible)
+        assert main(["verify-gradients", "--seed", "7"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--exact-tol", "--fd-tol"])
+    def test_verify_gradients_tolerances_are_not_flags(self, capsys, flag):
+        assert main(["verify-gradients", "--seed", "7", flag, "1e-18"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments") and "usage: crossfuse" in err
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from crossfuse.backbone import BackboneConfig, LightGCN
 from crossfuse.fusion import (FusionConfig, concat_fusion_loss, cross_fusion_loss,
                               effective_features, feature_objective,
                               fused_mse_grad_analytic, fused_objective_grad,
-                              identity_weights, weighted_sum_fusion_loss)
+                              weighted_sum_fusion_loss)
 from crossfuse.gradcheck import central_difference, max_rel_error
 from crossfuse.graph import normalize_bipartite
 from crossfuse.optim import Param
@@ -115,7 +115,8 @@ class TestCrossFusionLoss:
             cfg = FusionConfig(variant=variant, graph_loss="mse")
             assert feature_objective(g_u, g_v, a_u, a_v, batch, cfg)[3] == []
         cfg = FusionConfig(variant="weighted-sum")
-        dW = feature_objective(g_u, g_v, a_u, a_v, batch, cfg, identity_weights(4))[3]
+        identity = tuple(np.eye(4) for _ in range(4))
+        dW = feature_objective(g_u, g_v, a_u, a_v, batch, cfg, identity)[3]
         assert [w.shape for w in dW] == [(4, 4)] * 4
 
 
@@ -140,11 +141,11 @@ class TestFusedObjective:
         ds, model, table, a_u, a_v, batch = self._setup()
         fcfg = FusionConfig(variant="cross", lambda1=0.0, lambda2=0.0)
 
-        table.zero_grad()
+        table.grad[...] = 0.0
         fused = fused_objective_grad(model, table, a_u, a_v, batch, fcfg)
         fused_grad = table.grad.copy()
 
-        table.zero_grad()
+        table.grad[...] = 0.0
         plain = fused_objective_grad(model, table, None, None, batch,
                                      FusionConfig(variant="none"))
         assert fused == plain
@@ -158,7 +159,7 @@ class TestFusedObjective:
 
     def test_none_variant_needs_no_auxiliary(self):
         ds, model, table, _, _, batch = self._setup()
-        table.zero_grad()
+        table.grad[...] = 0.0
         loss = fused_objective_grad(model, table, None, None, batch,
                                     FusionConfig(variant="none"))
         assert np.isfinite(loss)
@@ -213,7 +214,7 @@ class TestFusedObjective:
                 total += cfg.lambda2 * np.sum((r_a - dot(a_u[u], gv[i])) ** 2)
             return float(total) + model.cfg.lambda_reg * float(np.sum(table.value ** 2))
 
-        table.zero_grad()
+        table.grad[...] = 0.0
         got = fused_objective_grad(model, table, a_u, a_v, batch, cfg, w_params)
         assert got == pytest.approx(loss(), rel=1e-12)
         assert max_rel_error(table.grad, central_difference(loss, table.value)) <= 1e-5
@@ -252,7 +253,7 @@ class TestBaselineLosses:
         g_u, g_v, _, _, batch = small_world
         z_u, z_v = np.zeros_like(g_u), np.zeros_like(g_v)
         loss, _, _, _ = weighted_sum_fusion_loss(g_u, g_v, z_u, z_v, batch,
-                                                 identity_weights(4))
+                                                 tuple(np.eye(4) for _ in range(4)))
         mse, _, _ = squared_score_loss(g_u, g_v, batch)
         assert loss == pytest.approx(mse)
 
@@ -261,6 +262,15 @@ class TestBaselineLosses:
         bad = tuple(np.eye(3) for _ in range(4))
         with pytest.raises(ValueError):
             weighted_sum_fusion_loss(g_u, g_v, a_u, a_v, batch, bad)
+
+    def test_weighted_sum_without_its_matrices_is_refused(self, small_world):
+        """Scoring or training weighted summation without its trained
+        matrices would silently use some other model's scores."""
+        g_u, g_v, a_u, a_v, batch = small_world
+        with pytest.raises(ValueError, match=r"four weight matrices \(W1, W2, W3, W4\)"):
+            effective_features("weighted-sum", g_u, g_v, a_u, a_v)
+        with pytest.raises(ValueError, match=r"four weight matrices \(W1, W2, W3, W4\)"):
+            feature_objective(g_u, g_v, a_u, a_v, batch, FusionConfig(variant="weighted-sum"))
 
     def test_effective_features_score_equivalence(self, small_world):
         g_u, g_v, a_u, a_v, batch = small_world

@@ -103,7 +103,7 @@ class TestHotPathBuildsNoMatrix:
         a_u, a_v = rng.normal(size=(ds.n, 4)), rng.normal(size=(ds.m, 4))
         cfg = fusion.FusionConfig(variant=variant, lambda1=0.5, lambda2=0.5,
                                   graph_loss=graph_loss)
-        w_params = ([Param(w) for w in fusion.identity_weights(4)]
+        w_params = ([Param(np.eye(4)) for _ in range(4)]
                     if variant == "weighted-sum" else None)
         u, i = ds.users[:6], ds.items[:6]
         third = np.ones(6) if cfg.rated else (i + 1) % ds.m
@@ -114,14 +114,13 @@ class TestHotPathBuildsNoMatrix:
 
     def test_stage1_loss_and_grad(self, request):
         rng = np.random.default_rng(0)
-        nets = []
+        nets, classes = [], []
         for rows, name in ((6, "u"), (8, "v")):
             x = rng.integers(0, 2, size=(rows, 5)).astype(float)
             sim = sp.identity(rows, format="csr")
-            net = auxnet.build_extractor(5, 3, [4], 1, rng, name=name)
-            net.forward(auxnet.node_classes(x, sim), "train")
-            nets.append(net)
+            nets.append(auxnet.build_extractor(5, 3, [4], 1, rng, name=name))
+            classes.append(auxnet.node_classes(x, sim))
         request.getfixturevalue("no_matrix")
         batch = np.array([[0, 1, 1.0], [2, 3, 0.0], [0, 7, 1.0]])
-        loss = auxnet.stage1_loss_and_grad(nets[0], nets[1], batch)
+        loss = auxnet.stage1_loss_and_grad(*nets, *classes, batch)
         assert np.isfinite(loss)

@@ -124,11 +124,8 @@ class TestFlatBuffers:
         data, ds, sim_u, sim_v, _ = make_world()
         user_net, item_net = make_nets(data)
         made = self.recording_adam(monkeypatch)
-
-        def refused(self):
-            raise AssertionError(f"{self.name}: zeroed one parameter at a time")
-
-        monkeypatch.setattr(Param, "zero_grad", refused)
+        # a parameter has no zeroing of its own: only Adam's flat buffer is zeroed
+        assert not hasattr(Param, "zero_grad")
         train_stage1(ds, user_net, item_net, data.user_features.values,
                      data.item_features.values, sim_u, sim_v, quick_cfg(epochs=2))
         (opt,) = made
