@@ -405,19 +405,13 @@ def build_extractor(in_dim: int, dim: int, hidden, gcn_layers: int,
     return AuxiliaryExtractor(enc, stack)
 
 
-def _as_rated(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
-        raise ValueError("batch must be non-empty (B, 3) rows of (user, item, rating)")
-    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
-
-
 def squared_score_loss(a_users: np.ndarray, a_items: np.ndarray,
                        batch) -> tuple[float, np.ndarray, np.ndarray]:
-    """Sum of squared gaps between feature dot products and ratings, with its
+    """Sum of squared gaps between feature dot products and ratings over the
+    batch columns (int64 users, int64 items, float64 ratings), with its
     gradient at the feature level.  Stage 1 trains the attribute features on
     it, and stage 2's squared-error graph loss is the same function."""
-    u, i, r = _as_rated(batch)
+    u, i, r = batch
     au = a_users[u]
     ai = a_items[i]
     e = np.einsum("ij,ij->i", au, ai) - r

@@ -166,21 +166,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_triples(batch) -> np.ndarray:
-    arr = np.asarray(batch)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("batch must be (B, 3)")
-    if arr.shape[0] == 0:
-        raise ValueError("empty batch")
-    return arr
-
-
 def bpr_loss_and_feature_grad(users_feat: np.ndarray, items_feat: np.ndarray,
                               batch) -> tuple[float, np.ndarray, np.ndarray]:
-    """Pairwise ranking loss over (user, positive, negative) rows and its
-    gradient with respect to the combined features (no regularizer)."""
-    arr = _as_triples(batch).astype(np.int64)
-    u, ip, ineg = arr[:, 0], arr[:, 1], arr[:, 2]
+    """Pairwise ranking loss over the batch columns (int64 users, positives
+    and negatives) and its gradient with respect to the combined features
+    (no regularizer)."""
+    u, ip, ineg = batch
     gu = users_feat[u]
     gp = items_feat[ip]
     gn = items_feat[ineg]

@@ -95,13 +95,6 @@ class InteractionDataset:
     def split_indices(self, tag: int) -> np.ndarray:
         return np.flatnonzero(self.split == tag)
 
-    def triplets(self, tag: int) -> np.ndarray:
-        """(t, 3) float array of (user, item, rating) of one split."""
-        idx = self.split_indices(tag)
-        return np.column_stack([self.users[idx].astype(np.float64),
-                                self.items[idx].astype(np.float64),
-                                self.ratings[idx]])
-
     # -- per-split adjacency -------------------------------------------
 
     def split_csr(self, tag: int) -> tuple[np.ndarray, np.ndarray]:

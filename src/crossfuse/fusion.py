@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxnet import _as_rated, squared_score_loss
+from .auxnet import squared_score_loss
 from .backbone import LightGCN, bpr_loss_and_feature_grad
 from .optim import Param, scatter_rows
 
@@ -27,10 +27,11 @@ VARIANTS = ("cross", "concat", "plain-sum", "weighted-sum", "none")
 class FusionConfig:
     """Fusion variant, loss weights, and the stage-2 graph-loss flavor.
 
-    The cross terms cover each batch row's (user, item) pair: the observed
-    positive under ``graph_loss = "bpr"``, and every rated row under
-    ``"mse"``, the zero-rated padded negatives of implicit data included.  The baselines (concat, plain-sum,
-    weighted-sum) always train on rated rows and ignore ``graph_loss``.
+    The cross terms cover the batch's first two columns, its (user, item)
+    pairs: the observed positives under ``graph_loss = "bpr"``, and every
+    rated pair under ``"mse"``, the zero-rated padded negatives of implicit
+    data included.  The baselines (concat, plain-sum, weighted-sum) always
+    train on rated batches and ignore ``graph_loss``.
     """
 
     variant: str = "cross"
@@ -54,8 +55,8 @@ class FusionConfig:
 
     @property
     def rated(self) -> bool:
-        """Whether batches are (user, item, rating) rows rather than
-        (user, positive, negative) triplets."""
+        """Whether batches are (user, item, rating) columns rather than
+        (user, positive, negative) columns."""
         return self.variant in ("concat", "plain-sum", "weighted-sum") or self.graph_loss == "mse"
 
 
@@ -63,17 +64,11 @@ class FusionConfig:
 # Scores and losses
 # ---------------------------------------------------------------------------
 
-def _as_pairs(batch) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(batch)
-    if arr.ndim != 2 or arr.shape[1] < 2 or arr.shape[0] == 0:
-        raise ValueError("batch must be non-empty (B, >=2) rows starting with (user, item)")
-    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
-
-
 def cross_fusion_loss(g_users: np.ndarray, g_items: np.ndarray, a_users: np.ndarray,
                       a_items: np.ndarray, batch, cfg: FusionConfig
                       ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Score-agreement losses over observed pairs.
+    """Score-agreement losses over the (user, item) pairs of the batch's
+    first two columns.
 
     Returns (L_c1, L_c2, dG_users, dG_items) where the gradients are of
     lambda1 * L_c1 + lambda2 * L_c2 and flow only into the graph features;
@@ -81,7 +76,7 @@ def cross_fusion_loss(g_users: np.ndarray, g_items: np.ndarray, a_users: np.ndar
     """
     if g_users.shape[1] != a_users.shape[1]:
         raise ValueError("graph and auxiliary features must share the same dimension")
-    u, i = _as_pairs(batch)
+    u, i = batch[0], batch[1]
     gu, gi = g_users[u], g_items[i]
     au, ai = a_users[u], a_items[i]
     r_a = np.einsum("ij,ij->i", au, ai)
@@ -137,7 +132,7 @@ def concat_fusion_loss(g_users, g_items, a_users, a_items, batch
     Equivalent to scoring with concatenated [g; a] vectors.  Gradients flow
     only into the graph features.
     """
-    u, i, r = _as_rated(batch)
+    u, i, r = batch
     e = (np.einsum("ij,ij->i", a_users[u], a_items[i])
          + np.einsum("ij,ij->i", g_users[u], g_items[i]) - r)
     loss = float(np.sum(e * e))
@@ -158,7 +153,7 @@ def weighted_sum_fusion_loss(g_users, g_items, a_users, a_items, batch, weights
     for w in weights:
         if w.shape != (d, d):
             raise ValueError("weight matrices must be (dim, dim)")
-    u, i, r = _as_rated(batch)
+    u, i, r = batch
     pu = a_users[u] @ w1.T + g_users[u] @ w2.T
     qi = a_items[i] @ w3.T + g_items[i] @ w4.T
     e = np.einsum("ij,ij->i", pu, qi) - r
@@ -186,10 +181,10 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
 
     Returns (loss, dG_users, dG_items, dW): the graph loss plus the fusion
     terms, their gradients with respect to the graph features, and the
-    weight-matrix gradients (empty except for weighted summation).  ``batch``
-    rows are (user, positive, negative) for the pairwise graph loss and
-    (user, item, rating) when ``cfg.rated``.  The auxiliary features never
-    receive gradient.
+    weight-matrix gradients (empty except for weighted summation).  The
+    ``batch`` columns are (user, positive, negative) for the pairwise graph
+    loss and (user, item, rating) when ``cfg.rated``.  The auxiliary features
+    never receive gradient.
     """
     variant = cfg.variant
     if variant != "none" and (a_users is None or a_items is None):
@@ -224,21 +219,17 @@ def feature_objective(g_users: np.ndarray, g_items: np.ndarray,
 
 def _batch_rows(model: LightGCN, batch, rated: bool):
     """The adjacency's row block at the sorted node rows a batch reads, and
-    the batch with its users and items replaced by their positions among the
-    user and the item rows.
+    the batch with its user and item columns replaced by their positions
+    among the user and the item rows.
 
     Restricting the outermost products costs a row slice and this mapping per
     batch, a fixed cost that only a large skipped share repays, so the rows
     are used only when they hold at most half of the adjacency's nonzeros.
     Otherwise, and for a batch whose node indices are out of range (the full
     path then raises its usual error), this returns ``(None, batch)``."""
-    arr = np.asarray(batch)
-    width = 2 if rated else 3
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] < width:
-        return None, batch
     n, size = model.num_users, model.adj.shape[0]
-    # one contiguous row per column keeps each pass over the indices contiguous
-    nodes = np.array(arr[:, :width].T, dtype=np.int64, order="C")
+    # one contiguous row per id column keeps each pass over the indices contiguous
+    nodes = np.stack(batch[:2] if rated else batch)
     nodes[1:] += n
     if nodes.min() < 0 or nodes.max() >= size:
         return None, batch
@@ -250,9 +241,7 @@ def _batch_rows(model: LightGCN, batch, rated: bool):
     rows = np.flatnonzero(mask)
     local = np.searchsorted(rows, nodes)
     local[1:] -= np.searchsorted(rows, n)
-    mapped = arr.copy()
-    mapped[:, :width] = local.T
-    return model.row_block(rows), mapped
+    return model.row_block(rows), ((*local, batch[2]) if rated else tuple(local))
 
 
 def fused_objective_grad(model: LightGCN, table: Param,
@@ -263,12 +252,12 @@ def fused_objective_grad(model: LightGCN, table: Param,
     objective, the backward pass through the propagation into the layer-0
     table, and the squared-norm regularizer on that table.
 
-    The objective reads only the batch's rows, so when ``_batch_rows`` picks
-    them both passes run on their one row block alone (``LightGCN.forward``
-    and ``backward`` with ``block``) and the objective runs on |rows|-row
-    feature matrices; every result is bit for bit the full passes'.  Weighted
-    summation reads its matrices from ``w_params`` and accumulates their
-    gradients there.  Returns the total loss.
+    The objective reads only the node rows the batch names, so when
+    ``_batch_rows`` picks them both passes run on their one row block alone
+    (``LightGCN.forward`` and ``backward`` with ``block``) and the objective
+    runs on |rows|-row feature matrices; every result is bit for bit the full
+    passes'.  Weighted summation reads its matrices from ``w_params`` and
+    accumulates their gradients there.  Returns the total loss.
     """
     weights = tuple(p.value for p in w_params) if w_params else None
     block, batch = _batch_rows(model, batch, cfg.rated)
@@ -299,7 +288,7 @@ def fused_objective_grad(model: LightGCN, table: Param,
 # vectorized backward passes they are compared against.
 
 def _pairs_by_user(batch):
-    u, i, r = _as_rated(batch)
+    u, i, r = batch
     by_u: dict[int, list[tuple[int, float]]] = {}
     by_i: dict[int, list[tuple[int, float]]] = {}
     for uu, ii, rr in zip(u, i, r):

@@ -81,12 +81,14 @@ class Instance:
     g_items: np.ndarray
     a_users: np.ndarray
     a_items: np.ndarray
-    rated: np.ndarray    # (B, 3) of (u, i, r)
-    ranked: np.ndarray   # (B, 3) of (u, i_pos, i_neg)
+    rated: tuple[np.ndarray, np.ndarray, np.ndarray]   # columns u, i, r
+    ranked: tuple[np.ndarray, np.ndarray, np.ndarray]  # columns u, i_pos, i_neg
 
 
-def random_instance(seed: int, n: int = 8, m: int = 12, d: int = 4) -> Instance:
-    """A dense-enough random problem with every index guaranteed coverage."""
+def random_instance(seed: int) -> Instance:
+    """A dense-enough random problem over 8 users, 12 items and 4 feature
+    dimensions, with every index guaranteed coverage."""
+    n, m, d = 8, 12, 4
     rng = np.random.default_rng(seed)
     users, items = [], []
     seen = set()
@@ -116,12 +118,12 @@ def random_instance(seed: int, n: int = 8, m: int = 12, d: int = 4) -> Instance:
     a_users = rng.normal(size=(n, d))
     a_items = rng.normal(size=(m, d))
 
-    rated = np.column_stack([users, items, rng.uniform(0.0, 1.0, size=len(users))])
+    rated = (users, items, rng.uniform(0.0, 1.0, size=len(users)))
     negs = []
     for u in users:
         pool = np.setdiff1d(np.arange(m), ds.train_items(int(u)))
         negs.append(int(rng.choice(pool)) if len(pool) else int(rng.integers(m)))
-    ranked = np.column_stack([users, items, np.array(negs)])
+    ranked = (users, items, np.array(negs))
     return Instance(ds, adj, sim_u, sim_v, g_users, g_items, a_users, a_items,
                     rated, ranked)
 
@@ -130,7 +132,7 @@ def random_instance(seed: int, n: int = 8, m: int = 12, d: int = 4) -> Instance:
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def _check_bpr_embedding_grad(inst: Instance, rng, fd_tol) -> CheckResult:
+def _check_bpr_embedding_grad(inst: Instance, rng) -> CheckResult:
     cfg = BackboneConfig(dim=inst.g_users.shape[1], num_layers=2, lambda_reg=0.01)
     model = LightGCN(inst.adj, inst.ds.n, cfg)
     table = Param(rng.normal(size=(inst.ds.n + inst.ds.m, cfg.dim)))
@@ -139,18 +141,18 @@ def _check_bpr_embedding_grad(inst: Instance, rng, fd_tol) -> CheckResult:
 
     def loss():
         f = model.forward(table)
-        u, ip, ineg = inst.ranked[:, 0], inst.ranked[:, 1], inst.ranked[:, 2]
+        u, ip, ineg = inst.ranked
         x = np.einsum("ij,ij->i", f.users[u], f.items[ip] - f.items[ineg])
         return float(np.logaddexp(0.0, -x).sum()) + cfg.lambda_reg * float(np.sum(table.value ** 2))
 
     fd = central_difference(loss, table.value)
     return CheckResult("ranking loss: embedding gradient vs finite differences",
-                       max_rel_error(table.grad, fd), fd_tol)
+                       max_rel_error(table.grad, fd), FD_TOL)
 
 
-def _check_cross_fusion_grad(inst: Instance, rng, fd_tol) -> CheckResult:
+def _check_cross_fusion_grad(inst: Instance, rng) -> CheckResult:
     cfg = fusion.FusionConfig(variant="cross", lambda1=0.7, lambda2=0.3)
-    pairs = inst.rated[:, :2].astype(np.int64)
+    pairs = inst.rated[:2]
     _, _, dGu, dGv = fusion.cross_fusion_loss(inst.g_users, inst.g_items,
                                               inst.a_users, inst.a_items, pairs, cfg)
 
@@ -162,7 +164,7 @@ def _check_cross_fusion_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     err = max(max_rel_error(dGu, central_difference(loss, inst.g_users)),
               max_rel_error(dGv, central_difference(loss, inst.g_items)))
     return CheckResult("score-agreement loss: graph-feature gradient vs finite differences",
-                       err, fd_tol)
+                       err, FD_TOL)
 
 
 def _stage1_fd_error(inst: Instance, rng, x_u: np.ndarray, x_v: np.ndarray,
@@ -191,11 +193,11 @@ def _stage1_fd_error(inst: Instance, rng, x_u: np.ndarray, x_v: np.ndarray,
     return worst
 
 
-def _check_stage1_param_grads(inst: Instance, rng, fd_tol) -> CheckResult:
+def _check_stage1_param_grads(inst: Instance, rng) -> CheckResult:
     x_u = rng.normal(size=(inst.ds.n, 6))
     x_v = rng.normal(size=(inst.ds.m, 6))
     return CheckResult("attribute-pipeline loss: all parameter gradients vs finite differences",
-                       _stage1_fd_error(inst, rng, x_u, x_v, inst.sim_u, inst.sim_v), fd_tol)
+                       _stage1_fd_error(inst, rng, x_u, x_v, inst.sim_u, inst.sim_v), FD_TOL)
 
 
 def _repeated_one_hot(count: int, rng) -> np.ndarray:
@@ -220,16 +222,16 @@ def _isolate_tail(sim: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((coo.data[kept], (coo.row[kept], coo.col[kept])), shape=sim.shape)
 
 
-def _check_stage1_repeated_rows(inst: Instance, rng, fd_tol) -> CheckResult:
+def _check_stage1_repeated_rows(inst: Instance, rng) -> CheckResult:
     x_u = _repeated_one_hot(inst.ds.n, rng)
     x_v = _repeated_one_hot(inst.ds.m, rng)
     err = _stage1_fd_error(inst, rng, x_u, x_v, _isolate_tail(inst.sim_u),
                            _isolate_tail(inst.sim_v))
     return CheckResult("attribute-pipeline loss on repeated one-hot rows and merged node "
-                       "classes: all parameter gradients vs finite differences", err, fd_tol)
+                       "classes: all parameter gradients vs finite differences", err, FD_TOL)
 
 
-def _check_fused_objective_grad(inst: Instance, rng, fd_tol) -> CheckResult:
+def _check_fused_objective_grad(inst: Instance, rng) -> CheckResult:
     d = inst.g_users.shape[1]
     cfg = BackboneConfig(dim=d, num_layers=2, lambda_reg=0.005)
     model = LightGCN(inst.adj, inst.ds.n, cfg)
@@ -239,20 +241,20 @@ def _check_fused_objective_grad(inst: Instance, rng, fd_tol) -> CheckResult:
 
     def loss():
         f = model.forward(table)
-        u, ip, ineg = inst.ranked[:, 0], inst.ranked[:, 1], inst.ranked[:, 2]
+        u, ip, ineg = inst.ranked
         x = np.einsum("ij,ij->i", f.users[u], f.items[ip] - f.items[ineg])
         total = float(np.logaddexp(0.0, -x).sum())
         l1, l2, _, _ = fusion.cross_fusion_loss(f.users, f.items, inst.a_users,
-                                                inst.a_items, inst.ranked[:, :2], fcfg)
+                                                inst.a_items, inst.ranked[:2], fcfg)
         total += fcfg.lambda1 * l1 + fcfg.lambda2 * l2
         return total + cfg.lambda_reg * float(np.sum(table.value ** 2))
 
     fd = central_difference(loss, table.value)
     return CheckResult("combined objective: embedding gradient vs finite differences",
-                       max_rel_error(table.grad, fd), fd_tol)
+                       max_rel_error(table.grad, fd), FD_TOL)
 
 
-def _check_concat_grad(inst: Instance, rng, fd_tol) -> CheckResult:
+def _check_concat_grad(inst: Instance, rng) -> CheckResult:
     _, dGu, dGv = fusion.concat_fusion_loss(inst.g_users, inst.g_items,
                                             inst.a_users, inst.a_items, inst.rated)
 
@@ -264,10 +266,10 @@ def _check_concat_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     err = max(max_rel_error(dGu, central_difference(loss, inst.g_users)),
               max_rel_error(dGv, central_difference(loss, inst.g_items)))
     return CheckResult("concatenation loss: graph-feature gradient vs finite differences",
-                       err, fd_tol)
+                       err, FD_TOL)
 
 
-def _check_weighted_sum_grad(inst: Instance, rng, fd_tol) -> CheckResult:
+def _check_weighted_sum_grad(inst: Instance, rng) -> CheckResult:
     d = inst.g_users.shape[1]
     weights = tuple(rng.normal(size=(d, d)) for _ in range(4))
     _, dGu, dGv, dW = fusion.weighted_sum_fusion_loss(inst.g_users, inst.g_items,
@@ -285,22 +287,22 @@ def _check_weighted_sum_grad(inst: Instance, rng, fd_tol) -> CheckResult:
     for k in range(4):
         err = max(err, max_rel_error(dW[k], central_difference(loss, weights[k])))
     return CheckResult("weighted-summation loss: feature and weight gradients vs finite differences",
-                       err, fd_tol)
+                       err, FD_TOL)
 
 
-def _check_closed_forms(inst: Instance, rng, exact_tol) -> list[CheckResult]:
+def _check_closed_forms(inst: Instance, rng) -> list[CheckResult]:
     lam1, lam2 = 0.35, 0.15
     out = []
 
     _, dAu, dAv = auxnet.squared_score_loss(inst.a_users, inst.a_items, inst.rated)
     eAu, eAv = fusion.mse_grad_analytic(inst.a_users, inst.a_items, inst.rated)
     out.append(CheckResult("auxiliary squared-error update direction: closed form vs backward",
-                           max(max_abs_error(dAu, eAu), max_abs_error(dAv, eAv)), exact_tol))
+                           max(max_abs_error(dAu, eAu), max_abs_error(dAv, eAv)), EXACT_TOL))
 
     _, dGu, dGv = auxnet.squared_score_loss(inst.g_users, inst.g_items, inst.rated)
     eGu, eGv = fusion.mse_grad_analytic(inst.g_users, inst.g_items, inst.rated)
     out.append(CheckResult("graph squared-error update direction: closed form vs backward",
-                           max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), exact_tol))
+                           max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), EXACT_TOL))
 
     mse_cfg = fusion.FusionConfig(variant="cross", lambda1=lam1, lambda2=lam2, graph_loss="mse")
     _, dGu, dGv, _ = fusion.feature_objective(inst.g_users, inst.g_items, inst.a_users,
@@ -308,14 +310,14 @@ def _check_closed_forms(inst: Instance, rng, exact_tol) -> list[CheckResult]:
     eGu, eGv = fusion.fused_mse_grad_analytic(inst.g_users, inst.g_items, inst.a_users,
                                               inst.a_items, inst.rated, lam1, lam2)
     out.append(CheckResult("fused squared-error update direction: closed form vs backward",
-                           max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), exact_tol))
+                           max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), EXACT_TOL))
 
     _, dGu, dGv = fusion.concat_fusion_loss(inst.g_users, inst.g_items, inst.a_users,
                                             inst.a_items, inst.rated)
     eGu, eGv = fusion.concat_grad_analytic(inst.g_users, inst.g_items, inst.a_users,
                                            inst.a_items, inst.rated)
     out.append(CheckResult("concatenation update direction: closed form vs backward",
-                           max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), exact_tol))
+                           max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), EXACT_TOL))
 
     weights = tuple(rng.normal(size=(4, 4)) for _ in range(4))
     _, dGu, dGv, _ = fusion.weighted_sum_fusion_loss(inst.g_users, inst.g_items, inst.a_users,
@@ -323,23 +325,22 @@ def _check_closed_forms(inst: Instance, rng, exact_tol) -> list[CheckResult]:
     eGu, eGv = fusion.weighted_sum_grad_analytic(inst.g_users, inst.g_items, inst.a_users,
                                                  inst.a_items, inst.rated, weights)
     out.append(CheckResult("weighted-summation update direction: closed form vs backward",
-                           max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), exact_tol))
+                           max(max_abs_error(dGu, eGu), max_abs_error(dGv, eGv)), EXACT_TOL))
     return out
 
 
-def run_suite(seed: int = 0, n: int = 8, m: int = 12, d: int = 4,
-              fd_tol: float = FD_TOL, exact_tol: float = EXACT_TOL) -> list[CheckResult]:
+def run_suite(seed: int = 0) -> list[CheckResult]:
     """Run every gradient check on one random instance.  Each check draws
     its own inputs from a generator seeded by ``seed`` and the check's name,
     so adding or removing a check leaves the others' inputs unchanged."""
-    inst = random_instance(seed, n=n, m=m, d=d)
+    inst = random_instance(seed)
 
     def rng(check) -> np.random.Generator:
         return np.random.default_rng([seed, *check.__name__.encode()])
 
-    results = [check(inst, rng(check), fd_tol) for check in (
+    results = [check(inst, rng(check)) for check in (
         _check_bpr_embedding_grad, _check_cross_fusion_grad, _check_stage1_param_grads,
         _check_fused_objective_grad, _check_concat_grad, _check_weighted_sum_grad,
         _check_stage1_repeated_rows)]
-    results.extend(_check_closed_forms(inst, rng(_check_closed_forms), exact_tol))
+    results.extend(_check_closed_forms(inst, rng(_check_closed_forms)))
     return results

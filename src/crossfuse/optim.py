@@ -56,13 +56,12 @@ class Adam:
     trains a parameter must write into ``value`` and ``grad``, never rebind
     them, and a parameter belongs to one optimizer at a time."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
         self.t = 0
         total = sum(p.value.size for p in self.params)
         self._value = np.empty(total)

@@ -108,31 +108,35 @@ class TrainingLog:
 def _epochs(ds: InteractionDataset, cfg: TrainConfig, opt, rng: np.random.Generator,
             stage: int, rated: bool, step, start: int = 0):
     """The minibatch loop both stages train through: epochs ``start + 1`` to
-    ``cfg.epochs``, each one permutation of the train triplets cut into
+    ``cfg.epochs``, each one permutation of the train interactions cut into
     batches.
 
-    Rated batches are (user, item, rating) rows, padded 1:1 with zero-rated
-    sampled negatives when the data is implicit; otherwise a batch is int64
-    (user, positive, sampled negative).  Each batch zeroes the optimizer's
-    gradient buffer, calls ``step(batch)`` for the loss, and takes one
-    optimizer step.  Yields ``(epoch, epoch_loss, t0)`` after each epoch,
-    ``t0`` being the epoch's start on ``time.perf_counter``.
+    A batch is three equal-length columns: int64 users, int64 items, and
+    either float64 ratings (``rated``; on implicit data padded 1:1 with the
+    same users, their sampled negatives and ratings 0.0) or int64 sampled
+    negatives.  Each batch zeroes the optimizer's gradient buffer, calls
+    ``step(batch)`` for the loss, and takes one optimizer step.  Yields
+    ``(epoch, epoch_loss, t0)`` after each epoch, ``t0`` being the epoch's
+    start on ``time.perf_counter``.
     """
-    triplets = ds.triplets(TRAIN)
+    train = ds.split == TRAIN
+    users, items, ratings = ds.users[train], ds.items[train], ds.ratings[train]
     pad = rated and ds.implicit
     for epoch in range(start + 1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        perm = rng.permutation(len(triplets))
+        perm = rng.permutation(len(users))
         epoch_loss = 0.0
         for lo in range(0, len(perm), cfg.batch_size):
-            batch = triplets[perm[lo:lo + cfg.batch_size]]
-            if pad or not rated:
-                negs = sample_negatives(ds, batch[:, 0], rng)
-                if rated:
-                    zero_rated = np.column_stack([batch[:, 0], negs, np.zeros(len(batch))])
-                    batch = np.concatenate([batch, zero_rated], axis=0)
-                else:
-                    batch = np.column_stack([batch[:, :2].astype(np.int64), negs])
+            take = perm[lo:lo + cfg.batch_size]
+            u, i = users[take], items[take]
+            if not rated:
+                batch = (u, i, sample_negatives(ds, u, rng))
+            elif pad:
+                negs = sample_negatives(ds, u, rng)
+                batch = (np.concatenate([u, u]), np.concatenate([i, negs]),
+                         np.concatenate([ratings[take], np.zeros(len(take))]))
+            else:
+                batch = (u, i, ratings[take])
             opt.zero_grad()
             loss = step(batch)
             if not np.isfinite(loss):

@@ -42,7 +42,7 @@ def test_criterion_1_gradients_match_finite_differences():
     worst = 0.0
     ok = True
     for seed in range(20):
-        results = gradcheck.run_suite(seed=seed, n=8, m=12, d=4)
+        results = gradcheck.run_suite(seed=seed)
         fd = [r for r in results if r.tolerance == gradcheck.FD_TOL]
         assert len(fd) == FD_CHECKS
         worst = max(worst, max(r.max_error for r in fd))
@@ -58,7 +58,7 @@ def test_criterion_2_closed_form_gradients_agree():
     worst = 0.0
     ok = True
     for seed in range(20):
-        results = gradcheck.run_suite(seed=seed, n=8, m=12, d=4)
+        results = gradcheck.run_suite(seed=seed)
         exact = [r for r in results if r.tolerance == gradcheck.EXACT_TOL]
         assert len(exact) == EXACT_CHECKS
         worst = max(worst, max(r.max_error for r in exact))

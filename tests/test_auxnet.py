@@ -180,8 +180,7 @@ class TestDistinctRows:
         off = np.triu((rng.random((n, n)) < 0.1) * rng.random((n, n)), 1)
         sim_u = loop_graph(off + off.T)
         sim_v = loop_graph(np.zeros((m, m)))
-        batch = np.column_stack([rng.integers(0, n, 60), rng.integers(0, m, 60),
-                                 rng.random(60)])
+        batch = (rng.integers(0, n, 60), rng.integers(0, m, 60), rng.random(60))
 
         def nets():
             r = np.random.default_rng(5)
@@ -505,18 +504,23 @@ class TestGcnStack:
             stack.forward(sim, np.ones((2, 2)), np.ones(2), "train")
 
 
+def rated(user: int, item: int, rating: float):
+    """One (user, item, rating) triple as batch columns."""
+    return np.array([user]), np.array([item]), np.array([rating])
+
+
 class TestStage1Loss:
     def test_exact_fit_gives_zero(self):
         a_u = np.array([[1.0, 0.0]])
         a_v = np.array([[1.0, 0.0]])
-        loss, dAu, dAv = squared_score_loss(a_u, a_v, [[0, 0, 1.0]])
+        loss, dAu, dAv = squared_score_loss(a_u, a_v, rated(0, 0, 1.0))
         assert loss == 0.0
         assert np.all(dAu == 0) and np.all(dAv == 0)
 
     def test_hand_computed_pair(self):
         a_u = np.array([[1.0, 2.0]])
         a_v = np.array([[3.0, -1.0]])
-        loss, _, _ = squared_score_loss(a_u, a_v, [[0, 0, 0.0]])
+        loss, _, _ = squared_score_loss(a_u, a_v, rated(0, 0, 0.0))
         assert loss == pytest.approx(1.0)  # (3 - 2 - 0)^2
 
     def test_parameter_gradients_match_finite_differences(self):
@@ -529,7 +533,8 @@ class TestStage1Loss:
         sim_v = loop_graph(np.zeros((m, m)))
         user_net = build_extractor(5, d, [4], 1, rng, name="u")
         item_net = build_extractor(4, d, [4], 1, rng, name="v")
-        batch = np.array([[u, (u + 1) % m, float(u % 2)] for u in range(n)])
+        users = np.arange(n)
+        batch = (users, (users + 1) % m, (users % 2).astype(np.float64))
         x_u, x_v = node_classes(x_u, sim_u), node_classes(x_v, sim_v)
 
         stage1_loss_and_grad(user_net, item_net, x_u, x_v, batch)
@@ -559,11 +564,10 @@ class TestStage1Loss:
     def test_gradient_scatter_equals_add_at(self):
         rng = np.random.default_rng(3)
         a_u, a_v = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-        batch = np.column_stack([rng.integers(0, 5, 200), rng.integers(0, 4, 200),
-                                 rng.random(200)])
+        batch = (rng.integers(0, 5, 200), rng.integers(0, 4, 200), rng.random(200))
         _, dAu, dAv = squared_score_loss(a_u, a_v, batch)
-        u, i = batch[:, 0].astype(np.int64), batch[:, 1].astype(np.int64)
-        e = np.einsum("ij,ij->i", a_u[u], a_v[i]) - batch[:, 2]
+        u, i, r = batch
+        e = np.einsum("ij,ij->i", a_u[u], a_v[i]) - r
         expect_u, expect_v = np.zeros_like(a_u), np.zeros_like(a_v)
         np.add.at(expect_u, u, (2.0 * e)[:, None] * a_v[i])
         np.add.at(expect_v, i, (2.0 * e)[:, None] * a_u[u])
@@ -573,8 +577,8 @@ class TestStage1Loss:
         # the pairwise loss: item 2 is a positive and a negative, and its
         # rows are summed positives first, then negatives
         g_u, g_v = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-        triples = np.array([[0, 2, 1], [3, 0, 2], [0, 2, 3], [4, 1, 2], [3, 3, 0]])
-        u, ip, ineg = triples.T
+        triples = tuple(np.array([[0, 2, 1], [3, 0, 2], [0, 2, 3], [4, 1, 2], [3, 3, 0]]).T)
+        u, ip, ineg = triples
         _, dGu, dGv = bpr_loss_and_feature_grad(g_u, g_v, triples)
         c = sigmoid(np.einsum("ij,ij->i", g_u[u], g_v[ip] - g_v[ineg])) - 1.0
         expect_u, expect_v = np.zeros_like(g_u), np.zeros_like(g_v)
@@ -586,11 +590,10 @@ class TestStage1Loss:
 
         # users 0, 2 and 5-7 and items 0 and 3 never occur: their rows stay zero
         a_u, a_v = rng.normal(size=(8, 3)), rng.normal(size=(4, 3))
-        batch = np.column_stack([rng.choice([1, 3, 4], 50), rng.choice([1, 2], 50),
-                                 rng.random(50)])
+        batch = (rng.choice([1, 3, 4], 50), rng.choice([1, 2], 50), rng.random(50))
         _, dAu, dAv = squared_score_loss(a_u, a_v, batch)
-        u, i = batch[:, 0].astype(np.int64), batch[:, 1].astype(np.int64)
-        e = np.einsum("ij,ij->i", a_u[u], a_v[i]) - batch[:, 2]
+        u, i, r = batch
+        e = np.einsum("ij,ij->i", a_u[u], a_v[i]) - r
         expect_u, expect_v = np.zeros_like(a_u), np.zeros_like(a_v)
         np.add.at(expect_u, u, (2.0 * e)[:, None] * a_v[i])
         np.add.at(expect_v, i, (2.0 * e)[:, None] * a_u[u])
@@ -598,9 +601,12 @@ class TestStage1Loss:
         assert np.array_equal(dAv, expect_v)
         assert not dAu[[0, 2, 5, 6, 7]].any() and not dAv[[0, 3]].any()
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            squared_score_loss(np.ones((2, 2)), np.ones((2, 2)), np.zeros((0, 3)))
+    def test_empty_batch_gives_zero_loss_and_gradients(self):
+        empty = np.zeros(0, dtype=np.int64)
+        loss, dAu, dAv = squared_score_loss(np.ones((2, 2)), np.ones((2, 2)),
+                                            (empty, empty, np.zeros(0)))
+        assert loss == 0.0
+        assert dAu.shape == dAv.shape == (2, 2) and not dAu.any() and not dAv.any()
 
 
 class TestExtractor:

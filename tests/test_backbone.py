@@ -108,13 +108,18 @@ class TestLightGCNForward:
             LightGCN(adj.tocsr(), tiny_dataset.n, BackboneConfig(dim=2, num_layers=1))
 
 
+def triple(user: int, pos: int, neg: int):
+    """One (user, positive, negative) triple as batch columns."""
+    return np.array([user]), np.array([pos]), np.array([neg])
+
+
 class TestBprLoss:
     def test_equal_scores_give_ln2(self, tiny_dataset):
         adj = normalize_bipartite(tiny_dataset)
         cfg = BackboneConfig(dim=2, num_layers=0, alphas=np.array([1.0]), lambda_reg=0.0)
         model = LightGCN(adj, tiny_dataset.n, cfg)
         table = Param(np.zeros((adj.shape[0], 2)))
-        loss = fused_objective_grad(model, table, None, None, [[0, 1, 2]],
+        loss = fused_objective_grad(model, table, None, None, triple(0, 1, 2),
                                     FusionConfig(variant="none"))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -122,9 +127,9 @@ class TestBprLoss:
         users = np.array([[1.0, 0.0]])
         for a, b in [(0.1, 0.5), (0.5, 1.5), (1.5, 4.0)]:
             items = np.array([[a, 0.0], [0.0, 0.0]])
-            l_small, _, _ = bpr_loss_and_feature_grad(users, items, [[0, 0, 1]])
+            l_small, _, _ = bpr_loss_and_feature_grad(users, items, triple(0, 0, 1))
             items2 = np.array([[b, 0.0], [0.0, 0.0]])
-            l_big, _, _ = bpr_loss_and_feature_grad(users, items2, [[0, 0, 1]])
+            l_big, _, _ = bpr_loss_and_feature_grad(users, items2, triple(0, 0, 1))
             assert l_big < l_small
 
     def test_gradient_matches_finite_differences(self):
@@ -139,15 +144,15 @@ class TestBprLoss:
             pos = ds.train_items(u)
             neg = [i for i in range(ds.m) if i not in set(pos.tolist())]
             batch.append([u, int(pos[0]), neg[0]])
-        batch = np.array(batch)
+        batch = tuple(np.array(batch).T)
 
         table.grad[...] = 0.0
         fused_objective_grad(model, table, None, None, batch, FusionConfig(variant="none"))
 
         def loss():
             f = model.forward(table)
-            x = np.einsum("ij,ij->i", f.users[batch[:, 0]],
-                          f.items[batch[:, 1]] - f.items[batch[:, 2]])
+            x = np.einsum("ij,ij->i", f.users[batch[0]],
+                          f.items[batch[1]] - f.items[batch[2]])
             return float(np.logaddexp(0, -x).sum()) + cfg.lambda_reg * np.sum(table.value ** 2)
 
         h = 1e-6
@@ -163,16 +168,19 @@ class TestBprLoss:
             got = table.grad.ravel()[k]
             assert abs(got - fd) / max(1.0, abs(got), abs(fd)) <= 1e-5
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            bpr_loss_and_feature_grad(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((0, 3)))
+    def test_empty_batch_gives_zero_loss_and_gradients(self):
+        empty = np.zeros(0, dtype=np.int64)
+        loss, dU, dV = bpr_loss_and_feature_grad(np.ones((2, 2)), np.ones((2, 2)),
+                                                 (empty, empty, empty))
+        assert loss == 0.0
+        assert dU.shape == dV.shape == (2, 2) and not dU.any() and not dV.any()
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-30, 30), st.floats(0, 1))
     def test_loss_always_positive(self, margin, lam):
         users = np.array([[1.0]])
         items = np.array([[margin], [0.0]])
-        loss, _, _ = bpr_loss_and_feature_grad(users, items, [[0, 0, 1]])
+        loss, _, _ = bpr_loss_and_feature_grad(users, items, triple(0, 0, 1))
         assert loss + lam * 1.0 > 0
 
     def test_stable_for_large_margins(self):

@@ -19,14 +19,18 @@ def small_world():
     n, m, d = 6, 9, 4
     g_u, g_v = rng.normal(size=(n, d)), rng.normal(size=(m, d))
     a_u, a_v = rng.normal(size=(n, d)), rng.normal(size=(m, d))
-    batch = np.array([[u, (u * 2 + 1) % m, float((u % 3) / 2)] for u in range(n)])
+    u = np.arange(n)
+    batch = (u, (u * 2 + 1) % m, (u % 3) / 2)
     return g_u, g_v, a_u, a_v, batch
+
+
+PAIR = (np.array([0]), np.array([0]))
 
 
 def _one_pair(g_u, g_i, a_u, a_i):
     """(L_c1, L_c2, dG_u, dG_i) of one user-item pair at unit weights."""
     l1, l2, dGu, dGv = cross_fusion_loss(g_u[None], g_i[None], a_u[None], a_i[None],
-                                         [[0, 0]], FusionConfig(lambda1=1.0, lambda2=1.0))
+                                         PAIR, FusionConfig(lambda1=1.0, lambda2=1.0))
     return l1, l2, dGu[0], dGv[0]
 
 
@@ -74,7 +78,7 @@ class TestCrossFusionLoss:
     def test_equal_features_zero_loss(self, small_world):
         g_u, g_v, _, _, batch = small_world
         cfg = FusionConfig(lambda1=1.0, lambda2=1.0)
-        l1, l2, dGu, dGv = cross_fusion_loss(g_u, g_v, g_u, g_v, batch[:, :2], cfg)
+        l1, l2, dGu, dGv = cross_fusion_loss(g_u, g_v, g_u, g_v, batch[:2], cfg)
         assert l1 == pytest.approx(0.0)
         assert l2 == pytest.approx(0.0)
         assert np.allclose(dGu, 0) and np.allclose(dGv, 0)
@@ -85,7 +89,7 @@ class TestCrossFusionLoss:
         a_v = np.array([[1.0, 1.0]])
         g_v = np.array([[2.0, 0.0]])
         cfg = FusionConfig(lambda1=1.0, lambda2=1.0)
-        l1, l2, _, _ = cross_fusion_loss(g_u, g_v, a_u, a_v, [[0, 0]], cfg)
+        l1, l2, _, _ = cross_fusion_loss(g_u, g_v, a_u, a_v, PAIR, cfg)
         assert l1 == pytest.approx(0.0)  # r_a = 1, r_c1 = 1
         assert l2 == pytest.approx(1.0)  # r_c2 = 2
 
@@ -93,21 +97,21 @@ class TestCrossFusionLoss:
         g_u, g_v, a_u, a_v, batch = small_world
         a_u_before, a_v_before = a_u.tobytes(), a_v.tobytes()
         cfg = FusionConfig(lambda1=0.6, lambda2=0.4)
-        cross_fusion_loss(g_u, g_v, a_u, a_v, batch[:, :2], cfg)
+        cross_fusion_loss(g_u, g_v, a_u, a_v, batch[:2], cfg)
         assert a_u.tobytes() == a_u_before
         assert a_v.tobytes() == a_v_before
 
     def test_loss_nonnegative_and_zero_iff_equal_scores(self, small_world):
         g_u, g_v, a_u, a_v, batch = small_world
         cfg = FusionConfig(lambda1=1.0, lambda2=1.0)
-        l1, l2, _, _ = cross_fusion_loss(g_u, g_v, a_u, a_v, batch[:, :2], cfg)
+        l1, l2, _, _ = cross_fusion_loss(g_u, g_v, a_u, a_v, batch[:2], cfg)
         assert l1 > 0 and l2 > 0
 
     def test_dimension_mismatch(self, small_world):
         g_u, g_v, a_u, a_v, batch = small_world
         cfg = FusionConfig()
         with pytest.raises(ValueError):
-            cross_fusion_loss(g_u, g_v, a_u[:, :2], a_v[:, :2], batch[:, :2], cfg)
+            cross_fusion_loss(g_u, g_v, a_u[:, :2], a_v[:, :2], batch[:2], cfg)
 
     def test_introduces_no_parameters(self, small_world):
         g_u, g_v, a_u, a_v, batch = small_world
@@ -135,7 +139,7 @@ class TestFusedObjective:
             pos = ds.train_items(u)
             neg = [i for i in range(ds.m) if i not in set(pos.tolist())]
             batch.append([u, int(pos[0]), neg[0]])
-        return ds, model, table, a_u, a_v, np.array(batch)
+        return ds, model, table, a_u, a_v, tuple(np.array(batch).T)
 
     def test_zero_weights_bit_identical_to_plain_ranking_loss(self):
         ds, model, table, a_u, a_v, batch = self._setup()
@@ -180,10 +184,10 @@ class TestFusedObjective:
         ds, model, table, a_u, a_v, ranked = self._setup(seed=3)
         cfg = FusionConfig(variant=variant, lambda1=0.4, lambda2=0.7, graph_loss=graph_loss)
         rng = np.random.default_rng(5)
-        # rated rows: each positive with a rating, then its negative rated zero
-        rated = np.concatenate([
-            np.column_stack([ranked[:, :2], rng.uniform(0.5, 1.0, size=len(ranked))]),
-            np.column_stack([ranked[:, [0, 2]], np.zeros(len(ranked))])])
+        # rated columns: each positive with a rating, then its negative rated zero
+        users, pos, neg = ranked
+        rated = (np.concatenate([users, users]), np.concatenate([pos, neg]),
+                 np.concatenate([rng.uniform(0.5, 1.0, size=len(users)), np.zeros(len(users))]))
         batch = rated if cfg.rated else ranked
         w_params = ([Param(np.eye(3) + 0.3 * rng.normal(size=(3, 3))) for _ in range(4)]
                     if variant == "weighted-sum" else None)
@@ -195,7 +199,7 @@ class TestFusedObjective:
             """The objective written out directly, independent of the library."""
             f = model.forward(table)
             gu, gv = f.users, f.items
-            u, i, third = batch[:, 0].astype(int), batch[:, 1].astype(int), batch[:, 2]
+            u, i, third = batch
             if variant == "concat":
                 total = np.sum((dot(a_u[u], a_v[i]) + dot(gu[u], gv[i]) - third) ** 2)
             elif variant in ("plain-sum", "weighted-sum"):
@@ -240,14 +244,14 @@ class TestBaselineLosses:
         a_v = np.array([[1.0, 0.0]])
         g_u = np.array([[0.0, 1.0]])
         g_v = np.array([[0.0, 1.0]])
-        loss, _, _ = concat_fusion_loss(g_u, g_v, a_u, a_v, [[0, 0, 2.0]])
+        loss, _, _ = concat_fusion_loss(g_u, g_v, a_u, a_v, (*PAIR, np.array([2.0])))
         assert loss == pytest.approx(0.0)
 
     def test_weighted_sum_zero_weights_loss_is_rating_norm(self, small_world):
         g_u, g_v, a_u, a_v, batch = small_world
         zero = tuple(np.zeros((4, 4)) for _ in range(4))
         loss, _, _, _ = weighted_sum_fusion_loss(g_u, g_v, a_u, a_v, batch, zero)
-        assert loss == pytest.approx(float(np.sum(batch[:, 2] ** 2)))
+        assert loss == pytest.approx(float(np.sum(batch[2] ** 2)))
 
     def test_weighted_sum_identity_zero_aux_is_mse(self, small_world):
         g_u, g_v, _, _, batch = small_world
@@ -276,7 +280,7 @@ class TestBaselineLosses:
         g_u, g_v, a_u, a_v, batch = small_world
         rng = np.random.default_rng(3)
         weights = tuple(rng.normal(size=(4, 4)) for _ in range(4))
-        u, i, r = batch[:, 0].astype(int), batch[:, 1].astype(int), batch[:, 2]
+        u, i, r = batch
         for variant in ("concat", "plain-sum", "weighted-sum"):
             eu, ev = effective_features(variant, g_u, g_v, a_u, a_v, weights)
             scores = np.einsum("ij,ij->i", eu[u], ev[i])

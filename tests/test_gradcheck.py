@@ -31,7 +31,7 @@ def test_random_instance_is_well_formed():
     assert inst.ds.m == 12
     assert inst.g_users.shape == (8, 4)
     # every ranked row pairs a held item with an unseen one
-    for u, ip, ineg in inst.ranked:
+    for u, ip, ineg in zip(*inst.ranked):
         assert ip in set(inst.ds.train_items(int(u)).tolist())
         assert ineg not in set(inst.ds.train_items(int(u)).tolist())
 
@@ -45,9 +45,17 @@ def test_suite_passes_and_is_complete():
         assert r.passed, f"{r.name}: {r.max_error}"
 
 
-def test_suite_detects_a_broken_gradient():
-    # tightening the exact tolerance below attainable float precision must fail
-    results = run_suite(seed=0, exact_tol=1e-18)
+def test_suite_detects_a_broken_gradient(monkeypatch):
+    # a check held to a tolerance below attainable float precision must fail
+    original = gradcheck._check_concat_grad
+
+    @functools.wraps(original)
+    def impossible(inst, rng):
+        result = original(inst, rng)
+        return gradcheck.CheckResult(result.name, result.max_error, 1e-18)
+
+    monkeypatch.setattr(gradcheck, "_check_concat_grad", impossible)
+    results = run_suite(seed=0)
     assert any(not r.passed for r in results)
 
 
@@ -77,9 +85,9 @@ def test_each_check_draws_its_own_inputs(monkeypatch):
     original = gradcheck._check_bpr_embedding_grad
 
     @functools.wraps(original)
-    def greedy(inst, rng, fd_tol):
+    def greedy(inst, rng):
         rng.normal(size=1000)
-        return original(inst, rng, fd_tol)
+        return original(inst, rng)
 
     monkeypatch.setattr(gradcheck, "_check_bpr_embedding_grad", greedy)
     changed = run_suite(seed=7)

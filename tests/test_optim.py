@@ -107,7 +107,7 @@ class TestHotPathBuildsNoMatrix:
                     if variant == "weighted-sum" else None)
         u, i = ds.users[:6], ds.items[:6]
         third = np.ones(6) if cfg.rated else (i + 1) % ds.m
-        batch = np.column_stack([u, i, third])
+        batch = (u, i, third)
         request.getfixturevalue("no_matrix")
         loss = fusion.fused_objective_grad(model, table, a_u, a_v, batch, cfg, w_params)
         assert np.isfinite(loss) and table.grad.any()
@@ -121,6 +121,6 @@ class TestHotPathBuildsNoMatrix:
             nets.append(auxnet.build_extractor(5, 3, [4], 1, rng, name=name))
             classes.append(auxnet.node_classes(x, sim))
         request.getfixturevalue("no_matrix")
-        batch = np.array([[0, 1, 1.0], [2, 3, 0.0], [0, 7, 1.0]])
+        batch = (np.array([0, 2, 0]), np.array([1, 3, 7]), np.array([1.0, 0.0, 1.0]))
         loss = auxnet.stage1_loss_and_grad(*nets, *classes, batch)
         assert np.isfinite(loss)

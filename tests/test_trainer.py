@@ -433,6 +433,54 @@ class TestMinibatchLoop:
                      fusion.FusionConfig(graph_loss=graph_loss))
         assert len(sampler_calls) == (self.batches(ds, cfg) if sampled else 0)
 
+    @pytest.mark.parametrize("rated", [True, False], ids=["rated", "pairwise"])
+    def test_batches_are_int64_id_columns_rebuilt_from_the_seed(self, rated):
+        _, ds, _, _, _ = make_world(seed=3, users=25, items=40)
+        assert ds.implicit
+        cfg = quick_cfg(epochs=2, batch_size=16, seed=5)
+        seen = []
+
+        def step(batch):
+            seen.append(batch)
+            return 0.0
+
+        opt = Adam([Param(np.zeros(1))], 0.1)
+        for _ in trainer._epochs(ds, cfg, opt, np.random.default_rng(cfg.seed), 1, rated,
+                                 step):
+            pass
+
+        rng = np.random.default_rng(cfg.seed)
+        train = ds.split_indices(TRAIN)
+        expected = []
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(train))
+            for lo in range(0, len(perm), cfg.batch_size):
+                take = train[perm[lo:lo + cfg.batch_size]]
+                u, i = ds.users[take], ds.items[take]
+                negs = trainer.sample_negatives(ds, u, rng)
+                expected.append((np.concatenate([u, u]), np.concatenate([i, negs]),
+                                 np.concatenate([np.ones(len(u)), np.zeros(len(u))]))
+                                if rated else (u, i, negs))
+        assert len(seen) == len(expected) == self.batches(ds, cfg)
+
+        for batch, want in zip(seen, expected):
+            users, items, third = batch
+            assert users.dtype == items.dtype == np.int64
+            assert third.dtype == (np.float64 if rated else np.int64)
+            assert users.ndim == items.ndim == third.ndim == 1
+            assert len(users) == len(items) == len(third)
+            if rated:
+                half = len(users) // 2
+                assert np.array_equal(users[half:], users[:half])
+                assert not third[half:].any() and (third[:half] == 1.0).all()
+                negs = items[half:]
+            else:
+                negs = third
+            assert all(int(i) not in ds.train_item_set(int(u))
+                       for u, i in zip(users, negs))
+            for got, ref in zip(batch, want, strict=True):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
     def test_stage2_divergent_run_aborts_with_epoch(self):
         _, ds, _, _, adj = make_world()
         with np.errstate(over="ignore", invalid="ignore"), \
