@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+# the loops scipy's own CSR and CSC products run; not public scipy API
+from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
+from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 
 from .optim import Param, scatter_rows
 
@@ -83,6 +86,8 @@ class LightGCN:
 
     The adjacency must be symmetric (the normalized bipartite graph is), so
     the backward pass multiplies by ``adj`` itself in place of its transpose.
+    Both passes propagate through two work arrays kept between calls, so a
+    step allocates no node-sized product; what they return is a new array.
     """
 
     def __init__(self, adj: sp.csr_matrix, num_users: int, cfg: BackboneConfig):
@@ -98,6 +103,14 @@ class LightGCN:
         self.num_users = num_users
         self.cfg = cfg
         self.alphas = cfg.resolved_alphas()
+        self._work: tuple[np.ndarray, ...] = ()
+
+    def _work_arrays(self, dim: int) -> tuple[np.ndarray, ...]:
+        """Two (nodes, dim) arrays: layer k's product goes into ``work[k % 2]``
+        and its weighted term into the other, whose product layer k has read."""
+        if not self._work or self._work[0].shape[1] != dim:
+            self._work = (np.empty((self.adj.shape[0], dim)), np.empty((self.adj.shape[0], dim)))
+        return self._work
 
     def row_block(self, rows: np.ndarray) -> RowBlock:
         """The adjacency's rows at the sorted node indices ``rows``."""
@@ -118,12 +131,14 @@ class LightGCN:
         layers = self.cfg.num_layers
         cur = table.value
         values = self.alphas[0] * cur[take]
-        for k in range(1, layers):
-            cur = np.asarray(self.adj @ cur)
-            values += self.alphas[k] * cur[take]
-        if layers:
-            last = self.adj if block is None else block.adj
-            values += self.alphas[layers] * np.asarray(last @ cur)
+        work = self._work_arrays(cur.shape[1]) if layers else ()
+        for k in range(1, layers + 1):
+            last = k == layers
+            cur = _spmm(block.adj if last and block is not None else self.adj, cur,
+                        work[k % 2])
+            term = work[(k + 1) % 2][:len(values)]
+            np.multiply(self.alphas[k], cur if last else cur[take], out=term)
+            values += term
         num_users = (self.num_users if block is None
                      else int(np.searchsorted(block.rows, self.num_users)))
         return GraphFeatures(values=values, num_users=num_users)
@@ -146,10 +161,23 @@ class LightGCN:
             out[block.rows] = self.alphas[0] * d_features
             first = block.adj.T
         cur = d_features
+        work = self._work_arrays(out.shape[1]) if self.cfg.num_layers else ()
         for k in range(1, self.cfg.num_layers + 1):
-            cur = np.asarray((first if k == 1 else self.adj) @ cur)
-            out += self.alphas[k] * cur
+            cur = _spmm(first if k == 1 else self.adj, cur, work[k % 2])
+            out += np.multiply(self.alphas[k], cur, out=work[(k + 1) % 2])
         return out
+
+
+def _spmm(mat: sp.spmatrix, x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``mat @ x`` for a CSR or CSC ``mat``, written into the leading rows of
+    ``work`` and returned as that view.  It runs the loop and the zero start
+    scipy's own product runs, so the bits are ``mat @ x``'s."""
+    out = work[:mat.shape[0]]
+    out.fill(0.0)
+    matvecs = _csr_matvecs if mat.format == "csr" else _csc_matvecs
+    matvecs(mat.shape[0], mat.shape[1], x.shape[1], mat.indptr, mat.indices, mat.data,
+            np.ascontiguousarray(x).ravel(), out.ravel())
+    return out
 
 
 def log_sigmoid_loss(x: np.ndarray) -> np.ndarray:

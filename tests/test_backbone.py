@@ -108,6 +108,50 @@ class TestLightGCNForward:
             LightGCN(adj.tocsr(), tiny_dataset.n, BackboneConfig(dim=2, num_layers=1))
 
 
+class TestWorkArrays:
+    """Both passes run their products through the model's reused work
+    arrays: the bits are those of scipy's own products, and no result a
+    caller holds changes on a later call."""
+
+    @staticmethod
+    def _scipy_passes(model, e0, d, rows):
+        """forward at ``rows`` and backward from the gradient ``d`` at
+        ``rows``, through scipy's ``@`` on freshly allocated products."""
+        a, adj, block = model.alphas, model.adj, model.adj[rows]
+        values, cur = a[0] * e0[rows], e0
+        for k in range(1, len(a)):
+            cur = adj @ cur if k < len(a) - 1 else block @ cur
+            values += a[k] * (cur[rows] if k < len(a) - 1 else cur)
+        out = np.full(e0.shape, a[0] * 0.0)
+        out[rows] = a[0] * d
+        cur = d
+        for k in range(1, len(a)):
+            cur = (block.T if k == 1 else adj) @ cur
+            out += a[k] * cur
+        return values, out
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_bits_of_scipy_products_and_no_aliasing(self, layers):
+        ds = make_random_dataset(layers, n=8, m=12)
+        model = LightGCN(normalize_bipartite(ds), ds.n, BackboneConfig(dim=4, num_layers=layers))
+        rng = np.random.default_rng(layers)
+        size = model.adj.shape[0]
+        kept = []
+        for dim, rows in ((4, np.arange(size)), (4, np.arange(0, size, 3)), (6, np.arange(size)),
+                          (4, np.array([1, ds.n + 2]))):
+            table = Param(rng.normal(size=(size, dim)))
+            d = rng.normal(size=(len(rows), dim))
+            block = None if len(rows) == size else model.row_block(rows)
+            feats, grad = model.forward(table, block), model.backward(d, block)
+            want = self._scipy_passes(model, table.value, d, rows)
+            assert _bits(feats.values) == _bits(want[0])
+            assert _bits(grad) == _bits(want[1])
+            kept.append((feats.values, feats.values.copy(), grad, grad.copy()))
+        for values, values_then, grad, grad_then in kept:
+            assert _bits(values) == _bits(values_then)
+            assert _bits(grad) == _bits(grad_then)
+
+
 def triple(user: int, pos: int, neg: int):
     """One (user, positive, negative) triple as batch columns."""
     return np.array([user]), np.array([pos]), np.array([neg])

@@ -1,13 +1,15 @@
 """The private scipy loops the library calls equal scipy's public products.
 
-``optim`` scatters gradients through ``csc_matvecs`` and ``graph`` builds
-similarity co-counts through ``csr_matmat``; neither is public scipy API.  A
-scipy that renames one of them, or changes what it computes, fails here."""
+``optim`` scatters gradients through ``csc_matvecs``, ``backbone`` propagates
+through ``csr_matvecs`` and ``csc_matvecs`` into reused arrays, and ``graph``
+builds similarity co-counts through ``csr_matmat``; none is public scipy API.
+A scipy that renames one of them, or changes what it computes, fails here."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from crossfuse.backbone import _csr_matvecs
 from crossfuse.graph import _csr_matmat
 from crossfuse.optim import _csc_matvecs
 
@@ -17,13 +19,14 @@ def _random(shape, fmt, seed):
 
 
 @pytest.mark.parametrize("idx", [np.int32, np.int64])
-@pytest.mark.parametrize("routine", ["csc_matvecs", "csr_matmat"])
+@pytest.mark.parametrize("routine", ["csc_matvecs", "csr_matvecs", "csr_matmat"])
 def test_private_scipy_loop_equals_public_product(routine, idx):
-    if routine == "csc_matvecs":
-        A = _random((9, 13), "csc", 0)
+    if routine.endswith("_matvecs"):
+        A = _random((9, 13), routine[:3], 0)
         X = np.random.default_rng(1).standard_normal((13, 4))
         Y = np.zeros((9, 4))
-        _csc_matvecs(9, 13, 4, A.indptr.astype(idx), A.indices.astype(idx), A.data, X, Y)
+        loop = _csc_matvecs if routine == "csc_matvecs" else _csr_matvecs
+        loop(9, 13, 4, A.indptr.astype(idx), A.indices.astype(idx), A.data, X, Y)
         assert np.array_equal(Y, A @ X)
         return
 
