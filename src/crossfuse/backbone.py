@@ -88,6 +88,7 @@ class LightGCN:
     the backward pass multiplies by ``adj`` itself in place of its transpose.
     Both passes propagate through two work arrays kept between calls, so a
     step allocates no node-sized product; what they return is a new array.
+    ``release_work`` frees the arrays once training is done with them.
     """
 
     def __init__(self, adj: sp.csr_matrix, num_users: int, cfg: BackboneConfig):
@@ -111,6 +112,10 @@ class LightGCN:
         if not self._work or self._work[0].shape[1] != dim:
             self._work = (np.empty((self.adj.shape[0], dim)), np.empty((self.adj.shape[0], dim)))
         return self._work
+
+    def release_work(self) -> None:
+        """Drop the work arrays; the next pass allocates them again."""
+        self._work = ()
 
     def row_block(self, rows: np.ndarray) -> RowBlock:
         """The adjacency's rows at the sorted node indices ``rows``."""

@@ -9,6 +9,7 @@ losses.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -154,6 +155,184 @@ class InteractionDataset:
                                   split, self.user_ids, self.item_ids)
 
 
+# ---------------------------------------------------------------------------
+# Tokenizer: the text as an array of code units
+# ---------------------------------------------------------------------------
+# Both readers cut their text with whole-array operations instead of a loop
+# over lines.  The text is one numpy array of code units: uint8 when it is
+# ASCII, uint32 code points otherwise, so a position in the array is an index
+# into the str, and a span decodes back to the same substring.  Lines break
+# where str.splitlines() breaks them, whitespace is what str.isspace() takes,
+# and a delimiter cuts where str.split() cuts.
+
+# The code points str.isspace() takes and those str.splitlines() breaks a
+# line at, as inclusive ranges; no code point above U+3000 is either.
+_SPACE_RANGES = ((0x09, 0x0d), (0x1c, 0x20), (0x85, 0x85), (0xa0, 0xa0), (0x1680, 0x1680),
+                 (0x2000, 0x200a), (0x2028, 0x2029), (0x202f, 0x202f), (0x205f, 0x205f),
+                 (0x3000, 0x3000))
+_BREAK_RANGES = ((0x0a, 0x0d), (0x1c, 0x1e), (0x85, 0x85), (0x2028, 0x2029))
+_FIRST_LINE = re.compile("[^%s]*" % "".join(f"{re.escape(chr(a))}-{re.escape(chr(b))}"
+                                               for a, b in _BREAK_RANGES))
+_WORD = 8  # bytes of one token key
+_CODECS = {1: "ascii", 4: "utf-32-le"}  # by code-unit size
+
+
+def _code_units(text: str) -> np.ndarray:
+    """``text`` as one code unit per character, then one key word of padding
+    units: the dtype's maximum, which no character takes."""
+    size = 1 if text.isascii() else 4
+    dtype = np.dtype(f"<u{size}")
+    raw = np.frombuffer(text.encode(_CODECS[size]), dtype=dtype)
+    units = np.empty(len(raw) + _WORD // raw.itemsize, dtype=dtype)
+    units[:len(raw)] = raw
+    units[len(raw):] = np.iinfo(dtype).max
+    return units
+
+
+def _in_ranges(codes: np.ndarray, ranges) -> np.ndarray:
+    """Whether each code unit lies in one of the inclusive ``ranges``.  uint8
+    units are ASCII, so ranges above U+007F are skipped for them."""
+    mask = np.zeros(codes.shape, dtype=bool)
+    for first, last in ranges:
+        if first < 0x80 or codes.itemsize > 1:
+            mask |= codes - first <= last - first  # unsigned: below first wraps high
+    return mask
+
+
+def _scan(units: np.ndarray, n: int, delim: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the text's ``n`` units break into lines, as ``str.splitlines()``
+    breaks them, and where ``delim`` matches.  The text was read with
+    universal newlines, so it holds no ``\\r\\n`` pair.  Returns the start and
+    end of each line and the start of every match, overlapping ones too."""
+    width = len(delim)
+    cut = np.flatnonzero(_in_ranges(units[:n], _BREAK_RANGES))
+    lines = len(cut) + int(not len(cut) or cut[-1] + 1 < n) if n else 0
+    lo = np.zeros(lines, dtype=np.int64)
+    lo[1:] = cut[:lines - 1] + 1
+    hi = np.full(lines, n, dtype=np.int64)
+    hi[:len(cut)] = cut[:lines]
+    del cut
+    hit = units[:max(n - width + 1, 0)] == ord(delim[0])
+    for k in range(1, width):
+        hit &= units[k:k + len(hit)] == ord(delim[k])
+    return lo, hi, np.flatnonzero(hit)
+
+
+def _strip(units: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Trim whitespace off both ends of the spans ``[lo, hi)`` in place, as
+    ``str.strip()`` trims it: one round per character trimmed."""
+    for edge, step, inner in ((lo, 1, 0), (hi, -1, -1)):
+        at = np.flatnonzero(_in_ranges(units[edge + inner], _SPACE_RANGES) & (lo < hi))
+        while len(at):
+            edge[at] += step
+            at = at[lo[at] < hi[at]]
+            at = at[_in_ranges(units[edge[at] + inner], _SPACE_RANGES)]
+
+
+def _split_rows(match: np.ndarray, width: int, lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``str.split`` cuts each row ``[lo, hi)`` (ascending, disjoint),
+    given the start of every delimiter match.  Only a match wholly inside a
+    row cuts it; matches are taken left to right, and one that overlaps a
+    match taken is skipped.  Returns the match starts and, for each row, the
+    index of its first match taken and the count of them."""
+    if width > 1 and len(lo) and np.any(match[1:] < match[:-1] + width):
+        row = np.searchsorted(lo, match, side="right") - 1
+        inside = (row >= 0) & (match + width <= hi[row])
+        match = match[inside]
+        match = match[_taken_matches(match, width)]
+    first = np.searchsorted(match, lo)
+    return match, first, np.searchsorted(match, hi - width + 1) - first
+
+
+def _taken_matches(pos: np.ndarray, width: int) -> np.ndarray:
+    """Which of the ascending match starts ``pos`` a left-to-right split
+    takes.  A match that overlaps no earlier match is taken; within a run of
+    overlapping matches the split goes from each match taken to the first
+    one starting at or past its end, a chain found by binary lifting in
+    log2(run length) rounds."""
+    size = len(pos)
+    idx = np.arange(size)
+    fresh = np.ones(size, dtype=bool)
+    fresh[1:] = pos[1:] >= pos[:-1] + width
+    at = np.maximum.accumulate(np.where(fresh, idx, 0))  # the run's first match
+    run = int(np.diff(np.append(np.flatnonzero(fresh), size)).max(initial=0))
+    jumps = [np.append(np.searchsorted(pos, pos + width), size)]  # past the end stays there
+    while 1 << len(jumps) < run:
+        jumps.append(jumps[-1][jumps[-1]])
+    for jump in reversed(jumps):
+        step = jump[at]
+        ahead = step <= idx
+        at[ahead] = step[ahead]
+    return at == idx
+
+
+def _cut_field(pos: np.ndarray, width: int, first: np.ndarray, count: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray, column: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of field ``column`` of rows that have it: row r runs
+    from ``lo[r]`` to ``hi[r]`` and its ``count[r]`` matches start at
+    ``pos[first[r]:]``."""
+    start = lo.copy() if column == 0 else pos[first + column - 1] + width
+    end = hi.copy()
+    more = np.flatnonzero(count > column)
+    end[more] = pos[first[more] + column]
+    return start, end
+
+
+def _strings(units: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """The tokens ``units[lo:hi]`` as str, decoded in one piece."""
+    length = hi - lo
+    end = np.cumsum(length)
+    joined = units[np.repeat(lo - end + length, length) + np.arange(end[-1] if len(end) else 0)]
+    text = joined.tobytes().decode(_CODECS[units.itemsize])
+    bounds = [0, *end.tolist()]
+    return [text[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _number(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct ``keys`` in the order they first appear: returns
+    each key's number and the index of each number's first key."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    del keys
+    starts = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, starts) if len(order) else starts
+    rank = np.empty(len(starts), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(starts))
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = np.repeat(rank, np.diff(np.append(starts, len(order))))
+    return number, np.sort(first)
+
+
+def _first_appearance(units: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct tokens ``units[lo:hi]`` in the order they first
+    appear: returns each span's number and the index of each number's first
+    span.
+
+    Each word of a token's units loads as one uint64 key, its units past the
+    token's end set to the padding unit; numbering the keys of each word in
+    turn, paired with the number so far, numbers the tokens."""
+    per_word = _WORD // units.itemsize
+    words = np.ndarray((len(units) - per_word + 1,), dtype="<u8", buffer=units,
+                       strides=(units.itemsize,))
+    # pads[k] sets every unit of a word from unit k on
+    pads = np.array([(1 << 64) - (1 << 8 * units.itemsize * k) for k in range(per_word + 1)],
+                    dtype=np.uint64)
+    length = hi - lo
+
+    def word(at: int) -> np.ndarray:
+        return words[np.minimum(lo + at, len(words) - 1)] | pads[np.clip(length - at, 0, per_word)]
+
+    number, first = _number(word(0))
+    for at in range(per_word, int(length.max(initial=0)), per_word):
+        key = _number(word(at))[0]
+        number, first = _number(number * (int(key.max()) + 1) + key)
+    return number, first
+
+
 def _sniff_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
@@ -182,63 +361,88 @@ def load_interactions(path: str | Path, cfg: DataConfig | None = None) -> Intera
     except OSError as exc:
         raise DataError(f"cannot read interaction file {path}: {exc}") from exc
 
-    lines = text.splitlines()
-    delim = cfg.delimiter or _sniff_delimiter(lines[0] if lines else ",")
+    first_line = _FIRST_LINE.match(text).group()
+    delim = cfg.delimiter or _sniff_delimiter(first_line if text else ",")
 
     c_user, c_item, c_rating = cfg.user_column, cfg.item_column, cfg.rating_column
     start = 0
-    if lines and c_rating is not None:
-        first = lines[0].split(delim)
-        start = int(len(first) > c_rating and not _is_float(first[c_rating].strip()))
-
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    users, items, ratings = [], [], []
+    if text and c_rating is not None:
+        head = first_line.split(delim)
+        start = int(len(head) > c_rating and not _is_float(head[c_rating].strip()))
     width = max(c for c in (c_user, c_item, c_rating) if c is not None) + 1
 
-    for lineno in range(start, len(lines)):
-        line = lines[lineno].strip()
-        if not line:
-            continue
-        parts = line.split(delim)
-        if len(parts) < width:
-            raise DataError(f"{path}:{lineno + 1}: expected at least {width} columns, got {len(parts)}")
-        raw_u = parts[c_user].strip()
-        raw_i = parts[c_item].strip()
-        r = 1.0
-        if c_rating is not None:
-            r_text = parts[c_rating].strip()
-            try:
-                r = float(r_text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno + 1}: bad rating value {r_text!r}") from None
-        users.append(user_index.setdefault(raw_u, len(user_index)))
-        items.append(item_index.setdefault(raw_i, len(item_index)))
-        ratings.append(r)
+    # the rows: the lines after the header that hold anything once stripped,
+    # split stripped
+    n = len(text)
+    units = _code_units(text)
+    del text
+    lo, hi, pos = _scan(units, n, delim)
+    lo, hi = lo[start:], hi[start:]
+    _strip(units, lo, hi)
+    filled = lo < hi
+    lo, hi = lo[filled], hi[filled]
+    pos, first, count = _split_rows(pos, len(delim), lo, hi)
 
-    if not users:
+    # the first short row ends the rows read; a bad rating before it wins
+    rows = len(lo)
+    short = np.flatnonzero(count < width - 1)
+    end = int(short[0]) if len(short) else rows
+    got = int(count[end]) + 1 if end < rows else width
+    columns = {c: _cut_field(pos, len(delim), first[:end], count[:end], lo[:end], hi[:end], c)
+               for c in (c_user, c_item, c_rating) if c is not None}
+    # numbering the columns takes the most memory, so the row state goes first
+    del lo, hi, pos, first, count
+    for span in columns.values():
+        _strip(units, *span)
+
+    def line_of(row: int) -> int:
+        return start + 1 + int(np.flatnonzero(filled)[row])
+
+    ratings = np.ones(end)
+    if c_rating is not None:
+        r_lo, r_hi = columns[c_rating]
+        number, at = _first_appearance(units, r_lo, r_hi)
+        values = np.empty(len(at))
+        # in order of first appearance, so the first bad token is the first bad row
+        for k, (row, token) in enumerate(zip(at.tolist(), _strings(units, r_lo[at], r_hi[at]))):
+            try:
+                values[k] = float(token)
+            except ValueError:
+                raise DataError(f"{path}:{line_of(row)}: bad rating value {token!r}") from None
+        ratings = values[number]
+        del r_lo, r_hi, number
+    if end < rows:
+        raise DataError(f"{path}:{line_of(end)}: expected at least {width} columns, got {got}")
+    if not end:
         raise DataError(f"{path}: no interaction rows")
-    users = np.array(users, dtype=np.int64)
-    items = np.array(items, dtype=np.int64)
-    ratings = np.array(ratings, dtype=np.float64)
-    # a stable sort of the pair keys puts each pair's rows in file order, so
-    # the first row of each run of equal keys is the pair's first row
-    key = users * len(item_index) + items
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    dropped = len(key) - int(np.count_nonzero(first))
+
+    u_lo, u_hi = columns[c_user]
+    users, at = _first_appearance(units, u_lo, u_hi)
+    user_ids = _strings(units, u_lo[at], u_hi[at])
+    i_lo, i_hi = columns[c_item]
+    items, at = _first_appearance(units, i_lo, i_hi)
+    item_ids = _strings(units, i_lo[at], i_hi[at])
+    del units, columns, u_lo, u_hi, i_lo, i_hi
+
+    # a sort finds whether any pair repeats; a stable sort of the pair keys
+    # puts each pair's rows in file order, so the first row of each run of
+    # equal keys is the pair's first row
+    key = users * len(item_ids) + items
+    dropped = int(np.count_nonzero(np.diff(np.sort(key)) == 0))
     if dropped:
         log.warning("%s: dropped %d duplicate (user, item) rows", path, dropped)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
         keep = np.sort(order[first])
         users, items, ratings = users[keep], items[keep], ratings[keep]
 
     return InteractionDataset(
-        n=len(user_index), m=len(item_index),
+        n=len(user_ids), m=len(item_ids),
         users=users, items=items, ratings=ratings,
         split=np.zeros(len(users), dtype=np.int8),
-        user_ids=list(user_index), item_ids=list(item_index),
+        user_ids=user_ids, item_ids=item_ids,
     )
 
 
@@ -337,39 +541,58 @@ def encode_auxiliary(path: str | Path, ids: Sequence[str],
     except OSError as exc:
         raise DataError(f"cannot read attribute file {path}: {exc}") from exc
 
-    lines = text.splitlines()
-    delim = delimiter or _sniff_delimiter(lines[0] if lines else ",")
+    delim = delimiter or _sniff_delimiter(_FIRST_LINE.match(text).group() if text else ",")
     id_map = {raw: idx for idx, raw in enumerate(ids)}
 
-    rows: dict[int, list[str]] = {}
-    width = None
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(delim)]
-        raw = parts[0]
-        if raw not in id_map:
-            raise DataError(f"{path}:{lineno + 1}: node id {raw!r} not present in the dataset")
-        node = id_map[raw]
-        if node in rows:
-            raise DataError(f"{path}:{lineno + 1}: duplicate row for node {raw!r}")
-        vals = parts[1:]
-        rows[node] = vals
-        width = max(width or 0, len(vals))
+    # the rows: the lines that hold anything but whitespace, split unstripped
+    n = len(text)
+    units = _code_units(text)
+    del text
+    lo, hi, pos = _scan(units, n, delim)
+    s_lo, s_hi = lo.copy(), hi.copy()
+    _strip(units, s_lo, s_hi)
+    row_line = np.flatnonzero(s_lo < s_hi)
+    lo, hi = lo[row_line], hi[row_line]
+    # a row's count of matches is its count of attribute cells
+    pos, first, count = _split_rows(pos, len(delim), lo, hi)
 
-    if width is None:
+    def column(c: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        start, stop = _cut_field(pos, len(delim), first[rows], count[rows], lo[rows], hi[rows], c)
+        _strip(units, start, stop)
+        return start, stop
+
+    id_lo, id_hi = column(0, np.arange(len(lo)))
+    number, at = _first_appearance(units, id_lo, id_hi)
+    raw_ids = _strings(units, id_lo[at], id_hi[at])
+    node = np.array([id_map.get(raw, -1) for raw in raw_ids], dtype=np.int64)[number]
+    # a row is wrong if its id is unknown or an earlier row had it
+    wrong = np.flatnonzero((node < 0) | (at[number] < np.arange(len(lo))))
+    if len(wrong):
+        row = wrong[0]
+        raw = raw_ids[number[row]]
+        what = (f"node id {raw!r} not present in the dataset" if node[row] < 0
+                else f"duplicate row for node {raw!r}")
+        raise DataError(f"{path}:{row_line[row] + 1}: {what}")
+    if not len(lo):
         raise DataError(f"{path}: no attribute rows")
+    width = int(count.max())
     if width == 0:
         raise DataError(f"{path}: no attribute columns (each row holds only a node id)")
 
-    distinct = [sorted({vals[j] for vals in rows.values() if j < len(vals) and vals[j]})
-                for j in range(width)]
-    fields = make_fields([f"field_{j + 1}" for j in range(width)], distinct)
-
-    index = [{c: k for k, c in enumerate(f.categories)} for f in fields]
     labels = np.full((len(ids), width), -1, dtype=np.int64)
-    for node, vals in rows.items():
-        labels[node, :len(vals)] = [slots[v] if v else -1 for slots, v in zip(index, vals)]
+    categories = []
+    for j in range(width):
+        rows = np.flatnonzero(count > j)
+        v_lo, v_hi = column(j + 1, rows)
+        filled = np.flatnonzero(v_lo < v_hi)
+        v_lo, v_hi = v_lo[filled], v_hi[filled]
+        number, at = _first_appearance(units, v_lo, v_hi)
+        values = _strings(units, v_lo[at], v_hi[at])
+        categories.append(sorted(values))
+        slot = {c: k for k, c in enumerate(categories[-1])}
+        labels[node[rows[filled]], j] = np.array([slot[v] for v in values],
+                                                 dtype=np.int64)[number]
+    fields = make_fields([f"field_{j + 1}" for j in range(width)], categories)
     return one_hot_matrix(labels, fields)
 
 

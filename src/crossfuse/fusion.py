@@ -225,13 +225,14 @@ def _batch_rows(model: LightGCN, batch, rated: bool):
     Restricting the outermost products costs a row slice and this mapping per
     batch, a fixed cost that only a large skipped share repays, so the rows
     are used only when they hold at most half of the adjacency's nonzeros.
-    Otherwise, and for a batch whose node indices are out of range (the full
-    path then raises its usual error), this returns ``(None, batch)``."""
+    Otherwise, for a batch with no rows, and for a batch whose node indices
+    are out of range (the full path then raises its usual error), this
+    returns ``(None, batch)``."""
     n, size = model.num_users, model.adj.shape[0]
     # one contiguous row per id column keeps each pass over the indices contiguous
     nodes = np.stack(batch[:2] if rated else batch)
     nodes[1:] += n
-    if nodes.min() < 0 or nodes.max() >= size:
+    if not nodes.size or nodes.min() < 0 or nodes.max() >= size:
         return None, batch
     mask = np.zeros(size, dtype=bool)
     mask[nodes] = True

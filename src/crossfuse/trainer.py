@@ -336,6 +336,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     )
     for k, values in state.selected().items():
         named[k].value[...] = values
+    model.release_work()
     return Stage2Result(table=table, model=model, log=log, state=state,
                         fusion_weights=[p.value for p in w_params] if w_params else None)
 

@@ -1,14 +1,17 @@
 """One sha256 over what training produces, for byte-identity checks.
 
-Trains the acceptance desk (200 x 300, 5 categories) at each seed: stage 1,
-then stage 2 under every objective (cross, none, concat, plain-sum,
-weighted-sum, and cross with the squared-error graph loss).  The digest
-covers the stage-1 features, parameters and running statistics, each
-stage-2 run's last and best arrays and Adam moments, every epoch's loss
-and validation NDCG@10, and the gradient checks' errors at seed 7.
-``--mid`` adds the mid shape (3000 x 2000, dim 64): one epoch per stage of
-cross and concat, on implicit and on explicit ratings, in batches small
-enough that every stage-2 step runs on its row block.
+Reads the acceptance desk's written files (200 x 300, 5 categories) at
+each seed, as written and rewritten with comma and ``::`` delimiters and
+explicit ratings, and trains the desk: stage 1, then stage 2 under every
+objective (cross, none, concat, plain-sum, weighted-sum, and cross with the
+squared-error graph loss).  The digest covers what ``load_interactions`` and
+``encode_auxiliary`` return for each file set, the stage-1 features,
+parameters and running statistics, each stage-2 run's last and best arrays
+and Adam moments, every epoch's loss and validation NDCG@10, and the
+gradient checks' errors at seed 7.  ``--mid`` adds the mid shape (3000 x
+2000, dim 64): its written files, then one epoch per stage of cross and
+concat, on implicit and on explicit ratings, in batches small enough that
+every stage-2 step runs on its row block.
 
 A change meant to leave training bit for bit as it was prints the same
 digest as its parent:
@@ -23,12 +26,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from crossfuse import auxnet, fusion, gradcheck, synthetic
 from crossfuse.backbone import BackboneConfig, init_embeddings
-from crossfuse.data import InteractionDataset, split_dataset
+from crossfuse.data import (DataConfig, InteractionDataset, encode_auxiliary, load_interactions,
+                            split_dataset)
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
 from crossfuse.trainer import TrainConfig, train_stage1, train_stage2
 
@@ -61,6 +67,34 @@ def explicit(ds: InteractionDataset) -> InteractionDataset:
     """The same interactions and split, rated 1 to 5."""
     ratings = np.random.default_rng(0).integers(1, 6, size=len(ds)).astype(np.float64)
     return InteractionDataset(ds.n, ds.m, ds.users, ds.items, ratings, ds.split)
+
+
+def ingest(digest: Digest, label: str, files: dict, delimiter: str | None = None) -> None:
+    """Fold in what the readers return for one set of written files."""
+    ds = load_interactions(files["interactions"], DataConfig(delimiter=delimiter))
+    for name in ("users", "items", "ratings", "user_ids", "item_ids"):
+        digest.add(f"{label}.{name}", getattr(ds, name))
+    for side, ids in (("user", ds.user_ids), ("item", ds.item_ids)):
+        feats = encode_auxiliary(files[f"{side}_attributes"], ids, delimiter)
+        digest.add(f"{label}.{side}.values", feats.values)
+        digest.add(f"{label}.{side}.fields", [(f.name, f.categories, f.offset)
+                                              for f in feats.fields])
+
+
+def rewritten(files: dict, out: Path, delimiter: str, seed: int) -> dict:
+    """The written files with ``delimiter`` for the tab and each rating
+    redrawn from 1 to 5."""
+    out.mkdir()
+    moved = {}
+    for key, path in files.items():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if key == "interactions":
+            ratings = np.random.default_rng(seed).integers(1, 6, size=len(lines)).tolist()
+            lines = [line.rsplit("\t", 1)[0] + f"\t{r}" for line, r in zip(lines, ratings)]
+        moved[key] = out / path.name
+        moved[key].write_text("".join(line.replace("\t", delimiter) + "\n" for line in lines),
+                              encoding="utf-8")
+    return moved
 
 
 def train(digest: Digest, label: str, data, ds, dim: int, hidden, gcn_layers: int,
@@ -105,9 +139,15 @@ def train(digest: Digest, label: str, data, ds, dim: int, hidden, gcn_layers: in
         digest.add(f"{run}.log", [(r.loss, r.val_metric) for r in res.log.records])
 
 
-def desk(digest: Digest, seeds, epochs: int) -> None:
+def desk(digest: Digest, seeds, epochs: int, work: Path) -> None:
     for seed in seeds:
         data = synthetic.generate(num_users=200, num_items=300, num_categories=5, seed=seed)
+        files = synthetic.write_files(data, work / f"desk{seed}")
+        ingest(digest, f"desk{seed}.files", files)
+        # the comma files are sniffed, the "::" files read with the delimiter set
+        for name, delimiter, given in (("comma", ",", None), ("colons", "::", "::")):
+            moved = rewritten(files, work / f"desk{seed}_{name}", delimiter, seed)
+            ingest(digest, f"desk{seed}.{name}", moved, given)
         ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=seed)
         train(digest, f"desk{seed}", data, ds, dim=16, hidden=[32], gcn_layers=1, layers=2,
               eta=0.01, epochs=(epochs, epochs), batch=1024, seed=seed,
@@ -116,10 +156,11 @@ def desk(digest: Digest, seeds, epochs: int) -> None:
         digest.add(f"gradcheck.{r.name}", r.max_error)
 
 
-def mid(digest: Digest) -> int:
-    """Trains the mid shape; returns how many stage-2 batches ran on the
-    full passes, which this shape keeps at 0."""
+def mid(digest: Digest, work: Path) -> int:
+    """Reads the mid shape's written files and trains it; returns how many
+    stage-2 batches ran on the full passes, which this shape keeps at 0."""
     data = synthetic.generate(3000, 2000, 10, seed=0, interactions_per_user=(40, 80))
+    ingest(digest, "mid.files", synthetic.write_files(data, work / "mid"))
     ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=0)
     full = []
     batch_rows = fusion._batch_rows
@@ -147,11 +188,12 @@ def main(argv=None) -> None:
     parser.add_argument("--mid", action="store_true", help="add the mid shape")
     args = parser.parse_args(argv)
     digest = Digest()
-    desk(digest, args.seeds, args.epochs)
-    if args.mid:
-        full = mid(digest)
-        if full:
-            raise SystemExit(f"{full} mid stage-2 batches ran on the full passes")
+    with tempfile.TemporaryDirectory() as work:
+        desk(digest, args.seeds, args.epochs, Path(work))
+        if args.mid:
+            full = mid(digest, Path(work))
+            if full:
+                raise SystemExit(f"{full} mid stage-2 batches ran on the full passes")
     print(digest.sha.hexdigest())
 
 

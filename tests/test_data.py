@@ -7,11 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_dataset
-from crossfuse.data import (TEST, TRAIN, VALIDATION, DataConfig, DataError,
-                            InteractionDataset, _is_float, _sniff_delimiter,
-                            _split_counts, encode_auxiliary, load_interactions, make_fields,
-                            one_hot_matrix, sample_negatives, split_dataset,
-                            write_remap_table)
+from crossfuse.data import (_BREAK_RANGES, _SPACE_RANGES, TEST, TRAIN, VALIDATION, DataConfig,
+                            DataError, InteractionDataset, _in_ranges, _is_float,
+                            _sniff_delimiter, _split_counts, encode_auxiliary,
+                            load_interactions, make_fields, one_hot_matrix, sample_negatives,
+                            split_dataset, write_remap_table)
 
 
 def write(tmp_path, name, text):
@@ -138,29 +138,58 @@ def per_line_reference(path, cfg):
             list(user_index), list(item_index), dropped)
 
 
+# what the tokenizer must read as str does: every line end str.splitlines()
+# knows (written through, so CRLF and a lone CR reach the reader), Unicode
+# whitespace, non-ASCII ids, a NUL inside an id, and ids longer than a key word
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
+PADS = ["", " ", "\xa0", "\u3000", "\x1f"]
+ID_FORMS = ["u{}", "é{}", "用户{}", "u\0{}", "user-{:012d}"]
+
+
 @st.composite
 def interaction_logs(draw):
     """A log text and the config that reads it: string ids drawn from small
     pools, so pairs repeat with different ratings, plus an optional header,
-    blank lines, extra columns, tabs or commas, and implicit logs."""
-    delim = draw(st.sampled_from([",", "\t"]))
+    blank lines, extra columns, commas, tabs, bars or a two-character
+    delimiter (set or sniffed), the line ends, whitespace and ids above,
+    leading and trailing delimiters, implicit logs, and now and then a bad
+    rating or a short row, in either order."""
+    delim = draw(st.sampled_from([None, ",", "\t", "|", "::"]))
+    sep = delim or draw(st.sampled_from([",", "\t"]))
     implicit = draw(st.booleans())
     extra = draw(st.integers(0, 2))
     n_users, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    form = st.sampled_from(ID_FORMS)
+    pad = st.sampled_from(PADS)
     lines = []
     if not implicit and draw(st.booleans()):
-        lines.append(delim.join(["user", "item", "rating"] + ["note"] * extra))
+        lines.append(sep.join(["user", "item", "rating"] + ["note"] * extra))
     for _ in range(draw(st.integers(1, 40))):
-        if draw(st.integers(0, 9)) == 0:
-            lines.append(draw(st.sampled_from(["", "  "])))
+        # 0-3 blank, 57 odd rating, 58 short, 59 edge delimiters, else plain
+        kind = draw(st.integers(0, 59))
+        if kind < 4:
+            lines.append(draw(st.sampled_from(["", "  ", "\u3000", "\t"])))
             continue
-        row = [f"u{draw(st.integers(0, n_users - 1))}", f"i{draw(st.integers(0, n_items - 1))}"]
+        row = [draw(form).format(draw(st.integers(0, n_users - 1))),
+               draw(form).format(draw(st.integers(0, n_items - 1)))]
         if not implicit:
-            row.append(draw(st.sampled_from(["1", "2.5", "-3", "4e0", " 5 "])))
+            row.append(draw(st.sampled_from(["inf", "oops", ""] if kind == 57
+                                            else ["1", "2.5", "-3", "4e0", " 5 "])))
         row += [draw(st.sampled_from(["x", "", "7"])) for _ in range(extra)]
-        lines.append(delim.join(row))
-    cfg = DataConfig(rating_column=None if implicit else 2)
-    return "\n".join(lines) + "\n", cfg
+        if kind == 58:
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        row = [draw(pad) + cell + draw(pad) if draw(st.integers(0, 3)) == 0 else cell
+               for cell in row]
+        line = sep.join(row)
+        if kind == 59:
+            line = (draw(st.sampled_from([sep, sep * 2, ""])) + line
+                    + draw(st.sampled_from([sep, ""])))
+        lines.append(draw(pad) + line + draw(pad))
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n\r\v\f\x1c\x85\u2028")
+    cfg = DataConfig(rating_column=None if implicit else 2, delimiter=delim)
+    return text, cfg
 
 
 def dropped_counts(records):
@@ -170,7 +199,7 @@ def dropped_counts(records):
 
 
 class TestLoaderMatchesPerLineReference:
-    @settings(max_examples=150, derandomize=True, deadline=None,
+    @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(interaction_logs())
     def test_generated_logs_load_identically(self, tmp_path, caplog, case):
@@ -183,10 +212,14 @@ class TestLoaderMatchesPerLineReference:
                 load_interactions(path, cfg)
             assert str(got.value) == str(exc)
             return
+        users, items, ratings, user_ids, item_ids, dropped = expected
+        if not np.all(np.isfinite(ratings)):
+            with pytest.raises(DataError, match="non-finite rating value"):
+                load_interactions(path, cfg)
+            return
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="crossfuse.data"):
             ds = load_interactions(path, cfg)
-        users, items, ratings, user_ids, item_ids, dropped = expected
         for got, want in ((ds.users, users), (ds.items, items), (ds.ratings, ratings)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -201,6 +234,13 @@ class TestLoaderMatchesPerLineReference:
         assert ds.items.tolist() == [0, 0, 1]
         assert ds.ratings.tolist() == [1.0, 4.0, 3.0]
         assert dropped_counts(caplog.records) == [2]
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_rating_parses_then_fails_the_dataset_check(self, tmp_path, token):
+        path = write(tmp_path, "r.csv", f"u1,i1,1\nu2,i2,{token}\n")
+        assert not np.isfinite(per_line_reference(path, DataConfig())[2][1])
+        with pytest.raises(DataError, match="non-finite rating value"):
+            load_interactions(path)
 
     @pytest.mark.parametrize("bad", ["u9,i9", "u9,i9,oops"])
     @pytest.mark.parametrize("at", [0, 3, 6])
@@ -260,6 +300,146 @@ class TestEncodeAuxiliary:
         path = write(tmp_path, "p.csv", "n0,a,x,q\nn1,b,,q\nn2,,y,\n")
         mat = encode_auxiliary(path, ["n0", "n1", "n2", "n3"])
         assert np.all(mat.values.sum(axis=1) == 3)
+
+
+def per_line_attributes(path, ids, delimiter=None):
+    """Reference attribute encoder: one line at a time, as the encoder read
+    tables before it tokenized the whole text."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    delim = delimiter or _sniff_delimiter(lines[0] if lines else ",")
+    id_map = {raw: idx for idx, raw in enumerate(ids)}
+    rows = {}
+    width = None
+    for lineno, line in enumerate(lines):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(delim)]
+        raw = parts[0]
+        if raw not in id_map:
+            raise DataError(f"{path}:{lineno + 1}: node id {raw!r} not present in the dataset")
+        node = id_map[raw]
+        if node in rows:
+            raise DataError(f"{path}:{lineno + 1}: duplicate row for node {raw!r}")
+        vals = parts[1:]
+        rows[node] = vals
+        width = max(width or 0, len(vals))
+    if width is None:
+        raise DataError(f"{path}: no attribute rows")
+    if width == 0:
+        raise DataError(f"{path}: no attribute columns (each row holds only a node id)")
+    distinct = [sorted({vals[j] for vals in rows.values() if j < len(vals) and vals[j]})
+                for j in range(width)]
+    fields = make_fields([f"field_{j + 1}" for j in range(width)], distinct)
+    index = [{c: k for k, c in enumerate(f.categories)} for f in fields]
+    labels = np.full((len(ids), width), -1, dtype=np.int64)
+    for node, vals in rows.items():
+        labels[node, :len(vals)] = [slots[v] if v else -1 for slots, v in zip(index, vals)]
+    return one_hot_matrix(labels, fields)
+
+
+@st.composite
+def attribute_tables(draw):
+    """An attribute table, the dataset ids it is read against and the
+    delimiter to pass: ids of the forms above in any order, rows of any
+    width with empty, repeated and whitespace-padded cells, blank lines,
+    every line end, and now and then an unknown id, a repeated row, rows
+    that hold only an id, or no row at all."""
+    delim = draw(st.sampled_from([None, ",", "\t", "|", "::"]))
+    sep = delim or draw(st.sampled_from([",", "\t"]))
+    ids = draw(st.lists(st.tuples(st.sampled_from(ID_FORMS), st.integers(0, 9)).map(
+        lambda form_k: form_k[0].format(form_k[1])), min_size=1, max_size=8, unique=True))
+    width = draw(st.sampled_from([3, 2, 1, 0]))
+    nodes = draw(st.permutations(ids))[:draw(st.integers(1, len(ids)))]
+    if draw(st.integers(0, 19)) == 7:  # about one table in twenty; hypothesis favours 0
+        nodes = []
+    if draw(st.integers(0, 5)) == 0:
+        nodes.insert(draw(st.integers(0, len(nodes))),
+                     draw(st.sampled_from(ids + ["stranger"])))
+    pad = st.sampled_from(PADS)
+    lines = []
+    for node in nodes:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " \t", "\u3000"])))
+        cells = [node] + [draw(st.sampled_from(["a", "b", "é", "x\0", "", " "]))
+                          for _ in range(draw(st.integers(min(width, 1), width)))]
+        lines.append(sep.join(draw(pad) + c + draw(pad) if draw(st.integers(0, 3)) == 0
+                              else c for c in cells))
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    return text, ids, delim
+
+
+class TestEncoderMatchesPerLineReference:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(attribute_tables())
+    def test_generated_tables_encode_identically(self, tmp_path, case):
+        text, ids, delim = case
+        path = write(tmp_path, "attrs.txt", text)
+        try:
+            want = per_line_attributes(path, ids, delim)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                encode_auxiliary(path, ids, delim)
+            assert str(got.value) == str(exc)
+            return
+        got = encode_auxiliary(path, ids, delim)
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)
+        assert (got.rows, got.dim, got.fields) == (want.rows, want.dim, want.fields)
+
+    @pytest.mark.parametrize("text, error", [
+        ("n0,a\nn9,b\n", ":2: node id 'n9' not present"),
+        ("n0,a\n\nn0,b\n", ":3: duplicate row for node 'n0'"),
+        ("n0\nn1\n", "no attribute columns"),
+        ("\n \t\n", "no attribute rows"),
+        ("", "no attribute rows")])
+    def test_errors_name_the_reference_line(self, tmp_path, text, error):
+        path = write(tmp_path, "attrs.txt", text)
+        with pytest.raises(DataError) as want:
+            per_line_attributes(path, ["n0", "n1"])
+        with pytest.raises(DataError, match=error) as got:
+            encode_auxiliary(path, ["n0", "n1"])
+        assert str(got.value) == str(want.value)
+
+
+class TestTokenizer:
+    def test_character_classes_are_pythons(self):
+        """The whitespace and line-break ranges hold exactly the code points
+        str.isspace() and str.splitlines() take, for wide and ASCII units."""
+        chars = [chr(c) for c in range(0x110000)]
+        spaces = [c for c, ch in enumerate(chars) if ch.isspace()]
+        breaks = [c for c, ch in enumerate(chars) if len(f"a{ch}b".splitlines()) == 2]
+        wide = np.arange(0x110000, dtype=np.uint32)
+        ascii_ = np.arange(0x80, dtype=np.uint8)
+        for ranges, want in ((_SPACE_RANGES, spaces), (_BREAK_RANGES, breaks)):
+            assert np.flatnonzero(_in_ranges(wide, ranges)).tolist() == want
+            assert np.flatnonzero(_in_ranges(ascii_, ranges)).tolist() == [
+                c for c in want if c < 0x80]
+
+    def test_header_alone_with_overlapping_delimiters(self, tmp_path):
+        path = write(tmp_path, "log.txt", "user::::item::rating\n\n")
+        with pytest.raises(DataError, match="no interaction rows"):
+            load_interactions(path, DataConfig(delimiter="::"))
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([":", "::", "aa", "aba", "a:a"]),
+           st.lists(st.text("ab: ", max_size=12), min_size=1, max_size=8))
+    def test_self_overlapping_delimiters_split_as_str_split(self, tmp_path, delim, lines):
+        """Runs of overlapping matches split left to right, as str.split does."""
+        path = write(tmp_path, "log.txt", "\n".join(lines) + "\n")
+        cfg = DataConfig(rating_column=None, delimiter=delim)
+        try:
+            expected = per_line_reference(path, cfg)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_interactions(path, cfg)
+            assert str(got.value) == str(exc)
+            return
+        ds = load_interactions(path, cfg)
+        assert (ds.user_ids, ds.item_ids) == tuple(expected[3:5])
+        assert np.array_equal(ds.users, expected[0]) and np.array_equal(ds.items, expected[1])
 
 
 def list_append_split(ds, ratios, seed):

@@ -225,6 +225,22 @@ class TestFusedObjective:
         for p in w_params or []:
             assert max_rel_error(p.grad, central_difference(loss, p.value)) <= 1e-5
 
+    @pytest.mark.parametrize("variant", ["cross", "none", "concat", "plain-sum",
+                                         "weighted-sum"])
+    def test_empty_batch_takes_only_the_regularizer(self, variant):
+        ds, model, table, a_u, a_v, _ = self._setup(seed=3)
+        cfg = FusionConfig(variant=variant, lambda1=0.4, lambda2=0.7)
+        w_params = ([Param(np.eye(3)) for _ in range(4)] if variant == "weighted-sum"
+                    else None)
+        empty = np.zeros(0, dtype=np.int64)
+        table.grad[...] = 0.0
+        loss = fused_objective_grad(model, table, a_u, a_v, (empty, empty, empty), cfg,
+                                    w_params)
+        lam = model.cfg.lambda_reg
+        assert loss == lam * float(np.sum(table.value ** 2))
+        assert np.array_equal(table.grad, 2.0 * lam * table.value)
+        assert not any(p.grad.any() for p in w_params or [])
+
     def test_best_reported_weights_are_the_defaults(self):
         cfg = FusionConfig()
         assert cfg.lambda1 == pytest.approx(0.05)

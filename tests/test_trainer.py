@@ -3,7 +3,7 @@ import pytest
 
 from conftest import split_truth
 from crossfuse import auxnet, fusion, store, synthetic, trainer
-from crossfuse.backbone import BackboneConfig, init_embeddings
+from crossfuse.backbone import BackboneConfig, LightGCN, init_embeddings
 from crossfuse.data import TRAIN, VALIDATION, DataError, InteractionDataset, split_dataset
 from crossfuse.evaluate import ranking_metrics, recommend_all
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
@@ -261,6 +261,25 @@ class TestStage2:
                                                    lambda2=0.3))
             runs.append([(r.epoch, r.loss, r.val_metric) for r in res.log.records])
         assert runs[0] == runs[1]
+
+    def test_returned_model_holds_no_work_arrays(self, monkeypatch):
+        data, ds, adj, s1 = self._stage1()
+        table = init_embeddings(ds.n + ds.m, D, seed=0)
+        before = []
+        release = LightGCN.release_work
+
+        def forward_then_release(model):
+            assert model._work
+            before.append(model.forward(table).values.copy())
+            release(model)
+
+        monkeypatch.setattr(LightGCN, "release_work", forward_then_release)
+        res = train_stage2(ds, adj, table, s1.user_features, s1.item_features,
+                           BackboneConfig(dim=D, num_layers=2), quick_cfg(epochs=2),
+                           fusion.FusionConfig(variant="cross", lambda1=0.5, lambda2=0.5))
+        assert res.model._work == ()
+        assert len(before) == 1
+        assert np.array_equal(res.model.forward(res.table).values, before[0])
 
     @pytest.mark.parametrize("variant", ["concat", "plain-sum", "weighted-sum"])
     def test_baseline_variants_train(self, variant):
