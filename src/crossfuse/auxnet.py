@@ -1,11 +1,13 @@
 """Attribute-side feature extraction with hand-written gradients.
 
-A reducing MLP (affine, batch normalization, rectifier; final layer affine
-only) maps wide one-hot attribute vectors to the embedding dimension, then a
-K-layer convolution stack over the thresholded similarity graph refines them.
-The architecture is small and fixed, so the reverse pass is written out by
-hand: every block caches what its backward needs during a train-mode forward.
-Eval-mode forwards use running statistics, cache nothing, and are reentrant.
+A reducing MLP maps wide one-hot attribute vectors to the embedding
+dimension, then a K-layer convolution stack over the thresholded similarity
+graph refines them.  Each hidden layer of both is a :class:`Dense` block
+(affine, count-weighted batch normalization, rectifier); the MLP ends in an
+affine map.  The reverse pass is written out by hand: every block caches
+what its backward needs during a train-mode forward (``train=True``).
+Eval-mode forwards (``train=False``) use running statistics, cache nothing,
+and are reentrant.
 
 Categorical attribute rows repeat heavily (a handful of age/occupation
 combinations cover every user), so the MLP runs on the distinct rows of its
@@ -14,7 +16,8 @@ Likewise the convolutions run on node classes (see :func:`node_classes`):
 nodes the similarity graph leaves with only a self-loop keep identical
 features through every layer when they share an attribute row, so each such
 group is computed once and the output is gathered back to every node at the
-end.
+end.  The similarity graph is symmetric, as LightGCN's adjacency is, so the
+backward multiplies by the graph itself.
 """
 
 from __future__ import annotations
@@ -96,19 +99,30 @@ def node_classes(x: np.ndarray, sim: sp.spmatrix) -> NodeClasses:
     """Group the nodes of ``x`` over the similarity graph ``sim``; done once
     per input, not per forward.
 
+    This is where a graph enters stage 1, and the one place it is checked:
+    ``sim`` must be square over the rows of ``x``, symmetric, and store
+    every diagonal entry (a :class:`ValueError` otherwise).
+
     A node whose row of ``sim`` stores only its diagonal is isolated: it
     aggregates nothing but itself, so its features stay a function of its
     attribute row and diagonal value through every layer.  Isolated nodes
     sharing both form one class; every other node is a class of its own.
     Classes are numbered by their first node.  The class graph is the
-    first node's row of ``sim`` with its columns relabelled to classes, in
-    the stored order, so ``sim @ h`` over classes adds the same terms in the
-    same order as over nodes."""
+    first node's row of ``sim`` with its columns relabelled to classes, so
+    ``sim @ h`` over classes adds the same terms in the same order as over
+    nodes.  No node links to an isolated one, so the class graph keeps the
+    sorted rows and the symmetry of ``sim``: it is its own transpose."""
     rows = distinct_rows(x)
     n = len(rows.inverse)
     sim = sim.tocsr()
     if sim.shape != (n, n):
         raise ValueError("similarity graph must be square over the feature rows")
+    if np.any(sim.diagonal() == 0):
+        raise ValueError("similarity graph must carry self-loops on the diagonal")
+    sim, t = sim.sorted_indices(), sim.T.tocsr()
+    if not all(map(np.array_equal, (sim.indptr, sim.indices, sim.data),
+                   (t.indptr, t.indices, t.data))):
+        raise ValueError("similarity graph must be symmetric")
     lone = np.flatnonzero(np.diff(sim.indptr) == 1)
     iso = lone[sim.indices[sim.indptr[lone]] == lone]
     key = np.column_stack([rows.inverse[iso], sim.diagonal()[iso]])
@@ -199,30 +213,35 @@ class BatchNorm:
         return [self.gamma, self.beta]
 
 
-class Relu:
-    def __init__(self):
+class Dense:
+    """Affine map, count-weighted batch norm, rectifier; both parts take ``name``."""
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str):
+        self.affine = Affine(in_dim, out_dim, rng, name)
+        self.bn = BatchNorm(out_dim, name)
         self._mask = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, counts: np.ndarray) -> np.ndarray:
+        y = self.bn.forward(self.affine.forward(x, train), train, counts)
         if train:
-            self._mask = x > 0
-        return np.maximum(x, 0.0)
+            self._mask = y > 0
+        return np.maximum(y, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._mask
+        return self.affine.backward(self.bn.backward(dy * self._mask))
 
     def params(self):
-        return []
+        return self.affine.params() + self.bn.params()
 
 
 class AuxEncoder:
-    """Reducing MLP: (affine, batch-norm, rectifier) x (L-1), then affine.
+    """Reducing MLP: a :class:`Dense` layer per interior width, then affine.
 
     ``layer_dims`` chains from the one-hot width down to the embedding
     dimension; with a single entry pair the encoder collapses to one affine
     map with no normalization or activation.
 
-    The blocks run on the distinct input rows only (see :class:`DistinctRows`),
+    The layers run on the distinct input rows only (see :class:`DistinctRows`),
     so the cost scales with distinct attribute rows, not with nodes.
     """
 
@@ -230,146 +249,90 @@ class AuxEncoder:
         dims = list(layer_dims)
         if len(dims) < 2:
             raise ValueError("layer_dims needs at least input and output sizes")
-        self.layer_dims = dims
-        self.blocks: list = []
-        for l in range(len(dims) - 2):
-            self.blocks.append(Affine(dims[l], dims[l + 1], rng, f"{name}.{l}"))
-            self.blocks.append(BatchNorm(dims[l + 1], f"{name}.{l}"))
-            self.blocks.append(Relu())
-        self.blocks.append(Affine(dims[-2], dims[-1], rng, f"{name}.{len(dims) - 2}"))
+        self.hidden = [Dense(dims[l], dims[l + 1], rng, f"{name}.{l}")
+                       for l in range(len(dims) - 2)]
+        self.out = Affine(dims[-2], dims[-1], rng, f"{name}.{len(dims) - 2}")
         self._rows: DistinctRows | None = None
 
-    @property
-    def in_dim(self) -> int:
-        return self.layer_dims[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layer_dims[-1]
-
-    def forward(self, rows: DistinctRows, mode: str = "train") -> np.ndarray:
+    def forward(self, rows: DistinctRows, *, train: bool) -> np.ndarray:
         """Output for every row of the matrix ``rows`` groups (see
         :func:`distinct_rows`, run once per input, not per forward)."""
-        train = _check_mode(mode)
-        if rows.values.shape[1] != self.in_dim:
-            raise ValueError(f"encoder expects width {self.in_dim}, got {rows.values.shape[1]}")
         if train:
             self._rows = rows
         h = rows.values
-        for block in self.blocks:
-            if isinstance(block, BatchNorm):
-                h = block.forward(h, train, rows.counts)
-            else:
-                h = block.forward(h, train)
-        return h[rows.inverse]
+        for layer in self.hidden:
+            h = layer.forward(h, train, rows.counts)
+        return self.out.forward(h, train)[rows.inverse]
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients from the per-row output gradient;
         returns the gradient with respect to the distinct input rows."""
-        d = scatter_rows(self._rows.inverse, len(self._rows.values), d_out)
-        for block in reversed(self.blocks):
-            d = block.backward(d)
+        d = self.out.backward(scatter_rows(self._rows.inverse, len(self._rows.values), d_out))
+        for layer in reversed(self.hidden):
+            d = layer.backward(d)
         return d
 
     def params(self):
-        out = []
-        for block in self.blocks:
-            out.extend(block.params())
-        return out
+        return [p for layer in self.hidden for p in layer.params()] + self.out.params()
 
     def batch_norms(self) -> list[BatchNorm]:
-        return [b for b in self.blocks if isinstance(b, BatchNorm)]
+        return [layer.bn for layer in self.hidden]
 
 
 class AuxGcnStack:
-    """K convolution layers over a similarity graph with unit self-loops.
-
-    Each layer aggregates neighbor features weighted by the stored
-    similarities and applies an affine + batch-norm + rectifier transform;
-    every layer maps dim -> dim.  K = 0 passes features through unchanged.
+    """K dim -> dim :class:`Dense` layers, each on the aggregate ``sim @ h``
+    of neighbor features weighted by the stored similarities; K = 0 passes
+    features through unchanged.  The graph is symmetric (see
+    :func:`node_classes`), so the backward multiplies by the graph itself.
 
     The rows are node classes (see :class:`NodeClasses`): row k stands for
     ``counts[k]`` nodes in the batch norms, and counts of ones make them plain
-    nodes.  A train-mode forward checks a graph's self-loops and builds its
-    transpose for the backward once; later forwards on the same graph object
-    skip both.
+    nodes.
     """
 
-    def __init__(self, dim: int, num_layers: int, rng: np.random.Generator,
-                 name: str = "gcn"):
+    def __init__(self, dim: int, num_layers: int, rng: np.random.Generator, name: str = "gcn"):
         if num_layers < 0:
             raise ValueError("num_layers must be >= 0")
-        self.dim = dim
-        self.num_layers = num_layers
-        self.layers = []
-        for k in range(num_layers):
-            self.layers.append((Affine(dim, dim, rng, f"{name}.{k}"),
-                                BatchNorm(dim, f"{name}.{k}"),
-                                Relu()))
+        self.layers = [Dense(dim, dim, rng, f"{name}.{k}") for k in range(num_layers)]
         self._sim = None
-        self._sim_t = None
 
-    def forward(self, sim: sp.spmatrix, h: np.ndarray, counts: np.ndarray,
-                mode: str = "train") -> np.ndarray:
-        train = _check_mode(mode)
-        if sim.shape[0] != sim.shape[1] or sim.shape[0] != h.shape[0]:
-            raise ValueError("similarity graph must be square over the feature rows")
-        if h.shape[1] != self.dim:
-            raise ValueError(f"stack expects width {self.dim}, got {h.shape[1]}")
-        sim = sim.tocsr()
-        if sim is not self._sim:
-            if self.num_layers > 0 and np.any(sim.diagonal() == 0):
-                raise ValueError("similarity graph must carry self-loops on the diagonal")
-            if train:
-                self._sim, self._sim_t = sim, sim.T.tocsr()
-        for affine, bn, relu in self.layers:
-            h = np.asarray(sim @ h)
-            h = relu.forward(bn.forward(affine.forward(h, train), train, counts), train)
+    def forward(self, sim: sp.csr_matrix, h: np.ndarray, counts: np.ndarray, *,
+                train: bool) -> np.ndarray:
+        if train:
+            self._sim = sim
+        for layer in self.layers:
+            h = layer.forward(sim @ h, train, counts)
         return h
 
-    def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d = d_out
-        for affine, bn, relu in reversed(self.layers):
-            d = affine.backward(bn.backward(relu.backward(d)))
-            d = np.asarray(self._sim_t @ d)
+    def backward(self, d: np.ndarray) -> np.ndarray:
+        for layer in reversed(self.layers):
+            d = self._sim @ layer.backward(d)
         return d
 
     def params(self):
-        out = []
-        for affine, bn, _ in self.layers:
-            out.extend(affine.params())
-            out.extend(bn.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def batch_norms(self) -> list[BatchNorm]:
-        return [bn for _, bn, _ in self.layers]
-
-
-def _check_mode(mode: str) -> bool:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return mode == "train"
+        return [layer.bn for layer in self.layers]
 
 
 class AuxiliaryExtractor:
     """One side (users or items) of the attribute pipeline: MLP then GCN.
 
-    A train-mode forward keeps only what its backward reads: each block's
+    A train-mode forward keeps only what its backward reads: each layer's
     cache and the node classes it ran on, not its output."""
 
     def __init__(self, encoder: AuxEncoder, gcn: AuxGcnStack):
-        if encoder.out_dim != gcn.dim:
-            raise ValueError("encoder output width must match the convolution stack")
         self.encoder = encoder
         self.gcn = gcn
         self._classes: NodeClasses | None = None
 
-    def forward(self, classes: NodeClasses, mode: str = "train") -> np.ndarray:
+    def forward(self, classes: NodeClasses, *, train: bool) -> np.ndarray:
         """Features for every node of ``classes`` (see :func:`node_classes`,
         run once per input, not per forward)."""
-        h = self.encoder.forward(classes.rows, mode)
-        a = self.gcn.forward(classes.sim, h, classes.counts, mode)[classes.inverse]
-        if mode == "train":
+        h = self.encoder.forward(classes.rows, train=train)
+        a = self.gcn.forward(classes.sim, h, classes.counts, train=train)[classes.inverse]
+        if train:
             self._classes = classes
         return a
 
@@ -428,8 +391,8 @@ def stage1_loss_and_grad(user_net: AuxiliaryExtractor, item_net: AuxiliaryExtrac
     classes, the squared-error objective over the batch, and the backward
     pass through both extractors into every parameter's gradient buffer.
     Returns the loss."""
-    a_users = user_net.forward(user_classes, "train")
-    a_items = item_net.forward(item_classes, "train")
+    a_users = user_net.forward(user_classes, train=True)
+    a_items = item_net.forward(item_classes, train=True)
     loss, dAu, dAv = squared_score_loss(a_users, a_items, batch)
     user_net.backward(dAu)
     item_net.backward(dAv)

@@ -180,13 +180,18 @@ def _load_fields(path: Path):
 def _graph(out: Path, ds: InteractionDataset, name: str):
     """The workspace's ``name``.graph, checked to be square over the
     dataset's users and items (``adjacency``), its users (``user_sim``) or
-    its items (``item_sim``)."""
+    its items (``item_sim``), symmetric, and for a similarity graph to store
+    every diagonal entry, as the convolutions over it require."""
     size = {"adjacency": ds.n + ds.m, "user_sim": ds.n, "item_sim": ds.m}[name]
     path = out / f"{name}.graph"
     mat = load_graph(path)
     if mat.shape != (size, size):
         raise DataError(f"{path}: graph is {mat.shape[0]}x{mat.shape[1]}, expected "
                         f"{size}x{size} for the prepared dataset{_PREPARE}")
+    if (mat != mat.T).nnz:
+        raise DataError(f"{path}: graph is not symmetric{_PREPARE}")
+    if name != "adjacency" and np.any(mat.diagonal() == 0):
+        raise DataError(f"{path}: similarity graph lacks a diagonal entry{_PREPARE}")
     return mat
 
 

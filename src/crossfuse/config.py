@@ -107,7 +107,7 @@ def load_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")

@@ -358,7 +358,7 @@ def load_interactions(path: str | Path, cfg: DataConfig | None = None) -> Intera
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read interaction file {path}: {exc}") from exc
 
     first_line = _FIRST_LINE.match(text).group()
@@ -538,7 +538,7 @@ def encode_auxiliary(path: str | Path, ids: Sequence[str],
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read attribute file {path}: {exc}") from exc
 
     delim = delimiter or _sniff_delimiter(_FIRST_LINE.match(text).group() if text else ",")

@@ -181,8 +181,8 @@ def _stage1_fd_error(inst: Instance, rng, x_u: np.ndarray, x_v: np.ndarray,
     auxnet.stage1_loss_and_grad(user_net, item_net, x_u, x_v, inst.rated)
 
     def loss():
-        au = user_net.forward(x_u, "train")
-        av = item_net.forward(x_v, "train")
+        au = user_net.forward(x_u, train=True)
+        av = item_net.forward(x_v, train=True)
         val, _, _ = auxnet.squared_score_loss(au, av, inst.rated)
         return val
 

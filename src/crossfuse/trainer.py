@@ -183,8 +183,8 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
         log.add(EpochRecord(stage=1, epoch=epoch, loss=loss,
                             wall_time=time.perf_counter() - t0))
 
-    a_users = user_net.forward(user_classes, "eval")
-    a_items = item_net.forward(item_classes, "eval")
+    a_users = user_net.forward(user_classes, train=False)
+    a_items = item_net.forward(item_classes, train=False)
     a_users.flags.writeable = False
     a_items.flags.writeable = False
     return Stage1Result(a_users, a_items, log)

@@ -4,7 +4,9 @@ Reads the acceptance desk's written files (200 x 300, 5 categories) at
 each seed, as written and rewritten with comma and ``::`` delimiters and
 explicit ratings, and trains the desk: stage 1, then stage 2 under every
 objective (cross, none, concat, plain-sum, weighted-sum, and cross with the
-squared-error graph loss).  The digest covers what ``load_interactions`` and
+squared-error graph loss).  Three more stage-1 runs of 3 epochs on seed 0
+cover an encoder with no hidden layer, a stack with no convolution, and two
+hidden layers under two convolutions.  The digest covers what ``load_interactions`` and
 ``encode_auxiliary`` return for each file set, the stage-1 features,
 parameters and running statistics, each stage-2 run's last and best arrays
 and Adam moments, every epoch's loss and validation NDCG@10, and the
@@ -41,6 +43,9 @@ from crossfuse.trainer import TrainConfig, train_stage1, train_stage2
 DESK_OBJECTIVES = (("cross", "bpr"), ("none", "bpr"), ("concat", "bpr"),
                    ("plain-sum", "bpr"), ("weighted-sum", "bpr"), ("cross", "mse"))
 MID_OBJECTIVES = (("cross", "bpr"), ("concat", "bpr"))
+# (label, hidden widths, convolution layers): a lone affine encoder, no
+# convolutions, and a deep encoder under a deep stack
+STAGE1_SHAPES = (("affine", [], 1), ("noconv", [32], 0), ("deep", [32, 24], 2))
 MID_BATCH = 256
 
 
@@ -100,6 +105,7 @@ def rewritten(files: dict, out: Path, delimiter: str, seed: int) -> dict:
 def train(digest: Digest, label: str, data, ds, dim: int, hidden, gcn_layers: int,
           layers: int, eta: float, epochs: tuple[int, int], batch: int, seed: int,
           objectives) -> None:
+    """Stage 1, then stage 2 under each of ``objectives`` (none: stage 1 only)."""
     R = interaction_matrix(ds, binarize=True)
     sim_u = build_similarity_graph(R, "rows", 0.3)
     sim_v = build_similarity_graph(R, "columns", 0.3)
@@ -152,6 +158,12 @@ def desk(digest: Digest, seeds, epochs: int, work: Path) -> None:
         train(digest, f"desk{seed}", data, ds, dim=16, hidden=[32], gcn_layers=1, layers=2,
               eta=0.01, epochs=(epochs, epochs), batch=1024, seed=seed,
               objectives=DESK_OBJECTIVES)
+    # stage-1 shapes the recipe above skips, on seed 0
+    data = synthetic.generate(num_users=200, num_items=300, num_categories=5, seed=0)
+    ds = split_dataset(data.dataset, (0.72, 0.08, 0.2), seed=0)
+    for label, hidden, gcn_layers in STAGE1_SHAPES:
+        train(digest, f"desk0.{label}", data, ds, dim=16, hidden=hidden, gcn_layers=gcn_layers,
+              layers=2, eta=0.01, epochs=(3, 3), batch=1024, seed=0, objectives=())
     for r in gradcheck.run_suite(seed=7):
         digest.add(f"gradcheck.{r.name}", r.max_error)
 

@@ -270,7 +270,7 @@ def test_criterion_8_reduction_identities():
     # (b) a zero-depth convolution stack returns the encoder output unchanged
     stack_in = np.random.default_rng(0).normal(size=(9, 8))
     stack = auxnet.AuxGcnStack(8, 0, np.random.default_rng(1))
-    passthrough = stack.forward(sim_u[:9, :9], stack_in, np.ones(9), "train") is stack_in
+    passthrough = stack.forward(sim_u[:9, :9], stack_in, np.ones(9), train=True) is stack_in
 
     # (c) layer weights (1, 0, ...) reduce ranking to raw embedding dot products
     cfg0 = BackboneConfig(dim=8, num_layers=2, alphas=np.array([1.0, 0.0, 0.0]))

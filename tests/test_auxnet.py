@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfuse.auxnet import (Affine, AuxEncoder, AuxGcnStack, BatchNorm, build_extractor,
+from crossfuse.auxnet import (AuxEncoder, AuxGcnStack, BatchNorm, build_extractor,
                               distinct_rows, load_dense_matrix, node_classes,
                               save_dense_matrix, squared_score_loss, stage1_loss_and_grad)
 from crossfuse.backbone import bpr_loss_and_feature_grad, sigmoid
@@ -23,66 +23,65 @@ class TestEncoder:
         rng = np.random.default_rng(0)
         enc = AuxEncoder([5, 3], rng)
         x = rng.normal(size=(4, 5))
-        out = enc.forward(distinct_rows(x), "eval")
-        w, b = enc.blocks[0].w.value, enc.blocks[0].b.value
+        out = enc.forward(distinct_rows(x), train=False)
+        w, b = enc.out.w.value, enc.out.b.value
         assert np.allclose(out, x @ w + b)
 
     def test_zero_weights_collapse_to_final_bias(self):
         rng = np.random.default_rng(1)
         enc = AuxEncoder([4, 6, 2], rng)
-        for block in enc.blocks:
-            if isinstance(block, Affine):
-                block.w.value[...] = 0.0
-        enc.blocks[-1].b.value[...] = np.array([3.0, -1.0])
-        out = enc.forward(distinct_rows(np.ones((5, 4))), "eval")
+        for affine in [layer.affine for layer in enc.hidden] + [enc.out]:
+            affine.w.value[...] = 0.0
+        enc.out.b.value[...] = np.array([3.0, -1.0])
+        out = enc.forward(distinct_rows(np.ones((5, 4))), train=False)
         assert np.allclose(out, [3.0, -1.0])
 
     def test_eval_with_batch_stats_matches_train_output(self):
         rng = np.random.default_rng(2)
         enc = AuxEncoder([6, 5, 3], rng)
         x = rng.normal(size=(10, 6))
-        train_out = enc.forward(distinct_rows(x), "train")
+        train_out = enc.forward(distinct_rows(x), train=True)
         # force running statistics to the batch statistics the train pass used
-        h = x @ enc.blocks[0].w.value + enc.blocks[0].b.value
-        bn = enc.blocks[1]
+        h = x @ enc.hidden[0].affine.w.value + enc.hidden[0].affine.b.value
+        bn = enc.hidden[0].bn
         bn.running_mean = h.mean(axis=0)
         bn.running_var = h.var(axis=0)
-        eval_out = enc.forward(distinct_rows(x), "eval")
+        eval_out = enc.forward(distinct_rows(x), train=False)
         assert np.max(np.abs(train_out - eval_out)) <= 1e-10
 
     def test_batch_of_one_rejected_in_train_mode(self):
         enc = AuxEncoder([4, 4, 2], np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least 2 rows"):
-            enc.forward(distinct_rows(np.ones((1, 4))), "train")
+            enc.forward(distinct_rows(np.ones((1, 4))), train=True)
 
     def test_width_mismatch_rejected(self):
         enc = AuxEncoder([4, 2], np.random.default_rng(0))
         with pytest.raises(ValueError):
-            enc.forward(distinct_rows(np.ones((3, 5))), "eval")
+            enc.forward(distinct_rows(np.ones((3, 5))), train=False)
 
     def test_eval_mode_deterministic_and_batch_independent(self):
         rng = np.random.default_rng(3)
         enc = AuxEncoder([5, 4, 3], rng)
-        enc.forward(distinct_rows(rng.normal(size=(8, 5))), "train")  # sets running stats
+        enc.forward(distinct_rows(rng.normal(size=(8, 5))), train=True)  # sets running stats
         x = rng.normal(size=(6, 5))
-        one = enc.forward(distinct_rows(x), "eval")
-        again = np.vstack([enc.forward(distinct_rows(x[:3]), "eval"),
-                           enc.forward(distinct_rows(x[3:]), "eval")])
+        one = enc.forward(distinct_rows(x), train=False)
+        again = np.vstack([enc.forward(distinct_rows(x[:3]), train=False),
+                           enc.forward(distinct_rows(x[3:]), train=False)])
         assert np.allclose(one, again)
 
     def test_hidden_activations_non_negative(self):
         rng = np.random.default_rng(4)
         enc = AuxEncoder([6, 5, 4, 2], rng)
         x = rng.normal(size=(9, 6))
-        enc.forward(distinct_rows(x), "train")
+        enc.forward(distinct_rows(x), train=True)
         # final affine input is the last rectifier output, cached by Affine
-        assert np.all(enc.blocks[-1]._x >= 0)
+        assert np.all(enc.out._x >= 0)
 
     def test_running_variance_stays_positive(self):
         rng = np.random.default_rng(5)
         enc = AuxEncoder([4, 3, 2], rng)
         for _ in range(20):
-            enc.forward(distinct_rows(rng.normal(size=(6, 4))), "train")
+            enc.forward(distinct_rows(rng.normal(size=(6, 4))), train=True)
         for bn in enc.batch_norms():
             assert np.all(bn.running_var > 0)
 
@@ -119,40 +118,37 @@ def reference_encoder_forward(enc: AuxEncoder, x: np.ndarray):
     grouped rows: batch moments from ``mean``/``var`` over all N rows."""
     cache = []
     h = x
-    for block in enc.blocks:
-        if isinstance(block, Affine):
-            cache.append(h)
-            h = h @ block.w.value + block.b.value
-        elif isinstance(block, BatchNorm):
-            mu, var = h.mean(axis=0), h.var(axis=0)
-            block.running_mean = (1 - block.momentum) * block.running_mean + block.momentum * mu
-            block.running_var = (1 - block.momentum) * block.running_var + block.momentum * var
-            inv_std = 1.0 / np.sqrt(var + block.eps)
-            xhat = (h - mu) * inv_std
-            cache.append((xhat, inv_std))
-            h = block.gamma.value * xhat + block.beta.value
-        else:
-            cache.append(h > 0)
-            h = np.maximum(h, 0.0)
-    return h, cache
+    for affine, bn in ((layer.affine, layer.bn) for layer in enc.hidden):
+        x_in = h
+        h = h @ affine.w.value + affine.b.value
+        mu, var = h.mean(axis=0), h.var(axis=0)
+        bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mu
+        bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (h - mu) * inv_std
+        h = bn.gamma.value * xhat + bn.beta.value
+        cache.append((x_in, xhat, inv_std, h > 0))
+        h = np.maximum(h, 0.0)
+    cache.append(h)
+    return h @ enc.out.w.value + enc.out.b.value, cache
 
 
 def reference_encoder_backward(enc: AuxEncoder, cache, d: np.ndarray) -> None:
-    for block, saved in zip(reversed(enc.blocks), reversed(cache)):
-        if isinstance(block, Affine):
-            block.w.grad += saved.T @ d
-            block.b.grad += d.sum(axis=0)
-            d = d @ block.w.value.T
-        elif isinstance(block, BatchNorm):
-            xhat, inv_std = saved
-            n = xhat.shape[0]
-            block.gamma.grad += (d * xhat).sum(axis=0)
-            block.beta.grad += d.sum(axis=0)
-            dxhat = d * block.gamma.value
-            d = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
-                                 - xhat * (dxhat * xhat).sum(axis=0))
-        else:
-            d = d * saved
+    enc.out.w.grad += cache[-1].T @ d
+    enc.out.b.grad += d.sum(axis=0)
+    d = d @ enc.out.w.value.T
+    for layer, (x_in, xhat, inv_std, mask) in zip(reversed(enc.hidden), reversed(cache[:-1])):
+        affine, bn = layer.affine, layer.bn
+        d = d * mask
+        n = xhat.shape[0]
+        bn.gamma.grad += (d * xhat).sum(axis=0)
+        bn.beta.grad += d.sum(axis=0)
+        dxhat = d * bn.gamma.value
+        d = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
+                             - xhat * (dxhat * xhat).sum(axis=0))
+        affine.w.grad += x_in.T @ d
+        affine.b.grad += d.sum(axis=0)
+        d = d @ affine.w.value.T
 
 
 class TestDistinctRows:
@@ -191,13 +187,13 @@ class TestDistinctRows:
         user_net, item_net = nets()
         stage1_loss_and_grad(user_net, item_net, *classes, batch)
         # the step keeps no output: the same train forward on fresh copies
-        outputs = [net.forward(c, "train") for net, c in zip(nets(), classes)]
+        outputs = [net.forward(c, train=True) for net, c in zip(nets(), classes)]
 
         ref_u, ref_v = nets()
         sides, ref_outputs = [], []
         for net, x, sim in ((ref_u, x_u, sim_u), (ref_v, x_v, sim_v)):
             h, cache = reference_encoder_forward(net.encoder, x)
-            ref_outputs.append(net.gcn.forward(sim, h, np.ones(len(x)), "train"))
+            ref_outputs.append(net.gcn.forward(sim, h, np.ones(len(x)), train=True))
             sides.append((net, cache))
         _, dAu, dAv = squared_score_loss(*ref_outputs, batch)
         for (net, cache), d_a in zip(sides, (dAu, dAv)):
@@ -216,7 +212,7 @@ class TestDistinctRows:
 
     def test_identical_rows_count_toward_batch_size(self):
         enc = AuxEncoder([4, 3, 2], np.random.default_rng(0))
-        out = enc.forward(distinct_rows(np.ones((3, 4))), "train")
+        out = enc.forward(distinct_rows(np.ones((3, 4))), train=True)
         assert out.shape == (3, 2)
         assert np.array_equal(out[0], out[2])
 
@@ -225,7 +221,7 @@ def reference_gcn_forward(stack: AuxGcnStack, sim: sp.csr_matrix, h: np.ndarray)
     """Train-mode forward over every node, as the stack computed before it
     ran on node classes: batch moments from ``mean``/``var`` over all N nodes."""
     cache = []
-    for affine, bn, _ in stack.layers:
+    for affine, bn in ((layer.affine, layer.bn) for layer in stack.layers):
         agg = np.asarray(sim @ h)
         z = agg @ affine.w.value + affine.b.value
         mu, var = z.mean(axis=0), z.var(axis=0)
@@ -242,8 +238,8 @@ def reference_gcn_forward(stack: AuxGcnStack, sim: sp.csr_matrix, h: np.ndarray)
 def reference_gcn_backward(stack: AuxGcnStack, sim: sp.csr_matrix, cache,
                            d: np.ndarray) -> np.ndarray:
     sim_t = sim.T.tocsr()
-    for (affine, bn, _), (agg, xhat, inv_std, mask) in zip(reversed(stack.layers),
-                                                          reversed(cache)):
+    for layer, (agg, xhat, inv_std, mask) in zip(reversed(stack.layers), reversed(cache)):
+        affine, bn = layer.affine, layer.bn
         d = d * mask
         n = xhat.shape[0]
         bn.gamma.grad += (d * xhat).sum(axis=0)
@@ -257,7 +253,7 @@ def reference_gcn_backward(stack: AuxGcnStack, sim: sp.csr_matrix, cache,
 
 
 def reference_gcn_eval(stack: AuxGcnStack, sim: sp.csr_matrix, h: np.ndarray) -> np.ndarray:
-    for affine, bn, _ in stack.layers:
+    for affine, bn in ((layer.affine, layer.bn) for layer in stack.layers):
         z = np.asarray(sim @ h) @ affine.w.value + affine.b.value
         xhat = (z - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + bn.eps))
         h = np.maximum(bn.gamma.value * xhat + bn.beta.value, 0.0)
@@ -309,7 +305,7 @@ def assert_classes_match_per_node(x: np.ndarray, sim: sp.csr_matrix, layers: int
 
     got, ref = net(), net()
     d_a = np.random.default_rng(seed + 1).normal(size=(n, d))
-    out = got.forward(classes, "train")
+    out = got.forward(classes, train=True)
     got.backward(d_a)
 
     # The per-node GCN runs in long double.  Identical isolated nodes have
@@ -319,7 +315,7 @@ def assert_classes_match_per_node(x: np.ndarray, sim: sp.csr_matrix, layers: int
     # summed per distinct row in long double as well, rounded once and
     # handed to the encoder on each row's first node.
     ld = np.longdouble
-    h_nodes = ref.encoder.forward(distinct_rows(x), "train")
+    h_nodes = ref.encoder.forward(distinct_rows(x), train=True)
     expect, cache = reference_gcn_forward(ref.gcn, sim.astype(ld), h_nodes.astype(ld))
     d_nodes = reference_gcn_backward(ref.gcn, sim.astype(ld), cache, d_a.astype(ld))
     rows = distinct_rows(x)
@@ -341,8 +337,8 @@ def assert_classes_match_per_node(x: np.ndarray, sim: sp.csr_matrix, layers: int
     # A single class makes each affine map a one-row product, which BLAS
     # computes with its matrix-vector kernel and rounds differently from the
     # matrix-matrix kernel the nodes go through; any other class count is exact.
-    expect = reference_gcn_eval(got.gcn, sim, got.encoder.forward(distinct_rows(x), "eval"))
-    out = got.forward(classes, "eval")
+    expect = reference_gcn_eval(got.gcn, sim, got.encoder.forward(distinct_rows(x), train=False))
+    out = got.forward(classes, train=False)
     if len(classes.counts) > 1 or layers == 0:
         assert np.array_equal(out, expect)
     else:
@@ -375,15 +371,13 @@ class TestNodeClasses:
 
     def test_asymmetric_graph(self):
         # nodes 0 and 3 read isolated nodes 5 to 9, which do not read them
-        # back; node 0's columns 6 and 7 become classes 5 and 4, out of order
+        # back; then one edge whose two directions store different values
         edges = self.LINKED + [(0, 6, 0.3), (0, 7, 0.6), (0, 9, 0.8), (3, 5, 0.9),
                                (3, 8, 0.2)]
-        sim = graph_from(10, edges, np.ones(10))
-        classes = node_classes(self.X, sim)
-        assert classes.counts.tolist() == [1, 1, 1, 1, 4, 1, 1]
-        row = classes.sim.indices[classes.sim.indptr[0]:classes.sim.indptr[1]]
-        assert row.tolist() == [0, 1, 5, 4, 4]
-        assert_classes_match_per_node(self.X, sim, 2)
+        uneven = [(0, 1, 0.5), (1, 0, 0.25)] + self.LINKED[2:]
+        for sim in (graph_from(10, edges, np.ones(10)), graph_from(10, uneven, np.ones(10))):
+            with pytest.raises(ValueError, match="symmetric"):
+                node_classes(self.X, sim)
 
     def test_no_isolated_nodes(self):
         edges = [(i, (i + 1) % 10, 0.5) for i in range(10)]
@@ -416,6 +410,11 @@ class TestNodeClasses:
         with pytest.raises(ValueError, match="square"):
             node_classes(self.X, graph_from(9, [], np.ones(9)))
 
+    def test_missing_self_loops_rejected(self):
+        sim = sp.csr_matrix(np.array([[1.0, 0.2], [0.2, 0.0]]))
+        with pytest.raises(ValueError, match="self-loops"):
+            node_classes(np.ones((2, 2)), sim)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_per_node_reference_on_random_graphs(self, data):
@@ -423,11 +422,47 @@ class TestNodeClasses:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = self.PATTERNS[rng.integers(0, data.draw(st.integers(1, 3)), size=n)]
         density = data.draw(st.sampled_from([0.0, 0.1, 0.3]))
-        edges = [(r, c, float(rng.uniform(0.1, 1.0))) for r in range(n) for c in range(n)
-                 if r != c and rng.random() < density]
+        edges = [(r, c, float(rng.uniform(0.1, 1.0))) for r in range(n)
+                 for c in range(r + 1, n) if rng.random() < density]
+        edges += [(c, r, v) for r, c, v in edges]
         diagonal = rng.choice([1.0, 0.5], size=n)
         sim = graph_from(n, edges, diagonal)
         assert_classes_match_per_node(x, sim, data.draw(st.integers(0, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_class_graph_is_its_own_transpose(self, data):
+        # symmetric graphs whose isolated nodes share rows and diagonal
+        # values, so some merge: the class graph stays symmetric with sorted
+        # rows, and the backward's product by it is the product by its
+        # transpose, bit for bit
+        n = data.draw(st.integers(2, 16), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = self.PATTERNS[rng.integers(0, data.draw(st.integers(1, 3)), size=n)]
+        linked = np.flatnonzero(rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.7])))
+        edges = [(r, c, float(rng.uniform(0.1, 1.0))) for k, r in enumerate(linked)
+                 for c in linked[k + 1:] if rng.random() < 0.5]
+        edges += [(c, r, v) for r, c, v in edges]
+        classes = node_classes(x, graph_from(n, edges, rng.choice([1.0, 0.5], size=n)))
+        sim, sim_t = classes.sim, classes.sim.T.tocsr()
+        rows = np.repeat(np.arange(sim.shape[0]), np.diff(sim.indptr))
+        assert np.all((np.diff(rows) > 0) | (np.diff(sim.indices) > 0))
+        for a, b in ((sim.indptr, sim_t.indptr), (sim.indices, sim_t.indices),
+                     (sim.data, sim_t.data)):
+            assert np.array_equal(a, b)
+
+        layers = data.draw(st.integers(1, 3), label="layers")
+        h = rng.normal(size=(len(classes.counts), 4))
+        d_out = rng.normal(size=h.shape)
+        got, ref = (AuxGcnStack(4, layers, np.random.default_rng(0)) for _ in range(2))
+        for stack in (got, ref):
+            stack.forward(sim, h, classes.counts, train=True)
+        d = d_out
+        for layer in reversed(ref.layers):
+            d = sim_t @ layer.backward(d)
+        assert np.array_equal(got.backward(d_out), d)
+        for p, q in zip(got.params(), ref.params()):
+            assert np.array_equal(p.grad, q.grad), p.name
 
 
 class TestGcnStack:
@@ -436,16 +471,15 @@ class TestGcnStack:
         stack = AuxGcnStack(3, 1, rng)
         sim = loop_graph(np.zeros((4, 4)))
         h = rng.normal(size=(4, 3))
-        out = stack.forward(sim, h, np.ones(4), "train")
+        out = stack.forward(sim, h, np.ones(4), train=True)
         # node 0 aggregates only itself: output equals the transform of its own feature
-        affine, bn, relu = stack.layers[0]
-        expect = relu.forward(bn.forward(affine.forward(h, True), True, np.ones(4)), True)
+        expect = stack.layers[0].forward(h, True, np.ones(4))
         assert np.allclose(out[0], expect[0])
 
     def test_identity_transform_hand_aggregation(self):
         rng = np.random.default_rng(1)
         stack = AuxGcnStack(2, 1, rng)
-        affine, bn, relu = stack.layers[0]
+        affine, bn = stack.layers[0].affine, stack.layers[0].bn
         bn.eps = 0.0
         affine.w.value[...] = np.eye(2)
         affine.b.value[...] = 0.0
@@ -453,7 +487,7 @@ class TestGcnStack:
         off[0, 1] = off[1, 0] = 0.25
         sim = loop_graph(off)
         h = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = stack.forward(sim, h, np.ones(2), "eval")  # running stats are identity at init
+        out = stack.forward(sim, h, np.ones(2), train=False)  # running stats are identity at init
         assert np.allclose(out[0], h[0] + 0.25 * h[1])
 
     def test_matches_dense_oracle(self):
@@ -464,10 +498,10 @@ class TestGcnStack:
         sim = loop_graph(off)
         stack = AuxGcnStack(4, 2, rng)
         h = rng.normal(size=(15, 4))
-        out = stack.forward(sim, h, np.ones(15), "train")
+        out = stack.forward(sim, h, np.ones(15), train=True)
         dense = sim.toarray()
         cur = h
-        for affine, bn, relu in stack.layers:
+        for affine, bn in ((layer.affine, layer.bn) for layer in stack.layers):
             agg = dense @ cur
             z = agg @ affine.w.value + affine.b.value
             mu, var = z.mean(0), z.var(0)
@@ -478,30 +512,8 @@ class TestGcnStack:
     def test_zero_layers_pass_through(self):
         stack = AuxGcnStack(3, 0, np.random.default_rng(0))
         h = np.random.default_rng(1).normal(size=(5, 3))
-        out = stack.forward(loop_graph(np.zeros((5, 5))), h, np.ones(5), "train")
+        out = stack.forward(loop_graph(np.zeros((5, 5))), h, np.ones(5), train=True)
         assert out is h
-
-    def test_each_new_graph_is_checked_and_transposed(self):
-        rng = np.random.default_rng(4)
-        h, d = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-        off = np.triu(rng.random((6, 6)) * (rng.random((6, 6)) < 0.4), 1)
-        first, second = loop_graph(off + off.T), loop_graph(off.T)  # the second is asymmetric
-        stack = AuxGcnStack(3, 2, np.random.default_rng(0))
-        fresh = AuxGcnStack(3, 2, np.random.default_rng(0))
-        ones = np.ones(6)
-        stack.forward(first, h, ones, "train")
-        stack.backward(d)
-        stack.forward(second, h, ones, "train")
-        fresh.forward(second, h, ones, "train")
-        assert np.array_equal(stack.backward(d), fresh.backward(d))
-        with pytest.raises(ValueError, match="self-loops"):
-            stack.forward(sp.csr_matrix(off + off.T), h, ones, "train")
-
-    def test_missing_self_loops_rejected(self):
-        stack = AuxGcnStack(2, 1, np.random.default_rng(0))
-        sim = sp.csr_matrix(np.array([[1.0, 0.2], [0.2, 0.0]]))
-        with pytest.raises(ValueError, match="self-loops"):
-            stack.forward(sim, np.ones((2, 2)), np.ones(2), "train")
 
 
 def rated(user: int, item: int, rating: float):
@@ -540,8 +552,8 @@ class TestStage1Loss:
         stage1_loss_and_grad(user_net, item_net, x_u, x_v, batch)
 
         def loss():
-            au = user_net.forward(x_u, "train")
-            av = item_net.forward(x_v, "train")
+            au = user_net.forward(x_u, train=True)
+            av = item_net.forward(x_v, train=True)
             val, _, _ = squared_score_loss(au, av, batch)
             return val
 
@@ -615,8 +627,8 @@ class TestExtractor:
         net = build_extractor(6, 3, [5], 0, rng)
         x = rng.normal(size=(7, 6))
         sim = loop_graph(np.zeros((7, 7)))
-        a = net.forward(node_classes(x, sim), "eval")
-        a_prime = net.encoder.forward(distinct_rows(x), "eval")
+        a = net.forward(node_classes(x, sim), train=False)
+        a_prime = net.encoder.forward(distinct_rows(x), train=False)
         assert np.array_equal(a, a_prime)
 
 

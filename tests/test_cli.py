@@ -11,7 +11,7 @@ from crossfuse import cli, store, synthetic
 from crossfuse.cli import main
 from crossfuse.data import TEST, TRAIN, DataError, InteractionDataset
 from crossfuse.evaluate import category_kl
-from crossfuse.graph import load_graph
+from crossfuse.graph import load_graph, save_graph
 from crossfuse.store import ArrayFile
 
 
@@ -639,6 +639,52 @@ class TestExitCodes:
         assert main(["prepare", "--config", cfg]) == 3
         assert f"{bare}: no attribute columns" in _one_data_error(capsys)
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("key", ["interactions", "user_attributes"])
+    def test_input_file_that_is_not_utf8_is_data_error(self, workspace, tmp_path, capsys,
+                                                       key):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(workspace["inputs"][key].read_bytes() + b"\xff\n")
+        out = tmp_path / "out"
+        cfg = _config_at(workspace, out, tmp_path, **{key: bad})
+        assert main(["prepare", "--config", cfg]) == 3
+        err = _one_data_error(capsys)
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err
+        assert not any(out.iterdir())
+
+    def test_config_file_that_is_not_utf8_is_config_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(workspace["config"].read_bytes() + b"# \xff\n")
+        assert main(["prepare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, name, message", [
+        ("train", "adjacency.graph", "graph is not symmetric"),
+        ("train-aux", "user_sim.graph", "similarity graph lacks a diagonal entry")],
+        ids=["asymmetric-adjacency", "similarity-without-diagonal"])
+    @pytest.mark.usefixtures("prepared")
+    def test_graph_the_convolutions_cannot_take_is_data_error(self, workspace, tmp_path,
+                                                              capsys, command, name,
+                                                              message):
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out)
+        cfg = tmp_path / "variant.cfg"
+        cfg.write_text(workspace["config"].read_text().replace(
+            f"output_dir = {workspace['out']}", f"output_dir = {out}").replace(
+            "[fusion]\n", "[fusion]\nvariant = none\n"), encoding="utf-8")
+        path = out / name
+        mat = load_graph(path).tolil()
+        if name == "adjacency.graph":
+            mat[0, mat.rows[0][0]] *= 2.0  # the mirrored entry keeps its value
+        else:
+            mat[0, 0] = 0.0  # drops the stored entry
+        save_graph(path, mat.tocsr())
+        assert main([command, "--config", str(cfg)]) == 3
+        err = _one_data_error(capsys)
+        assert err.startswith(f"data error: {path}: {message}")
+        assert "re-run `crossfuse prepare`" in err
 
     @pytest.mark.usefixtures("trained")
     def test_checkpoint_of_another_dataset_is_data_error(self, workspace, short_prepared,
