@@ -6,8 +6,10 @@ explicit ratings, and trains the desk: stage 1, then stage 2 under every
 objective (cross, none, concat, plain-sum, weighted-sum, and cross with the
 squared-error graph loss).  Three more stage-1 runs of 3 epochs on seed 0
 cover an encoder with no hidden layer, a stack with no convolution, and two
-hidden layers under two convolutions.  The digest covers what ``load_interactions`` and
-``encode_auxiliary`` return for each file set, the stage-1 features,
+hidden layers under two convolutions.  The digest covers what
+``load_interactions`` and ``encode_auxiliary`` return for each file set, the
+set-up graphs of each training run (R rated and binarized, both similarity
+graphs and the adjacency: every array with its dtype), the stage-1 features,
 parameters and running statistics, each stage-2 run's last and best arrays
 and Adam moments, every epoch's loss and validation NDCG@10, and the
 gradient checks' errors at seed 7.  ``--mid`` adds the mid shape (3000 x
@@ -110,6 +112,11 @@ def train(digest: Digest, label: str, data, ds, dim: int, hidden, gcn_layers: in
     sim_u = build_similarity_graph(R, "rows", 0.3)
     sim_v = build_similarity_graph(R, "columns", 0.3)
     adj = normalize_bipartite(ds)
+    graphs = {"ratings": interaction_matrix(ds), "R": R, "sim_u": sim_u, "sim_v": sim_v,
+              "adj": adj}
+    for name, mat in graphs.items():
+        digest.add_named(f"{label}.{name}", {"shape": mat.shape, "indptr": mat.indptr,
+                                             "indices": mat.indices, "data": mat.data})
     rng = np.random.default_rng(seed + 100)
     user_net = auxnet.build_extractor(data.user_features.dim, dim, hidden, gcn_layers, rng,
                                       name="u")

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import old_graph_bytes
 from crossfuse import graph, store
 from crossfuse.backbone import BackboneConfig, LightGCN
-from crossfuse.data import DataError, InteractionDataset
+from crossfuse.data import TRAIN, DataError, InteractionDataset
 from crossfuse.graph import _csr_matmat as graph_csr_matmat
 from crossfuse.graph import (build_similarity_graph, check_csr, interaction_matrix,
                              isolated_nodes, load_graph, normalize_bipartite, save_graph)
@@ -68,6 +68,14 @@ class TestSimilarityGraph:
         a = build_similarity_graph(Rb, "rows", epsilon=0.0)
         b = build_similarity_graph(Rr, "rows", epsilon=0.0)
         assert np.allclose(a.toarray(), b.toarray())
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
+    def test_repeats_count_once_in_any_dtype(self, dtype):
+        # user 0 stores item 0 three times and item 1 once; user 1 item 0
+        R = sp.csr_matrix((np.ones(5, dtype), np.array([0, 0, 1, 0, 0]), np.array([0, 4, 5])),
+                          shape=(2, 2))
+        sim = build_similarity_graph(R, "rows", epsilon=0.0)
+        assert sim[0, 1] == 1.0 / np.sqrt(2.0)  # co-count 1 over sqrt(2 * 1)
 
     @settings(max_examples=40, deadline=None)
     @given(binary_matrices, st.floats(0.05, 0.95))
@@ -163,6 +171,19 @@ class TestBlockedSimilarityBuild:
             got = build_similarity_graph(R, axis, epsilon, variant)
         assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant))
 
+    @pytest.mark.parametrize("given", ["binary", "counts"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("variant", ["cosine", "printed"])
+    @pytest.mark.parametrize("axis", ["rows", "columns"])
+    def test_one_block_equals_whole_matrix_formula(self, axis, variant, epsilon, given):
+        # the least-blocks rule lifted: one block computes both triangles
+        R = self.interactions() if given == "binary" else self.counts()
+        size = R.shape[0] if axis == "rows" else R.shape[1]
+        with mock.patch.object(graph, "_BLOCK_BYTES", block_rows(None, size)), \
+                mock.patch.object(graph, "_MIN_BLOCKS", 1):
+            got = build_similarity_graph(R, axis, epsilon, variant)
+        assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant))
+
     def test_budget_below_one_row_still_takes_one_row(self):
         R = self.interactions()
         with mock.patch.object(graph, "_BLOCK_BYTES", 0):
@@ -199,7 +220,10 @@ class TestBlockedSimilarityBuild:
                 mock.patch.object(graph, "_csr_matmat", product):
             got = build_similarity_graph(R, axis, 0.3)
         assert_same_csr(got, whole_matrix_graph(R, axis, 0.3))
-        bound = min(rows or size, size) * (size - 1)
+        # the first block is as long as the budget allows, but no longer than
+        # an even split of the nodes into graph._MIN_BLOCKS blocks
+        width = min(rows or size, size, -(-size // graph._MIN_BLOCKS))
+        bound = width * (size - 1)
         assert filled[0] == (bound, bound)
         assert all(nnz <= cap for nnz, cap in filled)
 
@@ -230,6 +254,129 @@ class TestBlockedSimilarityBuild:
         want, whole = traced_peak(whole_matrix_graph)
         assert_same_csr(got, want)
         assert blocked < whole / 3
+
+
+class TestPrefilter:
+    """Only co-counts c >= epsilon / top**2 * (1 - 1e-9) are scaled, top the
+    largest inverse norm; that floor drops nothing the threshold keeps."""
+
+    @staticmethod
+    def boundary(repeats: bool = False) -> sp.csr_matrix:
+        # 3 users of 4 items each, so top is 1/2 (cosine) or 1/4 (printed)
+        # and the floor is 2: users 0 and 1 share 2 items, a similarity of
+        # exactly 1/2 (cosine) or 1/8 (printed); user 2 shares 1 item with
+        # each of them
+        rows = [[0, 1, 2, 3], [0, 1, 4, 5], [3, 5, 6, 7]]
+        if not repeats:
+            return sp.csr_matrix((np.ones(12), np.concatenate(rows), [0, 4, 8, 12]),
+                                 shape=(3, 8))
+        # user 0 stores item 0 twice (values 1 and -1, which sum to 0), user
+        # 2 stores an explicit zero at item 0 and one at item 4, twice
+        rows = [[0, 0, 1, 2, 3], [0, 1, 4, 5], [0, 3, 4, 4, 5, 6, 7]]
+        values = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                  0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        return sp.csr_matrix((values, np.concatenate(rows), [0, 5, 9, 16]), shape=(3, 8))
+
+    @pytest.mark.parametrize("repeats", [False, True], ids=["plain", "repeats-and-zeros"])
+    @pytest.mark.parametrize("variant, epsilon", [("cosine", 0.5), ("printed", 0.125)])
+    @pytest.mark.parametrize("axis", ["rows", "columns"])
+    def test_pair_at_epsilon_kept_one_below_dropped(self, axis, variant, epsilon, repeats):
+        R = self.boundary(repeats)
+        R = R if axis == "rows" else R.T.tocsc()
+        got = build_similarity_graph(R, axis, epsilon, variant)
+        assert_same_csr(got, whole_matrix_graph(R, axis, epsilon, variant))
+        assert_same_csr(got, build_similarity_graph(self.boundary(), "rows", epsilon, variant))
+        assert got[0, 1] == got[1, 0] == epsilon
+        assert got.nnz == 3 + 2  # the diagonal and the one pair at epsilon
+
+    @pytest.mark.parametrize("repeats", [False, True], ids=["plain", "repeats-and-zeros"])
+    @pytest.mark.parametrize("variant", ["cosine", "printed"])
+    def test_epsilon_zero_keeps_every_co_occurring_pair(self, variant, repeats):
+        got = build_similarity_graph(self.boundary(repeats), "rows", 0.0, variant)
+        assert_same_csr(got, whole_matrix_graph(self.boundary(repeats), "rows", 0.0, variant))
+        assert got.nnz == 9
+
+    def test_co_counts_below_the_floor_are_not_scaled(self):
+        # above a floor of 1, each block finds the rows of the co-counts it
+        # scales with one right-sided search: at epsilon 0.5 the floor is 2
+        # and only the pair (0, 1) gets there
+        searched = []
+        search = np.searchsorted
+
+        def spy(a, v, side="left"):
+            if side == "right":
+                searched.append(len(v))
+            return search(a, v, side=side)
+
+        with mock.patch.object(graph.np, "searchsorted", spy):
+            build_similarity_graph(self.boundary(), "rows", 0.5)
+        assert sum(searched) == 1
+
+
+def coo_interaction_matrix(ds: InteractionDataset, binarize: bool = False) -> sp.csr_matrix:
+    """``interaction_matrix`` as a COO assembly of the train triplets: the
+    reference the CSR-read build must equal bit for bit."""
+    idx = ds.split_indices(TRAIN)
+    vals = np.ones(len(idx)) if binarize else ds.ratings[idx]
+    out = sp.coo_matrix((vals, (ds.users[idx], ds.items[idx])), shape=(ds.n, ds.m)).tocsr()
+    out.sum_duplicates()
+    out.sort_indices()
+    return out
+
+
+def coo_normalize_bipartite(ds: InteractionDataset) -> sp.csr_matrix:
+    """``normalize_bipartite`` as a COO assembly of both edge directions, the
+    reference the CSR-read build must equal bit for bit."""
+    tr = ds.split_indices(TRAIN)
+    u, i = ds.users[tr], ds.items[tr]
+    du, di = np.bincount(u, minlength=ds.n), np.bincount(i, minlength=ds.m)
+    w = 1.0 / np.sqrt(du[u].astype(np.float64) * di[i].astype(np.float64))
+    size = ds.n + ds.m
+    out = sp.coo_matrix((np.concatenate([w, w]), (np.concatenate([u, ds.n + i]),
+                                                  np.concatenate([ds.n + i, u]))),
+                        shape=(size, size)).tocsr()
+    out.sort_indices()
+    return out
+
+
+def random_split_dataset(seed: int) -> InteractionDataset:
+    """Up to 14 x 14 interactions in random order, random ratings and split
+    tags: some users and items have no train interaction, some none at all."""
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(1, 15, size=2))
+    pairs = rng.permutation(n * m)[:int(rng.integers(1, n * m + 1))]
+    users, items = np.divmod(pairs, m)
+    tags = rng.choice(3, size=len(pairs), p=[0.6, 0.2, 0.2]).astype(np.int8)
+    ratings = rng.integers(1, 6, size=len(pairs)).astype(np.float64)
+    return InteractionDataset(n, m, users, items, ratings, tags)
+
+
+class TestTrainCsrBuilders:
+    """``interaction_matrix`` and ``normalize_bipartite`` read the cached
+    train CSR and equal the COO assembly bit for bit, dtypes included."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_the_coo_assembly(self, seed):
+        ds = random_split_dataset(seed)
+        assert_same_csr(normalize_bipartite(ds), coo_normalize_bipartite(ds))
+        for binarize in (False, True):
+            assert_same_csr(interaction_matrix(ds, binarize=binarize),
+                            coo_interaction_matrix(ds, binarize))
+
+    def test_isolated_users_and_items_are_covered(self):
+        # the random datasets above reach the cases the builders special-case
+        datasets = [random_split_dataset(seed) for seed in range(40)]
+        train = [np.diff(interaction_matrix(ds).indptr) for ds in datasets]
+        assert any(np.any(d == 0) for d in train)
+        assert any(np.any(np.bincount(interaction_matrix(ds).indices, minlength=ds.m) == 0)
+                   for ds in datasets)
+        assert any(interaction_matrix(ds).nnz == 0 for ds in datasets)
+
+    def test_no_train_interaction(self):
+        ds = InteractionDataset(2, 3, np.array([0, 1]), np.array([2, 0]), np.ones(2),
+                                np.array([1, 2], dtype=np.int8))
+        assert_same_csr(normalize_bipartite(ds), coo_normalize_bipartite(ds))
+        assert_same_csr(interaction_matrix(ds), coo_interaction_matrix(ds))
 
 
 class TestNormalizeBipartite:
