@@ -198,12 +198,15 @@ def _graph(out: Path, ds: InteractionDataset, name: str):
 def _matrix(path: Path, rows: int, dim: int | None, what: str, rerun: str) -> np.ndarray:
     """The dense matrix file at ``path``, checked to have ``rows`` rows and,
     unless ``dim`` is None, ``dim`` columns; ``what`` names what the shape
-    counts and ``rerun`` how to remake the file."""
+    counts and ``rerun`` how to remake the file.  A NaN or infinite entry is
+    refused too."""
     mat = auxnet.load_dense_matrix(path)
     if mat.shape[0] != rows or (dim is not None and mat.shape[1] != dim):
         want = f"{rows} rows" if dim is None else f"{rows}x{dim}"
         raise DataError(f"{path}: feature matrix is {mat.shape[0]}x{mat.shape[1]}, "
                         f"expected {want} ({what}){rerun}")
+    if not np.isfinite(mat).all():
+        raise DataError(f"{path}: feature matrix holds a NaN or infinite entry{rerun}")
     return mat
 
 

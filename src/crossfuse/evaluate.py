@@ -122,11 +122,10 @@ def top_n(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset, n: i
 
 
 def recommend_all(g_users: np.ndarray, g_items: np.ndarray, ds: InteractionDataset,
-                  n: int, users: Sequence[int] | None = None,
-                  chunk: int | None = None) -> dict[int, np.ndarray]:
+                  n: int, users: Sequence[int] | None = None) -> dict[int, np.ndarray]:
     """``top_n`` as a mapping from user to list, for every user by default."""
     users = np.arange(ds.n) if users is None else np.fromiter(users, np.int64)
-    return top_n(g_users, g_items, ds, n, users, chunk).as_dict()
+    return top_n(g_users, g_items, ds, n, users).as_dict()
 
 
 @dataclass
@@ -238,12 +237,11 @@ def score_top_n(top: TopN, truth: tuple[np.ndarray, np.ndarray], topn: Sequence[
 
 def ranking_metrics(recommendations: Mapping[int, np.ndarray],
                     ground_truth: Mapping[int, set],
-                    topn: Sequence[int],
-                    keep_per_user: bool = False) -> RankingReport:
+                    topn: Sequence[int]) -> RankingReport:
     """``score_top_n`` over mappings from user to list and to relevant items,
     for the users with relevant items, in ascending user order.  A user with
     relevant items but no list is skipped and counted.  Relevant items are
-    integer ids; repeats count once."""
+    integer ids; repeats count once.  The report keeps means only."""
     check_topn(topn)
     width = max(topn)
     users = sorted(ground_truth)
@@ -268,8 +266,8 @@ def ranking_metrics(recommendations: Mapping[int, np.ndarray],
     indptr = np.zeros(len(scored) + 1, dtype=np.int64)
     np.cumsum(sizes[chosen], out=indptr[1:])
     return score_top_n(TopN(np.array(scored, dtype=np.int64), top, lengths),
-                       (indptr, items[chosen[rows]]), topn, keep_per_user,
-                       int(np.count_nonzero(sizes)) - len(scored))
+                       (indptr, items[chosen[rows]]), topn,
+                       skipped=int(np.count_nonzero(sizes)) - len(scored))
 
 
 def _category_counts(lengths: np.ndarray, items: np.ndarray, slot: np.ndarray,

@@ -5,9 +5,7 @@ computed per pair: r_a = a_u.a_i, r_c1 = g_u.a_i, r_c2 = a_u.g_i.  Fusion
 minimizes (r_a - r_c1)^2 and (r_a - r_c2)^2 so the two feature spaces agree
 on predictions instead of coordinates; no new parameters are introduced.
 The module also carries the concatenation and (weighted) summation baseline
-losses, the one stage-2 objective and step every variant trains through, and
-independently coded closed-form gradients used to cross-check every backward
-pass.
+losses and the one stage-2 objective and step every variant trains through.
 """
 
 from __future__ import annotations
@@ -279,96 +277,3 @@ def fused_objective_grad(model: LightGCN, table: Param,
         table.grad += 2.0 * lam * table.value
     return loss
 
-
-# ---------------------------------------------------------------------------
-# Closed-form gradients (independent verification route)
-# ---------------------------------------------------------------------------
-# Each function below evaluates the published update direction literally:
-# an outer loop over nodes, an inner loop over that node's batch pairs, a
-# scalar weight, and a weighted feature sum.  They share no code with the
-# vectorized backward passes they are compared against.
-
-def _pairs_by_user(batch):
-    u, i, r = batch
-    by_u: dict[int, list[tuple[int, float]]] = {}
-    by_i: dict[int, list[tuple[int, float]]] = {}
-    for uu, ii, rr in zip(u, i, r):
-        by_u.setdefault(int(uu), []).append((int(ii), float(rr)))
-        by_i.setdefault(int(ii), []).append((int(uu), float(rr)))
-    return by_u, by_i
-
-
-def mse_grad_analytic(g_users, g_items, batch):
-    """d/dg of the squared-error loss of g_u.g_j against the rating:
-    sum_j 2(g_u.g_j - r) g_j.  The same form checks the stage-1 auxiliary
-    features and the stage-2 graph features."""
-    by_u, by_i = _pairs_by_user(batch)
-    dGu = np.zeros_like(g_users)
-    dGv = np.zeros_like(g_items)
-    for uu, pairs in by_u.items():
-        for jj, rr in pairs:
-            w = 2.0 * (g_users[uu] @ g_items[jj] - rr)
-            dGu[uu] += w * g_items[jj]
-    for ii, pairs in by_i.items():
-        for vv, rr in pairs:
-            w = 2.0 * (g_users[vv] @ g_items[ii] - rr)
-            dGv[ii] += w * g_users[vv]
-    return dGu, dGv
-
-
-def fused_mse_grad_analytic(g_users, g_items, a_users, a_items, batch,
-                            lambda1: float, lambda2: float):
-    """Update direction of the full squared-error objective: each neighbor
-    contributes w_g * g_j + w_c * a_j, mixing both feature spaces."""
-    by_u, by_i = _pairs_by_user(batch)
-    dGu = np.zeros_like(g_users)
-    dGv = np.zeros_like(g_items)
-    for uu, pairs in by_u.items():
-        for jj, rr in pairs:
-            w_g = 2.0 * (g_users[uu] @ g_items[jj] - rr)
-            w_c = 2.0 * lambda1 * (g_users[uu] @ a_items[jj] - a_users[uu] @ a_items[jj])
-            dGu[uu] += w_g * g_items[jj] + w_c * a_items[jj]
-    for ii, pairs in by_i.items():
-        for vv, rr in pairs:
-            w_g = 2.0 * (g_users[vv] @ g_items[ii] - rr)
-            w_c = 2.0 * lambda2 * (a_users[vv] @ g_items[ii] - a_users[vv] @ a_items[ii])
-            dGv[ii] += w_g * g_users[vv] + w_c * a_users[vv]
-    return dGu, dGv
-
-
-def concat_grad_analytic(g_users, g_items, a_users, a_items, batch):
-    """Concatenation baseline: the weight sees both scores but only g_j is
-    ever added to the update."""
-    by_u, by_i = _pairs_by_user(batch)
-    dGu = np.zeros_like(g_users)
-    dGv = np.zeros_like(g_items)
-    for uu, pairs in by_u.items():
-        for jj, rr in pairs:
-            w = 2.0 * (a_users[uu] @ a_items[jj] + g_users[uu] @ g_items[jj] - rr)
-            dGu[uu] += w * g_items[jj]
-    for ii, pairs in by_i.items():
-        for vv, rr in pairs:
-            w = 2.0 * (a_users[vv] @ a_items[ii] + g_users[vv] @ g_items[ii] - rr)
-            dGv[ii] += w * g_users[vv]
-    return dGu, dGv
-
-
-def weighted_sum_grad_analytic(g_users, g_items, a_users, a_items, batch, weights):
-    """Summation baseline: a fixed W2^T / W4^T mixing of both feature spaces."""
-    w1, w2, w3, w4 = weights
-    by_u, by_i = _pairs_by_user(batch)
-    dGu = np.zeros_like(g_users)
-    dGv = np.zeros_like(g_items)
-    for uu, pairs in by_u.items():
-        for jj, rr in pairs:
-            pu = w1 @ a_users[uu] + w2 @ g_users[uu]
-            qj = w3 @ a_items[jj] + w4 @ g_items[jj]
-            w = 2.0 * (pu @ qj - rr)
-            dGu[uu] += w * (w2.T @ qj)
-    for ii, pairs in by_i.items():
-        for vv, rr in pairs:
-            pv = w1 @ a_users[vv] + w2 @ g_users[vv]
-            qi = w3 @ a_items[ii] + w4 @ g_items[ii]
-            w = 2.0 * (pv @ qi - rr)
-            dGv[ii] += w * (w4.T @ pv)
-    return dGu, dGv

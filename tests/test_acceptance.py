@@ -37,28 +37,34 @@ FD_CHECKS = 7
 EXACT_CHECKS = 5
 
 
-def test_criterion_1_gradients_match_finite_differences():
+@pytest.fixture(scope="module")
+def suite_runs():
+    """``gradcheck.run_suite`` at seeds 0-19, run once for both criteria, and
+    the seconds the 20 runs took."""
     t0 = time.perf_counter()
+    runs = [gradcheck.run_suite(seed=seed) for seed in range(20)]
+    return runs, time.perf_counter() - t0
+
+
+def test_criterion_1_gradients_match_finite_differences(suite_runs):
+    runs, elapsed = suite_runs
     worst = 0.0
     ok = True
-    for seed in range(20):
-        results = gradcheck.run_suite(seed=seed)
+    for results in runs:
         fd = [r for r in results if r.tolerance == gradcheck.FD_TOL]
         assert len(fd) == FD_CHECKS
         worst = max(worst, max(r.max_error for r in fd))
         ok = ok and all(r.passed for r in fd)
-    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     report(1, ok, f"all losses vs central differences over 20 seeds, worst "
                   f"relative error {worst:.2e} (tol 1e-5), {elapsed:.1f}s")
     assert ok
 
 
-def test_criterion_2_closed_form_gradients_agree():
+def test_criterion_2_closed_form_gradients_agree(suite_runs):
     worst = 0.0
     ok = True
-    for seed in range(20):
-        results = gradcheck.run_suite(seed=seed)
+    for results in suite_runs[0]:
         exact = [r for r in results if r.tolerance == gradcheck.EXACT_TOL]
         assert len(exact) == EXACT_CHECKS
         worst = max(worst, max(r.max_error for r in exact))

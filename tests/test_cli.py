@@ -614,6 +614,43 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.usefixtures("stage1_done")
+    def test_non_finite_external_feature_matrix_is_data_error(self, workspace, tmp_path,
+                                                             capsys):
+        from crossfuse.auxnet import load_dense_matrix, save_dense_matrix
+
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
+        cfg = _config_at(workspace, out, tmp_path)
+        users = load_dense_matrix(out / "aux_users.mat")
+        users[1, 2] = np.nan
+        ext = tmp_path / "external_users.mat"
+        save_dense_matrix(ext, users)
+        assert main(["train", "--config", cfg, "--aux-users", str(ext),
+                     "--aux-items", str(out / "aux_items.mat")]) == 3
+        err = _one_data_error(capsys)
+        assert str(ext) in err and "NaN or infinite" in err
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.usefixtures("stage1_done")
+    def test_non_finite_stage1_feature_matrix_is_data_error(self, workspace, tmp_path,
+                                                           capsys, command):
+        from crossfuse.auxnet import load_dense_matrix, save_dense_matrix
+
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out,
+                        ignore=shutil.ignore_patterns("model.ckpt", "ablation.tsv"))
+        cfg = _config_at(workspace, out, tmp_path)
+        path = out / "aux_users.mat"
+        users = load_dense_matrix(path)
+        users[0, 0] = np.inf
+        save_dense_matrix(path, users)
+        assert main([command, "--config", cfg]) == 3
+        err = _one_data_error(capsys)
+        assert str(path) in err and "re-run `crossfuse train-aux`" in err
+        assert not (out / "model.ckpt").exists() and not (out / "ablation.tsv").exists()
+
     @pytest.mark.usefixtures("trained")
     def test_failed_prepare_leaves_the_workspace_unchanged(self, workspace, short_inputs,
                                                           tmp_path, capsys):

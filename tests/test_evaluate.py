@@ -214,16 +214,22 @@ class TestBlockRankingMatchesPerUserReference:
     @given(ranking_cases())
     def test_lists_and_metrics_equal_reference(self, case):
         g_users, g_items, ds, n, users, chunk, truth, topn = case
-        recs = recommend_all(g_users, g_items, ds, n, users, chunk=chunk)
+        recs = recommend_all(g_users, g_items, ds, n, users)
         expect = _reference_lists(g_users, g_items, ds, n, users)
         assert list(recs) == list(expect)
         assert all(recs[u].tolist() == expect[u].tolist() for u in users)
 
-        rep = ranking_metrics(recs, truth, topn, keep_per_user=True)
+        rep = ranking_metrics(recs, truth, topn)
         means, per_user, evaluated, skipped = _reference_metrics(expect, truth, topn)
         assert rep.means == means
-        assert rep.per_user == per_user
         assert (rep.users_evaluated, rep.users_skipped) == (evaluated, skipped)
+        # the evaluated users' values, their truth as sorted distinct CSR rows
+        scored = sorted(per_user)
+        rows = [sorted(set(truth[u])) for u in scored]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        indices = np.array([i for r in rows for i in r], dtype=np.int64)
+        top = top_n(g_users, g_items, ds, n, scored, chunk=chunk)
+        assert score_top_n(top, (indptr, indices), topn, keep_per_user=True).per_user == per_user
 
 
 def assert_matrix_equals_reference(top, g_users, g_items, ds, n, users):
@@ -290,9 +296,11 @@ class TestMatrixCore:
         got = score_top_n(top, rows, topn, keep_per_user=True)
         truth = {u: set(indices[indptr[u]:indptr[u + 1]].tolist()) for u in users.tolist()}
         want = ranking_metrics(recommend_all(g_users, g_items, ds, max(topn), users.tolist()),
-                               truth, topn, keep_per_user=True)
-        assert (got.means, got.per_user, got.users_evaluated, got.users_skipped) == (
-            want.means, want.per_user, want.users_evaluated, want.users_skipped)
+                               truth, topn)
+        assert (got.means, got.users_evaluated, got.users_skipped) == (
+            want.means, want.users_evaluated, want.users_skipped)
+        reference = _reference_lists(g_users, g_items, ds, max(topn), users.tolist())
+        assert got.per_user == _reference_metrics(reference, truth, topn)[1]
 
     def test_padding_is_never_a_hit(self):
         # a -1 pad keys one below the row's first key, which is the previous

@@ -5,10 +5,9 @@ from conftest import make_random_dataset
 from crossfuse.auxnet import squared_score_loss
 from crossfuse.backbone import BackboneConfig, LightGCN
 from crossfuse.fusion import (FusionConfig, concat_fusion_loss, cross_fusion_loss,
-                              effective_features, feature_objective,
-                              fused_mse_grad_analytic, fused_objective_grad,
+                              effective_features, feature_objective, fused_objective_grad,
                               weighted_sum_fusion_loss)
-from crossfuse.gradcheck import central_difference, max_rel_error
+from crossfuse.gradcheck import central_difference, fused_mse_grad_analytic, max_rel_error
 from crossfuse.graph import normalize_bipartite
 from crossfuse.optim import Param
 
