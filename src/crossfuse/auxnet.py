@@ -22,38 +22,29 @@ backward multiplies by the graph itself.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .data import DataError
+from . import store
+from .data import AttributeField
 from .optim import Param, scatter_rows
 
 
-def save_dense_matrix(path, mat: np.ndarray) -> None:
-    """Dense real matrix file: rows and dim as little-endian u64, then
-    row-major little-endian 64-bit reals.  Externally computed feature
-    matrices in this format can stand in for this module's output."""
-    mat = np.ascontiguousarray(mat, dtype=np.float64)
+def save_dense_matrix(path, mat: np.ndarray, fields: Sequence[AttributeField]) -> None:
+    """Write a real matrix as a :mod:`store` file: meta ``{"kind": "matrix",
+    "fields": [...]}`` and the float64 array ``values``.  ``fields`` are an
+    attribute matrix's one-hot fields, each kept as its name and categories,
+    and empty for a feature matrix.  Externally computed feature matrices
+    written here can stand in for this module's output."""
+    mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", mat.shape[0], mat.shape[1]))
-        fh.write(mat.astype("<f8").tobytes())
-
-
-def load_dense_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise DataError(f"{path}: truncated matrix file")
-    rows, dim = struct.unpack("<QQ", raw[:16])
-    if len(raw) != 16 + rows * dim * 8:
-        raise DataError(f"{path}: matrix payload size mismatch")
-    data = np.frombuffer(raw, dtype="<f8", offset=16)
-    return data.reshape(rows, dim).astype(np.float64)
+    meta = {"kind": "matrix",
+            "fields": [{"name": f.name, "categories": list(f.categories)} for f in fields]}
+    store.save(path, store.ArrayFile(meta, {"values": mat}))
 
 
 @dataclass(frozen=True)

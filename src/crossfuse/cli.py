@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__, auxnet, fusion, gradcheck, store
 from .backbone import BackboneConfig, LightGCN, init_embeddings
 from .config import ConfigError, RunConfig, load_config
-from .data import (DataError, InteractionDataset, encode_auxiliary, load_interactions,
-                   make_fields, split_dataset, write_remap_table, TEST)
+from .data import (AttributeField, DataError, InteractionDataset, encode_auxiliary,
+                   load_interactions, make_fields, split_dataset, write_remap_table, TEST)
 from .evaluate import category_kl, write_report_json, write_report_text
 from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
                     load_graph, normalize_bipartite, save_graph)
@@ -160,21 +160,7 @@ def _load_dataset(out: Path) -> InteractionDataset:
         raise DataError(f"{path}: not a prepared dataset ({exc})") from exc
 
 
-def _save_fields(path: Path, fields) -> None:
-    doc = [{"name": f.name, "categories": list(f.categories), "offset": f.offset}
-           for f in fields]
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 _PREPARE = "; re-run `crossfuse prepare`"
-
-
-def _load_fields(path: Path):
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return make_fields([f["name"] for f in doc], [f["categories"] for f in doc])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: not an attribute field list ({exc}){_PREPARE}") from exc
 
 
 def _graph(out: Path, ds: InteractionDataset, name: str):
@@ -195,19 +181,33 @@ def _graph(out: Path, ds: InteractionDataset, name: str):
     return mat
 
 
-def _matrix(path: Path, rows: int, dim: int | None, what: str, rerun: str) -> np.ndarray:
-    """The dense matrix file at ``path``, checked to have ``rows`` rows and,
-    unless ``dim`` is None, ``dim`` columns; ``what`` names what the shape
-    counts and ``rerun`` how to remake the file.  A NaN or infinite entry is
-    refused too."""
-    mat = auxnet.load_dense_matrix(path)
-    if mat.shape[0] != rows or (dim is not None and mat.shape[1] != dim):
-        want = f"{rows} rows" if dim is None else f"{rows}x{dim}"
+def _matrix(path: Path, rows: int, dim: int | None, what: str,
+            rerun: str) -> tuple[np.ndarray, list[AttributeField]]:
+    """The matrix and the attribute fields of the file at ``path`` that
+    ``auxnet.save_dense_matrix`` wrote, checked to have ``rows`` rows and
+    ``dim`` columns, or for an attribute matrix (``dim`` None) one or more
+    fields that span its columns; ``what`` names what the shape counts and
+    ``rerun`` how to remake the file.  A file ``store.load`` rejects or that
+    holds no matrix, or a NaN or infinite entry, is refused too."""
+    try:
+        doc = store.load(path, "matrix")
+    except DataError as exc:
+        raise DataError(f"{exc}{rerun}") from exc
+    mat, fields = doc.arrays.get("values"), doc.meta.get("fields")
+    try:
+        fields = make_fields([f["name"] for f in fields], [f["categories"] for f in fields])
+    except (KeyError, TypeError):
+        fields = None
+    if (doc.meta.get("kind") != "matrix" or list(doc.arrays) != ["values"] or mat.ndim != 2
+            or mat.dtype != np.float64 or fields is None or (dim is None and not fields)):
+        raise DataError(f"{path}: not a matrix file{rerun}")
+    dim = sum(f.cardinality for f in fields) if dim is None else dim
+    if mat.shape != (rows, dim):
         raise DataError(f"{path}: feature matrix is {mat.shape[0]}x{mat.shape[1]}, "
-                        f"expected {want} ({what}){rerun}")
+                        f"expected {rows}x{dim} ({what}){rerun}")
     if not np.isfinite(mat).all():
         raise DataError(f"{path}: feature matrix holds a NaN or infinite entry{rerun}")
-    return mat
+    return mat, fields
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,7 @@ def cmd_prepare(args, cfg: RunConfig, out: Path) -> int:
     save_graph(out / "item_sim.graph", sim_v)
     save_graph(out / "adjacency.graph", adj)
     for side, feats in attrs.items():
-        auxnet.save_dense_matrix(out / f"{side}_attr.mat", feats.values)
-        _save_fields(out / f"{side}_attr_fields.json", feats.fields)
+        auxnet.save_dense_matrix(out / f"{side}_attr.mat", feats.values, feats.fields)
     (out / "build_report.txt").write_text(
         "".join(f"{key}\t{value}\n" for key, value in report.items()), encoding="utf-8")
     inputs = (args.config, paths.interactions, paths.user_attributes, paths.item_attributes)
@@ -256,7 +255,8 @@ def cmd_train_aux(args, cfg: RunConfig, out: Path) -> int:
         if not (out / f"{side}_attr.mat").exists():
             raise DataError(f"no {side} attribute matrix in {out}; prepare with "
                             f"[paths] {side}_attributes set")
-    user_x, item_x = (_matrix(out / f"{side}_attr.mat", rows, None, f"{side}s", _PREPARE)
+    user_x, item_x = (_matrix(out / f"{side}_attr.mat", rows, None,
+                              f"{side}s x attribute slots", _PREPARE)[0]
                       for side, rows in (("user", ds.n), ("item", ds.m)))
     sim_u, sim_v = _graph(out, ds, "user_sim"), _graph(out, ds, "item_sim")
 
@@ -266,8 +266,8 @@ def cmd_train_aux(args, cfg: RunConfig, out: Path) -> int:
         auxnet.build_extractor(x.shape[1], dim, acfg.hidden, acfg.gcn_layers, rng, name=side)
         for side, x in (("user", user_x), ("item", item_x))]
     result = train_stage1(ds, user_net, item_net, user_x, item_x, sim_u, sim_v, cfg.train)
-    auxnet.save_dense_matrix(out / "aux_users.mat", result.user_features)
-    auxnet.save_dense_matrix(out / "aux_items.mat", result.item_features)
+    auxnet.save_dense_matrix(out / "aux_users.mat", result.user_features, [])
+    auxnet.save_dense_matrix(out / "aux_items.mat", result.item_features, [])
     result.log.write(out / "train_log.tsv")
     _write_manifest(out, "train-aux", cfg, [Path(args.config)])
     final = result.log.records[-1].loss
@@ -275,12 +275,13 @@ def cmd_train_aux(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _load_aux(out: Path, args, ds: InteractionDataset,
-              dim: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _load_aux(out: Path, args, ds: InteractionDataset, dim: int, *,
+              active: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The feature matrices stage 2 trains against: the ``--aux-users`` and
     ``--aux-items`` files, which ``main`` lets through only as a pair, else
-    stage 1's; (None, None) when stage 1's are missing.  A given file that
-    does not exist, or a matrix that is not one ``dim``-wide row per user
+    stage 1's; (None, None) when no fused variant will train (not ``active``)
+    or stage 1's are missing.  A given file that does not exist, even when
+    not ``active``, or a matrix that is not one ``dim``-wide row per user
     (per item), is a :class:`DataError`."""
     paths = []
     for flag in ("aux_users", "aux_items"):
@@ -288,26 +289,28 @@ def _load_aux(out: Path, args, ds: InteractionDataset,
         if given and not Path(given).exists():
             raise DataError(f"{given} not found (--{flag.replace('_', '-')})")
         paths.append(Path(given) if given else out / f"{flag}.mat")
-    if not all(path.exists() for path in paths):
+    if not active or not all(path.exists() for path in paths):
         return None, None
     # stage 1's own files name the command that remakes them
     return tuple(_matrix(path, rows, dim, f"{side} x [backbone] dim",
                          "; re-run `crossfuse train-aux`" if path == out / f"aux_{side}.mat"
-                         else "")
+                         else "")[0]
                  for path, rows, side in zip(paths, (ds.n, ds.m), ("users", "items")))
 
 
 def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     ds = _load_dataset(out)
     adj = _graph(out, ds, "adjacency")
-    a_users, a_items = _load_aux(out, args, ds, cfg.backbone.dim)
+    a_users, a_items = _load_aux(out, args, ds, cfg.backbone.dim, active=cfg.fusion.active)
     table = init_embeddings(ds.n + ds.m, cfg.backbone.dim, cfg.train.seed)
     result = train_stage2(ds, adj, table, a_users, a_items, cfg.backbone, cfg.train,
                           cfg.fusion)
-    store.save(out / "model.ckpt",
-               pack_stage2_state(result.state, cfg.snapshot(), a_users, a_items))
+    # only the variants that score with the auxiliary features keep a copy
+    kept = (a_users, a_items) if cfg.fusion.variant in fusion.AUX_SCORED else ()
+    store.save(out / "model.ckpt", pack_stage2_state(result.state, cfg.snapshot(), *kept))
     result.log.write(out / "train_log.tsv")
-    _write_manifest(out, "train", cfg, [Path(args.config)])
+    inputs = (args.config, args.aux_users, args.aux_items)
+    _write_manifest(out, "train", cfg, [Path(p) for p in inputs if p is not None])
     state = result.state
     best = state.best_metric if np.isfinite(state.best_metric) else float("nan")
     print(f"stage 2 done: {state.epoch} epochs, best validation ndcg@10 {best:.6g}")
@@ -316,18 +319,15 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> int:
 
 def _item_category_labels(out: Path, ds: InteractionDataset,
                           field_name: str | None) -> dict[int, list[int]]:
-    fields_path = out / "item_attr_fields.json"
     mat_path = out / "item_attr.mat"
-    if not fields_path.exists() or not mat_path.exists():
+    if not mat_path.exists():
         raise DataError("category report needs prepared item attributes")
-    fields = _load_fields(fields_path)
+    values, fields = _matrix(mat_path, ds.m, None, "items x attribute slots", _PREPARE)
     names = [f.name for f in fields]
     if field_name is not None and field_name not in names:
         raise ConfigError(f"unknown category field {field_name!r}; item attributes "
                           f"have {names}")
     fld = fields[0] if field_name is None else fields[names.index(field_name)]
-    values = _matrix(mat_path, ds.m, sum(f.cardinality for f in fields),
-                     "items x attribute slots", _PREPARE)
     slots = np.argmax(values[:, fld.offset:fld.offset + fld.cardinality], axis=1)
     # the field's last slot is the blank token, which carries no category
     return {i: [s] if s < len(fld.categories) else [] for i, s in enumerate(slots.tolist())}
@@ -372,7 +372,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
 def cmd_ablate(args, cfg: RunConfig, out: Path) -> int:
     ds = _load_dataset(out)
     adj = _graph(out, ds, "adjacency")
-    a_users, a_items = _load_aux(out, args, ds, cfg.backbone.dim)
+    a_users, a_items = _load_aux(out, args, ds, cfg.backbone.dim, active=True)
     truth = ds.split_csr(TEST)
     rows = []
     for variant in fusion.VARIANTS:

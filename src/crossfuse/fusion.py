@@ -19,6 +19,9 @@ from .backbone import LightGCN, bpr_loss_and_feature_grad
 from .optim import Param, scatter_rows
 
 VARIANTS = ("cross", "concat", "plain-sum", "weighted-sum", "none")
+# the baselines: they train on rated batches and score with the auxiliary
+# features, so their checkpoints keep a copy of them
+AUX_SCORED = ("concat", "plain-sum", "weighted-sum")
 
 
 @dataclass
@@ -55,7 +58,7 @@ class FusionConfig:
     def rated(self) -> bool:
         """Whether batches are (user, item, rating) columns rather than
         (user, positive, negative) columns."""
-        return self.variant in ("concat", "plain-sum", "weighted-sum") or self.graph_loss == "mse"
+        return self.variant in AUX_SCORED or self.graph_loss == "mse"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The checksummed container of graph files and checkpoints: magic and
-version, a section count, length-prefixed named sections (JSON metadata,
-then arrays in name order), and a CRC32 of everything before it."""
+"""The checksummed container of graph files, matrix files and checkpoints:
+magic and version, a section count, length-prefixed named sections (JSON
+metadata, then arrays in name order), and a CRC32 of everything before it."""
 
 from __future__ import annotations
 

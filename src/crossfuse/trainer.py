@@ -416,7 +416,7 @@ def load_selected_model(path: str | Path, ds: InteractionDataset):
     if type(layers) is not int or layers < 0:
         raise DataError(f"{path}: layer count {layers!r} in the checkpoint is not an "
                         "integer >= 0")
-    if variant not in ("cross", "none") and not {"aux_users", "aux_items"} <= ckpt.arrays.keys():
+    if variant in fusion.AUX_SCORED and not {"aux_users", "aux_items"} <= ckpt.arrays.keys():
         raise DataError(f"{path}: a {variant} checkpoint without its auxiliary features "
                         "(aux_users, aux_items)")
     params = unpack_stage2_state(ckpt, path).selected()

@@ -4,11 +4,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfuse import store
 from crossfuse.auxnet import (AuxEncoder, AuxGcnStack, BatchNorm, build_extractor,
-                              distinct_rows, load_dense_matrix, node_classes,
-                              save_dense_matrix, squared_score_loss, stage1_loss_and_grad)
+                              distinct_rows, node_classes, save_dense_matrix,
+                              squared_score_loss, stage1_loss_and_grad)
 from crossfuse.backbone import bpr_loss_and_feature_grad, sigmoid
-from crossfuse.data import DataError
+from crossfuse.data import DataError, make_fields
 from crossfuse.optim import scatter_rows
 
 
@@ -636,14 +637,16 @@ class TestDenseMatrixFile:
     def test_roundtrip(self, tmp_path):
         mat = np.random.default_rng(0).normal(size=(6, 4))
         path = tmp_path / "feat.mat"
-        save_dense_matrix(path, mat)
-        back = load_dense_matrix(path)
-        assert np.array_equal(mat, back)
+        save_dense_matrix(path, mat, make_fields(["a", "b"], [["x"], ["y", ""]]))
+        back = store.load(path, "matrix")
+        assert back.meta == {"kind": "matrix", "fields": [
+            {"name": "a", "categories": ["x"]}, {"name": "b", "categories": ["y", ""]}]}
+        assert list(back.arrays) == ["values"] and np.array_equal(mat, back.arrays["values"])
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "bad.mat"
-        save_dense_matrix(path, np.ones((3, 3)))
+        save_dense_matrix(path, np.ones((3, 3)), [])
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(DataError, match="size mismatch"):
-            load_dense_matrix(path)
+        with pytest.raises(DataError, match="checksum mismatch"):
+            store.load(path, "matrix")

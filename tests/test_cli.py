@@ -1,13 +1,16 @@
+import hashlib
 import json
 import shutil
 import struct
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import old_graph_bytes
 from crossfuse import cli, store, synthetic
+from crossfuse.auxnet import save_dense_matrix
 from crossfuse.cli import main
 from crossfuse.data import TEST, TRAIN, DataError, InteractionDataset
 from crossfuse.evaluate import category_kl
@@ -135,6 +138,22 @@ def _store_regions(raw) -> dict[str, tuple[int, int]]:
     return regions
 
 
+# each checksummed product: the command that reads it, its arrays, and the
+# command that remakes it (None: it names none); "external.mat" is a copy of
+# aux_users.mat given as --aux-users
+_GRAPH, _MATRIX = ("data", "indices", "indptr"), ("values",)
+_STORE_PRODUCTS = {
+    "adjacency.graph": ("train", _GRAPH, "prepare"),
+    "user_sim.graph": ("train-aux", _GRAPH, "prepare"),
+    "user_attr.mat": ("train-aux", _MATRIX, "prepare"),
+    "item_attr.mat": ("evaluate --kl", _MATRIX, "prepare"),
+    "aux_users.mat": ("train", _MATRIX, "train-aux"),
+    "aux_items.mat": ("train", _MATRIX, "train-aux"),
+    "external.mat": ("train", _MATRIX, None),
+    "model.ckpt": ("evaluate", ("best.table", "last.table", "opt.m0", "opt.v0"), None),
+}
+
+
 def _config_at(workspace, out, tmp_path, **inputs) -> str:
     """A copy of the workspace config whose output_dir is ``out`` and whose
     ``[paths]`` keys named in ``inputs`` are the given files."""
@@ -147,6 +166,14 @@ def _config_at(workspace, out, tmp_path, **inputs) -> str:
     return str(cfg)
 
 
+def _with_variant(cfg: str, variant: str) -> str:
+    """``cfg``, rewritten to train the fusion ``variant``."""
+    text = Path(cfg).read_text(encoding="utf-8")
+    Path(cfg).write_text(text.replace("[fusion]\n", f"[fusion]\nvariant = {variant}\n"),
+                         encoding="utf-8")
+    return cfg
+
+
 def _one_data_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1, err
@@ -156,12 +183,12 @@ def _one_data_error(capsys) -> str:
 class TestPipeline:
     def test_prepare(self, workspace):
         assert main(["prepare", "--config", str(workspace["config"])]) == 0
-        out = workspace["out"]
-        for name in ("dataset.npz", "user_remap.tsv", "item_remap.tsv",
-                     "adjacency.graph", "user_sim.graph", "item_sim.graph",
-                     "user_attr.mat", "item_attr.mat", "build_report.txt",
-                     "manifest_prepare.json"):
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in workspace["out"].iterdir()) == [
+            "adjacency.graph", "build_report.txt", "dataset.npz", "item_attr.mat",
+            "item_remap.tsv", "item_sim.graph", "manifest_prepare.json", "user_attr.mat",
+            "user_remap.tsv", "user_sim.graph"]
+        fields = store.load(workspace["out"] / "item_attr.mat", "matrix").meta["fields"]
+        assert [f["name"] for f in fields] == ["field_1"] and fields[0]["categories"]
 
     @pytest.mark.usefixtures("prepared")
     def test_train_before_train_aux_is_ordering_error(self, workspace, tmp_path):
@@ -185,7 +212,8 @@ class TestPipeline:
         assert main(["train", "--config", str(workspace["config"])]) == 0
         ckpt = store.load(workspace["out"] / "model.ckpt", "checkpoint")
         assert "last.table" in ckpt.arrays
-        assert "aux_users" in ckpt.arrays
+        # cross fusion scores with the graph features alone
+        assert not {"aux_users", "aux_items"} & ckpt.arrays.keys()
         assert ckpt.meta["epoch"] == 3
 
     @pytest.mark.usefixtures("trained")
@@ -279,22 +307,44 @@ class TestPipeline:
 class TestExternalInterfaces:
     @pytest.mark.usefixtures("prepared")
     def test_externally_supplied_feature_matrices(self, workspace, tmp_path):
-        """Precomputed dense matrices can stand in for the stage-1 products."""
-        import numpy as np
-        from crossfuse.auxnet import load_dense_matrix, save_dense_matrix
-
-        out = workspace["out"]
+        """Precomputed dense matrices can stand in for the stage-1 products; a
+        variant that scores with them keeps them in its checkpoint, and the
+        manifest records their checksums."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out,
+                        ignore=shutil.ignore_patterns("aux_*.mat", "model.ckpt"))
+        cfg = _with_variant(_config_at(workspace, out, tmp_path), "concat")
         z = np.load(out / "dataset.npz")
         n, m = int(z["n"][0]), int(z["m"][0])
         rng = np.random.default_rng(0)
         ext_u = tmp_path / "external_users.mat"
         ext_v = tmp_path / "external_items.mat"
-        save_dense_matrix(ext_u, rng.normal(size=(n, 8)))
-        save_dense_matrix(ext_v, rng.normal(size=(m, 8)))
-        assert main(["train", "--config", str(workspace["config"]),
+        save_dense_matrix(ext_u, rng.normal(size=(n, 8)), [])
+        save_dense_matrix(ext_v, rng.normal(size=(m, 8)), [])
+        assert main(["train", "--config", cfg,
                      "--aux-users", str(ext_u), "--aux-items", str(ext_v)]) == 0
         ckpt = store.load(out / "model.ckpt", "checkpoint")
-        assert np.array_equal(ckpt.arrays["aux_users"], load_dense_matrix(ext_u))
+        for name, path in (("aux_users", ext_u), ("aux_items", ext_v)):
+            assert np.array_equal(ckpt.arrays[name],
+                                  store.load(path, "matrix").arrays["values"]), name
+        inputs = json.loads((out / "manifest_train.json").read_text())["inputs"]
+        assert inputs == {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                          for p in (cfg, ext_u, ext_v)}
+
+    @pytest.mark.usefixtures("stage1_done")
+    def test_train_without_fusion_reads_no_feature_matrix(self, workspace, tmp_path):
+        """Variant none trains on the graph alone, so stage 1's features,
+        8 wide against a 16-wide table here, neither stop it nor enter its
+        checkpoint."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
+        cfg = _with_variant(_config_at(workspace, out, tmp_path), "none")
+        Path(cfg).write_text(Path(cfg).read_text().replace("dim = 8", "dim = 16"),
+                             encoding="utf-8")
+        assert main(["train", "--config", cfg]) == 0
+        ckpt = store.load(out / "model.ckpt", "checkpoint")
+        assert ckpt.arrays["best.table"].shape[1] == 16
+        assert not {"aux_users", "aux_items"} & ckpt.arrays.keys()
 
     @pytest.mark.parametrize("given, missing", [("--aux-users", "--aux-items"),
                                                 ("--aux-items", "--aux-users")])
@@ -303,13 +353,11 @@ class TestExternalInterfaces:
                                                 missing):
         """One flag alone would pair an external matrix with stage 1's other
         side; it is refused before anything is read or written."""
-        from crossfuse.auxnet import save_dense_matrix
-
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         ext = tmp_path / "external.mat"
-        save_dense_matrix(ext, np.zeros((3, 8)))
+        save_dense_matrix(ext, np.zeros((3, 8)), [])
         cfg = _config_at(workspace, out, tmp_path)
         assert main(["train", "--config", cfg, given, str(ext)]) == 1
         err = capsys.readouterr().err
@@ -516,7 +564,10 @@ class TestExitCodes:
         cfg = _config_at(workspace, out, tmp_path)
         path = out / "model.ckpt"
         ckpt = store.load(path, "checkpoint")
+        # a cross checkpoint keeps no auxiliary features; a weighted-sum one does
         arrays = dict(ckpt.arrays)
+        for side in ("users", "items"):
+            arrays[f"aux_{side}"] = store.load(out / f"aux_{side}.mat", "matrix").arrays["values"]
         for k, w in weights.items():
             arrays[f"last.fusion.w{k}"] = arrays[f"best.fusion.w{k}"] = w
         store.save(path, ArrayFile(
@@ -526,24 +577,29 @@ class TestExitCodes:
         err = _one_data_error(capsys)
         assert err.startswith(f"data error: {path}: weighted-sum matrix {message}")
 
-    @pytest.mark.parametrize("command, name", [("train", "adjacency.graph"),
-                                               ("train-aux", "user_sim.graph")])
-    @pytest.mark.parametrize("region",["magic", "version", "count", "meta-head", "meta",
-                                        "data", "indices", "indptr", "trailer"])
+    @pytest.mark.parametrize("name, region", [
+        (name, region) for name, (_, arrays, _) in _STORE_PRODUCTS.items()
+        for region in ("magic", "version", "count", "meta-head", "meta", *arrays, "trailer")])
     @pytest.mark.usefixtures("trained")
-    def test_flipped_bit_in_graph_file_is_data_error(self, workspace, tmp_path, capsys,
-                                                     command, name, region):
+    def test_flipped_bit_in_store_file_is_data_error(self, workspace, tmp_path, capsys,
+                                                     name, region):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        command, _, rerun = _STORE_PRODUCTS[name]
+        args = [*command.split(), "--config", _config_at(workspace, out, tmp_path)]
         path = out / name
+        if name == "external.mat":
+            path = tmp_path / name
+            shutil.copy(out / "aux_users.mat", path)
+            args += ["--aux-users", str(path), "--aux-items", str(out / "aux_items.mat")]
         raw = bytearray(path.read_bytes())
         lo, hi = _store_regions(raw)[region]
         raw[(lo + hi) // 2] ^= 0x10
         path.write_bytes(bytes(raw))
-        assert main([command, "--config", cfg]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert main(args) == 3
+        err = _one_data_error(capsys)
+        assert str(path) in err
+        assert rerun is None or f"re-run `crossfuse {rerun}`" in err
 
     @pytest.mark.parametrize("command, name", [("train", "adjacency.graph"),
                                                ("train-aux", "user_sim.graph")])
@@ -560,6 +616,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert "not a graph file" in err and "re-run `crossfuse prepare`" in err
+
+    @pytest.mark.parametrize("command, name, damage", [
+        ("train-aux", "user_attr.mat", "raw-format"),
+        ("train", "aux_users.mat", "raw-format"),
+        ("train", "aux_items.mat", "graph-file"),
+        ("train", "aux_users.mat", "other-kind"),
+        ("train-aux", "item_attr.mat", "no-fields"),
+        ("evaluate --kl", "item_attr.mat", "category-dropped"),
+    ])
+    @pytest.mark.usefixtures("trained")
+    def test_matrix_file_of_another_format_asks_for_its_command(self, workspace, tmp_path,
+                                                                capsys, command, name,
+                                                                damage):
+        """A matrix left in the retired raw layout (a u64 shape header and
+        bare float64 values), another product, a file of another kind, or an
+        attribute matrix whose field list is gone or does not span its
+        columns is a data error naming the command that remakes the file."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
+        path = out / name
+        doc = store.load(path, "matrix")
+        if damage == "raw-format":
+            mat = doc.arrays["values"]
+            path.write_bytes(struct.pack("<QQ", *mat.shape) + mat.astype("<f8").tobytes())
+        elif damage == "graph-file":
+            shutil.copy(out / "item_sim.graph", path)
+        else:
+            if damage == "no-fields":
+                doc.meta["fields"] = []
+            elif damage == "other-kind":
+                doc.meta["kind"] = "stage2"
+            else:
+                doc.meta["fields"][0]["categories"].pop()
+            store.save(path, doc)
+        assert main([*command.split(), "--config", _config_at(workspace, out, tmp_path)]) == 3
+        err = _one_data_error(capsys)
+        rerun = "prepare" if "attr" in name else "train-aux"
+        assert err.startswith(f"data error: {path}: ") and f"re-run `crossfuse {rerun}`" in err
+        assert ("expected 40x" if damage == "category-dropped" else "not a matrix") in err
+        assert not (out / "metrics.json").exists()
 
     @pytest.mark.usefixtures("prepared")
     def test_flipped_bit_in_dataset_zip_directory_is_data_error_or_harmless(self, workspace,
@@ -595,8 +691,6 @@ class TestExitCodes:
     @pytest.mark.usefixtures("prepared")
     def test_feature_matrix_of_wrong_shape_is_data_error(self, workspace, tmp_path, capsys,
                                                          users_shape, items_shape):
-        from crossfuse.auxnet import save_dense_matrix
-
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
         cfg = _config_at(workspace, out, tmp_path)
@@ -607,7 +701,7 @@ class TestExitCodes:
         paths = []
         for name, (rows, width) in (("u", users_shape), ("v", items_shape)):
             paths.append(tmp_path / f"{name}.mat")
-            save_dense_matrix(paths[-1], rng.normal(size=(sizes[rows], width)))
+            save_dense_matrix(paths[-1], rng.normal(size=(sizes[rows], width)), [])
         assert main(["train", "--config", cfg,
                      "--aux-users", str(paths[0]), "--aux-items", str(paths[1])]) == 3
         err = capsys.readouterr().err
@@ -617,15 +711,13 @@ class TestExitCodes:
     @pytest.mark.usefixtures("stage1_done")
     def test_non_finite_external_feature_matrix_is_data_error(self, workspace, tmp_path,
                                                              capsys):
-        from crossfuse.auxnet import load_dense_matrix, save_dense_matrix
-
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
         cfg = _config_at(workspace, out, tmp_path)
-        users = load_dense_matrix(out / "aux_users.mat")
+        users = store.load(out / "aux_users.mat", "matrix").arrays["values"]
         users[1, 2] = np.nan
         ext = tmp_path / "external_users.mat"
-        save_dense_matrix(ext, users)
+        save_dense_matrix(ext, users, [])
         assert main(["train", "--config", cfg, "--aux-users", str(ext),
                      "--aux-items", str(out / "aux_items.mat")]) == 3
         err = _one_data_error(capsys)
@@ -636,16 +728,14 @@ class TestExitCodes:
     @pytest.mark.usefixtures("stage1_done")
     def test_non_finite_stage1_feature_matrix_is_data_error(self, workspace, tmp_path,
                                                            capsys, command):
-        from crossfuse.auxnet import load_dense_matrix, save_dense_matrix
-
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out,
                         ignore=shutil.ignore_patterns("model.ckpt", "ablation.tsv"))
         cfg = _config_at(workspace, out, tmp_path)
         path = out / "aux_users.mat"
-        users = load_dense_matrix(path)
+        users = store.load(path, "matrix").arrays["values"]
         users[0, 0] = np.inf
-        save_dense_matrix(path, users)
+        save_dense_matrix(path, users, [])
         assert main([command, "--config", cfg]) == 3
         err = _one_data_error(capsys)
         assert str(path) in err and "re-run `crossfuse train-aux`" in err
@@ -707,10 +797,7 @@ class TestExitCodes:
                                                               message):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
-        cfg = tmp_path / "variant.cfg"
-        cfg.write_text(workspace["config"].read_text().replace(
-            f"output_dir = {workspace['out']}", f"output_dir = {out}").replace(
-            "[fusion]\n", "[fusion]\nvariant = none\n"), encoding="utf-8")
+        cfg = _with_variant(_config_at(workspace, out, tmp_path), "none")
         path = out / name
         mat = load_graph(path).tolil()
         if name == "adjacency.graph":
@@ -794,10 +881,7 @@ class TestExitCodes:
     def test_missing_aux_users_file_is_data_error(self, workspace, tmp_path, capsys, variant):
         out = tmp_path / "out"
         shutil.copytree(workspace["out"], out)
-        cfg = tmp_path / "variant.cfg"
-        cfg.write_text(workspace["config"].read_text().replace(
-            f"output_dir = {workspace['out']}", f"output_dir = {out}").replace(
-            "[fusion]\n", f"[fusion]\nvariant = {variant}\n"), encoding="utf-8")
+        cfg = _with_variant(_config_at(workspace, out, tmp_path), variant)
         missing = tmp_path / "absent_users.mat"
         assert main(["train", "--config", str(cfg), "--aux-users", str(missing),
                      "--aux-items", str(out / "aux_items.mat")]) == 3
