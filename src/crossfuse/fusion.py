@@ -99,12 +99,12 @@ def effective_features(variant: str, g_users: np.ndarray, g_items: np.ndarray,
     """User/item matrices whose dot product is the variant's prediction score.
 
     Cross fusion (and no fusion) scores with the graph features alone; the
-    baselines score with their fused predictor, expressed here as augmented or
+    ``AUX_SCORED`` baselines score with their fused predictor, expressed here as augmented or
     transformed feature matrices so one ranking routine serves every variant.
     Weighted summation scores with its trained ``weights`` (W1, W2, W3, W4)
     and refuses to score without them.
     """
-    if variant in ("cross", "none"):
+    if variant not in AUX_SCORED:
         return g_users, g_items
     if a_users is None or a_items is None:
         raise ValueError(f"variant {variant!r} needs auxiliary features to score")
@@ -113,10 +113,8 @@ def effective_features(variant: str, g_users: np.ndarray, g_items: np.ndarray,
                 np.concatenate([g_items, a_items], axis=1))
     if variant == "plain-sum":
         return g_users + a_users, g_items + a_items
-    if variant == "weighted-sum":
-        w1, w2, w3, w4 = _required_weights(weights)
-        return a_users @ w1.T + g_users @ w2.T, a_items @ w3.T + g_items @ w4.T
-    raise ValueError(f"unknown fusion variant {variant!r}")
+    w1, w2, w3, w4 = _required_weights(weights)  # weighted-sum
+    return a_users @ w1.T + g_users @ w2.T, a_items @ w3.T + g_items @ w4.T
 
 
 def _required_weights(weights):

@@ -543,9 +543,14 @@ class TestExitCodes:
         cfg = _config_at(workspace, out, tmp_path)
         path = out / "model.ckpt"
         ckpt = store.load(path, "checkpoint")
+        # a cross checkpoint keeps no auxiliary features: add both, so each case
+        # removes only the arrays it names
+        arrays = dict(ckpt.arrays)
+        for side in ("users", "items"):
+            arrays[f"aux_{side}"] = store.load(out / f"aux_{side}.mat", "matrix").arrays["values"]
         store.save(path, ArrayFile(
             {**ckpt.meta, "config": {**ckpt.meta["config"], **snapshot}},
-            {k: v for k, v in ckpt.arrays.items() if k not in dropped}))
+            {k: v for k, v in arrays.items() if k not in dropped}))
         assert main(["evaluate", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: {message}") and err.count("\n") == 1
