@@ -30,6 +30,7 @@ import scipy.sparse as sp
 
 from . import store
 from .data import AttributeField
+from .graph import check_graph
 from .optim import Param, scatter_rows
 
 
@@ -90,9 +91,11 @@ def node_classes(x: np.ndarray, sim: sp.spmatrix) -> NodeClasses:
     """Group the nodes of ``x`` over the similarity graph ``sim``; done once
     per input, not per forward.
 
-    This is where a graph enters stage 1, and the one place it is checked:
-    ``sim`` must be square over the rows of ``x``, symmetric, and store
-    every diagonal entry (a :class:`ValueError` otherwise).
+    This is where a graph enters stage 1, and the one place it is checked,
+    by :func:`graph.check_graph`: ``sim`` must be square over the rows of
+    ``x``, equal in storage to its transpose once its rows are sorted, and
+    store every diagonal entry (a :class:`ValueError` otherwise).  The
+    classes are built from the sorted rows.
 
     A node whose row of ``sim`` stores only its diagonal is isolated: it
     aggregates nothing but itself, so its features stay a function of its
@@ -105,15 +108,7 @@ def node_classes(x: np.ndarray, sim: sp.spmatrix) -> NodeClasses:
     sorted rows and the symmetry of ``sim``: it is its own transpose."""
     rows = distinct_rows(x)
     n = len(rows.inverse)
-    sim = sim.tocsr()
-    if sim.shape != (n, n):
-        raise ValueError("similarity graph must be square over the feature rows")
-    if np.any(sim.diagonal() == 0):
-        raise ValueError("similarity graph must carry self-loops on the diagonal")
-    sim, t = sim.sorted_indices(), sim.T.tocsr()
-    if not all(map(np.array_equal, (sim.indptr, sim.indices, sim.data),
-                   (t.indptr, t.indices, t.data))):
-        raise ValueError("similarity graph must be symmetric")
+    sim = check_graph(sim, n, similarity=True)
     lone = np.flatnonzero(np.diff(sim.indptr) == 1)
     iso = lone[sim.indices[sim.indptr[lone]] == lone]
     key = np.column_stack([rows.inverse[iso], sim.diagonal()[iso]])

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 
+from .graph import check_graph
 from .optim import Param, scatter_rows
 
 
@@ -84,8 +85,10 @@ class RowBlock:
 class LightGCN:
     """Parameter-free propagation: features = sum_k alpha_k * adj^k @ E0.
 
-    The adjacency must be symmetric (the normalized bipartite graph is), so
-    the backward pass multiplies by ``adj`` itself in place of its transpose.
+    The adjacency must equal its transpose in storage once its rows are
+    sorted (``graph.check_graph``; the normalized bipartite graph does), so
+    the backward pass multiplies by the sorted ``adj`` itself in place of its
+    transpose.
     Both passes propagate through two work arrays kept between calls, so a
     step allocates no node-sized product; what they return is a new array.
     ``release_work`` frees the arrays once training is done with them.
@@ -93,13 +96,9 @@ class LightGCN:
 
     def __init__(self, adj: sp.csr_matrix, num_users: int, cfg: BackboneConfig):
         cfg.validate()
-        if adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency must be square")
+        self.adj = check_graph(adj, adj.shape[0])
         if not 0 < num_users < adj.shape[0]:
             raise ValueError("num_users must split the adjacency into two non-empty blocks")
-        self.adj = adj.tocsr()
-        if (self.adj != self.adj.T).nnz:
-            raise ValueError("adjacency must be symmetric")
         self.row_nnz = np.diff(self.adj.indptr)
         self.num_users = num_users
         self.cfg = cfg

@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .data import (AttributeField, DataError, InteractionDataset, encode_auxiliary,
                    load_interactions, make_fields, split_dataset, write_remap_table, TEST)
 from .evaluate import category_kl, write_report_json, write_report_text
-from .graph import (build_similarity_graph, interaction_matrix, isolated_nodes,
+from .graph import (build_similarity_graph, check_graph, interaction_matrix, isolated_nodes,
                     load_graph, normalize_bipartite, save_graph)
 from .optim import Param
 from .trainer import (DivergenceError, PipelineOrderError, load_selected_model,
@@ -164,21 +164,17 @@ _PREPARE = "; re-run `crossfuse prepare`"
 
 
 def _graph(out: Path, ds: InteractionDataset, name: str):
-    """The workspace's ``name``.graph, checked to be square over the
-    dataset's users and items (``adjacency``), its users (``user_sim``) or
-    its items (``item_sim``), symmetric, and for a similarity graph to store
-    every diagonal entry, as the convolutions over it require."""
+    """The workspace's ``name``.graph, checked by ``check_graph`` to be
+    square over the dataset's users and items (``adjacency``), its users
+    (``user_sim``) or its items (``item_sim``), symmetric, and for a
+    similarity graph to store every diagonal entry, as the convolutions over
+    it require."""
     size = {"adjacency": ds.n + ds.m, "user_sim": ds.n, "item_sim": ds.m}[name]
     path = out / f"{name}.graph"
-    mat = load_graph(path)
-    if mat.shape != (size, size):
-        raise DataError(f"{path}: graph is {mat.shape[0]}x{mat.shape[1]}, expected "
-                        f"{size}x{size} for the prepared dataset{_PREPARE}")
-    if (mat != mat.T).nnz:
-        raise DataError(f"{path}: graph is not symmetric{_PREPARE}")
-    if name != "adjacency" and np.any(mat.diagonal() == 0):
-        raise DataError(f"{path}: similarity graph lacks a diagonal entry{_PREPARE}")
-    return mat
+    try:
+        return check_graph(load_graph(path), size, similarity=name != "adjacency")
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}{_PREPARE}") from exc
 
 
 def _matrix(path: Path, rows: int, dim: int | None, what: str,

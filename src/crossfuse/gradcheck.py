@@ -1,6 +1,7 @@
 """Numeric and closed-form gradient verification.
 
-Runs every training loss on a small random instance and compares the
+Runs every training loss on a small random instance, drawn through the
+library's own small-dataset generator and negative sampler, and compares the
 implemented backward passes against (a) central finite differences and
 (b) the closed-form update directions coded here, which share no code with
 the vectorized backward passes.  The command-line ``verify-gradients``
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import auxnet, fusion
+from . import auxnet, fusion, synthetic
 from .backbone import BackboneConfig, LightGCN
-from .data import InteractionDataset
+from .data import InteractionDataset, sample_negatives
 from .graph import build_similarity_graph, interaction_matrix, normalize_bipartite
 from .optim import Param
 
@@ -95,27 +96,11 @@ class Instance:
 
 def random_instance(seed: int) -> Instance:
     """A dense-enough random problem over 8 users, 12 items and 4 feature
-    dimensions, with every index guaranteed coverage."""
+    dimensions, with every index covered; the ranked batch's negatives are
+    the generator's last draws."""
     n, m, d = 8, 12, 4
     rng = np.random.default_rng(seed)
-    users, items = [], []
-    seen = set()
-    for u in range(n):
-        for i in rng.choice(m, size=rng.integers(2, 5), replace=False):
-            users.append(u)
-            items.append(int(i))
-            seen.add((u, int(i)))
-    for i in range(m):  # every item needs one interaction for degree > 0
-        if not any(ii == i for ii in items):
-            u = int(rng.integers(0, n))
-            if (u, i) not in seen:
-                users.append(u)
-                items.append(i)
-                seen.add((u, i))
-    users = np.array(users)
-    items = np.array(items)
-    ds = InteractionDataset(n, m, users, items, np.ones(len(users)),
-                            np.zeros(len(users), dtype=np.int8))
+    ds = synthetic.random_dataset(rng, n, m, 2, 5)
     R = interaction_matrix(ds, binarize=True)
     adj = normalize_bipartite(ds)
     sim_u = build_similarity_graph(R, "rows", epsilon=0.1)
@@ -126,12 +111,9 @@ def random_instance(seed: int) -> Instance:
     a_users = rng.normal(size=(n, d))
     a_items = rng.normal(size=(m, d))
 
+    users, items = ds.users, ds.items
     rated = (users, items, rng.uniform(0.0, 1.0, size=len(users)))
-    negs = []
-    for u in users:
-        pool = np.setdiff1d(np.arange(m), ds.train_items(int(u)))
-        negs.append(int(rng.choice(pool)) if len(pool) else int(rng.integers(m)))
-    ranked = (users, items, np.array(negs))
+    ranked = (users, items, sample_negatives(ds, users, rng))
     return Instance(ds, adj, sim_u, sim_v, g_users, g_items, a_users, a_items,
                     rated, ranked)
 

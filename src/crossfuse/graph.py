@@ -265,6 +265,28 @@ def check_csr(mat: sp.csr_matrix) -> None:
         raise ValueError(f"row {rows[bad[0]]} has unsorted or duplicate column indices")
 
 
+def check_graph(mat: sp.spmatrix, size: int, similarity: bool = False) -> sp.csr_matrix:
+    """``mat`` as CSR with sorted rows (itself if they are), checked to be
+    square over ``size`` nodes, to store every diagonal entry if a
+    ``similarity`` graph, and to equal its transpose in storage, so a
+    backward pass may multiply by it in place of its transpose, bit for bit;
+    a :class:`ValueError` otherwise."""
+    mat = mat.tocsr()
+    if mat.shape != (size, size):
+        raise ValueError(f"graph is {mat.shape[0]}x{mat.shape[1]}, expected the square "
+                         f"{size}x{size}")
+    if similarity and np.any(mat.diagonal() == 0):
+        raise ValueError("similarity graph lacks a diagonal entry: its convolutions need "
+                         "self-loops")
+    if not mat.has_sorted_indices:
+        mat = mat.sorted_indices()
+    t = mat.T.tocsr()
+    if not all(map(np.array_equal, (mat.indptr, mat.indices, mat.data),
+                   (t.indptr, t.indices, t.data))):
+        raise ValueError("graph is not symmetric")
+    return mat
+
+
 # ---------------------------------------------------------------------------
 # Graph files
 # ---------------------------------------------------------------------------

@@ -85,6 +85,23 @@ def generate(num_users: int = 200, num_items: int = 300, num_categories: int = 5
     )
 
 
+def random_dataset(rng: np.random.Generator, n: int, m: int, lo: int,
+                   hi: int) -> InteractionDataset:
+    """A small all-train implicit dataset with every user and item covered:
+    each user in turn rates ``rng.integers(lo, hi)`` distinct uniform items,
+    then each item still unrated, in item order, goes to one uniform user."""
+    users, items = [], []
+    for u in range(n):
+        picked = rng.choice(m, size=int(rng.integers(lo, hi)), replace=False).tolist()
+        users += [u] * len(picked)
+        items += picked
+    for i in sorted(set(range(m)) - set(items)):
+        users.append(int(rng.integers(0, n)))
+        items.append(i)
+    return InteractionDataset(n, m, np.array(users), np.array(items), np.ones(len(users)),
+                              np.zeros(len(users), dtype=np.int8))
+
+
 def write_files(data: SyntheticData, out_dir: str | Path) -> dict[str, Path]:
     """Write the delimited interaction and attribute files the CLI ingests."""
     out = Path(out_dir)

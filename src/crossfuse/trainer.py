@@ -275,7 +275,7 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
     if fcfg.active and a_users.shape[1] != bcfg.dim:
         raise ValueError(f"auxiliary dimension {a_users.shape[1]} != backbone dim {bcfg.dim}")
 
-    model = LightGCN(adj.tocsr(), ds.n, bcfg)
+    model = LightGCN(adj, ds.n, bcfg)
     w_params: list[Param] | None = None
     if fcfg.variant == "weighted-sum":
         w_params = [Param(np.eye(bcfg.dim), f"fusion.w{k}") for k in range(1, 5)]
@@ -404,7 +404,10 @@ def load_selected_model(path: str | Path, ds: InteractionDataset):
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path} not found; run `crossfuse train` first")
-    ckpt = store.load(path, "checkpoint")
+    try:
+        ckpt = store.load(path, "checkpoint")
+    except DataError as exc:
+        raise DataError(f"{exc}; re-run `crossfuse train`") from exc
     trained = ckpt.meta.get("config", {})
     if (ckpt.meta.get("kind") != "stage2" or not isinstance(trained, dict)
             or not {"variant", "layers"} <= trained.keys()):

@@ -3,8 +3,10 @@ import zlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crossfuse.data import InteractionDataset
+from crossfuse.synthetic import random_dataset
 
 
 @pytest.fixture
@@ -33,23 +35,24 @@ def old_graph_bytes(indptr, indices, values, shape) -> bytes:
 
 def make_random_dataset(seed: int, n: int = 8, m: int = 12,
                         lo: int = 2, hi: int = 5) -> InteractionDataset:
-    rng = np.random.default_rng(seed)
-    users, items = [], []
-    seen = set()
-    for u in range(n):
-        for i in rng.choice(m, size=int(rng.integers(lo, hi)), replace=False):
-            users.append(u)
-            items.append(int(i))
-            seen.add((u, int(i)))
-    for i in range(m):
-        if i not in set(items):
-            u = int(rng.integers(0, n))
-            if (u, i) not in seen:
-                users.append(u)
-                items.append(i)
-    return InteractionDataset(n=n, m=m, users=np.array(users), items=np.array(items),
-                              ratings=np.ones(len(users)),
-                              split=np.zeros(len(users), dtype=np.int8))
+    return random_dataset(np.random.default_rng(seed), n, m, lo, hi)
+
+
+def unsorted_rows(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """``mat`` with each row's entries stored in descending column order."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    order = np.lexsort((-mat.indices, rows))
+    out = sp.csr_matrix((mat.data[order], mat.indices[order], mat.indptr), shape=mat.shape)
+    assert not out.has_sorted_indices
+    return out
+
+
+def one_sided_zero(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """``mat`` plus an explicit zero at row 0's first unstored off-diagonal column."""
+    col = np.setdiff1d(np.arange(1, mat.shape[1]), mat.indices[:mat.indptr[1]])[0]
+    coo = mat.tocoo()
+    return sp.csr_matrix((np.append(coo.data, 0.0), (np.append(coo.row, 0),
+                                                      np.append(coo.col, col))), shape=mat.shape)
 
 
 def split_truth(ds: InteractionDataset, tag: int) -> dict[int, set[int]]:

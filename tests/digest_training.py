@@ -11,14 +11,15 @@ hidden layers under two convolutions.  The digest covers what
 set-up graphs of each training run (R rated and binarized, both similarity
 graphs and the adjacency: every array with its dtype), the stage-1 features,
 parameters and running statistics, each stage-2 run's last and best arrays
-and Adam moments, every epoch's loss and validation NDCG@10, and the
-gradient checks' errors at seed 7.  ``--mid`` adds the mid shape (3000 x
-2000, dim 64): its written files, then one epoch per stage of cross and
-concat, on implicit and on explicit ratings, in batches small enough that
-every stage-2 step runs on its row block.
-
-A change meant to leave training bit for bit as it was prints the same
-digest as its parent:
+and Adam moments, and every epoch's loss and validation NDCG@10.  ``--mid``
+adds the mid shape (3000 x 2000, dim 64): its written files, then one epoch
+per stage of cross and concat, on implicit and on explicit ratings, in
+batches small enough that every stage-2 step runs on its row block.  The
+gradient checks' errors at seed 7 are a digest of their own.  The digest
+depends on the BLAS thread count: the script pins the benchmark's
+``THREAD_VARS`` to one thread and prints the count OpenBLAS reports.  A
+change meant to leave training bit for bit as it was prints the same
+training digest as its parent:
 
     PYTHONPATH=<parent>/src python tests/digest_training.py [--mid]
     PYTHONPATH=src python tests/digest_training.py [--mid]
@@ -29,9 +30,16 @@ pytest does not collect this file; ``test_digest_training.py`` runs it.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
+import os
+import runpy
 import tempfile
 from pathlib import Path
+
+# one BLAS thread, set before numpy loads
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+os.environ.update(dict.fromkeys(runpy.run_path(str(PERFBENCH / "run.py"))["THREAD_VARS"], "1"))
 
 import numpy as np
 
@@ -171,8 +179,6 @@ def desk(digest: Digest, seeds, epochs: int, work: Path) -> None:
     for label, hidden, gcn_layers in STAGE1_SHAPES:
         train(digest, f"desk0.{label}", data, ds, dim=16, hidden=hidden, gcn_layers=gcn_layers,
               layers=2, eta=0.01, epochs=(3, 3), batch=1024, seed=0, objectives=())
-    for r in gradcheck.run_suite(seed=7):
-        digest.add(f"gradcheck.{r.name}", r.max_error)
 
 
 def mid(digest: Digest, work: Path) -> int:
@@ -200,6 +206,16 @@ def mid(digest: Digest, work: Path) -> int:
     return sum(full)
 
 
+def blas_threads() -> str:
+    """The thread count that numpy's bundled OpenBLAS reports once loaded,
+    or ``?`` where numpy bundles none."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            return str(get())
+    return "?"
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
@@ -213,7 +229,11 @@ def main(argv=None) -> None:
             full = mid(digest, Path(work))
             if full:
                 raise SystemExit(f"{full} mid stage-2 batches ran on the full passes")
-    print(digest.sha.hexdigest())
+    checks = Digest()
+    for r in gradcheck.run_suite(seed=7):
+        checks.add(r.name, r.max_error)
+    print(f"training {digest.sha.hexdigest()} blas_threads={blas_threads()}")
+    print(f"gradcheck {checks.sha.hexdigest()}")
 
 
 if __name__ == "__main__":

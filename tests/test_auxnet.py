@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_sided_zero, unsorted_rows
 from crossfuse import store
 from crossfuse.auxnet import (AuxEncoder, AuxGcnStack, BatchNorm, build_extractor,
                               distinct_rows, node_classes, save_dense_matrix,
@@ -376,9 +377,16 @@ class TestNodeClasses:
         edges = self.LINKED + [(0, 6, 0.3), (0, 7, 0.6), (0, 9, 0.8), (3, 5, 0.9),
                                (3, 8, 0.2)]
         uneven = [(0, 1, 0.5), (1, 0, 0.25)] + self.LINKED[2:]
-        for sim in (graph_from(10, edges, np.ones(10)), graph_from(10, uneven, np.ones(10))):
+        linked = graph_from(10, self.LINKED, np.ones(10))
+        for sim in (graph_from(10, edges, np.ones(10)), graph_from(10, uneven, np.ones(10)),
+                    one_sided_zero(linked)):
             with pytest.raises(ValueError, match="symmetric"):
                 node_classes(self.X, sim)
+        # stored with unsorted rows, the graph gives the sorted one's classes
+        got, want = node_classes(self.X, unsorted_rows(linked)), node_classes(self.X, linked)
+        assert np.array_equal(got.inverse, want.inverse)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.sim, name), getattr(want.sim, name))
 
     def test_no_isolated_nodes(self):
         edges = [(i, (i + 1) % 10, 0.5) for i in range(10)]
@@ -408,13 +416,18 @@ class TestNodeClasses:
         assert_classes_match_per_node(self.X, sim, 0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            node_classes(self.X, graph_from(9, [], np.ones(9)))
+        sim = graph_from(9, self.LINKED, np.ones(9))
+        for bad in (sim, unsorted_rows(sim), one_sided_zero(sim)):
+            with pytest.raises(ValueError, match="square"):
+                node_classes(self.X, bad)
 
     def test_missing_self_loops_rejected(self):
-        sim = sp.csr_matrix(np.array([[1.0, 0.2], [0.2, 0.0]]))
-        with pytest.raises(ValueError, match="self-loops"):
-            node_classes(np.ones((2, 2)), sim)
+        sim = graph_from(10, self.LINKED, np.ones(10)).tolil()
+        sim[3, 3] = 0.0  # drops the stored entry
+        sim = sim.tocsr()
+        for bad in (sim, unsorted_rows(sim), one_sided_zero(sim)):
+            with pytest.raises(ValueError, match="self-loops"):
+                node_classes(self.X, bad)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_dataset
+from conftest import make_random_dataset, one_sided_zero, unsorted_rows
 from crossfuse.backbone import (BackboneConfig, LightGCN, bpr_loss_and_feature_grad,
                                 init_embeddings, log_sigmoid_loss, sigmoid)
 from crossfuse.data import InteractionDataset
@@ -55,6 +56,8 @@ class TestLightGCNForward:
         table = init_embeddings(adj.shape[0], 3, seed=0)
         feats = model.forward(table)
         assert np.allclose(feats.values, 0.5 * table.value)
+        with pytest.raises(ValueError, match="embedding table has 15 rows"):
+            model.forward(init_embeddings(adj.shape[0] + 1, 3, seed=0))
 
     def test_single_pair_hand_propagation(self):
         ds = make_random_dataset(0, n=1, m=1, lo=1, hi=2)
@@ -65,10 +68,21 @@ class TestLightGCNForward:
         feats = model.forward(table)
         assert np.allclose(feats.users[0], 0.5 * np.array([2.0, 0.0]) + 0.5 * np.array([0.0, 4.0]))
 
+    def test_single_edge_carries_its_weight_only(self):
+        cfg = BackboneConfig(dim=2, num_layers=1, alphas=np.array([0.0, 1.0]))
+        step = LightGCN(sp.csr_matrix(np.array([[0.0, 0.7], [0.7, 0.0]])), 1, cfg)
+        out = step.forward(Param(np.array([[1.0, 0.0], [0.0, 0.0]]))).values
+        assert np.array_equal(out, [[0.0, 0.0], [0.7, 0.0]])
+
+    @pytest.mark.parametrize("graph", ["bipartite", "signed"])
     @pytest.mark.parametrize("layers", [1, 2, 3, 4])
-    def test_matches_dense_power_oracle(self, layers):
+    def test_matches_dense_power_oracle(self, layers, graph):
         ds = make_random_dataset(layers, n=8, m=12)
         adj = normalize_bipartite(ds)
+        if graph == "signed":  # any symmetric weights, negative ones too
+            rng = np.random.default_rng(layers)
+            w = (rng.random(adj.shape) < 0.2) * rng.normal(size=adj.shape)
+            adj = sp.csr_matrix(np.triu(w) + np.triu(w, 1).T)
         cfg = BackboneConfig(dim=5, num_layers=layers)
         model = LightGCN(adj, ds.n, cfg)
         table = init_embeddings(adj.shape[0], 5, seed=layers)
@@ -76,15 +90,19 @@ class TestLightGCNForward:
         oracle = dense_combined(adj, table.value, cfg.resolved_alphas())
         assert np.max(np.abs(feats.values - oracle)) <= 1e-10
 
-    def test_forward_linear_in_input(self, tiny_dataset):
-        adj = normalize_bipartite(tiny_dataset)
-        cfg = BackboneConfig(dim=4, num_layers=2)
-        model = LightGCN(adj, tiny_dataset.n, cfg)
-        rng = np.random.default_rng(3)
-        e0 = rng.normal(size=(adj.shape[0], 4))
-        a = model.forward(Param(e0)).values
-        b = model.forward(Param(2.5 * e0)).values
-        assert np.max(np.abs(b - 2.5 * a)) <= 1e-12
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_forward_linear_in_input(self, seed):  # over signed symmetric graphs
+        rng = np.random.default_rng(seed)
+        w = (rng.random((7, 7)) < 0.4) * rng.normal(size=(7, 7))
+        model = LightGCN(sp.csr_matrix(np.triu(w) + np.triu(w, 1).T), 3,
+                         BackboneConfig(dim=3, num_layers=2))
+        x, y = rng.normal(size=(2, 7, 3))
+        a, b = rng.normal(size=2)
+        got = model.forward(Param(a * x + b * y)).values
+        want = a * model.forward(Param(x)).values + b * model.forward(Param(y)).values
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(model.forward(Param(np.zeros((7, 3)))).values == 0)
 
     def test_backward_matches_dense_transpose_chain(self, tiny_dataset):
         adj = normalize_bipartite(tiny_dataset)
@@ -102,10 +120,18 @@ class TestLightGCNForward:
         assert np.max(np.abs(model.backward(dG) - oracle)) <= 1e-10
 
     def test_asymmetric_adjacency_rejected(self, tiny_dataset):
-        adj = normalize_bipartite(tiny_dataset).tolil()
-        adj[0, tiny_dataset.n] *= 2.0
-        with pytest.raises(ValueError, match="symmetric"):
-            LightGCN(adj.tocsr(), tiny_dataset.n, BackboneConfig(dim=2, num_layers=1))
+        adj, n = normalize_bipartite(tiny_dataset), tiny_dataset.n
+        cfg = BackboneConfig(dim=2, num_layers=2)
+        uneven = adj.tolil()
+        uneven[0, n] *= 2.0
+        for bad in (uneven.tocsr(), one_sided_zero(adj)):
+            with pytest.raises(ValueError, match="graph is not symmetric"):
+                LightGCN(bad, n, cfg)
+        # stored with unsorted rows, the graph propagates as the sorted one
+        got, want = LightGCN(unsorted_rows(adj), n, cfg), LightGCN(adj, n, cfg)
+        e0 = np.random.default_rng(0).normal(size=(adj.shape[0], 2))
+        assert np.array_equal(got.forward(Param(e0)).values, want.forward(Param(e0)).values)
+        assert np.array_equal(got.backward(e0), want.backward(e0))
 
 
 class TestWorkArrays:

@@ -150,7 +150,7 @@ _STORE_PRODUCTS = {
     "aux_users.mat": ("train", _MATRIX, "train-aux"),
     "aux_items.mat": ("train", _MATRIX, "train-aux"),
     "external.mat": ("train", _MATRIX, None),
-    "model.ckpt": ("evaluate", ("best.table", "last.table", "opt.m0", "opt.v0"), None),
+    "model.ckpt": ("evaluate", ("best.table", "last.table", "opt.m0", "opt.v0"), "train"),
 }
 
 
@@ -164,6 +164,14 @@ def _config_at(workspace, out, tmp_path, **inputs) -> str:
     cfg = tmp_path / "copy.cfg"
     cfg.write_text(text, encoding="utf-8")
     return str(cfg)
+
+
+def _workspace_copy(workspace, tmp_path, *ignore) -> tuple[Path, str]:
+    """A copy of the workspace's output directory, without the files that
+    match ``ignore``, and a config that points at it."""
+    out = tmp_path / "out"
+    shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns(*ignore))
+    return out, _config_at(workspace, out, tmp_path)
 
 
 def _with_variant(cfg: str, variant: str) -> str:
@@ -192,9 +200,7 @@ class TestPipeline:
 
     @pytest.mark.usefixtures("prepared")
     def test_train_before_train_aux_is_ordering_error(self, workspace, tmp_path):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("aux_*.mat"))
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path, "aux_*.mat")
         assert (out / "dataset.npz").exists()
         assert main(["train", "--config", cfg]) == 3
 
@@ -278,9 +284,7 @@ class TestPipeline:
     @pytest.mark.usefixtures("trained")
     def test_kl_averages_over_scored_users(self, workspace, tmp_path, monkeypatch):
         """A user without test items has no list and stays out of the KL mean."""
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         with np.load(out / "dataset.npz") as z:
             arrays = dict(z)
         arrays["split"][(arrays["users"] == 0) & (arrays["split"] == TEST)] = TRAIN
@@ -310,10 +314,8 @@ class TestExternalInterfaces:
         """Precomputed dense matrices can stand in for the stage-1 products; a
         variant that scores with them keeps them in its checkpoint, and the
         manifest records their checksums."""
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out,
-                        ignore=shutil.ignore_patterns("aux_*.mat", "model.ckpt"))
-        cfg = _with_variant(_config_at(workspace, out, tmp_path), "concat")
+        out, cfg = _workspace_copy(workspace, tmp_path, "aux_*.mat", "model.ckpt")
+        cfg = _with_variant(cfg, "concat")
         z = np.load(out / "dataset.npz")
         n, m = int(z["n"][0]), int(z["m"][0])
         rng = np.random.default_rng(0)
@@ -336,9 +338,8 @@ class TestExternalInterfaces:
         """Variant none trains on the graph alone, so stage 1's features,
         8 wide against a 16-wide table here, neither stop it nor enter its
         checkpoint."""
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
-        cfg = _with_variant(_config_at(workspace, out, tmp_path), "none")
+        out, cfg = _workspace_copy(workspace, tmp_path, "model.ckpt")
+        cfg = _with_variant(cfg, "none")
         Path(cfg).write_text(Path(cfg).read_text().replace("dim = 8", "dim = 16"),
                              encoding="utf-8")
         assert main(["train", "--config", cfg]) == 0
@@ -353,12 +354,10 @@ class TestExternalInterfaces:
                                                 missing):
         """One flag alone would pair an external matrix with stage 1's other
         side; it is refused before anything is read or written."""
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         ext = tmp_path / "external.mat"
         save_dense_matrix(ext, np.zeros((3, 8)), [])
-        cfg = _config_at(workspace, out, tmp_path)
         assert main(["train", "--config", cfg, given, str(ext)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -386,9 +385,7 @@ class TestExternalInterfaces:
     def test_rerun_replaces_its_stage_in_the_training_log(self, workspace, tmp_path):
         """Each command rewrites its own stage's rows and keeps the other
         stage's, stage 1 first: re-runs leave one block of each."""
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         expect = [("1", "1"), ("1", "2"), ("1", "3"), ("2", "1"), ("2", "2"), ("2", "3")]
         for command in ("train", "train", "train-aux"):
             assert main([command, "--config", cfg]) == 0
@@ -479,9 +476,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("trained")
     def test_damaged_artifact_is_data_error(self, workspace, tmp_path, capsys, request,
                                             command, name, damage):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         path = out / name
         if damage == "from-shorter-log":
             shutil.copy(request.getfixturevalue("short_prepared") / name, path)
@@ -510,9 +505,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("trained")
     def test_incomplete_checkpoint_is_data_error(self, workspace, tmp_path, capsys, part,
                                                  key):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         path = out / "model.ckpt"
         ckpt = store.load(path, "checkpoint")
         del getattr(ckpt, part)[key]
@@ -538,9 +531,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("trained")
     def test_bad_config_snapshot_is_data_error(self, workspace, tmp_path, capsys, snapshot,
                                                dropped, message):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         path = out / "model.ckpt"
         ckpt = store.load(path, "checkpoint")
         # a cross checkpoint keeps no auxiliary features: add both, so each case
@@ -564,9 +555,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("trained")
     def test_misshaped_weighted_sum_matrices_are_data_error(self, workspace, tmp_path,
                                                             capsys, weights, message):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         path = out / "model.ckpt"
         ckpt = store.load(path, "checkpoint")
         # a cross checkpoint keeps no auxiliary features; a weighted-sum one does
@@ -588,10 +577,9 @@ class TestExitCodes:
     @pytest.mark.usefixtures("trained")
     def test_flipped_bit_in_store_file_is_data_error(self, workspace, tmp_path, capsys,
                                                      name, region):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         command, _, rerun = _STORE_PRODUCTS[name]
-        args = [*command.split(), "--config", _config_at(workspace, out, tmp_path)]
+        args = [*command.split(), "--config", cfg]
         path = out / name
         if name == "external.mat":
             path = tmp_path / name
@@ -611,9 +599,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("prepared")
     def test_old_format_graph_file_asks_for_prepare(self, workspace, tmp_path, capsys,
                                                     command, name):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         path = out / name
         mat = load_graph(path)
         path.write_bytes(old_graph_bytes(mat.indptr, mat.indices, mat.data, mat.shape))
@@ -638,8 +624,7 @@ class TestExitCodes:
         bare float64 values), another product, a file of another kind, or an
         attribute matrix whose field list is gone or does not span its
         columns is a data error naming the command that remakes the file."""
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
+        out, cfg = _workspace_copy(workspace, tmp_path, "metrics.json")
         path = out / name
         doc = store.load(path, "matrix")
         if damage == "raw-format":
@@ -655,7 +640,7 @@ class TestExitCodes:
             else:
                 doc.meta["fields"][0]["categories"].pop()
             store.save(path, doc)
-        assert main([*command.split(), "--config", _config_at(workspace, out, tmp_path)]) == 3
+        assert main([*command.split(), "--config", cfg]) == 3
         err = _one_data_error(capsys)
         rerun = "prepare" if "attr" in name else "train-aux"
         assert err.startswith(f"data error: {path}: ") and f"re-run `crossfuse {rerun}`" in err
@@ -696,9 +681,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("prepared")
     def test_feature_matrix_of_wrong_shape_is_data_error(self, workspace, tmp_path, capsys,
                                                          users_shape, items_shape):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path, "model.ckpt")
         z = np.load(out / "dataset.npz")
         sizes = {"n": int(z["n"][0]), "m": int(z["m"][0])}
         sizes["n-1"] = sizes["n"] - 1
@@ -716,9 +699,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("stage1_done")
     def test_non_finite_external_feature_matrix_is_data_error(self, workspace, tmp_path,
                                                              capsys):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("model.ckpt"))
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path, "model.ckpt")
         users = store.load(out / "aux_users.mat", "matrix").arrays["values"]
         users[1, 2] = np.nan
         ext = tmp_path / "external_users.mat"
@@ -733,10 +714,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("stage1_done")
     def test_non_finite_stage1_feature_matrix_is_data_error(self, workspace, tmp_path,
                                                            capsys, command):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out,
-                        ignore=shutil.ignore_patterns("model.ckpt", "ablation.tsv"))
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path, "model.ckpt", "ablation.tsv")
         path = out / "aux_users.mat"
         users = store.load(path, "matrix").arrays["values"]
         users[0, 0] = np.inf
@@ -751,8 +729,7 @@ class TestExitCodes:
                                                           tmp_path, capsys):
         """The unfiltered attribute files name users the shorter log lacks, so
         prepare fails after building everything else, and writes nothing."""
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
+        out, _ = _workspace_copy(workspace, tmp_path)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         cfg = _config_at(workspace, out, tmp_path, interactions=short_inputs["interactions"])
         assert main(["prepare", "--config", cfg]) == 3
@@ -800,9 +777,8 @@ class TestExitCodes:
     def test_graph_the_convolutions_cannot_take_is_data_error(self, workspace, tmp_path,
                                                               capsys, command, name,
                                                               message):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _with_variant(_config_at(workspace, out, tmp_path), "none")
+        out, cfg = _workspace_copy(workspace, tmp_path)
+        cfg = _with_variant(cfg, "none")
         path = out / name
         mat = load_graph(path).tolil()
         if name == "adjacency.graph":
@@ -827,9 +803,7 @@ class TestExitCodes:
 
     @pytest.mark.usefixtures("trained")
     def test_unknown_category_field_is_config_error(self, workspace, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path, "metrics.json")
         assert main(["evaluate", "--config", cfg, "--kl",
                      "--category-field", "bogus"]) == 2
         assert "unknown category field 'bogus'" in capsys.readouterr().err
@@ -837,9 +811,7 @@ class TestExitCodes:
 
     @pytest.mark.usefixtures("trained")
     def test_non_finite_scores_are_numerical_error(self, workspace, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out, ignore=shutil.ignore_patterns("metrics.json"))
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path, "metrics.json")
         ckpt = store.load(out / "model.ckpt", "checkpoint")
         tensors = dict(ckpt.arrays)
         for name in ("last.table", "best.table"):
@@ -872,9 +844,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("trained")
     def test_directory_given_as_input_file_is_data_error(self, workspace, tmp_path, capsys,
                                                          command, flag):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _config_at(workspace, out, tmp_path)
+        out, cfg = _workspace_copy(workspace, tmp_path)
         # --aux-users is accepted only beside --aux-items
         pair = ["--aux-items", str(out / "aux_items.mat")] if command == "train" else []
         assert main([command, "--config", cfg, flag, str(tmp_path), *pair]) == 3
@@ -884,9 +854,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("variant", ["cross", "none"])
     @pytest.mark.usefixtures("trained")
     def test_missing_aux_users_file_is_data_error(self, workspace, tmp_path, capsys, variant):
-        out = tmp_path / "out"
-        shutil.copytree(workspace["out"], out)
-        cfg = _with_variant(_config_at(workspace, out, tmp_path), variant)
+        out, cfg = _workspace_copy(workspace, tmp_path)
+        cfg = _with_variant(cfg, variant)
         missing = tmp_path / "absent_users.mat"
         assert main(["train", "--config", str(cfg), "--aux-users", str(missing),
                      "--aux-items", str(out / "aux_items.mat")]) == 3

@@ -12,12 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import old_graph_bytes
 from crossfuse import graph, store
-from crossfuse.backbone import BackboneConfig, LightGCN
 from crossfuse.data import TRAIN, DataError, InteractionDataset
 from crossfuse.graph import _csr_matmat as graph_csr_matmat
-from crossfuse.graph import (build_similarity_graph, check_csr, interaction_matrix,
+from crossfuse.graph import (build_similarity_graph, check_csr, check_graph, interaction_matrix,
                              isolated_nodes, load_graph, normalize_bipartite, save_graph)
-from crossfuse.optim import Param
 
 binary_matrices = arrays(np.float64, st.tuples(st.integers(2, 8), st.integers(2, 8)),
                          elements=st.sampled_from([0.0, 1.0]))
@@ -419,56 +417,7 @@ class TestNormalizeBipartite:
     def test_no_self_loops_and_symmetric(self, tiny_dataset):
         adj = normalize_bipartite(tiny_dataset)
         assert adj.diagonal().sum() == 0
-        assert (adj != adj.T).nnz == 0
-
-
-def one_step(adj, X: np.ndarray) -> np.ndarray:
-    """One propagation step over ``adj``: a one-layer LightGCN that keeps
-    only the propagated layer."""
-    cfg = BackboneConfig(dim=X.shape[1], num_layers=1, alphas=np.array([0.0, 1.0]))
-    return LightGCN(sp.csr_matrix(adj), 1, cfg).forward(Param(X)).values
-
-
-def _symmetric(a: np.ndarray) -> np.ndarray:
-    return np.triu(a) + np.triu(a, 1).T
-
-
-class TestPropagate:
-    def test_zero_features(self, tiny_dataset):
-        adj = normalize_bipartite(tiny_dataset)
-        out = one_step(adj, np.zeros((adj.shape[0], 3)))
-        assert np.all(out == 0)
-
-    def test_single_edge_one_hot(self):
-        adj = sp.csr_matrix(np.array([[0.0, 0.7], [0.7, 0.0]]))
-        X = np.array([[1.0, 0.0], [0.0, 0.0]])
-        out = one_step(adj, X)
-        assert out[1, 0] == pytest.approx(0.7)
-        assert out[0, 0] == 0.0
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(5)
-        dense = _symmetric((rng.random((9, 9)) < 0.3) * rng.random((9, 9)))
-        X = rng.normal(size=(9, 4))
-        out = one_step(dense, X)
-        assert np.max(np.abs(out - dense @ X)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        adj = sp.csr_matrix(np.eye(3))
-        with pytest.raises(ValueError):
-            one_step(adj, np.zeros((4, 2)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_linearity(self, seed):
-        rng = np.random.default_rng(seed)
-        adj = _symmetric((rng.random((7, 7)) < 0.4) * rng.normal(size=(7, 7)))
-        X = rng.normal(size=(7, 3))
-        Y = rng.normal(size=(7, 3))
-        a, b = rng.normal(size=2)
-        lhs = one_step(adj, a * X + b * Y)
-        rhs = a * one_step(adj, X) + b * one_step(adj, Y)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        assert check_graph(adj, adj.shape[0]) is adj  # sorted rows: not copied
 
 
 class TestPersistence:
