@@ -5,9 +5,10 @@ dimension, then a K-layer convolution stack over the thresholded similarity
 graph refines them.  Each hidden layer of both is a :class:`Dense` block
 (affine, count-weighted batch normalization, rectifier); the MLP ends in an
 affine map.  The reverse pass is written out by hand: every block caches
-what its backward needs during a train-mode forward (``train=True``).
-Eval-mode forwards (``train=False``) use running statistics, cache nothing,
-and are reentrant.
+what its backward needs during a train-mode forward (``train=True``), and
+:meth:`AuxiliaryExtractor.release_work` drops those caches once training is
+done with them.  Eval-mode forwards (``train=False``) use running
+statistics, cache nothing, and are reentrant.
 
 Categorical attribute rows repeat heavily (a handful of age/occupation
 combinations cover every user), so the MLP runs on the distinct rows of its
@@ -325,6 +326,14 @@ class AuxiliaryExtractor:
     def backward(self, d_a: np.ndarray) -> None:
         d_classes = scatter_rows(self._classes.inverse, len(self._classes.counts), d_a)
         self.encoder.backward(self.gcn.backward(d_classes))
+
+    def release_work(self) -> None:
+        """Drop what the last train-mode forward cached for its backward; the
+        next train-mode forward caches it again."""
+        for layer in self.encoder.hidden + self.gcn.layers:
+            layer.affine._x = layer.bn._cache = layer._mask = None
+        self.encoder.out._x = None
+        self.encoder._rows = self.gcn._sim = self._classes = None
 
     def params(self):
         return self.encoder.params() + self.gcn.params()

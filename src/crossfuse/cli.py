@@ -25,8 +25,8 @@ from .config import ConfigError, RunConfig, load_config
 from .data import (AttributeField, DataError, InteractionDataset, encode_auxiliary,
                    load_interactions, make_fields, split_dataset, write_remap_table, TEST)
 from .evaluate import category_kl, write_report_json, write_report_text
-from .graph import (build_similarity_graph, check_graph, interaction_matrix, isolated_nodes,
-                    load_graph, normalize_bipartite, save_graph)
+from .graph import (PREPARE_HINT, build_similarity_graph, check_graph, interaction_matrix,
+                    isolated_nodes, load_graph, normalize_bipartite, save_graph)
 from .optim import Param
 from .trainer import (DivergenceError, PipelineOrderError, load_selected_model,
                       pack_stage2_state, score, train_stage1, train_stage2)
@@ -160,9 +160,6 @@ def _load_dataset(out: Path) -> InteractionDataset:
         raise DataError(f"{path}: not a prepared dataset ({exc})") from exc
 
 
-_PREPARE = "; re-run `crossfuse prepare`"
-
-
 def _graph(out: Path, ds: InteractionDataset, name: str):
     """The workspace's ``name``.graph, checked by ``check_graph`` to be
     square over the dataset's users and items (``adjacency``), its users
@@ -174,7 +171,7 @@ def _graph(out: Path, ds: InteractionDataset, name: str):
     try:
         return check_graph(load_graph(path), size, similarity=name != "adjacency")
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}{_PREPARE}") from exc
+        raise DataError(f"{path}: {exc}{PREPARE_HINT}") from exc
 
 
 def _matrix(path: Path, rows: int, dim: int | None, what: str,
@@ -252,7 +249,7 @@ def cmd_train_aux(args, cfg: RunConfig, out: Path) -> int:
             raise DataError(f"no {side} attribute matrix in {out}; prepare with "
                             f"[paths] {side}_attributes set")
     user_x, item_x = (_matrix(out / f"{side}_attr.mat", rows, None,
-                              f"{side}s x attribute slots", _PREPARE)[0]
+                              f"{side}s x attribute slots", PREPARE_HINT)[0]
                       for side, rows in (("user", ds.n), ("item", ds.m)))
     sim_u, sim_v = _graph(out, ds, "user_sim"), _graph(out, ds, "item_sim")
 
@@ -318,7 +315,7 @@ def _item_category_labels(out: Path, ds: InteractionDataset,
     mat_path = out / "item_attr.mat"
     if not mat_path.exists():
         raise DataError("category report needs prepared item attributes")
-    values, fields = _matrix(mat_path, ds.m, None, "items x attribute slots", _PREPARE)
+    values, fields = _matrix(mat_path, ds.m, None, "items x attribute slots", PREPARE_HINT)
     names = [f.name for f in fields]
     if field_name is not None and field_name not in names:
         raise ConfigError(f"unknown category field {field_name!r}; item attributes "

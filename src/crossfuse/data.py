@@ -64,7 +64,7 @@ class InteractionDataset:
     Users and items are contiguous integers; the original raw identifiers are
     kept in ``user_ids`` / ``item_ids`` so results can be reported against the
     source log.  Each split's items per user (``split_csr``) and the train
-    split's per-user item sets are built on first use.
+    split's packed membership rows are built on first use.
     """
 
     def __init__(self, n: int, m: int, users: np.ndarray, items: np.ndarray,
@@ -80,7 +80,7 @@ class InteractionDataset:
         self.user_ids = list(user_ids) if user_ids is not None else [str(u) for u in range(self.n)]
         self.item_ids = list(item_ids) if item_ids is not None else [str(i) for i in range(self.m)]
         self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._sets: list[frozenset] | None = None
+        self._rows: tuple[list[bytes], frozenset] | None = None
         self.validate()
 
     # -- basic views ---------------------------------------------------
@@ -119,17 +119,29 @@ class InteractionDataset:
         indptr, indices = self.split_csr(TRAIN)
         return indices[indptr[u]:indptr[u + 1]]
 
-    def _train_sets(self) -> list[frozenset]:
-        """Each user's train items as a set, built on first use: only the
-        negative sampler needs them."""
-        if self._sets is None:
+    def _train_rows(self) -> tuple[list[bytes], frozenset]:
+        """Each user's train items as one packed bit row, and the users who
+        hold every item; built on first use, for the negative sampler.
+
+        Item i of user u is held when ``rows[u][i >> 3] >> (i & 7) & 1``
+        (``np.packbits`` with ``bitorder="little"``).  The rows are packed
+        in blocks of users, so no users x items temporary is made."""
+        if self._rows is None:
             indptr, indices = self.split_csr(TRAIN)
-            flat, bounds = indices.tolist(), indptr.tolist()
-            self._sets = [frozenset(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-        return self._sets
+            counts = np.diff(indptr)
+            rows: list[bytes] = []
+            for a in range(0, self.n, 256):
+                b = min(a + 256, self.n)
+                held = np.zeros((b - a, self.m), dtype=bool)
+                held[np.repeat(np.arange(b - a), counts[a:b]),
+                     indices[indptr[a]:indptr[b]]] = True
+                rows += map(bytes, np.packbits(held, axis=1, bitorder="little"))
+            self._rows = (rows, frozenset(np.flatnonzero(counts >= self.m).tolist()))
+        return self._rows
 
     def train_item_set(self, u: int) -> frozenset:
-        return self._train_sets()[u]
+        """User u's train items as a set, built on each call."""
+        return frozenset(self.train_items(u).tolist())
 
     # -- consistency ----------------------------------------------------
 
@@ -681,40 +693,45 @@ def sample_negatives(ds: InteractionDataset, users: np.ndarray,
     draws are taken in blocks from a snapshot of ``rng`` and the stream is
     replayed to the number actually used, so the result and the final state
     of ``rng`` are exactly those of drawing row by row.  A user who has every
-    item in train raises :class:`DataError`.
+    item in train raises :class:`DataError` once the users before it are
+    drawn.  Membership is read from the dataset's packed train rows.
     """
     users = np.asarray(users, dtype=np.int64).tolist()
     m = ds.m
-    item_sets = ds._train_sets()
+    rows, full = ds._train_rows()
+    stop = len(users)
+    if full:
+        stop = next((k for k, u in enumerate(users) if u in full), stop)
     # Room for rejections (about 7% of draws on the desk data), so one block
     # usually covers the batch; a short block is topped up, never redrawn.
     slack = len(users) // 8 + 16
     start = rng.bit_generator.state
     block = rng.integers(0, m, size=len(users) + slack).tolist()
+    size = len(block)
     used = 0
     out = []
-    for k, u in enumerate(users):
-        pos = item_sets[u]
-        if len(pos) >= m:
-            _replay(rng, start, m, used)
-            raise DataError(f"user {u} has interacted with every item; "
-                            f"no negative can be sampled")
-        tries = 0
+    for k in range(stop):
+        pos = rows[users[k]]
+        first = used
         while True:
-            if used == len(block):
+            if used == size:
                 block += rng.integers(0, m, size=len(users) - k + slack).tolist()
+                size = len(block)
             i = block[used]
             used += 1
-            if i not in pos:
+            if not pos[i >> 3] >> (i & 7) & 1:  # i is not a train item
                 break
-            tries += 1
-            if tries == 64:
+            if used - first == 64:
                 _replay(rng, start, m, used)
-                i = int(rng.choice(np.setdiff1d(np.arange(m), ds.train_items(u))))
+                i = int(rng.choice(np.setdiff1d(np.arange(m), ds.train_items(users[k]))))
                 start = rng.bit_generator.state
                 block = rng.integers(0, m, size=len(users) - k - 1 + slack).tolist()
+                size = len(block)
                 used = 0
                 break
         out.append(i)
     _replay(rng, start, m, used)
+    if stop < len(users):
+        raise DataError(f"user {users[stop]} has interacted with every item; "
+                        f"no negative can be sampled")
     return np.array(out, dtype=np.int64)

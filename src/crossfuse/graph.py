@@ -34,6 +34,8 @@ _BLOCK_BYTES = 8 << 20
 # blocks built 26-30% faster than one block; 3 blocks were 1-2% faster than
 # 4, and 2, 5 and 6 blocks 2-6% slower.
 _MIN_BLOCKS = 4
+# Ends the message of every fault in a workspace product that prepare writes.
+PREPARE_HINT = "; re-run `crossfuse prepare`"
 
 
 def interaction_matrix(ds: InteractionDataset, *, binarize: bool = False) -> sp.csr_matrix:
@@ -307,29 +309,36 @@ def load_graph(path: str | Path) -> sp.csr_matrix:
     """Read a graph that ``save_graph`` wrote.  A file ``store.load`` rejects
     or that holds no graph, arrays that do not fit the shape, row offsets
     that do not run from 0 to nnz without decreasing, a column index outside
-    the shape, or a matrix failing ``check_csr`` is a :class:`DataError`."""
+    the shape, or a matrix failing ``check_csr`` is a :class:`DataError`
+    that names the file and asks for ``crossfuse prepare`` to be re-run."""
     try:
         doc = store.load(path, "graph")
     except DataError as exc:
-        raise DataError(f"{exc}; re-run `crossfuse prepare`") from exc
+        raise DataError(f"{exc}{PREPARE_HINT}") from exc
+    try:
+        return _graph_of(doc)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}{PREPARE_HINT}") from exc
+
+
+def _graph_of(doc: store.ArrayFile) -> sp.csr_matrix:
+    """The CSR matrix a graph file's contents hold; a :class:`ValueError`
+    names the first fault."""
     shape = doc.meta.get("shape")
     if (doc.meta.get("kind") != "graph" or sorted(doc.arrays) != ["data", "indices", "indptr"]
             or not isinstance(shape, list) or len(shape) != 2
             or not all(type(s) is int and s >= 0 for s in shape)):
-        raise DataError(f"{path}: not a graph file; re-run `crossfuse prepare`")
+        raise ValueError("not a graph file")
     rows, cols = shape
     indptr, indices, values = doc.arrays["indptr"], doc.arrays["indices"], doc.arrays["data"]
     if (indptr.shape != (rows + 1,) or indices.ndim != 1 or values.shape != indices.shape
             or (indptr.dtype, indices.dtype, values.dtype) != (np.int64, np.int64, np.float64)):
-        raise DataError(f"{path}: graph arrays do not fit a {rows}x{cols} matrix")
+        raise ValueError(f"graph arrays do not fit a {rows}x{cols} matrix")
     nnz = len(indices)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
-        raise DataError(f"{path}: row offsets do not run from 0 to {nnz} without decreasing")
+        raise ValueError(f"row offsets do not run from 0 to {nnz} without decreasing")
     if nnz and (indices.min() < 0 or indices.max() >= cols):
-        raise DataError(f"{path}: a column index lies outside [0, {cols})")
+        raise ValueError(f"a column index lies outside [0, {cols})")
     mat = sp.csr_matrix((values, indices, indptr), shape=(rows, cols))
-    try:
-        check_csr(mat)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    check_csr(mat)
     return mat

@@ -182,6 +182,8 @@ def train_stage1(ds: InteractionDataset, user_net: auxnet.AuxiliaryExtractor,
     for epoch, loss, t0 in _epochs(ds, cfg, opt, rng, 1, True, step):
         log.add(EpochRecord(stage=1, epoch=epoch, loss=loss,
                             wall_time=time.perf_counter() - t0))
+    user_net.release_work()
+    item_net.release_work()
 
     a_users = user_net.forward(user_classes, train=False)
     a_items = item_net.forward(item_classes, train=False)
@@ -331,7 +333,8 @@ def train_stage2(ds: InteractionDataset, adj: sp.spmatrix, table: Param,
         best_metric=best_metric,
         stale_epochs=stale,
         opt_meta=opt.state(),
-        opt_tensors={k: v.copy() for k, v in opt.state_tensors().items()},
+        # the optimizer is dropped on return, so its moments are handed over
+        opt_tensors=opt.state_tensors(),
         rng_state=rng.bit_generator.state,
     )
     for k, values in state.selected().items():

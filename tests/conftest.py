@@ -38,6 +38,12 @@ def make_random_dataset(seed: int, n: int = 8, m: int = 12,
     return random_dataset(np.random.default_rng(seed), n, m, lo, hi)
 
 
+def with_explicit_ratings(ds: InteractionDataset) -> InteractionDataset:
+    """The same interactions and split, rated 1 to 5."""
+    ratings = np.random.default_rng(0).integers(1, 6, size=len(ds)).astype(np.float64)
+    return InteractionDataset(ds.n, ds.m, ds.users, ds.items, ratings, ds.split)
+
+
 def unsorted_rows(mat: sp.csr_matrix) -> sp.csr_matrix:
     """``mat`` with each row's entries stored in descending column order."""
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))

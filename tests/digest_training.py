@@ -43,10 +43,10 @@ os.environ.update(dict.fromkeys(runpy.run_path(str(PERFBENCH / "run.py"))["THREA
 
 import numpy as np
 
+from conftest import with_explicit_ratings
 from crossfuse import auxnet, fusion, gradcheck, synthetic
 from crossfuse.backbone import BackboneConfig, init_embeddings
-from crossfuse.data import (DataConfig, InteractionDataset, encode_auxiliary, load_interactions,
-                            split_dataset)
+from crossfuse.data import DataConfig, encode_auxiliary, load_interactions, split_dataset
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
 from crossfuse.trainer import TrainConfig, train_stage1, train_stage2
 
@@ -76,12 +76,6 @@ class Digest:
     def add_named(self, label: str, arrays: dict) -> None:
         for key in sorted(arrays):
             self.add(f"{label}.{key}", arrays[key])
-
-
-def explicit(ds: InteractionDataset) -> InteractionDataset:
-    """The same interactions and split, rated 1 to 5."""
-    ratings = np.random.default_rng(0).integers(1, 6, size=len(ds)).astype(np.float64)
-    return InteractionDataset(ds.n, ds.m, ds.users, ds.items, ratings, ds.split)
 
 
 def ingest(digest: Digest, label: str, files: dict, delimiter: str | None = None) -> None:
@@ -197,7 +191,7 @@ def mid(digest: Digest, work: Path) -> int:
 
     fusion._batch_rows = counting
     try:
-        for label, rated_ds in (("implicit", ds), ("explicit", explicit(ds))):
+        for label, rated_ds in (("implicit", ds), ("explicit", with_explicit_ratings(ds))):
             train(digest, f"mid.{label}", data, rated_ds, dim=64, hidden=[256], gcn_layers=2,
                   layers=3, eta=0.001, epochs=(1, 1), batch=MID_BATCH, seed=0,
                   objectives=MID_OBJECTIVES)

@@ -769,23 +769,46 @@ class TestExitCodes:
         assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command, name, message", [
-        ("train", "adjacency.graph", "graph is not symmetric"),
-        ("train-aux", "user_sim.graph", "similarity graph lacks a diagonal entry")],
-        ids=["asymmetric-adjacency", "similarity-without-diagonal"])
+    @pytest.mark.parametrize("command, name, damage, message", [
+        ("train", "adjacency.graph", "asymmetric", "graph is not symmetric"),
+        ("train-aux", "user_sim.graph", "no-diagonal",
+         "similarity graph lacks a diagonal entry"),
+        ("train", "adjacency.graph", "unsorted",
+         "row 0 has unsorted or duplicate column indices"),
+        ("train-aux", "item_sim.graph", "short-offsets", "graph arrays do not fit"),
+        ("train", "adjacency.graph", "first-offset", "row offsets do not run from 0"),
+        ("train-aux", "user_sim.graph", "index-high", "a column index lies outside")],
+        ids=["asymmetric-adjacency", "similarity-without-diagonal", "unsorted-adjacency",
+             "item-similarity-offsets-too-short", "adjacency-offsets-not-from-0",
+             "user-similarity-column-out-of-range"])
     @pytest.mark.usefixtures("prepared")
-    def test_graph_the_convolutions_cannot_take_is_data_error(self, workspace, tmp_path,
-                                                              capsys, command, name,
-                                                              message):
+    def test_graph_fault_is_data_error_asking_for_prepare(self, workspace, tmp_path, capsys,
+                                                          command, name, damage, message):
+        """A graph file the convolutions cannot take (``check_graph``) or whose
+        storage is broken (``load_graph``) exits 3 with the fault and the
+        prepare hint."""
         out, cfg = _workspace_copy(workspace, tmp_path)
         cfg = _with_variant(cfg, "none")
         path = out / name
-        mat = load_graph(path).tolil()
-        if name == "adjacency.graph":
-            mat[0, mat.rows[0][0]] *= 2.0  # the mirrored entry keeps its value
-        else:
+        mat = load_graph(path)
+        if damage == "no-diagonal":
+            mat = mat.tolil()
             mat[0, 0] = 0.0  # drops the stored entry
-        save_graph(path, mat.tocsr())
+            mat = mat.tocsr()
+        indptr, indices, data = (a.astype(t) for a, t in zip(
+            (mat.indptr, mat.indices, mat.data), (np.int64, np.int64, np.float64)))
+        if damage == "asymmetric":
+            data[0] *= 2.0  # the mirrored entry keeps its value
+        elif damage == "unsorted":
+            indices[:2] = indices[1::-1]
+        elif damage == "short-offsets":
+            indptr = indptr[:-1]
+        elif damage == "first-offset":
+            indptr[0] = 1
+        elif damage == "index-high":
+            indices[-1] = mat.shape[1]
+        store.save(path, ArrayFile({"kind": "graph", "shape": list(mat.shape)},
+                                   {"indptr": indptr, "indices": indices, "data": data}))
         assert main([command, "--config", str(cfg)]) == 3
         err = _one_data_error(capsys)
         assert err.startswith(f"data error: {path}: {message}")

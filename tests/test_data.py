@@ -1,4 +1,5 @@
 import logging
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +562,13 @@ def assert_replays_per_row(ds, users, seed):
     return draws, fallbacks
 
 
+def footprint(obj) -> int:
+    """``sys.getsizeof`` of ``obj`` plus, for a list, tuple or set, that of
+    everything it holds."""
+    inner = obj if isinstance(obj, (list, tuple, set, frozenset)) else ()
+    return sys.getsizeof(obj) + sum(map(footprint, inner))
+
+
 def dataset_from_sets(m, held):
     """All-train implicit dataset where user u holds the items in held[u]."""
     users = [u for u, items in enumerate(held) for _ in items]
@@ -618,18 +626,24 @@ class TestSampleNegatives:
         assert out.shape == (0,) and out.dtype == np.int64
         assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
-    def test_block_refill_replays_per_row_stream(self):
+    @pytest.mark.parametrize("m", [40, 13])
+    def test_block_refill_replays_per_row_stream(self, m):
         # Users holding 3/4 of the items reject about three draws in four, so
-        # the draws run well past one block of len(users) plus slack.
+        # the draws run well past one block of len(users) plus slack.  The
+        # last user holds every item but one, item m - 1 among them; at 13
+        # items a packed row ends in a partly used byte.
         rng = np.random.default_rng(5)
-        held = [set(rng.choice(40, size=30, replace=False).tolist()) for _ in range(10)]
-        ds = dataset_from_sets(40, held)
-        users = rng.integers(0, 10, size=200)
+        held = [set(rng.choice(m, size=3 * m // 4, replace=False).tolist())
+                for _ in range(10)]
+        held.append(set(range(m)) - {m // 2})
+        ds = dataset_from_sets(m, held)
+        users = rng.integers(0, 11, size=200)
         draws, _ = assert_replays_per_row(ds, users, seed=11)
         assert draws > 2 * len(users)
 
-    def test_full_user_is_data_error(self):
-        ds = dataset_from_sets(2, [{0, 1}, {0}])
+    @pytest.mark.parametrize("m", [2, 13])
+    def test_full_user_is_data_error(self, m):
+        ds = dataset_from_sets(m, [set(range(m)), set(range(m)) - {m // 2}])
         rng = np.random.default_rng(0)
         with pytest.raises(DataError, match="user 0 has interacted with every item"):
             sample_negatives(ds, np.array([1, 0, 1]), rng)
@@ -637,6 +651,19 @@ class TestSampleNegatives:
         ref_rng = np.random.default_rng(0)
         per_row_negatives(ds, [1], ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n, m", [(200, 300), (30, 13)])
+    def test_cached_membership_is_packed_bits(self, n, m):
+        """What a sampler call leaves cached on the dataset takes at most
+        ceil(m / 8) + 64 bytes per user by ``sys.getsizeof``: one packed bit
+        row each, not a set of items."""
+        ds = make_random_dataset(0, n=n, m=m, lo=m // 4, hi=m // 2)
+        ds.split_csr(TRAIN)
+        before = dict(vars(ds))
+        sample_negatives(ds, np.arange(n), np.random.default_rng(0))
+        cached = [v for k, v in vars(ds).items() if before.get(k) is not v]
+        assert cached
+        assert sum(map(footprint, cached)) <= n * (-(-m // 8) + 64)
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(sampling_cases())

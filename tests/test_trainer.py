@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import split_truth
+from conftest import split_truth, with_explicit_ratings
 from crossfuse import auxnet, fusion, store, synthetic, trainer
 from crossfuse.backbone import BackboneConfig, LightGCN, init_embeddings
-from crossfuse.data import TRAIN, VALIDATION, DataError, InteractionDataset, split_dataset
+from crossfuse.data import TRAIN, VALIDATION, DataError, split_dataset
 from crossfuse.evaluate import ranking_metrics, recommend_all
 from crossfuse.graph import build_similarity_graph, interaction_matrix, normalize_bipartite
 from crossfuse.optim import Adam, Param
@@ -146,6 +146,12 @@ class TestFlatBuffers:
         self.assert_adopted(opt, opt.params)
         for w, p in zip(res.fusion_weights, opt.params[1:]):
             assert w is p.value
+        # the returned state holds the optimizer's own moments, not copies
+        moments = opt.state_tensors()
+        assert sorted(res.state.opt_tensors) == sorted(moments)
+        for k, v in res.state.opt_tensors.items():
+            assert np.shares_memory(v, opt._m if k[0] == "m" else opt._v), k
+            assert np.array_equal(v, moments[k])
 
 
 class TestStage1:
@@ -196,6 +202,23 @@ class TestStage1:
                            data.item_features.values, sim_u, sim_v, quick_cfg())
         with pytest.raises(ValueError):
             res.user_features[0, 0] = 1.0
+
+    def test_extractors_keep_no_train_cache(self):
+        """Training leaves every layer's backward cache dropped, and the
+        extractors train on from there."""
+        data, ds, sim_u, sim_v, _ = make_world()
+        user_net, item_net = make_nets(data)
+        args = (ds, user_net, item_net, data.user_features.values,
+                data.item_features.values, sim_u, sim_v, quick_cfg(epochs=2))
+        train_stage1(*args)
+        for net in (user_net, item_net):
+            parts = [net, net.encoder, net.gcn, net.encoder.out]
+            for layer in net.encoder.hidden + net.gcn.layers:
+                parts += [layer, layer.affine, layer.bn]
+            cached = [(type(x).__name__, k) for x in parts for k, v in vars(x).items()
+                      if k.startswith("_") and v is not None]
+            assert cached == []
+        assert len(train_stage1(*args).log.records) == 2
 
 
 class TestStage2:
@@ -396,12 +419,6 @@ class TestRestrictedStep:
                 assert a[k].tobytes() == b[k].tobytes(), (name, k)
         assert ([(r.loss, r.val_metric) for r in got.log.records]
                 == [(r.loss, r.val_metric) for r in want.log.records])
-
-
-def with_explicit_ratings(ds):
-    """The same interactions and split, rated 1 to 5."""
-    ratings = np.random.default_rng(0).integers(1, 6, size=len(ds)).astype(np.float64)
-    return InteractionDataset(ds.n, ds.m, ds.users, ds.items, ratings, ds.split)
 
 
 class TestMinibatchLoop:
